@@ -30,18 +30,6 @@ from .stdnormal import PHI0, cdf, tau
 
 C_ALPHA = (1.0 + 2.0 * math.pi) / (2.0 * math.pi)
 
-FLAVORS = (
-    "thm42-noisy",
-    "thm42-noiseless",
-    "thm46-noisy",
-    "thm46-noiseless",
-    "rate-noisy",
-    "rate-noiseless",
-    "rkhs-lemma",
-    "rkhs-improved",
-)
-
-
 @dataclass(frozen=True)
 class BoundConstants:
     """Constants derived from the failure probability delta for one bound flavor.
@@ -322,7 +310,7 @@ def window_sigma(trace: Trace, c: BoundConstants, t: int) -> tuple[float, float]
     samples with no acquisition, so no sd is defined for them.
     """
     lo, hi = window_range(c, t)
-    sigmas = [row.sigma_next for row in trace.rows if lo <= row.t <= hi]
+    sigmas = [row.sigma_next for row in trace.rows_between(lo, hi)]
     if not sigmas:
         raise ValueError(f"trace has no rows in the window [{lo}, {hi}]")
     return max(sigmas), min(sigmas)

@@ -69,8 +69,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = _load(args)
-    n = args.trials if args.trials is not None else None
-    report = harness.verify_lemma(args.lemma, config, n=n)
+    report = harness.verify_lemma(args.lemma, config, n=args.trials)
     harness.write_lemma_report(args.out, report, config)
     for line in report.lines():
         print(line)

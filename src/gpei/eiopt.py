@@ -83,7 +83,8 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class Trace:
-    """Immutable record of one optimization run plus its provenance."""
+    """Immutable record of one optimization run plus its provenance; ``rows``
+    are contiguous in t from T0, so the row for t sits at index t - T0."""
 
     rows: tuple[TraceRow, ...]
     seed: int
@@ -95,11 +96,16 @@ class Trace:
     init_indices: tuple[int, ...]
     stopped_early: bool
 
+    def rows_between(self, lo: int, hi: int) -> tuple[TraceRow, ...]:
+        """The recorded rows with lo <= t <= hi."""
+        t0 = self.rows[0].t if self.rows else lo
+        return self.rows[max(lo - t0, 0) : max(hi - t0 + 1, 0)]
+
     def row_at(self, t: int) -> TraceRow:
-        for row in self.rows:
-            if row.t == t:
-                return row
-        raise ValueError(f"trace has no row for t={t}")
+        rows = self.rows_between(t, t)
+        if not rows:
+            raise ValueError(f"trace has no row for t={t}")
+        return rows[0]
 
     def sigma_at_next(self) -> np.ndarray:
         return np.array([row.sigma_next for row in self.rows])

@@ -17,6 +17,7 @@ reproduce output files byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -110,11 +111,24 @@ class CoverageRow:
 
 
 @dataclass(frozen=True)
+class BoundCheck:
+    """The configured bound evaluated on one trace at one valid iteration t."""
+
+    t: int
+    bound: float
+    r_t: float
+    holds: bool
+    sigma_win_max: float
+    sigma_win_min: float
+
+
+@dataclass(frozen=True)
 class CampaignResult:
     config: ExperimentConfig
     config_hash: str
     coverage: tuple[CoverageRow, ...]
     traces: tuple[Trace, ...]
+    checks: tuple[tuple[BoundCheck, ...], ...]  # per trace, one per recorded valid t
     variance_violations: int
     variance_checked: bool
     passed: bool
@@ -140,6 +154,12 @@ def valid_bound_ts(config: ExperimentConfig, constants: bounds.BoundConstants) -
     ]
 
 
+def _bound_check(trace: Trace, constants: bounds.BoundConstants, noise_sd: float, t: int) -> BoundCheck:
+    bound, r_t, holds = bounds.empirical_bound_check(trace, constants, trace.f_abs_max, noise_sd, t)
+    sigma_max, sigma_min = bounds.window_sigma(trace, constants, t)
+    return BoundCheck(t, bound, r_t, holds, sigma_max, sigma_min)
+
+
 def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     """Run all trials and aggregate bound coverage; no file output."""
     config.validate()
@@ -151,43 +171,37 @@ def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     else:
         traces = [run_trial(*task) for task in tasks]
 
+    checkable = set(valid_bound_ts(config, constants))
+    checks = tuple(
+        tuple(_bound_check(trace, constants, config.noise_sd, row.t) for row in trace.rows if row.t in checkable)
+        for trace in traces
+    )
+
+    by_t: dict[int, list[BoundCheck]] = {}
+    for check in itertools.chain.from_iterable(checks):
+        by_t.setdefault(check.t, []).append(check)
     rows: list[CoverageRow] = []
     target = coverage_target(config.delta, config.trials)
-    for t in valid_bound_ts(config, constants):
-        bvals, rvals, swins, swins_min = [], [], [], []
-        holds = 0
-        n_at_t = 0
-        for trace in traces:
-            try:
-                trace.row_at(t)
-            except ValueError:
-                continue  # stopped early before t
-            b, r, ok = bounds.empirical_bound_check(trace, constants, trace.f_abs_max, config.noise_sd, t)
-            smax, smin = bounds.window_sigma(trace, constants, t)
-            bvals.append(b)
-            rvals.append(r)
-            swins.append(smax)
-            swins_min.append(smin)
-            holds += int(ok)
-            n_at_t += 1
-        if n_at_t == 0:
-            continue
-        freq = holds / n_at_t
+    for t, at_t in sorted(by_t.items()):
+        bvals = np.array([c.bound for c in at_t])
+        rvals = np.array([c.r_t for c in at_t])
+        holds = sum(c.holds for c in at_t)
+        freq = holds / len(at_t)
         rows.append(
             CoverageRow(
                 theorem=config.theorem,
                 t=t,
-                trials=n_at_t,
+                trials=len(at_t),
                 holds=holds,
                 holds_frequency=freq,
-                wilson_lower=wilson_lower(holds, n_at_t),
+                wilson_lower=wilson_lower(holds, len(at_t)),
                 bound_mean=float(np.mean(bvals)),
                 bound_min=float(np.min(bvals)),
                 r_t_mean=float(np.mean(rvals)),
                 r_t_max=float(np.max(rvals)),
-                margin_min=float(np.min(np.array(bvals) - np.array(rvals))),
-                sigma_win_mean=float(np.mean(swins)),
-                sigma_win_min_mean=float(np.mean(swins_min)),
+                margin_min=float(np.min(bvals - rvals)),
+                sigma_win_mean=float(np.mean([c.sigma_win_max for c in at_t])),
+                sigma_win_min_mean=float(np.mean([c.sigma_win_min for c in at_t])),
                 passed=freq >= target,
             )
         )
@@ -205,6 +219,7 @@ def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
         config_hash=config_hash(config),
         coverage=tuple(rows),
         traces=tuple(traces),
+        checks=checks,
         variance_violations=violations,
         variance_checked=variance_checked,
         passed=passed,
@@ -230,7 +245,7 @@ def _meta_line(cfg_hash: str, seed: int) -> str:
 
 
 def write_trace_csv(path: str, trial_index: int, trace: Trace, config: ExperimentConfig,
-                    constants: bounds.BoundConstants) -> None:
+                    checks: tuple[BoundCheck, ...]) -> None:
     d = config.d
     header = (
         ["trial", "t"]
@@ -239,13 +254,8 @@ def write_trace_csv(path: str, trial_index: int, trace: Trace, config: Experimen
     )
     meta = f"{_meta_line(trace.config_hash, config.seed)} trial={trial_index} trial_seed={trace.seed}"
     lines = [meta, ",".join(header)]
-    checkable = set(valid_bound_ts(config, constants))
+    check_cells = {c.t: [_fmt(c.bound), str(int(c.holds))] for c in checks}
     for row in trace.rows:
-        if row.t in checkable:
-            b, _, ok = bounds.empirical_bound_check(trace, constants, trace.f_abs_max, config.noise_sd, row.t)
-            bound_s, holds_s = _fmt(b), str(int(ok))
-        else:
-            bound_s, holds_s = "", ""
         cells = (
             [str(trial_index), str(row.t)]
             + [_fmt(c) for c in row.x_next]
@@ -258,9 +268,8 @@ def write_trace_csv(path: str, trial_index: int, trace: Trace, config: Experimen
                 _fmt(row.sigma_at_star),
                 _fmt(row.r_t),
                 _fmt(row.r0_t),
-                bound_s,
-                holds_s,
             ]
+            + check_cells.get(row.t, ["", ""])
         )
         lines.append(",".join(cells))
     _write_lines(path, lines)
@@ -323,10 +332,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> 
     """Run a campaign and persist per-trial traces, coverage, and a summary."""
     result = run_campaign(config, workers=workers)
     os.makedirs(out_dir, exist_ok=True)
-    constants = bounds.constants_for(config.theorem, config.delta, noisy=config.noise_sd > 0)
     width = max(4, len(str(config.trials - 1)))
-    for i, trace in enumerate(result.traces):
-        write_trace_csv(os.path.join(out_dir, f"trace_{i:0{width}d}.csv"), i, trace, config, constants)
+    for i, (trace, checks) in enumerate(zip(result.traces, result.checks)):
+        write_trace_csv(os.path.join(out_dir, f"trace_{i:0{width}d}.csv"), i, trace, config, checks)
     write_coverage_csv(os.path.join(out_dir, "coverage.csv"), result)
     _write_lines(os.path.join(out_dir, "config.txt"), result.config.flat_text().splitlines())
     _write_lines(os.path.join(out_dir, "summary.txt"), campaign_summary_lines(result))
@@ -384,7 +392,7 @@ def _joint_draws(config: ExperimentConfig, n_draws: int, stream: int):
     y = f[:, :k] + eps
 
     k_design = kernels.gram(config.kernel, pts[:k])
-    k_query = kernels.cross(config.kernel, pts[:k], pts[k])
+    k_query = kernels.cross_matrix(config.kernel, pts[:k], pts[k:])[:, 0]
     a_mat = k_design + config.noise_var * np.eye(k)
     l_small, _ = gp.chol_with_jitter(a_mat)
     w_vec = solve_triangular(l_small.T, solve_triangular(l_small, k_query, lower=True), lower=False)
@@ -557,9 +565,10 @@ def write_lemma_report(out_dir: str, report: LemmaReport, config: ExperimentConf
     summary_path = os.path.join(out_dir, "summary.txt")
     existing: dict[str, str] = {}
     if os.path.exists(summary_path):
-        for line in open(summary_path, "r", encoding="utf-8"):
-            name = line.split(" ", 2)[1] if line.startswith("check ") else line.strip()
-            existing[name] = line.rstrip("\n")
+        with open(summary_path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                name = line.split(" ", 2)[1] if line.startswith("check ") else line.strip()
+                existing[name] = line.rstrip("\n")
     for line in report.lines():
         existing[line.split(" ", 2)[1]] = line
     _write_lines(summary_path, [existing[k] for k in sorted(existing)])

@@ -75,7 +75,7 @@ def eval(spec: KernelSpec, x, x2) -> float:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     d = a - b
-    # same reduction as the batch paths, so gram/cross match eval bitwise
+    # same reduction as the batch paths, so gram/cross_matrix match eval bitwise
     return float(_k_of_dist(spec, np.sqrt(np.sum(d * d))))
 
 
@@ -86,17 +86,6 @@ def gram(spec: KernelSpec, X) -> np.ndarray:
         raise ValueError("X must contain at least one point")
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
-    return _k_of_dist(spec, dist)
-
-
-def cross(spec: KernelSpec, X, x) -> np.ndarray:
-    """Vector of covariances between each row of X and the single point x."""
-    pts = _as_points("X", X)
-    q = _as_point("x", x)
-    if pts.shape[1] != q.shape[0]:
-        raise ValueError(f"dimension mismatch: points are {pts.shape[1]}-d, query is {q.shape[0]}-d")
-    diff = pts - q[None, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=1))
     return _k_of_dist(spec, dist)
 
 

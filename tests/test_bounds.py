@@ -346,6 +346,14 @@ def synthetic_trace(ts, sigmas, r_ts, f_abs_max=1.0):
     )
 
 
+def loop_trace(**overrides):
+    """One trace from the optimization loop itself (seed 1, trial 1)."""
+    from gpei import harness
+    from gpei.config import ExperimentConfig
+
+    return harness.run_trial(ExperimentConfig(seed=1, **overrides), 1)
+
+
 class TestEmpiricalBoundCheck:
     def test_window_maximum_selection(self):
         ts = list(range(1, 31))
@@ -356,6 +364,21 @@ class TestEmpiricalBoundCheck:
         # window [ceil(30/3)-1, 30] = [9, 30]
         assert smax == pytest.approx(1.0 / 9.0, rel=1e-15)
         assert smin == pytest.approx(1.0 / 30.0, rel=1e-15)
+        # rows from T0 = 12 clip the window to [12, 30]
+        late = synthetic_trace(ts[11:], sigmas[11:], [0.0] * 19)
+        assert window_sigma(late, c, 30) == (1.0 / 12.0, 1.0 / 30.0)
+        # loop traces starting at T0 > 1 or stopped by kappa: the window is
+        # clipped to the recorded rows, whichever end is missing
+        for trace in (loop_trace(T0=7, T=30), loop_trace(T0=4, kappa=1e-3)):
+            assert trace.rows[0].t > 1
+            for t in range(4, trace.rows[-1].t + 10):
+                lo, hi = bounds.window_range(c, t)
+                in_window = [row.sigma_next for row in trace.rows if lo <= row.t <= hi]
+                if in_window:
+                    assert window_sigma(trace, c, t) == (max(in_window), min(in_window))
+                else:
+                    with pytest.raises(ValueError):
+                        window_sigma(trace, c, t)
 
     def test_zero_error_always_holds(self):
         ts = list(range(1, 31))
@@ -384,3 +407,18 @@ class TestEmpiricalBoundCheck:
         c = constants_thm46(0.1, noisy=True)
         with pytest.raises(ValueError):
             empirical_bound_check(trace, c, 1.0, 0.05, 25)
+        late = synthetic_trace(list(range(19, 31)), [0.5] * 12, [0.0] * 12)
+        with pytest.raises(ValueError):
+            empirical_bound_check(late, c, 1.0, 0.05, 18)
+        assert late.row_at(19) is late.rows[0] and late.row_at(30) is late.rows[-1]
+        empty = synthetic_trace([], [], [])
+        stopped = loop_trace(T0=4, kappa=1e-3)
+        assert stopped.stopped_early and stopped.rows[-1].t < 30
+        for row in stopped.rows:
+            assert stopped.row_at(row.t) is row
+        missing = [(trace, 20), (late, 18), (late, 31), (empty, 1), (stopped, 3), (stopped, stopped.rows[-1].t + 1)]
+        for trace, t in missing:
+            with pytest.raises(ValueError):
+                trace.row_at(t)
+        with pytest.raises(ValueError):
+            window_sigma(empty, c, 25)

@@ -155,6 +155,28 @@ class TestCampaign:
         # noiseless window divisor 2 admits small t, so coverage rows exist
         assert len(result.coverage) > 0
 
+    @pytest.mark.parametrize("noise_sd", [0.05, 0.0])
+    def test_stored_checks_match_fresh_evaluation(self, tmp_path, noise_sd):
+        cfg = ExperimentConfig(trials=2, noise_sd=noise_sd)
+        result = harness.run_experiment(cfg, str(tmp_path))
+        c = bounds.constants_for(cfg.theorem, cfg.delta, noisy=noise_sd > 0)
+        valid = harness.valid_bound_ts(cfg, c)
+        assert len(result.checks) == cfg.trials
+        for i, (trace, checks) in enumerate(zip(result.traces, result.checks)):
+            assert [ch.t for ch in checks] == [row.t for row in trace.rows if row.t in valid] != []
+            for ch in checks:
+                fresh = bounds.empirical_bound_check(trace, c, trace.f_abs_max, noise_sd, ch.t)
+                assert (ch.bound, ch.r_t, ch.holds) == fresh
+                assert (ch.sigma_win_max, ch.sigma_win_min) == bounds.window_sigma(trace, c, ch.t)
+            check_at = {ch.t: ch for ch in checks}
+            for line in (tmp_path / f"trace_{i:04d}.csv").read_text().splitlines()[2:]:
+                cells = line.split(",")
+                ch = check_at.get(int(cells[1]))
+                if ch is None:
+                    assert cells[-2:] == ["", ""]
+                else:
+                    assert cells[-2:] == [repr(ch.bound), str(int(ch.holds))]
+
     def test_single_point_grid_trivial_coverage(self, tmp_path):
         cfg = tiny_config(grid_per_dim=1, T=8, trials=1)
         result = harness.run_experiment(cfg, str(tmp_path))

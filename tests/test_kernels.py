@@ -122,12 +122,12 @@ class TestGram:
 class TestCross:
     def test_first_entry_on_design_point(self):
         X = np.array([[0.2], [0.8], [0.5]])
-        v = kernels.cross(SE, X, np.array([0.2]))
+        v = kernels.cross_matrix(SE, X, np.array([[0.2]]))[:, 0]
         assert v[0] == 1.0
 
     def test_far_query_decays(self):
         X = np.array([[0.0], [1.0]])
-        v = kernels.cross(SE, X, np.array([50.0]))  # >= 40 lengthscales away
+        v = kernels.cross_matrix(SE, X, np.array([[50.0]]))  # >= 40 lengthscales away
         assert np.all(v < 1e-300)
 
     def test_matches_elementwise_eval(self):
@@ -135,13 +135,13 @@ class TestCross:
         X = rng.uniform(size=(3, 2))
         q = rng.uniform(size=2)
         for spec in ALL:
-            v = kernels.cross(spec, X, q)
+            v = kernels.cross_matrix(spec, X, q[None, :])[:, 0]
             brute = np.array([kernels.eval(spec, X[i], q) for i in range(3)])
             assert np.array_equal(v, brute)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            kernels.cross(SE, np.zeros((2, 2)), np.zeros(3))
+            kernels.cross_matrix(SE, np.zeros((2, 2)), np.zeros((1, 3)))
 
     def test_cross_matrix_consistency(self):
         rng = np.random.default_rng(9)
@@ -149,4 +149,4 @@ class TestCross:
         Q = rng.uniform(size=(7, 2))
         M = kernels.cross_matrix(SE, X, Q)
         for j in range(7):
-            assert np.array_equal(M[:, j], kernels.cross(SE, X, Q[j]))
+            assert np.array_equal(M[:, j], kernels.cross_matrix(SE, X, Q[j][None, :])[:, 0])

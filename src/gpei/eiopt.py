@@ -2,9 +2,14 @@
 
 One loop iteration at step t: maximize EI_t over the finite candidate grid,
 observe the chosen point (with additive Gaussian noise when configured),
-refit the posterior, and record a trace row.  Acquisition maximization is an
-exhaustive scan, which is exact at desk scale and keeps inner-optimizer noise
-out of the recorded quantities; ties break to the lowest candidate index.
+extend the posterior by that observation, and record a trace row.  The
+posterior moments on the grid are kept in a ``GridPosterior``, which appends
+one row of the Cholesky factor per observation (O(t*n) per step) and rebuilds
+from the refitted factor when ``gp.update`` had to fall back to ``fit``.
+Acquisition maximization is an exhaustive scan, which is exact at desk scale
+and keeps inner-optimizer noise out of the recorded quantities; EI values
+within a relative 1e-12 of the maximum are tied, and ties break to the lowest
+candidate index (``lowest_argmax``).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gp, stdnormal
+from . import gp, kernels, stdnormal
 from .config import ExperimentConfig
 from .gp import GpState, PriorSample
 from .rng import derive_stream_seed
@@ -22,6 +27,11 @@ from .rng import derive_stream_seed
 # so objective sampling and noise are independently reproducible.
 INIT_STREAM = 0x494E4954
 NOISE_STREAM = 0x4E4F4953
+
+# Candidates whose EI lies within this fraction of |max EI| below the maximum
+# count as tied with it: mirror points of a symmetric posterior have equal EI
+# in exact arithmetic but not after roundoff.
+TIE_RTOL = 1e-12
 
 
 def improvement(y_plus: float, f_x: float) -> float:
@@ -52,14 +62,75 @@ def ei_batch(state: GpState, y_plus: float, candidates) -> tuple[np.ndarray, np.
     return mu, sigma, _ei_from_moments(float(y_plus), mu, sigma)
 
 
+def lowest_argmax(vals: np.ndarray) -> int:
+    """Lowest index i with vals[i] >= max(vals) - 1e-12 * |max(vals)| (``TIE_RTOL``)."""
+    top = vals.max()
+    return int(np.argmax(vals >= top - TIE_RTOL * abs(top)))
+
+
 def argmax_ei(state: GpState, y_plus: float, candidates) -> tuple[int, np.ndarray]:
-    """Index and coordinates of the EI-maximizing candidate (lowest index on ties)."""
+    """Index and coordinates of the EI-maximizing candidate; values within a
+    relative 1e-12 of the maximum are tied and the lowest index wins."""
     candidates = np.asarray(candidates, dtype=float)
     if candidates.ndim != 2 or candidates.shape[0] < 1:
         raise ValueError("candidates must be a non-empty 2-d array")
     _, _, vals = ei_batch(state, y_plus, candidates)
-    idx = int(np.argmax(vals))
+    idx = lowest_argmax(vals)
     return idx, candidates[idx]
+
+
+class GridPosterior:
+    """Posterior moments of a non-empty GP state on a fixed grid, extended one
+    observation at a time.
+
+    For the factor L of ``state`` it holds V = L^{-1} K(X, grid), w = L^{-1} y,
+    ``mu`` = V^T w and ``var`` = 1 - sum(V * V, axis=0), in buffers sized for
+    ``capacity`` observations in all, those of ``state`` included.  ``observe(j, y)`` calls ``gp.update`` and, when
+    the new factor borders the old one with the row [l^T, d], appends
+    v = (K(grid[j], grid) - l^T V) / d to V and (y - l^T w) / d to w, so that
+    mu += v * w_new and var -= v^2: O(t*n) per step instead of a refit's
+    O(t^2*n + t^3).  When ``update`` fell back to ``fit``, the moments are
+    rebuilt from the new factor.
+    """
+
+    def __init__(self, state: GpState, grid: np.ndarray, capacity: int):
+        self.grid = grid
+        self._V = np.empty((capacity, grid.shape[0]))
+        self._w = np.empty(capacity)
+        self._rebuild(state)
+
+    def _rebuild(self, state: GpState) -> None:
+        t = state.t
+        V = self._V[:t]
+        V[:] = gp.solve_lower(state.chol, kernels.cross_matrix(state.kernel, state.X, self.grid))
+        self._w[:t] = gp.solve_lower(state.chol, state.y)
+        self.mu = V.T @ self._w[:t]
+        self.var = 1.0 - np.sum(V * V, axis=0)
+        self.state = state
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """Posterior sd on the grid, clipped into [0, 1] as in ``gp.posterior_batch``."""
+        return np.sqrt(np.clip(self.var, 0.0, 1.0))
+
+    def observe(self, j: int, y: float) -> None:
+        """Condition on observing ``y`` at grid[j]."""
+        old = self.state
+        new = gp.update(old, self.grid[j], y)
+        t = old.t
+        if not np.array_equal(new.chol[:t, :t], old.chol):
+            self._rebuild(new)
+            return
+        l, d = new.chol[t, :t], new.chol[t, t]
+        v = kernels.cross_matrix(new.kernel, self.grid[j : j + 1], self.grid)[0]
+        v -= l @ self._V[:t]
+        v /= d
+        w_new = (y - l @ self._w[:t]) / d
+        self._V[t] = v
+        self._w[t] = w_new
+        self.mu += v * w_new
+        self.var -= v * v
+        self.state = new
 
 
 @dataclass(frozen=True)
@@ -116,9 +187,10 @@ def run(config: ExperimentConfig, sample: PriorSample, seed: int, config_hash: s
 
     T0 initial points are drawn uniformly (with replacement) from the grid and
     observed as y = f + eps with eps ~ N(0, noise_sd^2) i.i.d.; afterwards each
-    step acquires the EI argmax over the full grid, observes it, refits, and
-    records a row.  Stops at budget T, or right after observing a point whose
-    acquisition value fell below ``kappa`` when a threshold is configured.
+    step acquires the EI argmax over the full grid (``lowest_argmax`` on
+    ties), observes it, extends the posterior, and records a row.  Stops at
+    budget T, or right after observing a point whose acquisition value fell
+    below ``kappa`` when a threshold is configured.
     Bit-identical traces are guaranteed for identical (config, sample, seed).
     """
     if not (1 <= config.T0 <= config.T):
@@ -133,20 +205,20 @@ def run(config: ExperimentConfig, sample: PriorSample, seed: int, config_hash: s
     rng_noise = np.random.default_rng(derive_stream_seed(seed, NOISE_STREAM))
 
     init_idx = [int(i) for i in rng_init.integers(0, n, size=config.T0)]
-    obs_idx = list(init_idx)
-    y_obs = [float(sample.f[j] + noise_sd * rng_noise.standard_normal()) for j in obs_idx]
+    y_obs = [float(sample.f[j] + noise_sd * rng_noise.standard_normal()) for j in init_idx]
 
-    state = gp.fit(config.kernel, grid[obs_idx], np.array(y_obs), config.noise_var)
+    post = GridPosterior(gp.fit(config.kernel, grid[init_idx], np.array(y_obs), config.noise_var), grid, config.T)
 
     best = int(np.argmin(y_obs))
     y_plus = y_obs[best]
-    best_idx = obs_idx[best]
+    best_idx = init_idx[best]
 
     rows: list[TraceRow] = []
     stopped = False
     for t in range(config.T0, config.T):
-        mu, sigma, vals = ei_batch(state, y_plus, grid)
-        j = int(np.argmax(vals))
+        mu, sigma = post.mu, post.sigma
+        vals = _ei_from_moments(y_plus, mu, sigma)
+        j = lowest_argmax(vals)
         eps = noise_sd * rng_noise.standard_normal()
         y_new = float(sample.f[j] + eps)
         rows.append(
@@ -165,12 +237,11 @@ def run(config: ExperimentConfig, sample: PriorSample, seed: int, config_hash: s
                 r0_t=float(sample.f[best_idx]) - sample.f_star,
             )
         )
-        obs_idx.append(j)
-        y_obs.append(y_new)
         if y_new < y_plus:
             y_plus = y_new
             best_idx = j
-        state = gp.update(state, grid[j], y_new)
+        if t + 1 < config.T:  # the posterior after the last row is never read
+            post.observe(j, y_new)
         if config.kappa is not None and rows[-1].ei_next < config.kappa:
             stopped = True
             break

@@ -8,8 +8,11 @@ cross-covariances k_t(x), noise variance s2 and observations y,
 
 Factorizations go through Cholesky with a small escalating diagonal jitter,
 since squared-exponential Gram matrices on fine grids are numerically
-singular.  States are immutable; ``update`` returns a fresh state obtained by
-refitting on the augmented data.
+singular.  States are immutable; ``update`` returns a fresh state whose
+factor is the old one bordered by one row (an O(t^2) append, Rasmussen &
+Williams 2006, Alg. 2.1).  When the new Schur pivot is not positive and
+finite at the state's jitter, ``update`` falls back to ``fit`` on the
+augmented data, which escalates the jitter.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 
 from . import kernels
 from .kernels import KernelSpec
@@ -38,15 +41,29 @@ def chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of K + jitter*I, escalating jitter 1e-10 .. 1e-6."""
     jitter = JITTER_START
     n = K.shape[0]
-    eye = np.eye(n)
     while jitter <= JITTER_MAX:
+        shifted = K.copy()
+        shifted.flat[:: n + 1] += jitter
         try:
-            return np.linalg.cholesky(K + jitter * eye), jitter
+            return np.linalg.cholesky(shifted), jitter
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise FactorizationError(
         f"Cholesky failed for {n}x{n} matrix after escalating jitter to {JITTER_MAX:g}"
     )
+
+
+def solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Solve L x = b, or L^T x = b when ``transpose``, for a lower-triangular L.
+
+    Calls LAPACK trtrs directly: the loop solves small systems at every step,
+    where ``scipy.linalg.solve_triangular``'s per-call validation costs several
+    times the solve itself.
+    """
+    x, info = lapack.dtrtrs(L, b, lower=1, trans=int(transpose))
+    if info != 0:
+        raise FactorizationError(f"triangular solve failed (LAPACK info={info})")
+    return x
 
 
 @dataclass(frozen=True)
@@ -78,14 +95,17 @@ def fit(kernel: KernelSpec, X, y, noise_var: float) -> GpState:
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] != X.shape[0]:
         raise ValueError(f"y must be 1-d with one entry per row of X, got {y.shape} for {X.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite")
     if not (np.isfinite(noise_var) and noise_var >= 0):
         raise ValueError(f"noise_var must be >= 0, got {noise_var!r}")
     if X.shape[0] == 0:
         empty = np.zeros((0, 0))
         return GpState(kernel, X.copy(), y.copy(), float(noise_var), empty, np.zeros(0), 0.0)
-    K = kernels.gram(kernel, X) + noise_var * np.eye(X.shape[0])
+    K = kernels.gram(kernel, X)
+    K.flat[:: X.shape[0] + 1] += noise_var
     L, jitter = chol_with_jitter(K)
-    alpha = solve_triangular(L.T, solve_triangular(L, y, lower=True), lower=False)
+    alpha = solve_lower(L, solve_lower(L, y), transpose=True)
     return GpState(kernel, X.copy(), y.copy(), float(noise_var), L, alpha, jitter)
 
 
@@ -99,7 +119,7 @@ def posterior_batch(state: GpState, Q) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(n), np.ones(n)
     kx = kernels.cross_matrix(state.kernel, state.X, Q)
     mu = kx.T @ state.alpha
-    v = solve_triangular(state.chol, kx, lower=True)
+    v = solve_lower(state.chol, kx)
     var = 1.0 - np.sum(v * v, axis=0)
     sigma = np.sqrt(np.clip(var, 0.0, 1.0))
     return mu, sigma
@@ -117,15 +137,36 @@ def posterior(state: GpState, x) -> tuple[float, float]:
 
 
 def update(state: GpState, x_new, y_new: float) -> GpState:
-    """Return the posterior refitted with one more observation."""
+    """Return the posterior with one more observation, in O(t^2).
+
+    The factor gains one row [l^T, d] with l = L^{-1} k_t(x_new) and pivot
+    d = sqrt(1 + noise_var + jitter - l^T l), at the state's jitter, so the
+    leading t-by-t block is the old factor bit for bit.  An empty state, or a
+    pivot d^2 that is not positive and finite (a duplicate noiseless point
+    can cancel it exactly), goes through ``fit`` on the augmented data.
+    """
     x_new = np.asarray(x_new, dtype=float)
     if x_new.ndim != 1:
         raise ValueError(f"x_new must be a 1-d point, got shape {x_new.shape}")
-    if state.t > 0 and x_new.shape[0] != state.X.shape[1]:
+    t = state.t
+    if t > 0 and x_new.shape[0] != state.X.shape[1]:
         raise ValueError(f"dimension mismatch: state is {state.X.shape[1]}-d, x_new is {x_new.shape[0]}-d")
-    X = np.vstack([state.X, x_new[None, :]]) if state.t > 0 else x_new[None, :]
+    X = np.vstack([state.X, x_new[None, :]]) if t > 0 else x_new[None, :]
     y = np.append(state.y, float(y_new))
-    return fit(state.kernel, X, y, state.noise_var)
+    if not np.isfinite(y[t]):
+        raise ValueError(f"y_new must be finite, got {y_new!r}")
+    if t == 0:
+        return fit(state.kernel, X, y, state.noise_var)
+    l = solve_lower(state.chol, kernels.cross_matrix(state.kernel, state.X, x_new[None, :])[:, 0])
+    d2 = 1.0 + state.noise_var + state.jitter - l @ l
+    if not (np.isfinite(d2) and d2 > 0.0):
+        return fit(state.kernel, X, y, state.noise_var)
+    L = np.zeros((t + 1, t + 1))
+    L[:t, :t] = state.chol
+    L[t, :t] = l
+    L[t, t] = np.sqrt(d2)
+    alpha = solve_lower(L, solve_lower(L, y), transpose=True)
+    return GpState(state.kernel, X, y, state.noise_var, L, alpha, state.jitter)
 
 
 @dataclass(frozen=True)

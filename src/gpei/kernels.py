@@ -41,7 +41,7 @@ def _as_points(name: str, X) -> np.ndarray:
     a = np.asarray(X, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"{name} must be a 2-d array of points, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     return a
 
@@ -50,22 +50,54 @@ def _as_point(name: str, x) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.ndim != 1:
         raise ValueError(f"{name} must be a 1-d point, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     return a
 
 
-def _k_of_dist(spec: KernelSpec, dist: np.ndarray) -> np.ndarray:
-    rho = dist / spec.lengthscale
+def _k_of_sq_dist(spec: KernelSpec, buf: np.ndarray) -> np.ndarray:
+    """Overwrite ``buf`` (squared distances) with kernel values and return it.
+
+    Evaluated in place with at most two extra buffers of its shape, in the
+    same operation order for every shape, so batch and per-pair values agree
+    bitwise.
+    """
+    np.sqrt(buf, out=buf)
+    buf /= spec.lengthscale  # rho
     if spec.family == SQUARED_EXPONENTIAL:
-        return np.exp(-0.5 * rho * rho)
+        tmp = np.multiply(buf, -0.5)
+        buf *= tmp
+        return np.exp(buf, out=buf)
     if spec.nu == 0.5:
-        return np.exp(-rho)
+        np.negative(buf, out=buf)
+        return np.exp(buf, out=buf)
     if spec.nu == 1.5:
-        s = math.sqrt(3.0) * rho
-        return (1.0 + s) * np.exp(-s)
-    s = math.sqrt(5.0) * rho
-    return (1.0 + s + (5.0 / 3.0) * rho * rho) * np.exp(-s)
+        buf *= math.sqrt(3.0)  # s
+        tmp = np.negative(buf)
+        np.exp(tmp, out=tmp)
+        buf += 1.0
+        buf *= tmp
+        return buf
+    # (1 + s + (5/3) rho^2) exp(-s) with s = sqrt(5) rho
+    tmp = np.multiply(buf, 5.0 / 3.0)
+    tmp *= buf
+    buf *= math.sqrt(5.0)  # s
+    tmp += np.add(buf, 1.0)  # (1 + s) + (5/3) rho^2
+    np.negative(buf, out=buf)
+    np.exp(buf, out=buf)
+    buf *= tmp
+    return buf
+
+
+def _sq_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared distances between rows of A and rows of B, accumulated one
+    coordinate at a time into one (len(A), len(B)) buffer."""
+    buf = np.zeros((A.shape[0], B.shape[0]))
+    for k in range(A.shape[1]):
+        diff = np.subtract.outer(A[:, k], B[:, k])
+        diff *= diff
+        buf += diff
+    return buf
 
 
 def eval(spec: KernelSpec, x, x2) -> float:
@@ -74,9 +106,11 @@ def eval(spec: KernelSpec, x, x2) -> float:
     b = _as_point("x2", x2)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    # same reduction as the batch paths, so gram/cross_matrix match eval bitwise
-    return float(_k_of_dist(spec, np.sqrt(np.sum(d * d))))
+    # coordinates summed in order, as in _sq_dist, so gram/cross_matrix match eval bitwise
+    sq = np.zeros(1)
+    for c in a - b:
+        sq += c * c
+    return float(_k_of_sq_dist(spec, sq)[0])
 
 
 def gram(spec: KernelSpec, X) -> np.ndarray:
@@ -84,9 +118,7 @@ def gram(spec: KernelSpec, X) -> np.ndarray:
     pts = _as_points("X", X)
     if pts.shape[0] < 1:
         raise ValueError("X must contain at least one point")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    return _k_of_dist(spec, dist)
+    return _k_of_sq_dist(spec, _sq_dist(pts, pts))
 
 
 def cross_matrix(spec: KernelSpec, X, Q) -> np.ndarray:
@@ -95,6 +127,4 @@ def cross_matrix(spec: KernelSpec, X, Q) -> np.ndarray:
     qs = _as_points("Q", Q)
     if pts.shape[1] != qs.shape[1]:
         raise ValueError(f"dimension mismatch: {pts.shape[1]} vs {qs.shape[1]}")
-    diff = pts[:, None, :] - qs[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    return _k_of_dist(spec, dist)
+    return _k_of_sq_dist(spec, _sq_dist(pts, qs))

@@ -105,6 +105,29 @@ class TestArgmaxEi:
             argmax_ei(state, 0.0, np.zeros((0, 1)))
 
 
+class TestTieRule:
+    def test_relative_tolerance(self):
+        top = 0.75
+        assert eiopt.lowest_argmax(np.array([0.1, top * (1 - 0.9e-12), top])) == 1
+        assert eiopt.lowest_argmax(np.array([0.1, top * (1 - 1.1e-12), top])) == 2
+        assert eiopt.lowest_argmax(np.array([top, 0.1, top])) == 0
+        assert eiopt.lowest_argmax(np.zeros(4)) == 0
+
+    def test_mirror_pair_on_symmetric_grid(self):
+        # 25 points symmetric about the observed centre: the EI of each mirror
+        # pair is equal in exact arithmetic; on this grid the end pair differs
+        # by one ulp, which decides a plain np.argmax differently per orientation
+        grid = np.linspace(0.1, 0.7, 25)[:, None]
+        kernel = KernelSpec("se", 0.2)
+        state = fit(kernel, grid[12:13], np.array([0.3]), 0.0)
+        idx, x = argmax_ei(state, 0.3, grid)
+        idx_rev, x_rev = argmax_ei(state, 0.3, grid[::-1])
+        _, _, vals = eiopt.ei_batch(state, 0.3, grid)
+        assert vals[idx] != vals[24 - idx]  # the roundoff the rule absorbs
+        assert idx == 0 and idx_rev == 0
+        assert x[0] == grid[0, 0] and x_rev[0] == grid[24, 0]
+
+
 def tiny_config(**kw):
     base = dict(d=1, grid_per_dim=25, kernel=KernelSpec("se", 0.2), noise_sd=0.05,
                 delta=0.1, T=12, T0=1, trials=2, seed=101, theorem="thm46")
@@ -182,7 +205,7 @@ class TestRun:
         _, stopped = run_once(cfg_stop)
         assert stopped.stopped_early
         # the threshold row is still observed and recorded, matching the loop
-        # order: acquire, observe, refit, then test the criterion
+        # order: acquire, observe, update the posterior, then test the criterion
         assert stopped.rows[-1].ei_next < ceiling or len(stopped.rows) == 1
 
     def test_grid_mismatch_rejected(self):
@@ -191,6 +214,58 @@ class TestRun:
         sample = sample_prior(cfg.kernel, other.grid_points(), 5)
         with pytest.raises(ValueError):
             run(cfg, sample, 5)
+
+
+def replay(config, seed):
+    """The loop's trace plus its observation sequence: (init indices, init y, rows)."""
+    sample, trace = run_once(config, seed)
+    from gpei.rng import derive_stream_seed
+
+    rng_noise = np.random.default_rng(derive_stream_seed(seed, eiopt.NOISE_STREAM))
+    y0 = [float(sample.f[j] + config.noise_sd * rng_noise.standard_normal()) for j in trace.init_indices]
+    return list(trace.init_indices), y0, trace.rows
+
+
+class TestGridPosterior:
+    @pytest.mark.parametrize("noise_sd,tol", [(0.05, 1e-10), (0.0, 1e-6)])
+    def test_loop_moments_match_refit(self, noise_sd, tol):
+        # default config: 200-point grid, SE, T=60; at every step the moments
+        # the loop used equal a fresh fit + posterior_batch on the whole grid
+        cfg = dataclasses.replace(ExperimentConfig(seed=11), noise_sd=noise_sd)
+        grid = cfg.grid_points()
+        for seed in (3, 4):
+            obs_idx, y, rows = replay(cfg, seed)
+            post = eiopt.GridPosterior(fit(cfg.kernel, grid[obs_idx], np.array(y), cfg.noise_var), grid, cfg.T)
+            for row in rows:
+                ref = fit(cfg.kernel, grid[obs_idx], np.array(y), cfg.noise_var)
+                mu_r, sigma_r = gp.posterior_batch(ref, grid)
+                assert np.max(np.abs(post.mu - mu_r)) <= tol
+                assert np.max(np.abs(post.sigma - sigma_r)) <= tol
+                assert row.mu_next == post.mu[row.x_next_idx]
+                assert row.sigma_next == post.sigma[row.x_next_idx]
+                _, _, vals = eiopt.ei_batch(ref, row.y_plus, grid)
+                assert eiopt.lowest_argmax(vals) == row.x_next_idx
+                post.observe(row.x_next_idx, row.y_next)
+                obs_idx.append(row.x_next_idx)
+                y.append(row.y_next)
+
+    def test_rebuilds_after_fallback(self, monkeypatch):
+        # a duplicate noiseless point at jitter 1e-18 has a pivot of exactly 0,
+        # so update refits at 1e-15 and the grid moments follow the new factor
+        monkeypatch.setattr(gp, "JITTER_START", 1e-18)
+        grid = np.linspace(0, 1, 9)[:, None]
+        post = eiopt.GridPosterior(fit(SE, grid[4:5], np.array([0.2]), 0.0), grid, 4)
+        post.observe(4, 0.2)
+        ref = fit(SE, grid[[4, 4]], np.array([0.2, 0.2]), 0.0)
+        assert post.state.jitter == ref.jitter == 1e-15
+        mu_r, sigma_r = gp.posterior_batch(ref, grid)
+        assert np.allclose(post.mu, mu_r, rtol=0, atol=1e-9)
+        assert np.allclose(post.sigma, sigma_r, rtol=0, atol=1e-9)
+        post.observe(0, -0.4)  # appends again on the refitted factor
+        ref = fit(SE, grid[[4, 4, 0]], np.array([0.2, 0.2, -0.4]), 0.0)
+        mu_r, sigma_r = gp.posterior_batch(ref, grid)
+        assert np.allclose(post.mu, mu_r, rtol=0, atol=1e-9)
+        assert np.allclose(post.sigma, sigma_r, rtol=0, atol=1e-9)
 
 
 class TestSelectionOptimality:
@@ -210,6 +285,6 @@ class TestSelectionOptimality:
             y_plus = min(y)
             _, _, vals = eiopt.ei_batch(state, y_plus, grid)
             assert vals.max() <= row.ei_next + 1e-12
-            assert int(np.argmax(vals)) == row.x_next_idx
+            assert eiopt.lowest_argmax(vals) == row.x_next_idx
             obs_idx.append(row.x_next_idx)
             y.append(float(sample.f[row.x_next_idx] + cfg.noise_sd * rng_noise.standard_normal()))

@@ -101,6 +101,8 @@ class TestFitAndPosterior:
             fit(SE, np.zeros((2, 1)), np.zeros(3), 0.1)
         with pytest.raises(ValueError):
             fit(SE, np.zeros((2, 1)), np.zeros(2), -0.1)
+        with pytest.raises(ValueError, match="finite"):
+            fit(SE, np.zeros((2, 1)), np.array([0.0, np.inf]), 0.1)
 
 
 class TestUpdate:
@@ -132,6 +134,52 @@ class TestUpdate:
         upd = update(state, x, 1.2)
         _, sigma_after = posterior(upd, x)
         assert sigma_after < sigma_before
+
+    def test_borders_the_old_factor(self):
+        rng = np.random.default_rng(5)
+        X = rng.uniform(size=(6, 2))
+        y = rng.normal(size=6)
+        state = fit(SE, X, y, 0.01)
+        x_new = rng.uniform(size=2)
+        upd = update(state, x_new, -0.7)
+        ref = fit(SE, np.vstack([X, x_new]), np.append(y, -0.7), 0.01)
+        assert upd.jitter == state.jitter
+        assert np.array_equal(upd.chol[:6, :6], state.chol)
+        assert np.array_equal(upd.X, ref.X) and np.array_equal(upd.y, ref.y)
+        assert np.allclose(upd.chol, ref.chol, rtol=0, atol=1e-12)
+        assert np.allclose(upd.alpha, ref.alpha, rtol=1e-10, atol=1e-10)
+
+    def test_empty_state_goes_through_fit(self):
+        empty = fit(SE, np.zeros((0, 1)), np.zeros(0), 0.1)
+        upd = update(empty, np.array([0.3]), 1.0)
+        ref = fit(SE, np.array([[0.3]]), np.array([1.0]), 0.1)
+        assert upd.jitter == ref.jitter
+        assert np.array_equal(upd.chol, ref.chol) and np.array_equal(upd.alpha, ref.alpha)
+
+    def test_zero_pivot_falls_back_to_fit(self, monkeypatch):
+        # with jitter 1e-18 the factor of one noiseless point is [[1.0]] and a
+        # duplicate has pivot 1 + 0 + 1e-18 - 1 = 0 exactly; fit escalates
+        # the jitter until the two-point matrix factors, at 1e-15
+        monkeypatch.setattr(gp, "JITTER_START", 1e-18)
+        x = np.array([0.5])
+        state = fit(SE, x[None, :], np.array([0.2]), 0.0)
+        assert state.jitter == 1e-18 and state.chol[0, 0] == 1.0
+        assert 1.0 + state.noise_var + state.jitter - state.chol[0, 0] ** 2 == 0.0
+        upd = update(state, x, 0.4)
+        ref = fit(SE, np.array([x, x]), np.array([0.2, 0.4]), 0.0)
+        assert upd.jitter == ref.jitter == 1e-15
+        probes = np.linspace(0, 1, 7)[:, None]
+        for a, b in zip(gp.posterior_batch(upd, probes), gp.posterior_batch(ref, probes)):
+            assert np.array_equal(a, b)
+
+    def test_rejects_bad_points(self):
+        state = fit(SE, np.zeros((2, 2)) + [[0.0], [1.0]], np.zeros(2), 0.1)
+        with pytest.raises(ValueError, match="1-d point"):
+            update(state, np.zeros((1, 2)), 0.0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            update(state, np.zeros(3), 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            update(state, np.zeros(2), float("nan"))
 
     def test_variance_never_grows(self):
         rng = np.random.default_rng(6)

@@ -14,7 +14,7 @@ from .bounds import (
 )
 from .config import ExperimentConfig, load_config
 from .eiopt import Trace, TraceRow, argmax_ei, ei, improvement, run
-from .gp import GpState, PriorSample, fit, info_gain, posterior, sample_prior, update, variance_sum_check
+from .gp import GpState, GridPrior, PriorSample, fit, info_gain, posterior, sample_prior, update, variance_sum_check
 from .kernels import KernelSpec
 from .stdnormal import BarTauParams, bar_tau, cdf, ei_ab, find_rho_bar, pdf, tau, theta, tilde_tau
 
@@ -26,6 +26,7 @@ __all__ = [
     "CoefficientComparison",
     "ExperimentConfig",
     "GpState",
+    "GridPrior",
     "KernelSpec",
     "PriorSample",
     "Trace",

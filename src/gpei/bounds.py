@@ -317,17 +317,19 @@ def window_sigma(trace: Trace, c: BoundConstants, t: int) -> tuple[float, float]
 
 
 def empirical_bound_check(
-    trace: Trace, c: BoundConstants, f_bound: float, noise_sd: float, t: int
+    trace: Trace, c: BoundConstants, f_bound: float, noise_sd: float, t: int,
+    window: tuple[float, float] | None = None,
 ) -> tuple[float, float, bool]:
     """Evaluate the configured bound on a recorded trace at iteration t.
 
     Uses the window maximum of the recorded predictive sds, which dominates
     every admissible window iterate, so ``holds`` soundly tests the theorem's
-    existential claim.  Returns (bound, r_t, holds).
+    existential claim.  ``window`` is ``window_sigma(trace, c, t)`` when the
+    caller already holds it.  Returns (bound, r_t, holds).
     """
     if not (t >= c.t_min and t > c.window_divisor):
         raise ValueError(f"t={t} below validity threshold (t_min={c.t_min}, divisor={c.window_divisor})")
     row = trace.row_at(t)
-    sigma_max, _ = window_sigma(trace, c, t)
+    sigma_max, _ = window if window is not None else window_sigma(trace, c, t)
     bound = bound_value(c, t, f_bound, noise_sd, sigma_max)
     return bound, row.r_t, bool(row.r_t <= bound)

@@ -3,9 +3,10 @@
 One loop iteration at step t: maximize EI_t over the finite candidate grid,
 observe the chosen point (with additive Gaussian noise when configured),
 extend the posterior by that observation, and record a trace row.  The
-posterior moments on the grid are kept in a ``GridPosterior``, which appends
-one row of the Cholesky factor per observation (O(t*n) per step) and rebuilds
-from the refitted factor when ``gp.update`` had to fall back to ``fit``.
+posterior moments on the grid are kept in a ``GridPosterior``, which reads
+rows of the shared prior Gram matrix and appends one row of the Cholesky
+factor per observation (O(t*n) per step), rebuilding from a refit when the
+new pivot is not positive.
 Acquisition maximization is an exhaustive scan, which is exact at desk scale
 and keeps inner-optimizer noise out of the recorded quantities; EI values
 within a relative 1e-12 of the maximum are tied, and ties break to the lowest
@@ -14,13 +15,14 @@ candidate index (``lowest_argmax``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import gp, kernels, stdnormal
+from . import gp, stdnormal
 from .config import ExperimentConfig
-from .gp import GpState, PriorSample
+from .gp import GpState, GridPrior, PriorSample
 from .rng import derive_stream_seed
 
 # Stream tags for the per-run substreams (initial design vs noise draws),
@@ -80,33 +82,40 @@ def argmax_ei(state: GpState, y_plus: float, candidates) -> tuple[int, np.ndarra
 
 
 class GridPosterior:
-    """Posterior moments of a non-empty GP state on a fixed grid, extended one
+    """Posterior moments on the grid of a ``GridPrior``, extended one
     observation at a time.
 
-    For the factor L of ``state`` it holds V = L^{-1} K(X, grid), w = L^{-1} y,
-    ``mu`` = V^T w and ``var`` = 1 - sum(V * V, axis=0), in buffers sized for
-    ``capacity`` observations in all, those of ``state`` included.  ``observe(j, y)`` calls ``gp.update`` and, when
-    the new factor borders the old one with the row [l^T, d], appends
-    v = (K(grid[j], grid) - l^T V) / d to V and (y - l^T w) / d to w, so that
-    mu += v * w_new and var -= v^2: O(t*n) per step instead of a refit's
-    O(t^2*n + t^3).  When ``update`` fell back to ``fit``, the moments are
-    rebuilt from the new factor.
+    With X the observed grid points, y their values and L the lower Cholesky
+    factor of K(X, X) + (noise_var + jitter)*I, it holds V = L^{-1} K(X, grid),
+    w = L^{-1} y, ``mu`` = V^T w and ``var`` = 1 - sum(V * V, axis=0), in
+    buffers sized for ``capacity`` observations.  ``observe(j, y)`` borders L
+    with the row [l^T, d], where l = V[:, j] = L^{-1} k_t(grid[j]) and
+    d^2 = 1 + noise_var + jitter - l^T l, appends v = (K[j] - l^T V) / d to V
+    and (y - l^T w) / d to w, so that mu += v * w_new and var -= v^2: O(t*n)
+    per step, with K[j] a row of the prior's Gram matrix and no kernel call or
+    triangular solve.  The initial observations, and a step whose d^2 is not
+    positive and finite, go through ``gp.fit`` on all observations (which
+    escalates the jitter) and rebuild V and w from its factor.
     """
 
-    def __init__(self, state: GpState, grid: np.ndarray, capacity: int):
-        self.grid = grid
-        self._V = np.empty((capacity, grid.shape[0]))
+    def __init__(self, prior: GridPrior, idx, y, noise_var: float, capacity: int):
+        self.prior = prior
+        self.noise_var = float(noise_var)
+        self._idx = [int(j) for j in idx]
+        self._y = [float(v) for v in y]
+        self._V = np.empty((capacity, prior.grid.shape[0]))
         self._w = np.empty(capacity)
-        self._rebuild(state)
+        self._refit()
 
-    def _rebuild(self, state: GpState) -> None:
+    def _refit(self) -> None:
+        state = gp.fit(self.prior.kernel, self.prior.grid[self._idx], np.array(self._y), self.noise_var)
         t = state.t
         V = self._V[:t]
-        V[:] = gp.solve_lower(state.chol, kernels.cross_matrix(state.kernel, state.X, self.grid))
+        V[:] = gp.solve_lower(state.chol, self.prior.K[self._idx])
         self._w[:t] = gp.solve_lower(state.chol, state.y)
         self.mu = V.T @ self._w[:t]
         self.var = 1.0 - np.sum(V * V, axis=0)
-        self.state = state
+        self.jitter = state.jitter
 
     @property
     def sigma(self) -> np.ndarray:
@@ -115,22 +124,26 @@ class GridPosterior:
 
     def observe(self, j: int, y: float) -> None:
         """Condition on observing ``y`` at grid[j]."""
-        old = self.state
-        new = gp.update(old, self.grid[j], y)
-        t = old.t
-        if not np.array_equal(new.chol[:t, :t], old.chol):
-            self._rebuild(new)
+        y = float(y)
+        if not math.isfinite(y):
+            raise ValueError(f"y must be finite, got {y!r}")
+        t = len(self._idx)
+        self._idx.append(int(j))
+        self._y.append(y)
+        V = self._V[:t]
+        l = V[:, j]
+        d2 = 1.0 + self.noise_var + self.jitter - l @ l
+        if not (np.isfinite(d2) and d2 > 0.0):
+            self._refit()
             return
-        l, d = new.chol[t, :t], new.chol[t, t]
-        v = kernels.cross_matrix(new.kernel, self.grid[j : j + 1], self.grid)[0]
-        v -= l @ self._V[:t]
+        d = np.sqrt(d2)
+        v = self.prior.K[j] - l @ V
         v /= d
         w_new = (y - l @ self._w[:t]) / d
         self._V[t] = v
         self._w[t] = w_new
         self.mu += v * w_new
         self.var -= v * v
-        self.state = new
 
 
 @dataclass(frozen=True)
@@ -195,7 +208,10 @@ def run(config: ExperimentConfig, sample: PriorSample, seed: int, config_hash: s
     """
     if not (1 <= config.T0 <= config.T):
         raise ValueError(f"need 1 <= T0 <= T, got T0={config.T0}, T={config.T}")
-    grid = np.asarray(sample.grid, dtype=float)
+    prior = sample.prior
+    if prior.kernel != config.kernel:
+        raise ValueError("prior sample kernel does not match the config's kernel")
+    grid = prior.grid
     if not np.array_equal(grid, config.grid_points()):
         raise ValueError("prior sample grid does not match the config's candidate grid")
     n = grid.shape[0]
@@ -207,7 +223,7 @@ def run(config: ExperimentConfig, sample: PriorSample, seed: int, config_hash: s
     init_idx = [int(i) for i in rng_init.integers(0, n, size=config.T0)]
     y_obs = [float(sample.f[j] + noise_sd * rng_noise.standard_normal()) for j in init_idx]
 
-    post = GridPosterior(gp.fit(config.kernel, grid[init_idx], np.array(y_obs), config.noise_var), grid, config.T)
+    post = GridPosterior(prior, init_idx, y_obs, config.noise_var, config.T)
 
     best = int(np.argmin(y_obs))
     y_plus = y_obs[best]

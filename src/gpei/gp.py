@@ -8,11 +8,13 @@ cross-covariances k_t(x), noise variance s2 and observations y,
 
 Factorizations go through Cholesky with a small escalating diagonal jitter,
 since squared-exponential Gram matrices on fine grids are numerically
-singular.  States are immutable; ``update`` returns a fresh state whose
-factor is the old one bordered by one row (an O(t^2) append, Rasmussen &
-Williams 2006, Alg. 2.1).  When the new Schur pivot is not positive and
-finite at the state's jitter, ``update`` falls back to ``fit`` on the
-augmented data, which escalates the jitter.
+singular.  The prior on a finite grid is factored once into a ``GridPrior``,
+which every draw of the objective and every grid posterior share.  States
+are immutable; ``update`` returns a fresh state whose factor is the old one
+bordered by one row (an O(t^2) append, Rasmussen & Williams 2006, Alg. 2.1).
+When the new Schur pivot is not positive and finite at the state's jitter,
+``update`` falls back to ``fit`` on the augmented data, which escalates the
+jitter.
 """
 
 from __future__ import annotations
@@ -170,32 +172,60 @@ def update(state: GpState, x_new, y_new: float) -> GpState:
 
 
 @dataclass(frozen=True)
+class GridPrior:
+    """The GP prior on a finite grid, factored once and shared by every draw.
+
+    ``K`` is the grid Gram matrix and ``L`` the lower Cholesky factor of
+    K + jitter*I.  Together they take 2*n^2*8 bytes (256 MiB at the 4096-point
+    cap); build one per campaign or worker process, not one per draw.
+    """
+
+    kernel: KernelSpec
+    grid: np.ndarray
+    K: np.ndarray
+    L: np.ndarray
+    jitter: float
+
+    @classmethod
+    def build(cls, kernel: KernelSpec, grid) -> GridPrior:
+        grid = np.asarray(grid, dtype=float)
+        if grid.ndim != 2 or grid.shape[0] < 1:
+            raise ValueError(f"grid must be a non-empty 2-d array, got shape {grid.shape}")
+        K = kernels.gram(kernel, grid)
+        L, jitter = chol_with_jitter(K)
+        return cls(kernel, grid, K, L, jitter)
+
+    def sample(self, seed: int) -> PriorSample:
+        """Draw f = L z with z standard normal from a PCG64 generator seeded
+        with ``seed``.  Deterministic given (kernel, grid, seed)."""
+        z = np.random.default_rng(int(seed)).standard_normal(self.grid.shape[0])
+        f = self.L @ z
+        idx = int(np.argmin(f))
+        return PriorSample(prior=self, f=f, f_star=float(f[idx]), x_star_idx=idx, f_abs_max=float(np.max(np.abs(f))))
+
+
+@dataclass(frozen=True)
 class PriorSample:
-    """A draw of the latent objective on a finite grid.
+    """A draw of the latent objective on the grid of ``prior``.
 
     The grid doubles as the optimizer's candidate set, so the minimum
     ``f_star``, its index, and the sup-norm ``f_abs_max`` are exact.
     """
 
-    grid: np.ndarray
+    prior: GridPrior
     f: np.ndarray
     f_star: float
     x_star_idx: int
     f_abs_max: float
 
+    @property
+    def grid(self) -> np.ndarray:
+        return self.prior.grid
+
 
 def sample_prior(kernel: KernelSpec, grid, seed: int) -> PriorSample:
-    """Draw f = L z on the grid, with L the jittered Cholesky factor of the
-    grid Gram matrix and z standard normal from a PCG64 generator seeded with
-    ``seed``.  Deterministic given (kernel, grid, seed)."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 2 or grid.shape[0] < 1:
-        raise ValueError(f"grid must be a non-empty 2-d array, got shape {grid.shape}")
-    L, _ = chol_with_jitter(kernels.gram(kernel, grid))
-    z = np.random.default_rng(int(seed)).standard_normal(grid.shape[0])
-    f = L @ z
-    idx = int(np.argmin(f))
-    return PriorSample(grid=grid, f=f, f_star=float(f[idx]), x_star_idx=idx, f_abs_max=float(np.max(np.abs(f))))
+    """One draw from a freshly factored prior; loops over draws share one ``GridPrior``."""
+    return GridPrior.build(kernel, grid).sample(seed)
 
 
 def info_gain(sigma_at_next, noise_var: float) -> float:

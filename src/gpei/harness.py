@@ -1,12 +1,14 @@
 """Experiment campaigns, Monte-Carlo lemma verification, and figure-data emission.
 
-A campaign samples one objective per trial from the GP prior on the config
-grid, runs the optimization loop, evaluates the configured error bound at
+A campaign factors the GP prior on the config grid once (one ``GridPrior``
+per campaign, or per worker process), samples one objective per trial from
+it, runs the optimization loop, evaluates the configured error bound at
 every valid iteration, and aggregates coverage (how often the bound held)
 against the nominal 1 - delta.  Coverage checks pass when the empirical
-frequency is at least (1 - delta) - 3*sqrt(delta*(1-delta)/trials): the
-theorems state exact probabilities and sampling noise must not be flagged
-as a violation.
+frequency is at least (1 - delta) - 3*sqrt(delta*(1-delta)/trials), with
+trials the number of trials recorded at that t (kappa stopping can leave
+fewer at late t): the theorems state exact probabilities and sampling noise
+must not be flagged as a violation.
 
 Everything is deterministic given the config: trial substreams are derived
 as seed XOR splitmix64(trial_index), floats are serialized with shortest
@@ -24,9 +26,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from . import bounds, eiopt, gp, kernels
+from . import bounds, eiopt, gp
 from .config import ExperimentConfig, config_hash
 from .eiopt import Trace
 from .rng import derive_stream_seed, trial_seed
@@ -107,6 +108,7 @@ class CoverageRow:
     margin_min: float
     sigma_win_mean: float
     sigma_win_min_mean: float
+    target: float  # coverage_target at this row's trial count
     passed: bool
 
 
@@ -134,15 +136,31 @@ class CampaignResult:
     passed: bool
 
 
-def run_trial(config: ExperimentConfig, trial_index: int) -> Trace:
-    """Sample one objective and run the loop; fully determined by config and index."""
+def grid_prior(config: ExperimentConfig) -> gp.GridPrior:
+    """The factored prior on the config's grid, shared by all of a campaign's trials."""
+    return gp.GridPrior.build(config.kernel, config.grid_points())
+
+
+def run_trial(config: ExperimentConfig, prior: gp.GridPrior, trial_index: int) -> Trace:
+    """Sample one objective from ``prior`` and run the loop; fully determined by
+    config and index."""
     seed = trial_seed(config.seed, trial_index)
-    sample = gp.sample_prior(config.kernel, config.grid_points(), seed)
-    return eiopt.run(config, sample, seed, config_hash=config_hash(config))
+    return eiopt.run(config, prior.sample(seed), seed, config_hash=config_hash(config))
 
 
-def _run_trial_star(args) -> Trace:
-    return run_trial(*args)
+# (config, prior) of the campaign a pool worker serves; set once per worker
+# process by _init_worker, so no task carries the n^2 prior.
+_worker_campaign: tuple[ExperimentConfig, gp.GridPrior] | None = None
+
+
+def _init_worker(config: ExperimentConfig) -> None:
+    global _worker_campaign
+    _worker_campaign = (config, grid_prior(config))
+
+
+def _worker_trial(trial_index: int) -> Trace:
+    config, prior = _worker_campaign
+    return run_trial(config, prior, trial_index)
 
 
 def valid_bound_ts(config: ExperimentConfig, constants: bounds.BoundConstants) -> list[int]:
@@ -155,21 +173,21 @@ def valid_bound_ts(config: ExperimentConfig, constants: bounds.BoundConstants) -
 
 
 def _bound_check(trace: Trace, constants: bounds.BoundConstants, noise_sd: float, t: int) -> BoundCheck:
-    bound, r_t, holds = bounds.empirical_bound_check(trace, constants, trace.f_abs_max, noise_sd, t)
-    sigma_max, sigma_min = bounds.window_sigma(trace, constants, t)
-    return BoundCheck(t, bound, r_t, holds, sigma_max, sigma_min)
+    window = bounds.window_sigma(trace, constants, t)
+    bound, r_t, holds = bounds.empirical_bound_check(trace, constants, trace.f_abs_max, noise_sd, t, window)
+    return BoundCheck(t, bound, r_t, holds, *window)
 
 
 def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     """Run all trials and aggregate bound coverage; no file output."""
     config.validate()
     constants = bounds.constants_for(config.theorem, config.delta, noisy=config.noise_sd > 0)
-    tasks = [(config, i) for i in range(config.trials)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_run_trial_star, tasks, chunksize=8))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(config,)) as pool:
+            traces = list(pool.map(_worker_trial, range(config.trials), chunksize=8))
     else:
-        traces = [run_trial(*task) for task in tasks]
+        prior = grid_prior(config)
+        traces = [run_trial(config, prior, i) for i in range(config.trials)]
 
     checkable = set(valid_bound_ts(config, constants))
     checks = tuple(
@@ -181,12 +199,12 @@ def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     for check in itertools.chain.from_iterable(checks):
         by_t.setdefault(check.t, []).append(check)
     rows: list[CoverageRow] = []
-    target = coverage_target(config.delta, config.trials)
     for t, at_t in sorted(by_t.items()):
         bvals = np.array([c.bound for c in at_t])
         rvals = np.array([c.r_t for c in at_t])
         holds = sum(c.holds for c in at_t)
         freq = holds / len(at_t)
+        target = coverage_target(config.delta, len(at_t))  # kappa stopping can leave fewer trials
         rows.append(
             CoverageRow(
                 theorem=config.theorem,
@@ -202,6 +220,7 @@ def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
                 margin_min=float(np.min(bvals - rvals)),
                 sigma_win_mean=float(np.mean([c.sigma_win_max for c in at_t])),
                 sigma_win_min_mean=float(np.mean([c.sigma_win_min for c in at_t])),
+                target=target,
                 passed=freq >= target,
             )
         )
@@ -310,12 +329,13 @@ def campaign_summary_lines(result: CampaignResult) -> list[str]:
     cfg = result.config
     lines = [
         _meta_line(result.config_hash, cfg.seed),
-        f"target holds_frequency >= {_fmt(coverage_target(cfg.delta, cfg.trials))} (1-delta minus 3 SE)",
+        "target holds_frequency >= (1-delta) minus 3 SE at the row's trial count",
     ]
     for row in result.coverage:
         lines.append(
             f"check coverage[{row.theorem},t={row.t}] {'PASS' if row.passed else 'FAIL'} "
-            f"holds_frequency={_fmt(row.holds_frequency)} wilson_lower={_fmt(row.wilson_lower)}"
+            f"holds_frequency={_fmt(row.holds_frequency)} target={_fmt(row.target)} "
+            f"trials={row.trials} wilson_lower={_fmt(row.wilson_lower)}"
         )
     if result.variance_checked:
         ok = result.variance_violations == 0
@@ -380,24 +400,21 @@ def _lemma_fixture(config: ExperimentConfig):
 def _joint_draws(config: ExperimentConfig, n_draws: int, stream: int):
     """Draw n_draws joint objective vectors on (design, query) and noisy observations.
 
-    Returns (f_design, f_query, y_design, posterior weights, sigma at query).
+    Returns (f_design, f_query, y_design, posterior mean at query, sigma at query).
     """
-    pts = _lemma_fixture(config)
-    k = pts.shape[0] - 1
-    L, _ = gp.chol_with_jitter(kernels.gram(config.kernel, pts))
+    prior = gp.GridPrior.build(config.kernel, _lemma_fixture(config))
+    k = prior.grid.shape[0] - 1
     rng = np.random.default_rng(derive_stream_seed(config.seed, stream))
     z = rng.standard_normal((n_draws, k + 1))
-    f = z @ L.T
+    f = z @ prior.L.T
     eps = config.noise_sd * rng.standard_normal((n_draws, k))
     y = f[:, :k] + eps
 
-    k_design = kernels.gram(config.kernel, pts[:k])
-    k_query = kernels.cross_matrix(config.kernel, pts[:k], pts[k:])[:, 0]
-    a_mat = k_design + config.noise_var * np.eye(k)
-    l_small, _ = gp.chol_with_jitter(a_mat)
-    w_vec = solve_triangular(l_small.T, solve_triangular(l_small, k_query, lower=True), lower=False)
-    var_q = 1.0 - float(k_query @ w_vec)
-    sigma_q = math.sqrt(max(var_q, 0.0))
+    # only the design's factor is used; the weights apply to every draw of y
+    chol = gp.fit(config.kernel, prior.grid[:k], np.zeros(k), config.noise_var).chol
+    v = gp.solve_lower(chol, prior.K[:k, k])
+    w_vec = gp.solve_lower(chol, v, transpose=True)
+    sigma_q = math.sqrt(max(1.0 - float(v @ v), 0.0))
     mu_q = y @ w_vec
     return f[:, :k], f[:, k], y, mu_q, sigma_q
 
@@ -450,9 +467,10 @@ def _verify_fmu_t(config: ExperimentConfig, n: int) -> LemmaReport:
     """Fraction of full runs where the all-t prediction-error bound never fails."""
     run_cfg = dataclasses.replace(config, T=_FMU_T_STEPS, trials=n)
     run_cfg.validate()
+    prior = grid_prior(run_cfg)
     successes = np.zeros(n, dtype=bool)
     for i in range(n):
-        trace = run_trial(run_cfg, i)
+        trace = run_trial(run_cfg, prior, i)
         ok = True
         for row in trace.rows:
             beta_t = bounds.beta_t_seq(row.t + 1, config.delta)

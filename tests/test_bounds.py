@@ -351,7 +351,8 @@ def loop_trace(**overrides):
     from gpei import harness
     from gpei.config import ExperimentConfig
 
-    return harness.run_trial(ExperimentConfig(seed=1, **overrides), 1)
+    cfg = ExperimentConfig(seed=1, **overrides)
+    return harness.run_trial(cfg, harness.grid_prior(cfg), 1)
 
 
 class TestEmpiricalBoundCheck:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gpei import eiopt, gp
 from gpei.config import ExperimentConfig
 from gpei.eiopt import argmax_ei, ei, improvement, run
-from gpei.gp import fit, sample_prior
+from gpei.gp import GridPrior, fit, sample_prior
 from gpei.kernels import KernelSpec
 from gpei.stdnormal import tau
 
@@ -235,7 +235,7 @@ class TestGridPosterior:
         grid = cfg.grid_points()
         for seed in (3, 4):
             obs_idx, y, rows = replay(cfg, seed)
-            post = eiopt.GridPosterior(fit(cfg.kernel, grid[obs_idx], np.array(y), cfg.noise_var), grid, cfg.T)
+            post = eiopt.GridPosterior(GridPrior.build(cfg.kernel, grid), obs_idx, y, cfg.noise_var, cfg.T)
             for row in rows:
                 ref = fit(cfg.kernel, grid[obs_idx], np.array(y), cfg.noise_var)
                 mu_r, sigma_r = gp.posterior_batch(ref, grid)
@@ -251,13 +251,13 @@ class TestGridPosterior:
 
     def test_rebuilds_after_fallback(self, monkeypatch):
         # a duplicate noiseless point at jitter 1e-18 has a pivot of exactly 0,
-        # so update refits at 1e-15 and the grid moments follow the new factor
+        # so observe refits at 1e-15 and the grid moments follow the new factor
         monkeypatch.setattr(gp, "JITTER_START", 1e-18)
         grid = np.linspace(0, 1, 9)[:, None]
-        post = eiopt.GridPosterior(fit(SE, grid[4:5], np.array([0.2]), 0.0), grid, 4)
+        post = eiopt.GridPosterior(GridPrior.build(SE, grid), [4], [0.2], 0.0, 4)
         post.observe(4, 0.2)
         ref = fit(SE, grid[[4, 4]], np.array([0.2, 0.2]), 0.0)
-        assert post.state.jitter == ref.jitter == 1e-15
+        assert post.jitter == ref.jitter == 1e-15
         mu_r, sigma_r = gp.posterior_batch(ref, grid)
         assert np.allclose(post.mu, mu_r, rtol=0, atol=1e-9)
         assert np.allclose(post.sigma, sigma_r, rtol=0, atol=1e-9)
@@ -266,6 +266,11 @@ class TestGridPosterior:
         mu_r, sigma_r = gp.posterior_batch(ref, grid)
         assert np.allclose(post.mu, mu_r, rtol=0, atol=1e-9)
         assert np.allclose(post.sigma, sigma_r, rtol=0, atol=1e-9)
+
+    def test_rejects_non_finite_y(self):
+        post = eiopt.GridPosterior(GridPrior.build(SE, np.linspace(0, 1, 9)[:, None]), [4], [0.2], 0.05, 4)
+        with pytest.raises(ValueError):
+            post.observe(0, float("nan"))
 
 
 class TestSelectionOptimality:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gpei import gp, kernels
-from gpei.gp import FactorizationError, fit, info_gain, posterior, sample_prior, update, variance_sum_check
+from gpei.gp import FactorizationError, GridPrior, fit, info_gain, posterior, sample_prior, update, variance_sum_check
 from gpei.kernels import KernelSpec
 
 SE = KernelSpec("se", 0.5)
@@ -210,14 +210,15 @@ class TestSamplePrior:
 
     def test_single_point_moments(self):
         # f on a 1-point grid is standard normal; Monte-Carlo moment check
-        grid = np.array([[0.0]])
-        vals = np.array([sample_prior(SE, grid, seed).f[0] for seed in range(100_000)])
+        prior = GridPrior.build(SE, np.array([[0.0]]))
+        vals = np.array([prior.sample(seed).f[0] for seed in range(100_000)])
         assert abs(vals.mean()) < 0.02
         assert 0.98 < vals.var() < 1.02
 
     def test_empirical_covariance_matches_kernel(self):
         grid = np.array([[0.0], [0.2], [0.45], [0.7], [1.0]])
-        draws = np.array([sample_prior(SE, grid, seed).f for seed in range(10_000)])
+        prior = GridPrior.build(SE, grid)
+        draws = np.array([prior.sample(seed).f for seed in range(10_000)])
         emp = np.cov(draws.T, bias=True)
         expected = kernels.gram(SE, grid)
         assert np.max(np.abs(emp - expected)) < 0.05
@@ -225,6 +226,39 @@ class TestSamplePrior:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             sample_prior(SE, np.zeros((0, 1)), 0)
+
+
+FAMILIES = [KernelSpec("se", 0.3), KernelSpec("matern", 0.3, 0.5),
+            KernelSpec("matern", 0.3, 1.5), KernelSpec("matern", 0.3, 2.5)]
+
+
+def small_grid(d):
+    axis = np.linspace(0.0, 1.0, 17 if d == 1 else 6)
+    return np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+
+
+class TestGridPrior:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: f"{s.family}{s.nu or ''}")
+    def test_gram_rows_equal_cross_matrix(self, spec, d):
+        # the loop reads K[j] where it used to call cross_matrix on grid[j]
+        grid = small_grid(d)
+        prior = GridPrior.build(spec, grid)
+        for j in range(grid.shape[0]):
+            assert np.array_equal(prior.K[j], kernels.cross_matrix(spec, grid[j : j + 1], grid)[0])
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sample_equals_per_draw_factorization(self, d):
+        grid = small_grid(d)
+        spec = KernelSpec("matern", 0.3, 2.5)
+        prior = GridPrior.build(spec, grid)
+        for seed in (0, 7, 2**63 + 5):
+            L, _ = gp.chol_with_jitter(kernels.gram(spec, grid))
+            f = L @ np.random.default_rng(seed).standard_normal(grid.shape[0])
+            s = prior.sample(seed)
+            assert np.array_equal(s.f, f)
+            assert s.prior is prior and s.grid is prior.grid
+            assert np.array_equal(sample_prior(spec, grid, seed).f, f)
 
 
 class TestInfoGain:

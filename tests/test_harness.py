@@ -192,6 +192,23 @@ class TestCampaign:
             assert row.wilson_lower <= row.holds_frequency
             assert row.trials == cfg.trials
 
+    def test_kappa_stopped_rows_judged_at_their_trial_count(self, tmp_path):
+        # kappa stopping leaves 3 of 6 trials at t=20; that row's target is the
+        # 3-trial one (0.38), not the 6-trial one (0.53)
+        cfg = ExperimentConfig(d=2, grid_per_dim=16, T=40, trials=6, seed=42, kappa=1e-3,
+                               noise_sd=0.0, theorem="thm42")
+        result = harness.run_experiment(cfg, str(tmp_path))
+        row = next(r for r in result.coverage if r.t == 20)
+        assert row.trials == 3
+        assert row.target == harness.coverage_target(cfg.delta, 3) < harness.coverage_target(cfg.delta, 6)
+        assert {r.trials for r in result.coverage} > {6, 3}
+        summary = (tmp_path / "summary.txt").read_text().splitlines()
+        for r in result.coverage:
+            line = next(x for x in summary if x.startswith(f"check coverage[thm42,t={r.t}] "))
+            assert f" target={r.target!r} trials={r.trials} " in line
+            assert r.target == harness.coverage_target(cfg.delta, r.trials)
+            assert r.passed == (r.holds_frequency >= r.target)
+
     def test_two_dimensional_campaign(self, tmp_path):
         cfg = tiny_config(d=2, grid_per_dim=12, T=20, trials=2)
         result = harness.run_experiment(cfg, str(tmp_path))

@@ -2,8 +2,8 @@
 
 Subcommands:
   run                       run a bound-coverage campaign
-  verify <lemma_id>         run one lemma's verification protocol
-  figures <fig_id>          emit one figure's data CSV
+  verify <lemma_id>|all     run one lemma's verification protocol, or all of them
+  figures <fig_id>|all      emit one figure's data CSV, or all of them
   coeffs --delta D          print both bounds' leading constants at delta
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or config error.
@@ -25,7 +25,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="64-bit master seed (overrides config)")
     parser.add_argument("--trials", type=int, default=None, help="trial / draw count (overrides config)")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--workers", type=int, default=1, help="parallel trial workers")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,13 +34,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a coverage campaign")
     _add_config_flags(p_run)
+    p_run.add_argument("--workers", type=int, default=1, help="parallel trial workers (>= 1)")
 
-    p_verify = sub.add_parser("verify", help="verify one lemma")
-    p_verify.add_argument("lemma", choices=sorted(harness.LEMMA_IDS))
+    p_verify = sub.add_parser("verify", help="verify one lemma, or all")
+    p_verify.add_argument("lemma", choices=sorted(harness.LEMMA_IDS) + ["all"])
     _add_config_flags(p_verify)
 
-    p_fig = sub.add_parser("figures", help="emit figure data CSV")
-    p_fig.add_argument("figure", choices=list(harness.FIGURE_IDS))
+    p_fig = sub.add_parser("figures", help="emit figure data CSV, one or all")
+    p_fig.add_argument("figure", choices=list(harness.FIGURE_IDS) + ["all"])
     p_fig.add_argument("--out", default="out", help="output directory")
 
     p_coeffs = sub.add_parser("coeffs", help="print bound constants at a given delta")
@@ -69,16 +69,20 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = _load(args)
-    report = harness.verify_lemma(args.lemma, config, n=args.trials)
-    harness.write_lemma_report(args.out, report, config)
-    for line in report.lines():
-        print(line)
-    return 0 if report.passed else 1
+    passed = True
+    for lemma in harness.LEMMA_IDS if args.lemma == "all" else (args.lemma,):
+        report = harness.verify_lemma(lemma, config, n=args.trials)
+        harness.write_lemma_report(args.out, report, config)
+        for line in report.lines():
+            print(line)
+        passed &= report.passed
+    return 0 if passed else 1
 
 
 def _cmd_figures(args) -> int:
-    path = harness.emit_figure_data(args.figure, os.path.join(args.out, f"{args.figure}.csv"))
-    print(f"wrote {path}")
+    for figure in harness.FIGURE_IDS if args.figure == "all" else (args.figure,):
+        path = harness.emit_figure_data(figure, os.path.join(args.out, f"{figure}.csv"))
+        print(f"wrote {path}")
     return 0
 
 

@@ -10,11 +10,8 @@ Factorizations go through Cholesky with a small escalating diagonal jitter,
 since squared-exponential Gram matrices on fine grids are numerically
 singular.  The prior on a finite grid is factored once into a ``GridPrior``,
 which every draw of the objective and every grid posterior share.  States
-are immutable; ``update`` returns a fresh state whose factor is the old one
-bordered by one row (an O(t^2) append, Rasmussen & Williams 2006, Alg. 2.1).
-When the new Schur pivot is not positive and finite at the state's jitter,
-``update`` falls back to ``fit`` on the augmented data, which escalates the
-jitter.
+are immutable; ``update`` returns ``fit`` on the augmented data.  The EI
+loop's one-row Cholesky append lives in ``eiopt.GridPosterior``.
 """
 
 from __future__ import annotations
@@ -139,13 +136,10 @@ def posterior(state: GpState, x) -> tuple[float, float]:
 
 
 def update(state: GpState, x_new, y_new: float) -> GpState:
-    """Return the posterior with one more observation, in O(t^2).
+    """Return the posterior with one more observation: ``fit`` on the augmented data.
 
-    The factor gains one row [l^T, d] with l = L^{-1} k_t(x_new) and pivot
-    d = sqrt(1 + noise_var + jitter - l^T l), at the state's jitter, so the
-    leading t-by-t block is the old factor bit for bit.  An empty state, or a
-    pivot d^2 that is not positive and finite (a duplicate noiseless point
-    can cancel it exactly), goes through ``fit`` on the augmented data.
+    A reference for single-point use; the EI loop appends observations on the
+    grid through ``eiopt.GridPosterior.observe`` instead.
     """
     x_new = np.asarray(x_new, dtype=float)
     if x_new.ndim != 1:
@@ -157,18 +151,7 @@ def update(state: GpState, x_new, y_new: float) -> GpState:
     y = np.append(state.y, float(y_new))
     if not np.isfinite(y[t]):
         raise ValueError(f"y_new must be finite, got {y_new!r}")
-    if t == 0:
-        return fit(state.kernel, X, y, state.noise_var)
-    l = solve_lower(state.chol, kernels.cross_matrix(state.kernel, state.X, x_new[None, :])[:, 0])
-    d2 = 1.0 + state.noise_var + state.jitter - l @ l
-    if not (np.isfinite(d2) and d2 > 0.0):
-        return fit(state.kernel, X, y, state.noise_var)
-    L = np.zeros((t + 1, t + 1))
-    L[:t, :t] = state.chol
-    L[t, :t] = l
-    L[t, t] = np.sqrt(d2)
-    alpha = solve_lower(L, solve_lower(L, y), transpose=True)
-    return GpState(state.kernel, X, y, state.noise_var, L, alpha, state.jitter)
+    return fit(state.kernel, X, y, state.noise_var)
 
 
 @dataclass(frozen=True)

@@ -41,17 +41,6 @@ _FMU_STREAM = 0x464D55
 _IEI_STREAM = 0x494549
 _ICDF_STREAM = 0x494344
 
-LEMMA_IDS = (
-    "fmu",
-    "fmu_t",
-    "iei_add",
-    "iei_ratio",
-    "icdf",
-    "tail_bound",
-    "tau_vs_phi",
-    "ei_monotone",
-)
-
 # Fixed Monte-Carlo protocol sizes (draws for the pointwise lemmas, full runs
 # for the all-t lemma, function draws for the improvement CDF).
 LEMMA_DEFAULT_N = {
@@ -68,8 +57,6 @@ _DESIGN_SIZE = 5
 # Absolute slack on concentration comparisons; covers posterior-arithmetic
 # roundoff when a predictive sd degenerates to ~0, nothing more.
 _ROUNDOFF_GUARD = 1e-9
-
-FIGURE_IDS = ("F1_PhiTau", "F2_EiContour", "F3_BarTau", "F4_TildeTau", "F5_Coeffs")
 
 
 def wilson_lower(successes: int, n: int, z: float = _WILSON_Z) -> float:
@@ -181,6 +168,8 @@ def _bound_check(trace: Trace, constants: bounds.BoundConstants, noise_sd: float
 def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     """Run all trials and aggregate bound coverage; no file output."""
     config.validate()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     constants = bounds.constants_for(config.theorem, config.delta, noisy=config.noise_sd > 0)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(config,)) as pool:
@@ -440,24 +429,27 @@ def _verify_fmu(config: ExperimentConfig, n: int) -> LemmaReport:
     return LemmaReport("fmu", passed, metrics + (("beta", beta),))
 
 
-def _verify_iei_add(config: ExperimentConfig, n: int) -> LemmaReport:
+def _iei_draws(config: ExperimentConfig, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(improvement, EI, sigma) at the query over n joint draws, with y+ the best noisy observation."""
     _, f_q, y, mu_q, sigma_q = _joint_draws(config, n, _IEI_STREAM)
-    beta = max(1.44, 2.0 * math.log(bounds.C_ALPHA / config.delta))
     y_plus = y.min(axis=1)
     improve = np.maximum(y_plus - f_q, 0.0)
     ei_vals = sigma_q * np.asarray(tau((y_plus - mu_q) / sigma_q))
+    return improve, ei_vals, sigma_q
+
+
+def _verify_iei_add(config: ExperimentConfig, n: int) -> LemmaReport:
+    improve, ei_vals, sigma_q = _iei_draws(config, n)
+    beta = max(1.44, 2.0 * math.log(bounds.C_ALPHA / config.delta))
     ok = np.abs(improve - ei_vals) <= math.sqrt(beta) * sigma_q + _ROUNDOFF_GUARD
     passed, metrics = _coverage_metrics(ok, config.delta)
     return LemmaReport("iei_add", passed, metrics + (("beta", beta),))
 
 
 def _verify_iei_ratio(config: ExperimentConfig, n: int) -> LemmaReport:
-    _, f_q, y, mu_q, sigma_q = _joint_draws(config, n, _IEI_STREAM)
+    improve, ei_vals, _ = _iei_draws(config, n)
     beta = 2.0 * math.log(1.0 / config.delta)
     ratio = tau(-math.sqrt(beta)) / tau(math.sqrt(beta))
-    y_plus = y.min(axis=1)
-    improve = np.maximum(y_plus - f_q, 0.0)
-    ei_vals = sigma_q * np.asarray(tau((y_plus - mu_q) / sigma_q))
     ok = ratio * improve <= ei_vals + _ROUNDOFF_GUARD
     passed, metrics = _coverage_metrics(ok, config.delta)
     return LemmaReport("iei_ratio", passed, metrics + (("beta", beta), ("ratio", float(ratio))))
@@ -550,6 +542,7 @@ _LEMMA_FUNCS = {
     "tau_vs_phi": _verify_tau_vs_phi,
     "ei_monotone": _verify_ei_monotone,
 }
+LEMMA_IDS = tuple(_LEMMA_FUNCS)
 
 
 def verify_lemma(lemma_id: str, config: ExperimentConfig, n: int | None = None) -> LemmaReport:
@@ -601,83 +594,96 @@ _F3_PARAMS = BarTauParams(z=1e-3, w=2.0, c3=18.0)
 _F4_W, _F4_C1, _F4_C3 = 3.0, 741.0, 296.0
 
 
-def _figure_rows(fig_id: str) -> tuple[list[str], list[list[str]]]:
-    if fig_id == "F1_PhiTau":
-        header = ["z", "cdf_neg_z", "half_gauss", "tau_neg_z"]
-        rows = []
-        for i in range(601):
-            z = i / 100.0
-            rows.append([_fmt(z), _fmt(cdf(-z)), _fmt(0.5 * math.exp(-0.5 * z * z)), _fmt(tau(-z))])
-        return header, rows
+def _f1_rows() -> tuple[list[str], list[list[str]]]:
+    header = ["z", "cdf_neg_z", "half_gauss", "tau_neg_z"]
+    rows = []
+    for i in range(601):
+        z = i / 100.0
+        rows.append([_fmt(z), _fmt(cdf(-z)), _fmt(0.5 * math.exp(-0.5 * z * z)), _fmt(tau(-z))])
+    return header, rows
 
-    if fig_id == "F2_EiContour":
-        header = ["a", "b", "ei"]
-        rows = []
-        for j in range(121):
-            a = -3.0 + j * 0.05
-            for k in range(1, 101):
-                b = k / 100.0
-                rows.append([_fmt(a), _fmt(b), _fmt(ei_ab(a, b))])
-        return header, rows
 
-    if fig_id == "F3_BarTau":
-        p = _F3_PARAMS
-        header = ["part", "z", "rho", "log10_bar_tau", "bar_tau_minus_tau"]
-        rows = []
-        for i in range(50):
-            z = -5.0 + i * 0.1
-            pz = BarTauParams(z=z, w=p.w, c3=p.c3)
-            for j in range(1, 101):
-                rho = pz.rho_max * j / 101.0
-                val = bar_tau(rho, pz)
-                rows.append(["contour", _fmt(z), _fmt(rho), _fmt(math.log10(val)), _fmt(val - tau(z))])
-        ref = tau(p.z)
-        for j in range(1, 201):
-            rho = p.rho_max * j / 201.0
-            val = bar_tau(rho, p)
-            rows.append(["slice", _fmt(p.z), _fmt(rho), _fmt(math.log10(val)), _fmt(val - ref)])
-        return header, rows
+def _f2_rows() -> tuple[list[str], list[list[str]]]:
+    header = ["a", "b", "ei"]
+    rows = []
+    for j in range(121):
+        a = -3.0 + j * 0.05
+        for k in range(1, 101):
+            b = k / 100.0
+            rows.append([_fmt(a), _fmt(b), _fmt(ei_ab(a, b))])
+    return header, rows
 
-    if fig_id == "F4_TildeTau":
-        header = ["part", "z", "rho", "log10_tilde_tau", "tilde_tau_minus_tau"]
-        rho_max = _F4_W / _F4_C3
-        rows = []
-        for i in range(51):
-            z = i * 0.1
-            for j in range(1, 101):
-                rho = rho_max * j / 101.0
-                val = tilde_tau(rho, z, _F4_W, _F4_C1, _F4_C3)
-                rows.append(["contour", _fmt(z), _fmt(rho), _fmt(math.log10(val)), _fmt(val - tau(z))])
-        ref = tau(0.0)
-        for j in range(1, 201):
-            rho = rho_max * j / 201.0
-            val = tilde_tau(rho, 0.0, _F4_W, _F4_C1, _F4_C3)
-            rows.append(["slice", _fmt(0.0), _fmt(rho), _fmt(math.log10(val)), _fmt(val - ref)])
-        return header, rows
 
-    if fig_id == "F5_Coeffs":
-        header = ["delta", "log10_c4_42", "log10_c5_42", "log10_c4_46", "log10_c5_46"]
-        rows = []
-        for i in range(89):
-            delta = (2 + i) / 100.0
-            cmp_ = bounds.compare_coefficients(delta)
-            rows.append(
-                [
-                    _fmt(delta),
-                    _fmt(math.log10(cmp_.c4_42)),
-                    _fmt(math.log10(cmp_.c5_42)),
-                    _fmt(math.log10(cmp_.c4_46)),
-                    _fmt(math.log10(cmp_.c5_46)),
-                ]
-            )
-        return header, rows
+def _f3_rows() -> tuple[list[str], list[list[str]]]:
+    p = _F3_PARAMS
+    header = ["part", "z", "rho", "log10_bar_tau", "bar_tau_minus_tau"]
+    rows = []
+    for i in range(50):
+        z = -5.0 + i * 0.1
+        pz = BarTauParams(z=z, w=p.w, c3=p.c3)
+        for j in range(1, 101):
+            rho = pz.rho_max * j / 101.0
+            val = bar_tau(rho, pz)
+            rows.append(["contour", _fmt(z), _fmt(rho), _fmt(math.log10(val)), _fmt(val - tau(z))])
+    ref = tau(p.z)
+    for j in range(1, 201):
+        rho = p.rho_max * j / 201.0
+        val = bar_tau(rho, p)
+        rows.append(["slice", _fmt(p.z), _fmt(rho), _fmt(math.log10(val)), _fmt(val - ref)])
+    return header, rows
 
-    raise ValueError(f"unknown figure id {fig_id!r}; known: {FIGURE_IDS}")
+
+def _f4_rows() -> tuple[list[str], list[list[str]]]:
+    header = ["part", "z", "rho", "log10_tilde_tau", "tilde_tau_minus_tau"]
+    rho_max = _F4_W / _F4_C3
+    rows = []
+    for i in range(51):
+        z = i * 0.1
+        for j in range(1, 101):
+            rho = rho_max * j / 101.0
+            val = tilde_tau(rho, z, _F4_W, _F4_C1, _F4_C3)
+            rows.append(["contour", _fmt(z), _fmt(rho), _fmt(math.log10(val)), _fmt(val - tau(z))])
+    ref = tau(0.0)
+    for j in range(1, 201):
+        rho = rho_max * j / 201.0
+        val = tilde_tau(rho, 0.0, _F4_W, _F4_C1, _F4_C3)
+        rows.append(["slice", _fmt(0.0), _fmt(rho), _fmt(math.log10(val)), _fmt(val - ref)])
+    return header, rows
+
+
+def _f5_rows() -> tuple[list[str], list[list[str]]]:
+    header = ["delta", "log10_c4_42", "log10_c5_42", "log10_c4_46", "log10_c5_46"]
+    rows = []
+    for i in range(89):
+        delta = (2 + i) / 100.0
+        cmp_ = bounds.compare_coefficients(delta)
+        rows.append(
+            [
+                _fmt(delta),
+                _fmt(math.log10(cmp_.c4_42)),
+                _fmt(math.log10(cmp_.c5_42)),
+                _fmt(math.log10(cmp_.c4_46)),
+                _fmt(math.log10(cmp_.c5_46)),
+            ]
+        )
+    return header, rows
+
+
+_FIGURE_ROWS = {
+    "F1_PhiTau": _f1_rows,
+    "F2_EiContour": _f2_rows,
+    "F3_BarTau": _f3_rows,
+    "F4_TildeTau": _f4_rows,
+    "F5_Coeffs": _f5_rows,
+}
+FIGURE_IDS = tuple(_FIGURE_ROWS)
 
 
 def emit_figure_data(fig_id: str, out_path: str) -> str:
     """Write one figure's CSV; deterministic, no randomness involved."""
-    header, rows = _figure_rows(fig_id)
+    if fig_id not in _FIGURE_ROWS:
+        raise ValueError(f"unknown figure id {fig_id!r}; known: {FIGURE_IDS}")
+    header, rows = _FIGURE_ROWS[fig_id]()
     lines = [f"# figure={fig_id} seed=0", ",".join(header)]
     lines.extend(",".join(row) for row in rows)
     parent = os.path.dirname(os.path.abspath(out_path))

@@ -135,7 +135,7 @@ class TestUpdate:
         _, sigma_after = posterior(upd, x)
         assert sigma_after < sigma_before
 
-    def test_borders_the_old_factor(self):
+    def test_equals_fit_on_augmented_data(self):
         rng = np.random.default_rng(5)
         X = rng.uniform(size=(6, 2))
         y = rng.normal(size=6)
@@ -143,11 +143,9 @@ class TestUpdate:
         x_new = rng.uniform(size=2)
         upd = update(state, x_new, -0.7)
         ref = fit(SE, np.vstack([X, x_new]), np.append(y, -0.7), 0.01)
-        assert upd.jitter == state.jitter
-        assert np.array_equal(upd.chol[:6, :6], state.chol)
         assert np.array_equal(upd.X, ref.X) and np.array_equal(upd.y, ref.y)
-        assert np.allclose(upd.chol, ref.chol, rtol=0, atol=1e-12)
-        assert np.allclose(upd.alpha, ref.alpha, rtol=1e-10, atol=1e-10)
+        assert upd.jitter == ref.jitter
+        assert np.array_equal(upd.chol, ref.chol) and np.array_equal(upd.alpha, ref.alpha)
 
     def test_empty_state_goes_through_fit(self):
         empty = fit(SE, np.zeros((0, 1)), np.zeros(0), 0.1)

@@ -2,11 +2,16 @@
 
 One loop iteration at step t: maximize EI_t over the finite candidate grid,
 observe the chosen point (with additive Gaussian noise when configured),
-extend the posterior by that observation, and record a trace row.  The
-posterior moments on the grid are kept in a ``GridPosterior``, which reads
-rows of the shared prior Gram matrix and appends one row of the Cholesky
-factor per observation (O(t*n) per step), rebuilding from a refit when the
-new pivot is not positive.
+extend the posterior by that observation, and record a trace row.  The loop
+runs B trials on one shared ``GridPrior`` in lockstep (``run_batch``; a
+single run is B = 1): each step makes one EI evaluation and one argmax over
+the (B, n) block of posterior moments and one batched posterior append.  The
+moments are kept in a ``GridPosterior`` with state V (B, T, n), w (B, T),
+mu and var (B, n) and jitter (B,); it reads rows of the prior Gram matrix and
+appends one row of each trial's Cholesky factor per observation (O(t*n) per
+trial and step), refitting a trial alone when its new pivot is not positive.
+``batch_size`` keeps V near 2 MiB: B = max(1, 2 MiB // (8*T*n)).  A trial's
+trace does not depend on B or on the trials it shares a batch with.
 Acquisition maximization is an exhaustive scan, which is exact at desk scale
 and keeps inner-optimizer noise out of the recorded quantities; EI values
 within a relative 1e-12 of the maximum are tied, and ties break to the lowest
@@ -15,7 +20,6 @@ candidate index (``lowest_argmax``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +38,9 @@ NOISE_STREAM = 0x4E4F4953
 # count as tied with it: mirror points of a symmetric posterior have equal EI
 # in exact arithmetic but not after roundoff.
 TIE_RTOL = 1e-12
+
+# Size of the V buffer of one batch of lockstep trials; see ``batch_size``.
+BATCH_BYTES = 2 << 20
 
 
 def improvement(y_plus: float, f_x: float) -> float:
@@ -64,10 +71,11 @@ def ei_batch(state: GpState, y_plus: float, candidates) -> tuple[np.ndarray, np.
     return mu, sigma, _ei_from_moments(float(y_plus), mu, sigma)
 
 
-def lowest_argmax(vals: np.ndarray) -> int:
-    """Lowest index i with vals[i] >= max(vals) - 1e-12 * |max(vals)| (``TIE_RTOL``)."""
-    top = vals.max()
-    return int(np.argmax(vals >= top - TIE_RTOL * abs(top)))
+def lowest_argmax(vals: np.ndarray):
+    """Per row of ``vals`` (last axis), the lowest index i with
+    vals[i] >= max(vals) - 1e-12 * |max(vals)| (``TIE_RTOL``)."""
+    top = vals.max(axis=-1, keepdims=True)
+    return np.argmax(vals >= top - TIE_RTOL * np.abs(top), axis=-1)
 
 
 def argmax_ei(state: GpState, y_plus: float, candidates) -> tuple[int, np.ndarray]:
@@ -77,73 +85,104 @@ def argmax_ei(state: GpState, y_plus: float, candidates) -> tuple[int, np.ndarra
     if candidates.ndim != 2 or candidates.shape[0] < 1:
         raise ValueError("candidates must be a non-empty 2-d array")
     _, _, vals = ei_batch(state, y_plus, candidates)
-    idx = lowest_argmax(vals)
+    idx = int(lowest_argmax(vals))
     return idx, candidates[idx]
 
 
 class GridPosterior:
-    """Posterior moments on the grid of a ``GridPrior``, extended one
-    observation at a time.
+    """Posterior moments on the grid of a ``GridPrior`` for B trials that share
+    it, each extended one observation at a time.
 
-    With X the observed grid points, y their values and L the lower Cholesky
-    factor of K(X, X) + (noise_var + jitter)*I, it holds V = L^{-1} K(X, grid),
-    w = L^{-1} y, ``mu`` = V^T w and ``var`` = 1 - sum(V * V, axis=0), in
-    buffers sized for ``capacity`` observations.  ``observe(j, y)`` borders L
-    with the row [l^T, d], where l = V[:, j] = L^{-1} k_t(grid[j]) and
-    d^2 = 1 + noise_var + jitter - l^T l, appends v = (K[j] - l^T V) / d to V
-    and (y - l^T w) / d to w, so that mu += v * w_new and var -= v^2: O(t*n)
-    per step, with K[j] a row of the prior's Gram matrix and no kernel call or
-    triangular solve.  The initial observations, and a step whose d^2 is not
-    positive and finite, go through ``gp.fit`` on all observations (which
-    escalates the jitter) and rebuild V and w from its factor.
+    For trial b, with X_b its observed grid points, y_b their values and L_b
+    the lower Cholesky factor of K(X_b, X_b) + (noise_var + jitter[b])*I, it
+    holds V[b] = L_b^{-1} K(X_b, grid), w[b] = L_b^{-1} y_b,
+    ``mu[b]`` = V[b]^T w[b] and ``var[b]`` = 1 - sum(V[b] * V[b], axis=0), in
+    buffers V (B, capacity, n), w (B, capacity), ``mu`` and ``var`` (B, n) and
+    ``jitter`` (B,): B*capacity*n*8 bytes for V.  ``observe(j, y)`` borders
+    each selected L_b with the row [l^T, d], where l = V[b, :, j_b] =
+    L_b^{-1} k_t(grid[j_b]) and d^2 = 1 + noise_var + jitter[b] - l^T l,
+    appends v = (K[j_b] - l^T V[b]) / d to V[b] and (y_b - l^T w[b]) / d to
+    w[b], so that mu[b] += v * w_new and var[b] -= v^2: O(t*n) per trial and
+    step, with K[j_b] a row of the prior's Gram matrix and no kernel call or
+    triangular solve.  All selected trials append in one batched ``matmul``;
+    l^T l and l^T w are row-wise reductions, so a trial's arithmetic does not
+    depend on B or on the other trials.  The initial observations, and a trial
+    whose d^2 is not positive and finite, go through ``gp.fit`` on that
+    trial's observations alone (which escalates its jitter) and rebuild its
+    V[b] and w[b] from the factor.
     """
 
     def __init__(self, prior: GridPrior, idx, y, noise_var: float, capacity: int):
+        idx = np.asarray(idx, dtype=np.intp)
+        y = np.asarray(y, dtype=float)
+        if idx.ndim != 2 or y.shape != idx.shape:
+            raise ValueError(f"idx and y must both have shape (B, t), got {idx.shape} and {y.shape}")
+        B, t = idx.shape
+        n = prior.grid.shape[0]
         self.prior = prior
         self.noise_var = float(noise_var)
-        self._idx = [int(j) for j in idx]
-        self._y = [float(v) for v in y]
-        self._V = np.empty((capacity, prior.grid.shape[0]))
-        self._w = np.empty(capacity)
-        self._refit()
+        self._t = np.full(B, t)
+        self._idx = np.empty((B, capacity), dtype=np.intp)
+        self._y = np.empty((B, capacity))
+        self._idx[:, :t] = idx
+        self._y[:, :t] = y
+        self._V = np.empty((B, capacity, n))
+        self._w = np.empty((B, capacity))
+        self.mu = np.empty((B, n))
+        self.var = np.empty((B, n))
+        self.jitter = np.empty(B)
+        for b in range(B):
+            self._refit(b)
 
-    def _refit(self) -> None:
-        state = gp.fit(self.prior.kernel, self.prior.grid[self._idx], np.array(self._y), self.noise_var)
-        t = state.t
-        V = self._V[:t]
-        V[:] = gp.solve_lower(state.chol, self.prior.K[self._idx])
-        self._w[:t] = gp.solve_lower(state.chol, state.y)
-        self.mu = V.T @ self._w[:t]
-        self.var = 1.0 - np.sum(V * V, axis=0)
-        self.jitter = state.jitter
+    def _refit(self, b: int) -> None:
+        t = self._t[b]
+        idx = self._idx[b, :t]
+        state = gp.fit(self.prior.kernel, self.prior.grid[idx], self._y[b, :t], self.noise_var)
+        V = self._V[b, :t]
+        V[:] = gp.solve_lower(state.chol, self.prior.K[idx])
+        self._w[b, :t] = gp.solve_lower(state.chol, state.y)
+        self.mu[b] = V.T @ self._w[b, :t]
+        self.var[b] = 1.0 - np.sum(V * V, axis=0)
+        self.jitter[b] = state.jitter
 
     @property
     def sigma(self) -> np.ndarray:
         """Posterior sd on the grid, clipped into [0, 1] as in ``gp.posterior_batch``."""
         return np.sqrt(np.clip(self.var, 0.0, 1.0))
 
-    def observe(self, j: int, y: float) -> None:
-        """Condition on observing ``y`` at grid[j]."""
-        y = float(y)
-        if not math.isfinite(y):
+    def observe(self, j, y, rows=slice(None)) -> None:
+        """Condition trial ``rows[k]`` on observing ``y[k]`` at grid[j[k]].
+
+        ``rows`` selects the trials that step (a slice or an index array;
+        every trial by default), and they must hold equally many observations.
+        """
+        j = np.asarray(j, dtype=np.intp)
+        y = np.asarray(y, dtype=float)
+        if not np.isfinite(y).all():
             raise ValueError(f"y must be finite, got {y!r}")
-        t = len(self._idx)
-        self._idx.append(int(j))
-        self._y.append(y)
-        V = self._V[:t]
-        l = V[:, j]
-        d2 = 1.0 + self.noise_var + self.jitter - l @ l
-        if not (np.isfinite(d2) and d2 > 0.0):
-            self._refit()
-            return
-        d = np.sqrt(d2)
-        v = self.prior.K[j] - l @ V
-        v /= d
-        w_new = (y - l @ self._w[:t]) / d
-        self._V[t] = v
-        self._w[t] = w_new
-        self.mu += v * w_new
-        self.var -= v * v
+        counts = self._t[rows]
+        t = int(counts[0])
+        if (counts != t).any():
+            raise ValueError("the observing trials must hold equally many observations")
+        # a view while rows is a slice: an index array copies (B, t, n)
+        V = self._V[rows, :t]
+        l = V[np.arange(V.shape[0]), :, j]
+        d2 = 1.0 + self.noise_var + self.jitter[rows] - np.sum(l * l, axis=1)
+        ok = np.isfinite(d2) & (d2 > 0.0)
+        d = np.sqrt(np.where(ok, d2, 1.0))  # failed pivots are rebuilt below
+        v = self.prior.K[j] - np.matmul(l[:, None, :], V)[:, 0]
+        v /= d[:, None]
+        w_new = (y - np.sum(l * self._w[rows, :t], axis=1)) / d
+        self._V[rows, t] = v
+        self._w[rows, t] = w_new
+        self._idx[rows, t] = j
+        self._y[rows, t] = y
+        self._t[rows] += 1
+        self.mu[rows] += v * w_new[:, None]
+        self.var[rows] -= v * v
+        if not ok.all():
+            for b in np.arange(self._t.size)[rows][~ok]:
+                self._refit(b)
 
 
 @dataclass(frozen=True)
@@ -195,81 +234,149 @@ class Trace:
         return np.array([row.sigma_next for row in self.rows])
 
 
-def run(config: ExperimentConfig, sample: PriorSample, seed: int, config_hash: str = "") -> Trace:
-    """Execute the optimization loop on one prior draw.
+def batch_size(T: int, n: int) -> int:
+    """Trials stepped together: max(1, 2 MiB // (8*T*n)), so that a batch's V
+    buffer takes about 2 MiB (43 trials at T=30 and n=200, 21 at T=60 and
+    n=200, one at n=4096)."""
+    return max(1, BATCH_BYTES // (8 * T * n))
 
-    T0 initial points are drawn uniformly (with replacement) from the grid and
-    observed as y = f + eps with eps ~ N(0, noise_sd^2) i.i.d.; afterwards each
-    step acquires the EI argmax over the full grid (``lowest_argmax`` on
-    ties), observes it, extends the posterior, and records a row.  Stops at
-    budget T, or right after observing a point whose acquisition value fell
-    below ``kappa`` when a threshold is configured.
-    Bit-identical traces are guaranteed for identical (config, sample, seed).
+
+@dataclass(frozen=True)
+class Batch:
+    """The loop's record of B trials run together, as per-trial columns.
+
+    ``columns[c][b]`` lists trial b's values of ``TraceRow`` field c + 1 (t is
+    implied) for every step of the budget; ``steps[b]`` of them were recorded.
+    """
+
+    samples: tuple[PriorSample, ...]
+    seeds: tuple[int, ...]
+    noise_sd: float
+    init_indices: tuple[tuple[int, ...], ...]
+    steps: tuple[int, ...]
+    stopped: tuple[bool, ...]
+    columns: tuple[list, ...]
+
+    def trace(self, b: int, config_hash: str = "") -> Trace:
+        """Trial b's ``Trace``."""
+        k = self.steps[b]
+        t0 = len(self.init_indices[b])
+        x_next, *cols = (col[b][:k] for col in self.columns)
+        sample = self.samples[b]
+        return Trace(
+            rows=tuple(map(TraceRow, range(t0, t0 + k), map(tuple, x_next), *cols)),
+            seed=self.seeds[b],
+            config_hash=config_hash,
+            noise_sd=self.noise_sd,
+            f_star=sample.f_star,
+            f_abs_max=sample.f_abs_max,
+            x_star_idx=sample.x_star_idx,
+            init_indices=self.init_indices[b],
+            stopped_early=self.stopped[b],
+        )
+
+
+def run_batch(config: ExperimentConfig, samples, seeds) -> Batch:
+    """Execute the optimization loop on each prior draw, all trials in lockstep.
+
+    Trial b runs on ``samples[b]`` with seed ``seeds[b]``; all samples share
+    one ``GridPrior``.  T0 initial points are drawn uniformly (with
+    replacement) from the grid and observed as y = f + eps with
+    eps ~ N(0, noise_sd^2) i.i.d.; afterwards each step acquires the EI argmax
+    over the full grid (``lowest_argmax`` on ties), observes it, extends the
+    posterior, and records a row.  A trial stops at budget T, or right after
+    observing a point whose acquisition value fell below ``kappa`` when a
+    threshold is configured; the others step on without it.  Each step makes
+    one EI evaluation and one argmax over the (B, n) block of the trials
+    still running.  A trial's record is bit-identical for identical (config,
+    sample, seed), whatever the other trials of its batch.
     """
     if not (1 <= config.T0 <= config.T):
         raise ValueError(f"need 1 <= T0 <= T, got T0={config.T0}, T={config.T}")
-    prior = sample.prior
+    if not samples or len(samples) != len(seeds):
+        raise ValueError("need one seed per sample and at least one sample")
+    prior = samples[0].prior
+    if any(s.prior is not prior for s in samples):
+        raise ValueError("the samples of a batch must share one GridPrior")
     if prior.kernel != config.kernel:
         raise ValueError("prior sample kernel does not match the config's kernel")
     grid = prior.grid
     if not np.array_equal(grid, config.grid_points()):
         raise ValueError("prior sample grid does not match the config's candidate grid")
-    n = grid.shape[0]
+    B, n, T0, T = len(samples), grid.shape[0], config.T0, config.T
     noise_sd = float(config.noise_sd)
 
-    rng_init = np.random.default_rng(derive_stream_seed(seed, INIT_STREAM))
-    rng_noise = np.random.default_rng(derive_stream_seed(seed, NOISE_STREAM))
+    # each trial's noise stream yields its T0 initial draws, then one per step
+    init = np.empty((B, T0), dtype=np.intp)
+    eps = np.empty((B, T))
+    for b, seed in enumerate(seeds):
+        init[b] = np.random.default_rng(derive_stream_seed(seed, INIT_STREAM)).integers(0, n, size=T0)
+        eps[b] = noise_sd * np.random.default_rng(derive_stream_seed(seed, NOISE_STREAM)).standard_normal(T)
+    f = np.stack([s.f for s in samples])
+    x_star = np.array([s.x_star_idx for s in samples])
+    f_star = np.array([s.f_star for s in samples])
+    y0 = np.take_along_axis(f, init, axis=1) + eps[:, :T0]
 
-    init_idx = [int(i) for i in rng_init.integers(0, n, size=config.T0)]
-    y_obs = [float(sample.f[j] + noise_sd * rng_noise.standard_normal()) for j in init_idx]
+    post = GridPosterior(prior, init, y0, config.noise_var, T)
 
-    post = GridPosterior(prior, init_idx, y_obs, config.noise_var, config.T)
+    best = np.argmin(y0, axis=1)
+    y_plus = y0[np.arange(B), best]
+    best_idx = init[np.arange(B), best]
 
-    best = int(np.argmin(y_obs))
-    y_plus = y_obs[best]
-    best_idx = init_idx[best]
-
-    rows: list[TraceRow] = []
-    stopped = False
-    for t in range(config.T0, config.T):
-        mu, sigma = post.mu, post.sigma
-        vals = _ei_from_moments(y_plus, mu, sigma)
+    S = T - T0
+    j_col = np.zeros((S, B), dtype=np.intp)
+    f_col, y_col, yp_col, mu_col, sd_col, ei_col, star_col, r0_col = np.zeros((8, S, B))
+    steps = np.full(B, S)
+    stopped = np.zeros(B, dtype=bool)
+    rows = np.arange(B)  # the trials still running
+    sel = slice(None)  # indexes them: a slice while all run, so blocks are views
+    for s in range(S):
+        t = T0 + s
+        mu, sigma = post.mu[sel], post.sigma[sel]
+        vals = _ei_from_moments(y_plus[sel, None], mu, sigma)
         j = lowest_argmax(vals)
-        eps = noise_sd * rng_noise.standard_normal()
-        y_new = float(sample.f[j] + eps)
-        rows.append(
-            TraceRow(
-                t=t,
-                x_next=tuple(float(c) for c in grid[j]),
-                x_next_idx=j,
-                f_next=float(sample.f[j]),
-                y_next=y_new,
-                y_plus=y_plus,
-                mu_next=float(mu[j]),
-                sigma_next=float(sigma[j]),
-                ei_next=float(vals[j]),
-                sigma_at_star=float(sigma[sample.x_star_idx]),
-                r_t=y_plus - sample.f_star,
-                r0_t=float(sample.f[best_idx]) - sample.f_star,
-            )
-        )
-        if y_new < y_plus:
-            y_plus = y_new
-            best_idx = j
-        if t + 1 < config.T:  # the posterior after the last row is never read
-            post.observe(j, y_new)
-        if config.kappa is not None and rows[-1].ei_next < config.kappa:
-            stopped = True
-            break
+        k = np.arange(j.size)
+        f_next = f[rows, j]
+        y_new = f_next + eps[rows, t]
+        ei_next = vals[k, j]
+        j_col[s, sel] = j
+        f_col[s, sel] = f_next
+        y_col[s, sel] = y_new
+        yp_col[s, sel] = y_plus[sel]
+        mu_col[s, sel] = mu[k, j]
+        sd_col[s, sel] = sigma[k, j]
+        ei_col[s, sel] = ei_next
+        star_col[s, sel] = sigma[k, x_star[sel]]
+        r0_col[s, sel] = f[rows, best_idx[sel]]
+        better = y_new < y_plus[sel]
+        y_plus[sel] = np.where(better, y_new, y_plus[sel])
+        best_idx[sel] = np.where(better, j, best_idx[sel])
+        if config.kappa is not None:
+            done = ei_next < config.kappa
+            if done.any():
+                steps[rows[done]] = s + 1
+                stopped[rows[done]] = True
+                rows, j, y_new = rows[~done], j[~done], y_new[~done]
+                sel = rows
+                if not rows.size:
+                    break
+        if t + 1 < T:  # the posterior after the last row is never read
+            post.observe(j, y_new, sel)
 
-    return Trace(
-        rows=tuple(rows),
-        seed=int(seed),
-        config_hash=config_hash,
+    return Batch(
+        samples=tuple(samples),
+        seeds=tuple(int(s) for s in seeds),
         noise_sd=noise_sd,
-        f_star=sample.f_star,
-        f_abs_max=sample.f_abs_max,
-        x_star_idx=sample.x_star_idx,
-        init_indices=tuple(init_idx),
-        stopped_early=stopped,
+        init_indices=tuple(map(tuple, init.tolist())),
+        steps=tuple(steps.tolist()),
+        stopped=tuple(stopped.tolist()),
+        columns=(grid[j_col.T].tolist(),) + tuple(
+            col.T.tolist()
+            for col in (j_col, f_col, y_col, yp_col, mu_col, sd_col, ei_col, star_col, yp_col - f_star, r0_col - f_star)
+        ),
     )
+
+
+def run(config: ExperimentConfig, sample: PriorSample, seed: int, config_hash: str = "") -> Trace:
+    """The loop on one prior draw: ``run_batch`` with a batch of one."""
+    return run_batch(config, [sample], [seed]).trace(0, config_hash)

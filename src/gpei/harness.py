@@ -2,9 +2,11 @@
 
 A campaign factors the GP prior on the config grid once (one ``GridPrior``
 per campaign, or per worker process), samples one objective per trial from
-it, runs the optimization loop, evaluates the configured error bound at
-every valid iteration, and aggregates coverage (how often the bound held)
-against the nominal 1 - delta.  Coverage checks pass when the empirical
+it, runs the optimization loop on chunks of at most ``eiopt.batch_size``
+trials in lockstep (one chunk per pool task with several workers),
+evaluates the configured error bound at every valid iteration, and
+aggregates coverage (how often the bound held) against the nominal
+1 - delta.  Coverage checks pass when the empirical
 frequency is at least (1 - delta) - 3*sqrt(delta*(1-delta)/trials), with
 trials the number of trials recorded at that t (kappa stopping can leave
 fewer at late t): the theorems state exact probabilities and sampling noise
@@ -52,6 +54,7 @@ LEMMA_DEFAULT_N = {
 }
 _MC_LEMMAS = frozenset(LEMMA_DEFAULT_N)
 _FMU_T_STEPS = 30
+_ICDF_TOLERANCE = 0.01
 _DESIGN_SIZE = 5
 
 # Absolute slack on concentration comparisons; covers posterior-arithmetic
@@ -128,11 +131,23 @@ def grid_prior(config: ExperimentConfig) -> gp.GridPrior:
     return gp.GridPrior.build(config.kernel, config.grid_points())
 
 
-def run_trial(config: ExperimentConfig, prior: gp.GridPrior, trial_index: int) -> Trace:
-    """Sample one objective from ``prior`` and run the loop; fully determined by
-    config and index."""
-    seed = trial_seed(config.seed, trial_index)
-    return eiopt.run(config, prior.sample(seed), seed, config_hash=config_hash(config))
+def run_trial(config: ExperimentConfig, batch: eiopt.Batch, b: int) -> Trace:
+    """Trial ``b`` of a finished batch as its ``Trace``; called once per trial."""
+    return batch.trace(b, config_hash(config))
+
+
+def run_trials(config: ExperimentConfig, prior: gp.GridPrior, indices) -> list[Trace]:
+    """Sample one objective per trial index from ``prior`` and run the loop on
+    all of them in lockstep; each trace is fully determined by config and index."""
+    seeds = [trial_seed(config.seed, i) for i in indices]
+    batch = eiopt.run_batch(config, [prior.sample(s) for s in seeds], seeds)
+    return [run_trial(config, batch, b) for b in range(len(seeds))]
+
+
+def trial_chunks(config: ExperimentConfig) -> list[range]:
+    """The config's trial indices in consecutive chunks of at most ``eiopt.batch_size``."""
+    size = eiopt.batch_size(config.T, config.grid_size)
+    return [range(i, min(i + size, config.trials)) for i in range(0, config.trials, size)]
 
 
 # (config, prior) of the campaign a pool worker serves; set once per worker
@@ -145,9 +160,9 @@ def _init_worker(config: ExperimentConfig) -> None:
     _worker_campaign = (config, grid_prior(config))
 
 
-def _worker_trial(trial_index: int) -> Trace:
+def _worker_trials(indices: range) -> list[Trace]:
     config, prior = _worker_campaign
-    return run_trial(config, prior, trial_index)
+    return run_trials(config, prior, indices)
 
 
 def valid_bound_ts(config: ExperimentConfig, constants: bounds.BoundConstants) -> list[int]:
@@ -171,12 +186,13 @@ def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     constants = bounds.constants_for(config.theorem, config.delta, noisy=config.noise_sd > 0)
+    chunks = trial_chunks(config)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(config,)) as pool:
-            traces = list(pool.map(_worker_trial, range(config.trials), chunksize=8))
+            traces = list(itertools.chain.from_iterable(pool.map(_worker_trials, chunks)))
     else:
         prior = grid_prior(config)
-        traces = [run_trial(config, prior, i) for i in range(config.trials)]
+        traces = [trace for chunk in chunks for trace in run_trials(config, prior, chunk)]
 
     checkable = set(valid_bound_ts(config, constants))
     checks = tuple(
@@ -460,36 +476,40 @@ def _verify_fmu_t(config: ExperimentConfig, n: int) -> LemmaReport:
     run_cfg = dataclasses.replace(config, T=_FMU_T_STEPS, trials=n)
     run_cfg.validate()
     prior = grid_prior(run_cfg)
+    root_beta = [math.sqrt(bounds.beta_t_seq(t + 1, config.delta)) for t in range(_FMU_T_STEPS)]
     successes = np.zeros(n, dtype=bool)
-    for i in range(n):
-        trace = run_trial(run_cfg, prior, i)
-        ok = True
-        for row in trace.rows:
-            beta_t = bounds.beta_t_seq(row.t + 1, config.delta)
-            if abs(row.f_next - row.mu_next) > math.sqrt(beta_t) * row.sigma_next + _ROUNDOFF_GUARD:
-                ok = False
-                break
-        successes[i] = ok
+    for chunk in trial_chunks(run_cfg):  # one batch of traces held at a time
+        for i, trace in zip(chunk, run_trials(run_cfg, prior, chunk)):
+            successes[i] = not any(
+                abs(row.f_next - row.mu_next) > root_beta[row.t] * row.sigma_next + _ROUNDOFF_GUARD
+                for row in trace.rows
+            )
     passed, metrics = _coverage_metrics(successes, config.delta)
     return LemmaReport("fmu_t", passed, metrics + (("steps", float(_FMU_T_STEPS)),))
 
 
 def _verify_icdf(config: ExperimentConfig, n: int) -> LemmaReport:
-    """Improvement CDF: MC frequency of I <= a against Phi(a/sigma - z)."""
+    """Improvement CDF: MC frequency of I <= a against Phi(a/sigma - z).
+
+    The tolerance is max(0.01, 4 binomial standard errors at the worst a), so
+    it stays 0.01 at the default 100 000 draws and widens with fewer.
+    """
     mu, sigma, y_plus = 0.3, 0.6, 0.5
     z_t = (y_plus - mu) / sigma
     rng = np.random.default_rng(derive_stream_seed(config.seed, _ICDF_STREAM))
     f = mu + sigma * rng.standard_normal(n)
     improve = np.maximum(y_plus - f, 0.0)
-    worst = 0.0
+    worst = se = 0.0
     for a in (0.0, 0.5 * sigma, sigma, 2.0 * sigma):
         freq = float(np.mean(improve <= a))
         predicted = cdf(a / sigma - z_t)
         worst = max(worst, abs(freq - predicted))
+        se = max(se, math.sqrt(predicted * (1.0 - predicted) / n))
+    tolerance = max(_ICDF_TOLERANCE, 4.0 * se)
     return LemmaReport(
         "icdf",
-        worst <= 0.01,
-        (("n", float(n)), ("max_abs_error", worst), ("tolerance", 0.01)),
+        worst <= tolerance,
+        (("n", float(n)), ("max_abs_error", worst), ("tolerance", tolerance)),
     )
 
 
@@ -605,12 +625,10 @@ def _f1_rows() -> tuple[list[str], list[list[str]]]:
 
 def _f2_rows() -> tuple[list[str], list[list[str]]]:
     header = ["a", "b", "ei"]
-    rows = []
-    for j in range(121):
-        a = -3.0 + j * 0.05
-        for k in range(1, 101):
-            b = k / 100.0
-            rows.append([_fmt(a), _fmt(b), _fmt(ei_ab(a, b))])
+    a = [-3.0 + j * 0.05 for j in range(121)]
+    b = [k / 100.0 for k in range(1, 101)]
+    ei = np.asarray(ei_ab(np.repeat(a, len(b)), np.tile(b, len(a)))).tolist()
+    rows = [[_fmt(x), _fmt(y), _fmt(e)] for (x, y), e in zip(itertools.product(a, b), ei)]
     return header, rows
 
 

@@ -352,7 +352,7 @@ def loop_trace(**overrides):
     from gpei.config import ExperimentConfig
 
     cfg = ExperimentConfig(seed=1, **overrides)
-    return harness.run_trial(cfg, harness.grid_prior(cfg), 1)
+    return harness.run_trials(cfg, harness.grid_prior(cfg), [1])[0]
 
 
 class TestEmpiricalBoundCheck:

@@ -12,6 +12,7 @@ from gpei.config import ExperimentConfig
 from gpei.eiopt import argmax_ei, ei, improvement, run
 from gpei.gp import GridPrior, fit, sample_prior
 from gpei.kernels import KernelSpec
+from gpei.rng import trial_seed
 from gpei.stdnormal import tau
 
 SE = KernelSpec("se", 0.5)
@@ -235,17 +236,17 @@ class TestGridPosterior:
         grid = cfg.grid_points()
         for seed in (3, 4):
             obs_idx, y, rows = replay(cfg, seed)
-            post = eiopt.GridPosterior(GridPrior.build(cfg.kernel, grid), obs_idx, y, cfg.noise_var, cfg.T)
+            post = eiopt.GridPosterior(GridPrior.build(cfg.kernel, grid), [obs_idx], [y], cfg.noise_var, cfg.T)
             for row in rows:
                 ref = fit(cfg.kernel, grid[obs_idx], np.array(y), cfg.noise_var)
                 mu_r, sigma_r = gp.posterior_batch(ref, grid)
-                assert np.max(np.abs(post.mu - mu_r)) <= tol
-                assert np.max(np.abs(post.sigma - sigma_r)) <= tol
-                assert row.mu_next == post.mu[row.x_next_idx]
-                assert row.sigma_next == post.sigma[row.x_next_idx]
+                assert np.max(np.abs(post.mu[0] - mu_r)) <= tol
+                assert np.max(np.abs(post.sigma[0] - sigma_r)) <= tol
+                assert row.mu_next == post.mu[0, row.x_next_idx]
+                assert row.sigma_next == post.sigma[0, row.x_next_idx]
                 _, _, vals = eiopt.ei_batch(ref, row.y_plus, grid)
                 assert eiopt.lowest_argmax(vals) == row.x_next_idx
-                post.observe(row.x_next_idx, row.y_next)
+                post.observe([row.x_next_idx], [row.y_next])
                 obs_idx.append(row.x_next_idx)
                 y.append(row.y_next)
 
@@ -254,23 +255,87 @@ class TestGridPosterior:
         # so observe refits at 1e-15 and the grid moments follow the new factor
         monkeypatch.setattr(gp, "JITTER_START", 1e-18)
         grid = np.linspace(0, 1, 9)[:, None]
-        post = eiopt.GridPosterior(GridPrior.build(SE, grid), [4], [0.2], 0.0, 4)
-        post.observe(4, 0.2)
+        post = eiopt.GridPosterior(GridPrior.build(SE, grid), [[4]], [[0.2]], 0.0, 4)
+        post.observe([4], [0.2])
         ref = fit(SE, grid[[4, 4]], np.array([0.2, 0.2]), 0.0)
-        assert post.jitter == ref.jitter == 1e-15
+        assert post.jitter[0] == ref.jitter == 1e-15
         mu_r, sigma_r = gp.posterior_batch(ref, grid)
-        assert np.allclose(post.mu, mu_r, rtol=0, atol=1e-9)
-        assert np.allclose(post.sigma, sigma_r, rtol=0, atol=1e-9)
-        post.observe(0, -0.4)  # appends again on the refitted factor
+        assert np.allclose(post.mu[0], mu_r, rtol=0, atol=1e-9)
+        assert np.allclose(post.sigma[0], sigma_r, rtol=0, atol=1e-9)
+        post.observe([0], [-0.4])  # appends again on the refitted factor
         ref = fit(SE, grid[[4, 4, 0]], np.array([0.2, 0.2, -0.4]), 0.0)
         mu_r, sigma_r = gp.posterior_batch(ref, grid)
-        assert np.allclose(post.mu, mu_r, rtol=0, atol=1e-9)
-        assert np.allclose(post.sigma, sigma_r, rtol=0, atol=1e-9)
+        assert np.allclose(post.mu[0], mu_r, rtol=0, atol=1e-9)
+        assert np.allclose(post.sigma[0], sigma_r, rtol=0, atol=1e-9)
 
     def test_rejects_non_finite_y(self):
-        post = eiopt.GridPosterior(GridPrior.build(SE, np.linspace(0, 1, 9)[:, None]), [4], [0.2], 0.05, 4)
+        post = eiopt.GridPosterior(GridPrior.build(SE, np.linspace(0, 1, 9)[:, None]), [[4]], [[0.2]], 0.05, 4)
         with pytest.raises(ValueError):
-            post.observe(0, float("nan"))
+            post.observe([0], [float("nan")])
+
+    def test_non_finite_y_in_one_trial_raises(self):
+        post = eiopt.GridPosterior(GridPrior.build(SE, np.linspace(0, 1, 9)[:, None]),
+                                   [[4], [2], [6]], [[0.2], [0.1], [-0.3]], 0.05, 4)
+        with pytest.raises(ValueError):
+            post.observe([0, 1, 8], [0.1, float("inf"), 0.3])
+
+    def test_failed_pivot_refits_that_trial_alone(self, monkeypatch):
+        # as above, trial 1 re-observes its noiseless point at jitter 1e-18 and
+        # its pivot is exactly 0; trials 0 and 2 observe fresh points
+        monkeypatch.setattr(gp, "JITTER_START", 1e-18)
+        grid = np.linspace(0, 1, 9)[:, None]
+        prior = GridPrior.build(SE, grid)
+        init, y0, j, y = [[4], [4], [2]], [[0.2], [0.2], [0.1]], [0, 4, 7], [-0.4, 0.2, 0.5]
+        post = eiopt.GridPosterior(prior, init, y0, 0.0, 4)
+        refits = []
+        original = eiopt.GridPosterior._refit
+        monkeypatch.setattr(eiopt.GridPosterior, "_refit", lambda self, b: (refits.append(b), original(self, b)))
+        post.observe(j, y)
+        assert refits == [1]
+        ref = fit(SE, grid[[4, 4]], np.array([0.2, 0.2]), 0.0)
+        assert post.jitter[1] == ref.jitter == 1e-15
+        mu_r, sigma_r = gp.posterior_batch(ref, grid)
+        assert np.allclose(post.mu[1], mu_r, rtol=0, atol=1e-9)
+        assert np.allclose(post.sigma[1], sigma_r, rtol=0, atol=1e-9)
+        for b in (0, 2):
+            alone = eiopt.GridPosterior(prior, [init[b]], [y0[b]], 0.0, 4)
+            alone.observe([j[b]], [y[b]])
+            assert np.array_equal(post.mu[b], alone.mu[0]) and np.array_equal(post.var[b], alone.var[0])
+            assert post.jitter[b] == alone.jitter[0] == 1e-18
+
+
+def run_in_batches(config, size):
+    """Traces of all the config's trials, run through ``run_batch`` in batches of ``size``."""
+    prior = GridPrior.build(config.kernel, config.grid_points())
+    traces = []
+    for start in range(0, config.trials, size):
+        seeds = [trial_seed(config.seed, i) for i in range(start, min(start + size, config.trials))]
+        batch = eiopt.run_batch(config, [prior.sample(s) for s in seeds], seeds)
+        traces += [batch.trace(b) for b in range(len(seeds))]
+    return traces
+
+
+class TestLockstep:
+    def test_batch_size_rule(self):
+        assert eiopt.batch_size(30, 200) == 43
+        assert eiopt.batch_size(60, 200) == 21
+        assert eiopt.batch_size(60, 4096) == 1
+
+    @pytest.mark.parametrize("overrides", [
+        dict(noise_sd=0.05),
+        dict(noise_sd=0.0),
+        dict(noise_sd=0.05, kappa=3e-3),
+        dict(noise_sd=0.0, kappa=1e-3),
+    ])
+    def test_trace_bytes_independent_of_batch_size(self, overrides):
+        cfg = tiny_config(grid_per_dim=40, T=30, trials=15, **overrides)
+        whole = run_in_batches(cfg, cfg.trials)
+        if cfg.kappa is not None:
+            lengths = {len(tr.rows) for tr in whole}
+            assert len(lengths) > 1 and max(lengths) > min(lengths)  # trials stop at different t
+            assert any(tr.stopped_early for tr in whole)
+        for size in (1, 7):
+            assert [repr(tr) for tr in run_in_batches(cfg, size)] == [repr(tr) for tr in whole]
 
 
 class TestSelectionOptimality:

@@ -147,6 +147,18 @@ class TestCampaign:
         for name in sorted(os.listdir(a)):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_parallel_matches_serial_across_batches(self, tmp_path):
+        # 400 points and T=60 give batches of 10 trials: 12 trials are two
+        # tasks for the pool and two batches for the serial run
+        cfg = tiny_config(grid_per_dim=400, T=60, trials=12)
+        assert [len(c) for c in harness.trial_chunks(cfg)] == [10, 2]
+        a, b = tmp_path / "serial", tmp_path / "parallel"
+        harness.run_experiment(cfg, str(a), workers=1)
+        harness.run_experiment(cfg, str(b), workers=2)
+        assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+        for name in sorted(os.listdir(a)):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
     def test_noiseless_campaign_skips_variance_check(self, tmp_path):
         cfg = tiny_config(noise_sd=0.0, T=12)
         result = harness.run_experiment(cfg, str(tmp_path))
@@ -254,6 +266,15 @@ class TestVerifyLemmaPlumbing:
         assert report.passed
         assert report.metric("n") == 500
 
+    def test_icdf_tolerance_scales_with_draws(self):
+        cfg = tiny_config()
+        default = harness.verify_lemma("icdf", cfg)
+        assert default.metric("tolerance") == 0.01 and default.passed
+        small = harness.verify_lemma("icdf", cfg, n=500)
+        # 4 binomial SE at the worst of the four a values (p near 1/2)
+        assert 0.01 < small.metric("tolerance") <= 4 * 0.5 / np.sqrt(500)
+        assert small.passed
+
     def test_report_file(self, tmp_path):
         cfg = tiny_config()
         report = harness.verify_lemma("tail_bound", cfg)
@@ -273,6 +294,17 @@ class TestFigures:
             z, c, g, t = map(float, line.split(","))
             assert c <= g
             assert t <= c or z == 0.0  # tau(-z) < cdf(-z) for z > 0
+
+    def test_f2_matches_scalar_ei_ab(self, tmp_path):
+        from gpei.stdnormal import ei_ab
+
+        path = harness.emit_figure_data("F2_EiContour", str(tmp_path / "f2.csv"))
+        lines = open(path).read().splitlines()
+        assert lines[1] == "a,b,ei" and len(lines) == 2 + 121 * 100
+        for j in range(0, 121, 12):
+            for k in range(1, 101, 11):
+                a, b = -3.0 + j * 0.05, k / 100.0
+                assert lines[2 + 100 * j + k - 1] == f"{a!r},{b!r},{ei_ab(a, b)!r}"
 
     def test_f3_slice_minimum_location(self, tmp_path):
         path = harness.emit_figure_data("F3_BarTau", str(tmp_path / "f3.csv"))

@@ -106,10 +106,12 @@ class GridPosterior:
     step, with K[j_b] a row of the prior's Gram matrix and no kernel call or
     triangular solve.  All selected trials append in one batched ``matmul``;
     l^T l and l^T w are row-wise reductions, so a trial's arithmetic does not
-    depend on B or on the other trials.  The initial observations, and a trial
-    whose d^2 is not positive and finite, go through ``gp.fit`` on that
-    trial's observations alone (which escalates its jitter) and rebuild its
-    V[b] and w[b] from the factor.
+    depend on B or on the other trials.  Every trial starts from the prior
+    (no observations, mu = 0, var = 1, jitter ``gp.JITTER_START``) and takes
+    its initial observations through ``observe`` too.  Only a trial whose d^2
+    is not positive and finite goes through ``gp.fit`` on its observations
+    alone (which escalates its jitter) and rebuilds its V[b] and w[b] from
+    the factor.
     """
 
     def __init__(self, prior: GridPrior, idx, y, noise_var: float, capacity: int):
@@ -121,18 +123,16 @@ class GridPosterior:
         n = prior.grid.shape[0]
         self.prior = prior
         self.noise_var = float(noise_var)
-        self._t = np.full(B, t)
+        self._t = np.zeros(B, dtype=np.intp)
         self._idx = np.empty((B, capacity), dtype=np.intp)
         self._y = np.empty((B, capacity))
-        self._idx[:, :t] = idx
-        self._y[:, :t] = y
         self._V = np.empty((B, capacity, n))
         self._w = np.empty((B, capacity))
-        self.mu = np.empty((B, n))
-        self.var = np.empty((B, n))
-        self.jitter = np.empty(B)
-        for b in range(B):
-            self._refit(b)
+        self.mu = np.zeros((B, n))
+        self.var = np.ones((B, n))
+        self.jitter = np.full(B, gp.JITTER_START)
+        for s in range(t):
+            self.observe(idx[:, s], y[:, s])
 
     def _refit(self, b: int) -> None:
         t = self._t[b]

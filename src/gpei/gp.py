@@ -37,16 +37,27 @@ class FactorizationError(RuntimeError):
 
 
 def chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of K + jitter*I, escalating jitter 1e-10 .. 1e-6."""
+    """Lower Cholesky factor of K + jitter*I, escalating jitter 1e-10 .. 1e-6.
+
+    K must be an exactly symmetric, writable float64 matrix.  Its diagonal is
+    shifted in place for each attempt and restored bit for bit before
+    returning or raising, so no copy of K is made here; numpy's LAPACK call
+    then holds K, its own work copy and the returned factor.  The factor is
+    that of the F-ordered view K.T, which equals K, so numpy's copy-in reads
+    contiguous memory.
+    """
     jitter = JITTER_START
     n = K.shape[0]
-    while jitter <= JITTER_MAX:
-        shifted = K.copy()
-        shifted.flat[:: n + 1] += jitter
-        try:
-            return np.linalg.cholesky(shifted), jitter
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
+    diag = K.diagonal().copy()
+    try:
+        while jitter <= JITTER_MAX:
+            K.flat[:: n + 1] = diag + jitter
+            try:
+                return np.linalg.cholesky(K.T), jitter
+            except np.linalg.LinAlgError:
+                jitter *= 10.0
+    finally:
+        K.flat[:: n + 1] = diag
     raise FactorizationError(
         f"Cholesky failed for {n}x{n} matrix after escalating jitter to {JITTER_MAX:g}"
     )
@@ -160,7 +171,9 @@ class GridPrior:
 
     ``K`` is the grid Gram matrix and ``L`` the lower Cholesky factor of
     K + jitter*I.  Together they take 2*n^2*8 bytes (256 MiB at the 4096-point
-    cap); build one per campaign or worker process, not one per draw.
+    cap); ``build`` peaks at 3*n^2*8 bytes (384 MiB), K and L plus numpy's
+    LAPACK work copy.  Build one per campaign or worker process, not one per
+    draw.
     """
 
     kernel: KernelSpec

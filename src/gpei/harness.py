@@ -188,6 +188,8 @@ def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     constants = bounds.constants_for(config.theorem, config.delta, noisy=config.noise_sd > 0)
     chunks = trial_chunks(config)
     if workers > 1:
+        # each pool worker factors the prior as it starts: start none without a chunk
+        workers = min(workers, len(chunks))
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(config,)) as pool:
             traces = list(itertools.chain.from_iterable(pool.map(_worker_trials, chunks)))
     else:

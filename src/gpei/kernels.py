@@ -16,6 +16,10 @@ SQUARED_EXPONENTIAL = "se"
 MATERN = "matern"
 MATERN_NUS = (0.5, 1.5, 2.5)
 
+# Rows of the Gram matrix evaluated at once; bounds ``gram``'s temporaries
+# to a few GRAM_BLOCK-by-n buffers.
+GRAM_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -91,10 +95,12 @@ def _k_of_sq_dist(spec: KernelSpec, buf: np.ndarray) -> np.ndarray:
 
 def _sq_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared distances between rows of A and rows of B, accumulated one
-    coordinate at a time into one (len(A), len(B)) buffer."""
+    coordinate at a time into one (len(A), len(B)) buffer through one
+    difference buffer of the same shape."""
     buf = np.zeros((A.shape[0], B.shape[0]))
+    diff = np.empty_like(buf)
     for k in range(A.shape[1]):
-        diff = np.subtract.outer(A[:, k], B[:, k])
+        np.subtract.outer(A[:, k], B[:, k], out=diff)
         diff *= diff
         buf += diff
     return buf
@@ -114,11 +120,23 @@ def eval(spec: KernelSpec, x, x2) -> float:
 
 
 def gram(spec: KernelSpec, X) -> np.ndarray:
-    """t-by-t covariance matrix of a point set; symmetric PSD with unit diagonal."""
+    """t-by-t covariance matrix of a point set; symmetric PSD with unit diagonal.
+
+    Only the upper triangle is evaluated, ``GRAM_BLOCK`` rows at a time, and
+    each block's transpose fills the lower triangle: half the kernel
+    evaluations, no full-size temporary besides the result, and an exactly
+    symmetric matrix equal bitwise to ``cross_matrix(spec, X, X)``.
+    """
     pts = _as_points("X", X)
-    if pts.shape[0] < 1:
+    n = pts.shape[0]
+    if n < 1:
         raise ValueError("X must contain at least one point")
-    return _k_of_sq_dist(spec, _sq_dist(pts, pts))
+    K = np.empty((n, n))
+    for i in range(0, n, GRAM_BLOCK):
+        h = min(i + GRAM_BLOCK, n)
+        K[i:h, i:] = _k_of_sq_dist(spec, _sq_dist(pts[i:h], pts[i:]))
+        K[h:, i:h] = K[i:h, h:].T
+    return K
 
 
 def cross_matrix(spec: KernelSpec, X, Q) -> np.ndarray:

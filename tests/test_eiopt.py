@@ -250,6 +250,24 @@ class TestGridPosterior:
                 obs_idx.append(row.x_next_idx)
                 y.append(row.y_next)
 
+    @pytest.mark.parametrize("noise_var", [0.05**2, 0.0])
+    def test_initial_observations_append_without_refit(self, monkeypatch, noise_var):
+        # the T0 initial points take the append path from the prior; gp.fit is
+        # only the fallback for a failed pivot
+        grid = np.linspace(0, 1, 40)[:, None]
+        prior = GridPrior.build(SE, grid)
+        init = np.array([[3, 17, 30, 8, 22], [39, 0, 12, 25, 5]])
+        y0 = np.random.default_rng(1).normal(size=init.shape)
+        monkeypatch.setattr(gp, "fit", lambda *a: pytest.fail("gp.fit called"))
+        post = eiopt.GridPosterior(prior, init, y0, noise_var, 8)
+        monkeypatch.undo()
+        for b in range(2):
+            ref = fit(SE, grid[init[b]], y0[b], noise_var)
+            mu_r, sigma_r = gp.posterior_batch(ref, grid)
+            assert post.jitter[b] == ref.jitter
+            assert np.max(np.abs(post.mu[b] - mu_r)) <= 1e-10
+            assert np.max(np.abs(post.sigma[b] - sigma_r)) <= 1e-10
+
     def test_rebuilds_after_fallback(self, monkeypatch):
         # a duplicate noiseless point at jitter 1e-18 has a pivot of exactly 0,
         # so observe refits at 1e-15 and the grid moments follow the new factor

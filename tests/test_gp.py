@@ -5,6 +5,7 @@ conjugate formulas, independent of the Cholesky path under test.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,9 +307,58 @@ class TestFactorization:
         K = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(FactorizationError, match="jitter"):
             gp.chol_with_jitter(K)
+        assert np.array_equal(K, np.array([[1.0, 2.0], [2.0, 1.0]]))  # diagonal restored
+
+    def test_diagonal_restored_after_success(self):
+        X = np.random.default_rng(4).uniform(size=(129, 2))
+        K = kernels.gram(KernelSpec("matern", 0.3, 2.5), X)
+        K.flat[::130] += np.random.default_rng(5).uniform(0.0, 0.1, 129)  # distinct diagonal entries
+        before = K.copy()
+        L, jitter = gp.chol_with_jitter(K)
+        assert np.array_equal(K, before)
+        assert jitter == gp.JITTER_START
+        assert np.array_equal(L, np.linalg.cholesky(before + jitter * np.eye(129)))
+
+    def test_diagonal_restored_after_escalation(self):
+        # the second pivot is about 2*jitter - 5e-9: it fails at 1e-10 and 1e-9
+        K = np.array([[1.0, 1.0], [1.0, 1.0 - 5e-9]])
+        before = K.copy()
+        L, jitter = gp.chol_with_jitter(K)
+        assert jitter == pytest.approx(1e-8, rel=1e-12)
+        assert np.array_equal(K, before)
+        assert np.array_equal(L, np.linalg.cholesky(before + jitter * np.eye(2)))
 
     def test_near_singular_grid_succeeds(self):
         grid = np.linspace(0, 1, 200)[:, None]
         L, jitter = gp.chol_with_jitter(kernels.gram(KernelSpec("se", 0.2), grid))
         assert L.shape == (200, 200)
         assert jitter <= 1e-6
+
+
+def traced_peak(fn, *args):
+    """Peak bytes numpy and Python allocate while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBudget:
+    # 1024-point 2-d Matern-5/2 grid; budgets in units of one n-by-n float64
+    # array.  numpy's LAPACK work copy inside cholesky is not traced.
+    axis = np.linspace(0.0, 1.0, 32)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    spec = KernelSpec("matern", 0.2, 2.5)
+    unit = 8 * 1024**2
+
+    def test_gram(self):
+        assert traced_peak(kernels.gram, self.spec, self.grid) <= 1.5 * self.unit
+
+    def test_chol_with_jitter(self):
+        K = kernels.gram(self.spec, self.grid)
+        assert traced_peak(gp.chol_with_jitter, K) <= 1.1 * self.unit
+
+    def test_grid_prior_build(self):
+        assert traced_peak(GridPrior.build, self.spec, self.grid) <= 2.1 * self.unit

@@ -159,6 +159,27 @@ class TestCampaign:
         for name in sorted(os.listdir(a)):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    @pytest.mark.parametrize("overrides,chunks", [(dict(), 1), (dict(grid_per_dim=400, T=60, trials=12), 2)])
+    def test_pool_starts_one_worker_per_chunk_at_most(self, tmp_path, monkeypatch, overrides, chunks):
+        # every pool worker factors the prior as it starts, even one given no chunk
+        started = []
+
+        class RecordingPool(harness.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kw):
+                started.append(max_workers)
+                super().__init__(max_workers, **kw)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        cfg = tiny_config(**overrides)
+        assert len(harness.trial_chunks(cfg)) == chunks
+        a, b = tmp_path / "serial", tmp_path / "parallel"
+        harness.run_experiment(cfg, str(a), workers=1)
+        harness.run_experiment(cfg, str(b), workers=4)
+        assert started == [chunks]
+        assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+        for name in sorted(os.listdir(a)):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
     def test_noiseless_campaign_skips_variance_check(self, tmp_path):
         cfg = tiny_config(noise_sd=0.0, T=12)
         result = harness.run_experiment(cfg, str(tmp_path))

@@ -110,6 +110,18 @@ class TestGram:
             G = kernels.gram(spec, X)
             assert np.array_equal(G, G.T)
 
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("spec", ALL, ids=lambda s: f"{s.family}{s.nu or ''}")
+    def test_blocked_equals_one_shot(self, spec, d, n):
+        # row blocks of GRAM_BLOCK = 128: one block, one full block, a partial
+        # second block and several blocks, each against one-shot assembly
+        X = np.random.default_rng(n * 10 + d).uniform(size=(n, d))
+        G = kernels.gram(spec, X)
+        assert np.array_equal(G, kernels._k_of_sq_dist(spec, kernels._sq_dist(X, X)))
+        assert np.array_equal(G, kernels.cross_matrix(spec, X, X))
+        assert np.array_equal(G, G.T)
+
     def test_psd_up_to_roundoff(self):
         rng = np.random.default_rng(3)
         for spec in ALL:

@@ -39,25 +39,25 @@ class FactorizationError(RuntimeError):
 def chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of K + jitter*I, escalating jitter 1e-10 .. 1e-6.
 
-    K must be an exactly symmetric, writable float64 matrix.  Its diagonal is
-    shifted in place for each attempt and restored bit for bit before
-    returning or raising, so no copy of K is made here; numpy's LAPACK call
-    then holds K, its own work copy and the returned factor.  The factor is
-    that of the F-ordered view K.T, which equals K, so numpy's copy-in reads
-    contiguous memory.
+    K must be an exactly symmetric float64 matrix.  It is read, never written,
+    so it may be read-only.  Each attempt copies K into one F-ordered buffer
+    (through the buffer's C-ordered transpose, which equals K), adds the
+    jitter to its diagonal and factors it in place with LAPACK potrf, so the
+    call holds K and L only.  L is returned F-ordered with a zero strict upper
+    triangle.
     """
-    jitter = JITTER_START
     n = K.shape[0]
-    diag = K.diagonal().copy()
-    try:
-        while jitter <= JITTER_MAX:
-            K.flat[:: n + 1] = diag + jitter
-            try:
-                return np.linalg.cholesky(K.T), jitter
-            except np.linalg.LinAlgError:
-                jitter *= 10.0
-    finally:
-        K.flat[:: n + 1] = diag
+    L = np.empty((n, n), order="F")
+    jitter = JITTER_START
+    while jitter <= JITTER_MAX:
+        L.T[...] = K
+        L.T.flat[:: n + 1] += jitter
+        _, info = lapack.dpotrf(L, lower=1, overwrite_a=1, clean=1)
+        if info == 0:
+            return L, jitter
+        if info < 0:
+            raise FactorizationError(f"Cholesky rejected its input (LAPACK info={info})")
+        jitter *= 10.0
     raise FactorizationError(
         f"Cholesky failed for {n}x{n} matrix after escalating jitter to {JITTER_MAX:g}"
     )
@@ -169,11 +169,11 @@ def update(state: GpState, x_new, y_new: float) -> GpState:
 class GridPrior:
     """The GP prior on a finite grid, factored once and shared by every draw.
 
-    ``K`` is the grid Gram matrix and ``L`` the lower Cholesky factor of
-    K + jitter*I.  Together they take 2*n^2*8 bytes (256 MiB at the 4096-point
-    cap); ``build`` peaks at 3*n^2*8 bytes (384 MiB), K and L plus numpy's
-    LAPACK work copy.  Build one per campaign or worker process, not one per
-    draw.
+    ``K`` is the grid Gram matrix and ``L`` the F-ordered lower Cholesky
+    factor of K + jitter*I; the factorization reads K and never writes it.
+    Together they take 2*n^2*8 bytes (256 MiB at the 4096-point cap), which is
+    also the peak of ``build``.  Both are read-only, since every draw and trial
+    shares them.  Build one per campaign or worker process, not one per draw.
     """
 
     kernel: KernelSpec
@@ -189,6 +189,8 @@ class GridPrior:
             raise ValueError(f"grid must be a non-empty 2-d array, got shape {grid.shape}")
         K = kernels.gram(kernel, grid)
         L, jitter = chol_with_jitter(K)
+        K.flags.writeable = False
+        L.flags.writeable = False
         return cls(kernel, grid, K, L, jitter)
 
     def sample(self, seed: int) -> PriorSample:

@@ -187,9 +187,10 @@ def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
         raise ValueError(f"workers must be >= 1, got {workers}")
     constants = bounds.constants_for(config.theorem, config.delta, noisy=config.noise_sd > 0)
     chunks = trial_chunks(config)
+    # each pool worker factors the prior as it starts: start none without a
+    # chunk, and run a single chunk in this process
+    workers = min(workers, len(chunks))
     if workers > 1:
-        # each pool worker factors the prior as it starts: start none without a chunk
-        workers = min(workers, len(chunks))
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(config,)) as pool:
             traces = list(itertools.chain.from_iterable(pool.map(_worker_trials, chunks)))
     else:

@@ -17,8 +17,9 @@ MATERN = "matern"
 MATERN_NUS = (0.5, 1.5, 2.5)
 
 # Rows of the Gram matrix evaluated at once; bounds ``gram``'s temporaries
-# to a few GRAM_BLOCK-by-n buffers.
-GRAM_BLOCK = 128
+# to a few GRAM_BLOCK-by-n buffers (1 MiB each at the 4096-point cap), small
+# enough to stay in cache.
+GRAM_BLOCK = 32
 
 
 @dataclass(frozen=True)

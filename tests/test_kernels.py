@@ -15,6 +15,7 @@ M12 = KernelSpec("matern", 1.0, nu=0.5)
 M32 = KernelSpec("matern", 1.0, nu=1.5)
 M52 = KernelSpec("matern", 1.0, nu=2.5)
 ALL = (SE, M12, M32, M52)
+B = kernels.GRAM_BLOCK
 
 # dyadic coordinates make the shift-invariance check exact in binary floats
 dyadic = st.integers(min_value=-256, max_value=256).map(lambda k: k / 64.0)
@@ -110,12 +111,13 @@ class TestGram:
             G = kernels.gram(spec, X)
             assert np.array_equal(G, G.T)
 
-    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    @pytest.mark.parametrize("n", sorted({1, B - 1, B, B + 1, 4 * B - 1, 4 * B, 4 * B + 1, 300}))
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("spec", ALL, ids=lambda s: f"{s.family}{s.nu or ''}")
     def test_blocked_equals_one_shot(self, spec, d, n):
-        # row blocks of GRAM_BLOCK = 128: one block, one full block, a partial
-        # second block and several blocks, each against one-shot assembly
+        # row blocks of GRAM_BLOCK = B: a partial first block, one full block,
+        # a partial second block, and several blocks ending on each side of a
+        # block boundary, each against one-shot assembly
         X = np.random.default_rng(n * 10 + d).uniform(size=(n, d))
         G = kernels.gram(spec, X)
         assert np.array_equal(G, kernels._k_of_sq_dist(spec, kernels._sq_dist(X, X)))

@@ -3,8 +3,7 @@
 from .bounds import (
     BoundConstants,
     CoefficientComparison,
-    bound_thm42,
-    bound_thm46,
+    bound_value,
     compare_coefficients,
     constants_thm42,
     constants_thm46,
@@ -33,8 +32,7 @@ __all__ = [
     "TraceRow",
     "argmax_ei",
     "bar_tau",
-    "bound_thm42",
-    "bound_thm46",
+    "bound_value",
     "cdf",
     "compare_coefficients",
     "constants_thm42",

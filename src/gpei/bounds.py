@@ -12,7 +12,10 @@ r_t = y_t^+ - f*:
   beta = 2*log(3*c_alpha/delta), w = sqrt(beta) (noiseless), and
   c_alpha = (1+2*pi)/(2*pi).
 
-Both assert existence of an iteration t_k in a trailing window whose
+Both flavors, and the RKHS-norm bounds, share one form,
+outer * (lead * D + window * sigma_win), whose coefficients each
+``BoundConstants`` carries; ``bound_value`` is its only evaluator.  Both
+assert existence of an iteration t_k in a trailing window whose
 predictive sd enters the bound; the empirical checker evaluates the bound at
 the window *maximum*, which upper-bounds every admissible t_k and therefore
 soundly tests the stated conclusion.
@@ -30,20 +33,30 @@ from .stdnormal import PHI0, cdf, tau
 
 C_ALPHA = (1.0 + 2.0 * math.pi) / (2.0 * math.pi)
 
+
 @dataclass(frozen=True)
 class BoundConstants:
-    """Constants derived from the failure probability delta for one bound flavor.
+    """Constants of one bound flavor, derived from the failure probability delta.
 
-    Fields that a flavor does not define are None (the baseline bound has no
-    w/C1/C2/C3; c_tau is populated for every flavor since it only needs beta).
+    Every flavor is the form outer * (lead * D + window * sigma_win) of
+    ``bound_value``, with (outer, lead, window) = (c_tau, 1, sqrt(beta) +
+    phi(0)) for the baseline bound and (1, C1, C1*sqrt(beta) + C2) for the
+    improved one; its leading constants are C4 = outer*lead and
+    C5 = outer*window.  Fields that a flavor does not define are None (the
+    baseline bound has no w/C1/C2/C3; c_tau is populated for every flavor
+    since it only needs beta).  delta is None for the RKHS bounds, which hold
+    for every objective of bounded norm.
     """
 
-    delta: float
+    delta: float | None
     flavor: str
     beta: float
     c_tau: float
     window_divisor: int
     t_min: float
+    outer: float
+    lead: float
+    window: float
     c_alpha: float = C_ALPHA
     w: float | None = None
     c1: float | None = None
@@ -63,28 +76,30 @@ def c_tau_of(beta: float) -> float:
     return tau(root) / tau(-root)
 
 
+def _constants(delta: float | None, noisy: bool, beta: float, w: float | None = None) -> BoundConstants:
+    """The baseline flavor's constants at beta, or the improved flavor's when w is given."""
+    c_tau = c_tau_of(beta)
+    common = dict(
+        delta=delta,
+        flavor=("thm42" if w is None else "thm46") + ("-noisy" if noisy else "-noiseless"),
+        beta=beta,
+        c_tau=c_tau,
+        window_divisor=3 if noisy else 2,
+        t_min=3.0 * math.log(3.0 / delta) / math.log(2.0) + 3.0 if noisy else 0.0,
+    )
+    if w is None:
+        return BoundConstants(**common, outer=c_tau, lead=1.0, window=math.sqrt(beta) + PHI0)
+    c1 = 1.0 / cdf(-w)
+    c2 = PHI0 / cdf(-w) + math.sqrt(beta)
+    return BoundConstants(
+        **common, outer=1.0, lead=c1, window=c1 * math.sqrt(beta) + c2, w=w, c1=c1, c2=c2, c3=c2 - math.sqrt(beta)
+    )
+
+
 def constants_thm42(delta: float, noisy: bool) -> BoundConstants:
     """Baseline-bound constants: beta = 2*log(6/delta) noisy, 2*log(2/delta) noiseless."""
     delta = _check_delta(delta)
-    if noisy:
-        beta = 2.0 * math.log(6.0 / delta)
-        return BoundConstants(
-            delta=delta,
-            flavor="thm42-noisy",
-            beta=beta,
-            c_tau=c_tau_of(beta),
-            window_divisor=3,
-            t_min=3.0 * math.log(3.0 / delta) / math.log(2.0) + 3.0,
-        )
-    beta = 2.0 * math.log(2.0 / delta)
-    return BoundConstants(
-        delta=delta,
-        flavor="thm42-noiseless",
-        beta=beta,
-        c_tau=c_tau_of(beta),
-        window_divisor=2,
-        t_min=0.0,
-    )
+    return _constants(delta, noisy, 2.0 * math.log((6.0 if noisy else 2.0) / delta))
 
 
 def constants_thm46(delta: float, noisy: bool) -> BoundConstants:
@@ -92,30 +107,9 @@ def constants_thm46(delta: float, noisy: bool) -> BoundConstants:
     delta = _check_delta(delta)
     if noisy:
         beta = 2.0 * math.log(9.0 * C_ALPHA / delta)
-        w = math.sqrt(2.0 * math.log(9.0 / (2.0 * delta)))
-        window_divisor = 3
-        t_min = 3.0 * math.log(3.0 / delta) / math.log(2.0) + 3.0
-        flavor = "thm46-noisy"
-    else:
-        beta = 2.0 * math.log(3.0 * C_ALPHA / delta)
-        w = math.sqrt(beta)
-        window_divisor = 2
-        t_min = 0.0
-        flavor = "thm46-noiseless"
-    c1 = 1.0 / cdf(-w)
-    c2 = PHI0 / cdf(-w) + math.sqrt(beta)
-    return BoundConstants(
-        delta=delta,
-        flavor=flavor,
-        beta=beta,
-        c_tau=c_tau_of(beta),
-        window_divisor=window_divisor,
-        t_min=t_min,
-        w=w,
-        c1=c1,
-        c2=c2,
-        c3=c2 - math.sqrt(beta),
-    )
+        return _constants(delta, True, beta, math.sqrt(2.0 * math.log(9.0 / (2.0 * delta))))
+    beta = 2.0 * math.log(3.0 * C_ALPHA / delta)
+    return _constants(delta, False, beta, math.sqrt(beta))
 
 
 def c_t_sigma(t: int, delta: float) -> float:
@@ -134,52 +128,6 @@ def beta_t_seq(t: int, delta: float) -> float:
     return 2.0 * math.log(math.pi**2 * t * t / (6.0 * delta))
 
 
-def _check_bound_args(c: BoundConstants, t: int, f_bound: float, noise_sd: float, sigma_win: float):
-    if not (isinstance(t, (int, np.integer)) and t > c.window_divisor):
-        raise ValueError(f"t must be an integer > {c.window_divisor}, got {t!r}")
-    if not (math.isfinite(f_bound) and f_bound >= 0):
-        raise ValueError(f"f_bound must be >= 0, got {f_bound!r}")
-    if not (math.isfinite(noise_sd) and noise_sd >= 0):
-        raise ValueError(f"noise_sd must be >= 0, got {noise_sd!r}")
-    if not (0.0 <= sigma_win <= 1.0):
-        raise ValueError(f"sigma_win must lie in [0, 1], got {sigma_win!r}")
-
-
-def bound_thm42(c: BoundConstants, t: int, f_bound: float, noise_sd: float, sigma_win: float) -> float:
-    """Baseline bound value at iteration t.
-
-    noisy:     c_tau * [6*(M + sqrt(c_t_sigma)*noise_sd)/(t-3) + (sqrt(beta)+phi(0))*sigma_win]
-    noiseless: c_tau * [4*M/(t-2) + (sqrt(beta)+phi(0))*sigma_win]
-    with M = f_bound.
-    """
-    if not c.flavor.startswith("thm42"):
-        raise ValueError(f"expected thm42 constants, got flavor {c.flavor!r}")
-    _check_bound_args(c, t, f_bound, noise_sd, sigma_win)
-    explore = (math.sqrt(c.beta) + PHI0) * sigma_win
-    if c.flavor == "thm42-noisy":
-        decay = 6.0 * (f_bound + math.sqrt(c_t_sigma(t, c.delta)) * noise_sd) / (t - 3)
-    else:
-        decay = 4.0 * f_bound / (t - 2)
-    return c.c_tau * (decay + explore)
-
-
-def bound_thm46(c: BoundConstants, t: int, f_bound: float, noise_sd: float, sigma_win: float) -> float:
-    """Improved bound value at iteration t.
-
-    noisy:     C1*(M + sqrt(c_t_sigma)*noise_sd)*6/(t-3) + (C1*sqrt(beta)+C2)*sigma_win
-    noiseless: C1*M*4/(t-2) + (C1*sqrt(beta)+C2)*sigma_win
-    """
-    if not c.flavor.startswith("thm46"):
-        raise ValueError(f"expected thm46 constants, got flavor {c.flavor!r}")
-    _check_bound_args(c, t, f_bound, noise_sd, sigma_win)
-    explore = (c.c1 * math.sqrt(c.beta) + c.c2) * sigma_win
-    if c.flavor == "thm46-noisy":
-        decay = c.c1 * (f_bound + math.sqrt(c_t_sigma(t, c.delta)) * noise_sd) * 6.0 / (t - 3)
-    else:
-        decay = c.c1 * f_bound * 4.0 / (t - 2)
-    return decay + explore
-
-
 def constants_for(theorem: str, delta: float, noisy: bool) -> BoundConstants:
     if theorem == "thm42":
         return constants_thm42(delta, noisy)
@@ -189,9 +137,26 @@ def constants_for(theorem: str, delta: float, noisy: bool) -> BoundConstants:
 
 
 def bound_value(c: BoundConstants, t: int, f_bound: float, noise_sd: float, sigma_win: float) -> float:
-    if c.flavor.startswith("thm42"):
-        return bound_thm42(c, t, f_bound, noise_sd, sigma_win)
-    return bound_thm46(c, t, f_bound, noise_sd, sigma_win)
+    """Bound value at iteration t: outer * (lead * D + window * sigma_win).
+
+    noisy:     D = (M + sqrt(c_t_sigma)*noise_sd)*6/(t-3)
+    noiseless: D = M*4/(t-2)  (noise_sd is ignored)
+    with M = f_bound.  lead*D is evaluated left to right (lead*M*4/(t-2)):
+    another order moves bounds by roundoff, and with them the trace bytes.
+    """
+    if not (isinstance(t, (int, np.integer)) and t > c.window_divisor):
+        raise ValueError(f"t must be an integer > {c.window_divisor}, got {t!r}")
+    if not (math.isfinite(f_bound) and f_bound >= 0):
+        raise ValueError(f"f_bound must be >= 0, got {f_bound!r}")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0):
+        raise ValueError(f"noise_sd must be >= 0, got {noise_sd!r}")
+    if not (0.0 <= sigma_win <= 1.0):
+        raise ValueError(f"sigma_win must lie in [0, 1], got {sigma_win!r}")
+    if c.flavor.endswith("-noisy"):
+        decay = c.lead * (f_bound + math.sqrt(c_t_sigma(t, c.delta)) * noise_sd) * 6.0 / (t - 3)
+    else:
+        decay = c.lead * f_bound * 4.0 / (t - 2)
+    return c.outer * (decay + c.window * sigma_win)
 
 
 @dataclass(frozen=True)
@@ -213,10 +178,10 @@ def compare_coefficients(delta: float) -> CoefficientComparison:
     c42 = constants_thm42(delta, noisy=True)
     c46 = constants_thm46(delta, noisy=True)
     out = CoefficientComparison(
-        c4_42=c42.c_tau,
-        c5_42=c42.c_tau * (math.sqrt(c42.beta) + PHI0),
-        c4_46=c46.c1,
-        c5_46=c46.c1 * math.sqrt(c46.beta) + c46.c2,
+        c4_42=c42.outer * c42.lead,
+        c5_42=c42.outer * c42.window,
+        c4_46=c46.outer * c46.lead,
+        c5_46=c46.outer * c46.window,
     )
     if not (out.c4_46 < out.c4_42 and out.c5_46 < out.c5_42):
         raise AssertionError(f"coefficient ordering violated at delta={delta}: {out}")
@@ -274,6 +239,8 @@ class RkhsBounds:
 def rkhs_bounds(B: float, t: int, f_bound: float, sigma_win: float) -> RkhsBounds:
     """Noiseless bounds for objectives of RKHS norm at most B (B >= 1).
 
+    The two bounds are the noiseless baseline and improved forms of
+    ``bound_value`` with sqrt(beta) = B:
     lemma:    c_tau(B) * [4M/(t-2) + (B + phi(0))*sigma_win],  c_tau(B) = tau(B)/tau(-B)
     improved: 4*C1*M/(t-2) + (C1*B + C2)*sigma_win,
               C1 = 1/Phi(-B), C2 = B + phi(0)/Phi(-B)
@@ -283,18 +250,10 @@ def rkhs_bounds(B: float, t: int, f_bound: float, sigma_win: float) -> RkhsBound
     """
     if not (math.isfinite(B) and B >= 1.0):
         raise ValueError(f"B must be >= 1, got {B!r}")
-    if not (isinstance(t, (int, np.integer)) and t > 2):
-        raise ValueError(f"t must be an integer > 2, got {t!r}")
-    if not (math.isfinite(f_bound) and f_bound >= 0):
-        raise ValueError(f"f_bound must be >= 0, got {f_bound!r}")
-    if not (0.0 <= sigma_win <= 1.0):
-        raise ValueError(f"sigma_win must lie in [0, 1], got {sigma_win!r}")
-    phi_neg = cdf(-B)
-    lemma = (tau(B) / tau(-B)) * (4.0 * f_bound / (t - 2) + (B + PHI0) * sigma_win)
-    c1 = 1.0 / phi_neg
-    c2 = B + PHI0 / phi_neg
-    improved = 4.0 * c1 * f_bound / (t - 2) + (c1 * B + c2) * sigma_win
-    c_r = tau(B) * (B + PHI0) / (phi_neg * B + B + PHI0)
+    beta = B * B  # sqrt(B*B) == B exactly in binary floating point
+    lemma = bound_value(_constants(None, False, beta), t, f_bound, 0.0, sigma_win)
+    improved = bound_value(_constants(None, False, beta, B), t, f_bound, 0.0, sigma_win)
+    c_r = tau(B) * (B + PHI0) / (cdf(-B) * B + B + PHI0)
     return RkhsBounds(lemma_bound=lemma, improved_bound=improved, c_r=c_r)
 
 

@@ -123,6 +123,21 @@ _KNOWN_KEYS = _INT_FIELDS | _FLOAT_FIELDS | {
 }
 
 
+def _number(key: str, raw: str, kind: type):
+    """``kind(raw)`` for kind int or float; the ValueError names the key."""
+    try:
+        return kind(raw)
+    except ValueError as e:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"config key {key!r} must be {what}, got {raw!r}") from e
+
+
+def _optional_number(key: str, raw: str) -> float | None:
+    """None for an empty or ``none`` value, else the number."""
+    raw = raw.strip()
+    return None if raw in ("", "none") else _number(key, raw, float)
+
+
 def from_flat(flat: dict[str, str], base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Build a config from flat string key-values, overriding ``base`` (defaults
     when omitted).  Unset kernel_lengthscale defaults to 0.2*r so desk-scale
@@ -132,35 +147,24 @@ def from_flat(flat: dict[str, str], base: ExperimentConfig | None = None) -> Exp
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
-    updates: dict = {}
-    for key in _INT_FIELDS & set(flat):
-        try:
-            updates[key] = int(flat[key])
-        except ValueError as e:
-            raise ValueError(f"config key {key!r} must be an integer, got {flat[key]!r}") from e
-    for key in _FLOAT_FIELDS & set(flat):
-        try:
-            updates[key] = float(flat[key])
-        except ValueError as e:
-            raise ValueError(f"config key {key!r} must be a number, got {flat[key]!r}") from e
+    updates: dict = {key: _number(key, flat[key], int) for key in _INT_FIELDS & set(flat)}
+    updates.update({key: _number(key, flat[key], float) for key in _FLOAT_FIELDS & set(flat)})
     if "theorem" in flat:
         updates["theorem"] = flat["theorem"].strip().lower()
     if "kappa" in flat:
-        raw = flat["kappa"].strip()
-        updates["kappa"] = None if raw in ("", "none") else float(raw)
+        updates["kappa"] = _optional_number("kappa", flat["kappa"])
 
     family = flat.get("kernel_family", base.kernel.family).strip().lower()
     r_eff = updates.get("r", base.r)
     if "kernel_lengthscale" in flat:
-        lengthscale = float(flat["kernel_lengthscale"])
+        lengthscale = _number("kernel_lengthscale", flat["kernel_lengthscale"], float)
     elif "r" in updates or "kernel_family" in flat:
         lengthscale = 0.2 * r_eff
     else:
         lengthscale = base.kernel.lengthscale
     nu: float | None
     if "kernel_nu" in flat:
-        raw = flat["kernel_nu"].strip()
-        nu = None if raw in ("", "none") else float(raw)
+        nu = _optional_number("kernel_nu", flat["kernel_nu"])
     else:
         nu = base.kernel.nu if family == base.kernel.family else None
     if family == SQUARED_EXPONENTIAL:

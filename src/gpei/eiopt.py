@@ -50,31 +50,28 @@ def improvement(y_plus: float, f_x: float) -> float:
     return max(y_plus - f_x, 0.0)
 
 
-def _ei_from_moments(y_plus: float, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    gap = y_plus - mu
-    positive = sigma > gp.SIGMA_FLOOR
-    safe = np.where(positive, sigma, 1.0)
-    vals = np.asarray(stdnormal.tau(gap / safe)) * safe
-    return np.where(positive, vals, np.maximum(gap, 0.0))
-
-
 def ei(state: GpState, y_plus: float, x) -> float:
     """EI_t(x) = sigma * tau((y_plus - mu)/sigma), degenerating to max(y_plus - mu, 0)
-    when the predictive sd underflows."""
+    when the predictive sd is at most ``stdnormal.SIGMA_FLOOR``."""
     mu, sigma = gp.posterior(state, x)
-    return float(_ei_from_moments(float(y_plus), np.asarray(mu), np.asarray(sigma)))
+    return float(stdnormal.ei_ab(float(y_plus) - mu, sigma))
 
 
 def ei_batch(state: GpState, y_plus: float, candidates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Posterior moments and EI at every candidate row; the loop's hot path."""
     mu, sigma = gp.posterior_batch(state, candidates)
-    return mu, sigma, _ei_from_moments(float(y_plus), mu, sigma)
+    return mu, sigma, stdnormal.ei_ab(float(y_plus) - mu, sigma)
 
 
 def lowest_argmax(vals: np.ndarray):
     """Per row of ``vals`` (last axis), the lowest index i with
-    vals[i] >= max(vals) - 1e-12 * |max(vals)| (``TIE_RTOL``)."""
+    vals[i] >= max(vals) - 1e-12 * |max(vals)| (``TIE_RTOL``).
+
+    Raises ValueError when a row's maximum is not finite, which a NaN or +inf
+    anywhere in the row makes it."""
     top = vals.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise ValueError(f"acquisition values must be finite, got row maxima {top.ravel()!r}")
     return np.argmax(vals >= top - TIE_RTOL * np.abs(top), axis=-1)
 
 
@@ -109,9 +106,10 @@ class GridPosterior:
     depend on B or on the other trials.  Every trial starts from the prior
     (no observations, mu = 0, var = 1, jitter ``gp.JITTER_START``) and takes
     its initial observations through ``observe`` too.  Only a trial whose d^2
-    is not positive and finite goes through ``gp.fit`` on its observations
-    alone (which escalates its jitter) and rebuilds its V[b] and w[b] from
-    the factor.
+    is not positive and finite is refitted alone: ``gp.chol_with_jitter``
+    factors its block of K plus noise_var*I (escalating the jitter), and V[b]
+    and w[b] are rebuilt from that factor.  Every kernel value comes from
+    the prior's K.
     """
 
     def __init__(self, prior: GridPrior, idx, y, noise_var: float, capacity: int):
@@ -137,13 +135,14 @@ class GridPosterior:
     def _refit(self, b: int) -> None:
         t = self._t[b]
         idx = self._idx[b, :t]
-        state = gp.fit(self.prior.kernel, self.prior.grid[idx], self._y[b, :t], self.noise_var)
+        K = self.prior.K[np.ix_(idx, idx)]
+        K.flat[:: t + 1] += self.noise_var
+        L, self.jitter[b] = gp.chol_with_jitter(K)
         V = self._V[b, :t]
-        V[:] = gp.solve_lower(state.chol, self.prior.K[idx])
-        self._w[b, :t] = gp.solve_lower(state.chol, state.y)
+        V[:] = gp.solve_lower(L, self.prior.K[idx])
+        self._w[b, :t] = gp.solve_lower(L, self._y[b, :t])
         self.mu[b] = V.T @ self._w[b, :t]
         self.var[b] = 1.0 - np.sum(V * V, axis=0)
-        self.jitter[b] = state.jitter
 
     @property
     def sigma(self) -> np.ndarray:
@@ -333,7 +332,7 @@ def run_batch(config: ExperimentConfig, samples, seeds) -> Batch:
     for s in range(S):
         t = T0 + s
         mu, sigma = post.mu[sel], post.sigma[sel]
-        vals = _ei_from_moments(y_plus[sel, None], mu, sigma)
+        vals = stdnormal.ei_unchecked(y_plus[sel, None] - mu, sigma)
         j = lowest_argmax(vals)
         k = np.arange(j.size)
         f_next = f[rows, j]

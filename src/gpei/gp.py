@@ -9,9 +9,13 @@ cross-covariances k_t(x), noise variance s2 and observations y,
 Factorizations go through Cholesky with a small escalating diagonal jitter,
 since squared-exponential Gram matrices on fine grids are numerically
 singular.  The prior on a finite grid is factored once into a ``GridPrior``,
-which every draw of the objective and every grid posterior share.  States
-are immutable; ``update`` returns ``fit`` on the augmented data.  The EI
-loop's one-row Cholesky append lives in ``eiopt.GridPosterior``.
+which every draw of the objective and every grid posterior share.  The EI
+loop and the lemma protocols compute posteriors on its grid through
+``eiopt.GridPosterior`` (a one-row Cholesky append per observation), which
+reads every kernel value from ``GridPrior.K``.  ``fit``, ``posterior_batch``
+and ``update`` (``fit`` on the augmented data) evaluate the kernel at
+arbitrary points; states are immutable.  They are the single-point reference
+that tests compare the grid posterior against.
 """
 
 from __future__ import annotations
@@ -26,10 +30,6 @@ from .kernels import KernelSpec
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-6
-
-# Below this the predictive sd is treated as exactly zero by callers that
-# need to divide by it.
-SIGMA_FLOOR = 1e-12
 
 
 class FactorizationError(RuntimeError):

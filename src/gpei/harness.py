@@ -24,6 +24,7 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -356,13 +357,22 @@ def campaign_summary_lines(result: CampaignResult) -> list[str]:
     return lines
 
 
+_TRACE_NAME = re.compile(r"trace_[0-9]+\.csv")
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> CampaignResult:
-    """Run a campaign and persist per-trial traces, coverage, and a summary."""
+    """Run a campaign and persist per-trial traces, coverage, and a summary.
+
+    Any other ``trace_<digits>.csv`` in ``out_dir`` is deleted, so the
+    directory holds this campaign's traces only."""
     result = run_campaign(config, workers=workers)
     os.makedirs(out_dir, exist_ok=True)
     width = max(4, len(str(config.trials - 1)))
-    for i, (trace, checks) in enumerate(zip(result.traces, result.checks)):
-        write_trace_csv(os.path.join(out_dir, f"trace_{i:0{width}d}.csv"), i, trace, config, checks)
+    names = [f"trace_{i:0{width}d}.csv" for i in range(len(result.traces))]
+    for i, (name, trace, checks) in enumerate(zip(names, result.traces, result.checks)):
+        write_trace_csv(os.path.join(out_dir, name), i, trace, config, checks)
+    for name in set(filter(_TRACE_NAME.fullmatch, os.listdir(out_dir))) - set(names):
+        os.remove(os.path.join(out_dir, name))
     write_coverage_csv(os.path.join(out_dir, "coverage.csv"), result)
     _write_lines(os.path.join(out_dir, "config.txt"), result.config.flat_text().splitlines())
     _write_lines(os.path.join(out_dir, "summary.txt"), campaign_summary_lines(result))
@@ -408,7 +418,9 @@ def _lemma_fixture(config: ExperimentConfig):
 def _joint_draws(config: ExperimentConfig, n_draws: int, stream: int):
     """Draw n_draws joint objective vectors on (design, query) and noisy observations.
 
-    Returns (f_design, f_query, y_design, posterior mean at query, sigma at query).
+    Returns (f_design, f_query, y_design, posterior mean at query, sigma at
+    query), with the moments from one ``eiopt.GridPosterior`` of the n_draws
+    draws over the fixture's prior.
     """
     prior = gp.GridPrior.build(config.kernel, _lemma_fixture(config))
     k = prior.grid.shape[0] - 1
@@ -418,13 +430,9 @@ def _joint_draws(config: ExperimentConfig, n_draws: int, stream: int):
     eps = config.noise_sd * rng.standard_normal((n_draws, k))
     y = f[:, :k] + eps
 
-    # only the design's factor is used; the weights apply to every draw of y
-    chol = gp.fit(config.kernel, prior.grid[:k], np.zeros(k), config.noise_var).chol
-    v = gp.solve_lower(chol, prior.K[:k, k])
-    w_vec = gp.solve_lower(chol, v, transpose=True)
-    sigma_q = math.sqrt(max(1.0 - float(v @ v), 0.0))
-    mu_q = y @ w_vec
-    return f[:, :k], f[:, k], y, mu_q, sigma_q
+    design = np.broadcast_to(np.arange(k), y.shape)
+    post = eiopt.GridPosterior(prior, design, y, config.noise_var, k)
+    return f[:, :k], f[:, k], y, post.mu[:, k], float(post.sigma[0, k])
 
 
 def _coverage_metrics(indicator: np.ndarray, delta: float) -> tuple[bool, tuple[tuple[str, float], ...]]:
@@ -453,8 +461,7 @@ def _iei_draws(config: ExperimentConfig, n: int) -> tuple[np.ndarray, np.ndarray
     _, f_q, y, mu_q, sigma_q = _joint_draws(config, n, _IEI_STREAM)
     y_plus = y.min(axis=1)
     improve = np.maximum(y_plus - f_q, 0.0)
-    ei_vals = sigma_q * np.asarray(tau((y_plus - mu_q) / sigma_q))
-    return improve, ei_vals, sigma_q
+    return improve, ei_ab(y_plus - mu_q, sigma_q), sigma_q
 
 
 def _verify_iei_add(config: ExperimentConfig, n: int) -> LemmaReport:

@@ -27,6 +27,10 @@ PHI0 = _INV_SQRT_2PI
 _BISECT_MAX_ITER = 200
 _BISECT_TOL = 1e-15
 
+#: Exploration scales (predictive sds) at or below this count as exactly zero
+#: in the EI formula, which then takes its b -> 0 limit max(a, 0).
+SIGMA_FLOOR = 1e-12
+
 
 def _finite(name: str, x):
     a = np.asarray(x, dtype=float)
@@ -58,37 +62,47 @@ def cdf(z):
     return _scalar_or_array(0.5 * special.erfc(-z / _SQRT2))
 
 
+def _tau(z):
+    with np.errstate(over="ignore"):
+        return z * (0.5 * special.erfc(-z / _SQRT2)) + _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+
+
 def tau(z):
     """tau(z) = z*Phi(z) + phi(z).
 
     Strictly positive and strictly increasing, with derivative Phi(z).
     """
-    z = _finite("z", z)
-    with np.errstate(over="ignore"):
-        return _scalar_or_array(
-            z * (0.5 * special.erfc(-z / _SQRT2)) + _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-        )
+    return _scalar_or_array(_tau(_finite("z", z)))
+
+
+def ei_unchecked(a, b):
+    """``ei_ab`` on float arrays, without validating them: the one EI formula.
+
+    Entries with b <= ``SIGMA_FLOOR``, or whose a/b overflows, take the
+    continuous limit max(a, 0); the others are b*tau(a/b).  b must be >= 0.
+    A NaN or +inf in a or b yields a NaN or +inf EI, which callers that skip
+    ``ei_ab``'s checks must test for.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z = a / np.where(b > SIGMA_FLOOR, b, 1.0)
+    # for |a/b| beyond double range, b*tau(a/b) is indistinguishable from max(a, 0)
+    degenerate = (b <= SIGMA_FLOOR) | ~np.isfinite(z)
+    return np.where(degenerate, np.maximum(a, 0.0), b * _tau(np.where(degenerate, 0.0, z)))
 
 
 def ei_ab(a, b):
     """Expected improvement as a function of exploitation a and exploration b.
 
     For b > 0 this is a*Phi(a/b) + b*phi(a/b) = b*tau(a/b); at b = 0 it is
-    extended by continuity to max(a, 0).  Requires b >= 0.
+    extended by continuity to max(a, 0), which it also returns for
+    b <= ``SIGMA_FLOOR`` (an error of at most b*phi(0) <= 4e-13).  Requires
+    finite a and b >= 0.
     """
     a_arr = _finite("a", a)
     b_arr = _finite("b", b)
     if np.any(b_arr < 0):
         raise ValueError("b must be >= 0")
-    a_arr, b_arr = np.broadcast_arrays(a_arr, b_arr)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        z = a_arr / np.where(b_arr > 0, b_arr, 1.0)
-    # b = 0 and a/b overflow both take the continuous limit max(a, 0):
-    # for |a/b| beyond double range, b*tau(a/b) is indistinguishable from it.
-    degenerate = (b_arr <= 0) | ~np.isfinite(z)
-    spread = np.asarray(tau(np.where(degenerate, 0.0, z)))
-    out = np.where(degenerate, np.maximum(a_arr, 0.0), b_arr * spread)
-    return _scalar_or_array(out)
+    return _scalar_or_array(ei_unchecked(*np.broadcast_arrays(a_arr, b_arr)))
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,7 @@ from gpei import bounds
 from gpei.bounds import (
     C_ALPHA,
     beta_t_seq,
-    bound_thm42,
-    bound_thm46,
+    bound_value,
     c_t_sigma,
     compare_coefficients,
     constants_thm42,
@@ -152,8 +151,8 @@ class TestBoundFormulas:
     def test_all_terms_vanish(self):
         c42 = constants_thm42(0.1, noisy=True)
         c46 = constants_thm46(0.1, noisy=True)
-        assert bound_thm42(c42, 30, 0.0, 0.0, 0.0) == 0.0
-        assert bound_thm46(c46, 30, 0.0, 0.0, 0.0) == 0.0
+        assert bound_value(c42, 30, 0.0, 0.0, 0.0) == 0.0
+        assert bound_value(c46, 30, 0.0, 0.0, 0.0) == 0.0
 
     def test_noiseless_chain_oracle(self):
         # delta=0.1, t=102, M=1, sigma_win=0.05, recomputed term by term
@@ -163,7 +162,7 @@ class TestBoundFormulas:
         expected = (chain_tau(math.sqrt(beta)) / chain_tau(-math.sqrt(beta))) * (
             4 * m / (t - 2) + (math.sqrt(beta) + chain_pdf(0)) * s
         )
-        assert bound_thm42(c, t, m, 0.0, s) == pytest.approx(expected, rel=1e-12)
+        assert bound_value(c, t, m, 0.0, s) == pytest.approx(expected, rel=1e-12)
 
     def test_noisy_chain_oracle(self):
         delta, t, m, noise, s = 0.1, 40, 2.0, 0.05, 0.2
@@ -173,7 +172,7 @@ class TestBoundFormulas:
         expected42 = (chain_tau(math.sqrt(beta)) / chain_tau(-math.sqrt(beta))) * (
             6 * (m + math.sqrt(cts) * noise) / (t - 3) + (math.sqrt(beta) + chain_pdf(0)) * s
         )
-        assert bound_thm42(c42, t, m, noise, s) == pytest.approx(expected42, rel=1e-12)
+        assert bound_value(c42, t, m, noise, s) == pytest.approx(expected42, rel=1e-12)
 
         c46 = constants_thm46(delta, noisy=True)
         beta46 = 2 * math.log(9 * C_ALPHA / delta)
@@ -181,20 +180,17 @@ class TestBoundFormulas:
         c1 = 1 / chain_cdf(-w)
         c2 = chain_pdf(0) / chain_cdf(-w) + math.sqrt(beta46)
         expected46 = c1 * (m + math.sqrt(cts) * noise) * 6 / (t - 3) + (c1 * math.sqrt(beta46) + c2) * s
-        assert bound_thm46(c46, t, m, noise, s) == pytest.approx(expected46, rel=1e-12)
+        assert bound_value(c46, t, m, noise, s) == pytest.approx(expected46, rel=1e-12)
 
     def test_monotonicities(self):
-        c42 = constants_thm42(0.1, noisy=True)
-        c46 = constants_thm46(0.1, noisy=True)
-        for b in (bound_thm42, bound_thm46):
-            c = c42 if b is bound_thm42 else c46
-            ts = [b(c, t, 1.0, 0.05, 0.0) for t in range(19, 60)]
+        for c in (constants_thm42(0.1, noisy=True), constants_thm46(0.1, noisy=True)):
+            ts = [bound_value(c, t, 1.0, 0.05, 0.0) for t in range(19, 60)]
             assert all(x > y for x, y in zip(ts, ts[1:])), "decreasing in t"
-            ms = [b(c, 30, m, 0.05, 0.1) for m in np.linspace(0, 3, 10)]
+            ms = [bound_value(c, 30, m, 0.05, 0.1) for m in np.linspace(0, 3, 10)]
             assert all(x < y for x, y in zip(ms, ms[1:])), "increasing in M"
-            ns = [b(c, 30, 1.0, nv, 0.1) for nv in np.linspace(0, 1, 10)]
+            ns = [bound_value(c, 30, 1.0, nv, 0.1) for nv in np.linspace(0, 1, 10)]
             assert all(x < y for x, y in zip(ns, ns[1:])), "increasing in noise"
-            ss = [b(c, 30, 1.0, 0.05, sv) for sv in np.linspace(0, 1, 10)]
+            ss = [bound_value(c, 30, 1.0, 0.05, sv) for sv in np.linspace(0, 1, 10)]
             assert all(x < y for x, y in zip(ss, ss[1:])), "increasing in sigma_win"
 
     def test_improved_beats_baseline_across_deltas(self):
@@ -202,19 +198,92 @@ class TestBoundFormulas:
             c42 = constants_thm42(float(delta), noisy=True)
             c46 = constants_thm46(float(delta), noisy=True)
             for t in (25, 40, 59):
-                b42 = bound_thm42(c42, t, 1.0, 0.05, 0.1)
-                b46 = bound_thm46(c46, t, 1.0, 0.05, 0.1)
+                b42 = bound_value(c42, t, 1.0, 0.05, 0.1)
+                b46 = bound_value(c46, t, 1.0, 0.05, 0.1)
                 assert b46 < b42
-
-    def test_flavor_mismatch_rejected(self):
-        c46 = constants_thm46(0.1, noisy=True)
-        with pytest.raises(ValueError):
-            bound_thm42(c46, 30, 1.0, 0.05, 0.1)
 
     def test_denominator_guard(self):
         c42 = constants_thm42(0.1, noisy=True)
         with pytest.raises(ValueError):
-            bound_thm42(c42, 3, 1.0, 0.05, 0.1)
+            bound_value(c42, 3, 1.0, 0.05, 0.1)
+
+
+def legacy_bound(c, t, m, noise_sd, s):
+    """The per-flavour bound expressions that preceded the common form, kept verbatim."""
+    if c.flavor.startswith("thm42"):
+        explore = (math.sqrt(c.beta) + PHI0) * s
+        if c.flavor == "thm42-noisy":
+            decay = 6.0 * (m + math.sqrt(c_t_sigma(t, c.delta)) * noise_sd) / (t - 3)
+        else:
+            decay = 4.0 * m / (t - 2)
+        return c.c_tau * (decay + explore)
+    explore = (c.c1 * math.sqrt(c.beta) + c.c2) * s
+    if c.flavor == "thm46-noisy":
+        decay = c.c1 * (m + math.sqrt(c_t_sigma(t, c.delta)) * noise_sd) * 6.0 / (t - 3)
+    else:
+        decay = c.c1 * m * 4.0 / (t - 2)
+    return decay + explore
+
+
+def legacy_rkhs(B, t, m, s):
+    """(lemma, improved) as ``rkhs_bounds`` wrote them before the common form."""
+    from gpei.stdnormal import cdf, tau
+
+    phi_neg = cdf(-B)
+    lemma = (tau(B) / tau(-B)) * (4.0 * m / (t - 2) + (B + PHI0) * s)
+    c1 = 1.0 / phi_neg
+    c2 = B + PHI0 / phi_neg
+    return lemma, 4.0 * c1 * m / (t - 2) + (c1 * B + c2) * s
+
+
+def random_bound_args(rng, c):
+    """(t, M, noise_sd, sigma_win) with exact zeros and t at the window edge mixed in."""
+    t = int(rng.choice([c.window_divisor + 1, rng.integers(c.window_divisor + 1, 2000)]))
+    m, noise_sd, s = (float(rng.choice([0.0, rng.uniform(0, 5)])) for _ in range(3))
+    return t, m, min(noise_sd, 1.0), min(s, 1.0)
+
+
+class TestOneForm:
+    """``bound_value`` evaluates every flavour, and the RKHS bounds, in one form;
+    each reproduces the per-flavour expressions it replaced bit for bit."""
+
+    def test_bound_value_bitwise_equals_per_flavour_expressions(self):
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            delta = float(rng.uniform(0.005, 0.95))
+            for c in (constants_thm42(delta, True), constants_thm42(delta, False),
+                      constants_thm46(delta, True), constants_thm46(delta, False)):
+                for _ in range(4):
+                    args = random_bound_args(rng, c)
+                    assert bound_value(c, *args) == legacy_bound(c, *args), (c.flavor, delta, args)
+
+    def test_leading_constants_are_the_form_coefficients(self):
+        for delta in (0.01, 0.1, 0.5, 0.9):
+            c42, c46 = constants_thm42(delta, True), constants_thm46(delta, True)
+            cmp_ = compare_coefficients(delta)
+            assert (cmp_.c4_42, cmp_.c5_42) == (c42.c_tau, c42.c_tau * (math.sqrt(c42.beta) + PHI0))
+            assert (cmp_.c4_46, cmp_.c5_46) == (c46.c1, c46.c1 * math.sqrt(c46.beta) + c46.c2)
+            assert (cmp_.c4_42, cmp_.c5_42) == (c42.outer * c42.lead, c42.outer * c42.window)
+            assert (cmp_.c4_46, cmp_.c5_46) == (c46.outer * c46.lead, c46.outer * c46.window)
+
+    def test_rkhs_bitwise_equals_its_former_expressions(self):
+        rng = np.random.default_rng(21)
+        for _ in range(800):
+            B = float(rng.choice([1.0, rng.uniform(1, 12)]))
+            t, m, _, s = random_bound_args(rng, constants_thm42(0.1, False))
+            out = rkhs_bounds(B, t, m, s)
+            assert (out.lemma_bound, out.improved_bound) == legacy_rkhs(B, t, m, s), (B, t, m, s)
+
+    def test_rkhs_bitwise_equals_bound_value_at_root_beta(self):
+        # the noiseless constants at delta are the RKHS forms with B = sqrt(beta)
+        rng = np.random.default_rng(22)
+        for _ in range(500):
+            delta = float(rng.uniform(0.005, 0.95))
+            c42, c46 = constants_thm42(delta, False), constants_thm46(delta, False)
+            args = random_bound_args(rng, c42)
+            t, m, _, s = args
+            assert rkhs_bounds(math.sqrt(c42.beta), t, m, s).lemma_bound == bound_value(c42, *args)
+            assert rkhs_bounds(math.sqrt(c46.beta), t, m, s).improved_bound == bound_value(c46, *args)
 
 
 class TestCompareCoefficients:

@@ -124,6 +124,17 @@ class TestRunCommand:
         assert code == 2
         assert "exceeds grid size" in err
 
+    @pytest.mark.parametrize("key", ["d", "grid_per_dim", "T", "T0", "trials", "seed", "r", "noise_sd",
+                                     "delta", "kernel_lengthscale", "kernel_nu", "kappa"])
+    def test_non_numeric_value_names_its_key(self, capsys, tmp_path, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"kernel_family = matern\n{key} = abc\n")
+        out_dir = tmp_path / "o"
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 2
+        assert f"config key {key!r} must be" in err and "'abc'" in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_usage_error(self, capsys, tmp_path, workers):
         cfg = tmp_path / "exp.cfg"

@@ -13,7 +13,7 @@ from gpei.eiopt import argmax_ei, ei, improvement, run
 from gpei.gp import GridPrior, fit, sample_prior
 from gpei.kernels import KernelSpec
 from gpei.rng import trial_seed
-from gpei.stdnormal import tau
+from gpei.stdnormal import ei_ab, ei_unchecked, tau
 
 SE = KernelSpec("se", 0.5)
 
@@ -113,6 +113,13 @@ class TestTieRule:
         assert eiopt.lowest_argmax(np.array([0.1, top * (1 - 1.1e-12), top])) == 2
         assert eiopt.lowest_argmax(np.array([top, 0.1, top])) == 0
         assert eiopt.lowest_argmax(np.zeros(4)) == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_row_raises(self, bad):
+        vals = np.zeros((3, 5))
+        vals[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            eiopt.lowest_argmax(vals)
 
     def test_mirror_pair_on_symmetric_grid(self):
         # 25 points symmetric about the observed centre: the EI of each mirror
@@ -252,13 +259,13 @@ class TestGridPosterior:
 
     @pytest.mark.parametrize("noise_var", [0.05**2, 0.0])
     def test_initial_observations_append_without_refit(self, monkeypatch, noise_var):
-        # the T0 initial points take the append path from the prior; gp.fit is
+        # the T0 initial points take the append path from the prior; _refit is
         # only the fallback for a failed pivot
         grid = np.linspace(0, 1, 40)[:, None]
         prior = GridPrior.build(SE, grid)
         init = np.array([[3, 17, 30, 8, 22], [39, 0, 12, 25, 5]])
         y0 = np.random.default_rng(1).normal(size=init.shape)
-        monkeypatch.setattr(gp, "fit", lambda *a: pytest.fail("gp.fit called"))
+        monkeypatch.setattr(eiopt.GridPosterior, "_refit", lambda *a: pytest.fail("_refit called"))
         post = eiopt.GridPosterior(prior, init, y0, noise_var, 8)
         monkeypatch.undo()
         for b in range(2):
@@ -320,6 +327,73 @@ class TestGridPosterior:
             alone.observe([j[b]], [y[b]])
             assert np.array_equal(post.mu[b], alone.mu[0]) and np.array_equal(post.var[b], alone.var[0])
             assert post.jitter[b] == alone.jitter[0] == 1e-18
+
+    @pytest.mark.parametrize("case", ["noisy", "noiseless_escalation", "matern_2d_duplicates"])
+    def test_refit_bitwise_equals_fit_and_solve(self, monkeypatch, case):
+        # _refit factors the prior's K block; gp.fit assembles the same block
+        # with its own kernel call and must give the same factor and jitter
+        if case == "matern_2d_duplicates":
+            kernel = KernelSpec("matern", 0.2, 2.5)
+            grid = ExperimentConfig(d=2, grid_per_dim=20).grid_points()
+            idx, noise_var = [17, 203, 17, 399, 0, 203, 250], 0.05**2
+        else:
+            kernel, grid = SE, np.linspace(0, 1, 40)[:, None]
+            idx = [3, 17, 30, 8, 22, 39] if case == "noisy" else [4, 9, 4, 20, 9]
+            noise_var = 0.05**2 if case == "noisy" else 0.0
+        prior = GridPrior.build(kernel, grid)
+        if case == "noiseless_escalation":
+            # duplicate noiseless points: at jitter 1e-18 the pivot is not positive
+            monkeypatch.setattr(gp, "JITTER_START", 1e-18)
+        y = np.random.default_rng(5).normal(size=len(idx))
+        post = eiopt.GridPosterior(prior, [idx], [y], noise_var, len(idx) + 1)
+        post._refit(0)
+        ref = fit(kernel, grid[idx], y, noise_var)
+        t = len(idx)
+        assert post.jitter[0] == ref.jitter
+        if case == "noiseless_escalation":
+            assert ref.jitter > 1e-18
+        assert np.array_equal(post._V[0, :t], gp.solve_lower(ref.chol, prior.K[idx]))
+        assert np.array_equal(post._w[0, :t], gp.solve_lower(ref.chol, y))
+
+
+def legacy_ei_from_moments(y_plus, mu, sigma):
+    """The loop's EI before it moved into stdnormal, kept verbatim."""
+    gap = y_plus - mu
+    positive = sigma > 1e-12
+    safe = np.where(positive, sigma, 1.0)
+    vals = np.asarray(tau(gap / safe)) * safe
+    return np.where(positive, vals, np.maximum(gap, 0.0))
+
+
+class TestLoopEi:
+    def test_block_bitwise_equals_stdnormal(self):
+        rng = np.random.default_rng(8)
+        mu = rng.normal(size=(6, 300))
+        sigma = rng.uniform(0, 1, size=(6, 300))
+        sigma[:, :5] = [0.0, 1e-13, 1e-12, 2e-12, 1.0]
+        sigma[2, 100:] = 0.0
+        y_plus = rng.normal(size=6)[:, None]
+        vals = ei_unchecked(y_plus - mu, sigma)
+        assert np.array_equal(vals, ei_ab(y_plus - mu, sigma))
+        assert np.array_equal(vals, legacy_ei_from_moments(y_plus, mu, sigma))
+        assert np.array_equal(vals[2, 100:], np.maximum(y_plus[2] - mu[2, 100:], 0.0))
+
+    @pytest.mark.parametrize("noise_sd", [0.05, 0.0])
+    def test_recorded_ei_equals_ei_ab(self, noise_sd):
+        _, trace = run_once(tiny_config(noise_sd=noise_sd, T=20))
+        for row in trace.rows:
+            assert row.ei_next == ei_ab(row.y_plus - row.mu_next, row.sigma_next)
+
+    def test_nan_in_mu_raises(self, monkeypatch):
+        init = eiopt.GridPosterior.__init__
+
+        def poisoned(self, *args):
+            init(self, *args)
+            self.mu[0, 3] = np.nan
+
+        monkeypatch.setattr(eiopt.GridPosterior, "__init__", poisoned)
+        with pytest.raises(ValueError, match="finite"):
+            run_once(tiny_config())
 
 
 def run_in_batches(config, size):

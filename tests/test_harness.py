@@ -147,6 +147,19 @@ class TestCampaign:
         for name in sorted(os.listdir(a)):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_rerun_with_fewer_trials_leaves_no_stale_traces(self, tmp_path):
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        harness.run_experiment(tiny_config(trials=12), str(reused))
+        (reused / "notes.txt").write_text("kept")
+        (reused / "trace_0007.csv.bak").write_text("kept")
+        harness.run_experiment(tiny_config(trials=5), str(reused))
+        harness.run_experiment(tiny_config(trials=5), str(fresh))
+        assert (reused / "notes.txt").read_text() == (reused / "trace_0007.csv.bak").read_text() == "kept"
+        names = sorted(os.listdir(fresh))
+        assert sorted(set(os.listdir(reused)) - {"notes.txt", "trace_0007.csv.bak"}) == names
+        for name in names:
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+
     def test_parallel_matches_serial_across_batches(self, tmp_path):
         # 400 points and T=60 give batches of 10 trials: 12 trials are two
         # tasks for the pool and two batches for the serial run
@@ -257,6 +270,27 @@ class TestCampaign:
         )
         result = harness.run_campaign(cfg)
         assert result.passed and not result.variance_checked
+
+
+class TestOneKernelSource:
+    def test_campaign_and_lemmas_run_without_fit_or_cross_matrix(self, monkeypatch):
+        # every posterior of a campaign or lemma protocol reads the prior's K:
+        # neither the reference fit nor a cross-covariance kernel call runs,
+        # also when a failed pivot forces a refit
+        from gpei import eiopt, gp, kernels
+
+        refits = []
+        original = eiopt.GridPosterior._refit
+        monkeypatch.setattr(eiopt.GridPosterior, "_refit", lambda self, b: (refits.append(b), original(self, b)))
+        monkeypatch.setattr(gp, "fit", lambda *a: pytest.fail("gp.fit called"))
+        monkeypatch.setattr(kernels, "cross_matrix", lambda *a: pytest.fail("kernels.cross_matrix called"))
+        for lemma in ("fmu", "iei_add", "iei_ratio"):
+            assert harness.verify_lemma(lemma, tiny_config(), n=500).passed, lemma
+        assert not refits
+        # noiseless re-queries at jitter 1e-18 have pivots that are not positive
+        monkeypatch.setattr(gp, "JITTER_START", 1e-18)
+        result = harness.run_campaign(tiny_config(noise_sd=0.0, T=20))
+        assert refits and result.passed
 
 
 class TestWilson:

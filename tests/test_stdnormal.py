@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from gpei.stdnormal import (
     PHI0,
+    SIGMA_FLOOR,
     BarTauParams,
     bar_tau,
     cdf,
@@ -139,6 +140,20 @@ class TestEiAb:
         assert ei_ab(2.0, 0.0) == 2.0
         assert ei_ab(-2.0, 0.0) == 0.0
         assert ei_ab(0.0, 0.0) == 0.0
+
+    def test_floored_exploration_takes_the_limit(self):
+        # b <= SIGMA_FLOOR counts as 0; b*tau(a/b) would differ by at most b*phi(0)
+        assert SIGMA_FLOOR == 1e-12
+        for a in (-0.3, 0.0, 1e-13, 0.7):
+            for b in (1e-300, 1e-13, SIGMA_FLOOR):
+                assert ei_ab(a, b) == max(a, 0.0)
+                assert abs(ei_ab(a, b) - b * tau(a / b)) <= b * PHI0 + 1e-15 * abs(a)  # + roundoff
+            assert ei_ab(a, 2e-12) == 2e-12 * tau(a / 2e-12)
+
+    def test_rejects_non_finite(self):
+        for a, b in [(float("nan"), 0.5), (0.0, float("inf")), (float("-inf"), 0.0)]:
+            with pytest.raises(ValueError):
+                ei_ab(a, b)
 
     def test_unit_point_oracle(self):
         # oracle: Phi(1) + phi(1) = 1.0833154705876863...

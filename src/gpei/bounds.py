@@ -57,7 +57,6 @@ class BoundConstants:
     outer: float
     lead: float
     window: float
-    c_alpha: float = C_ALPHA
     w: float | None = None
     c1: float | None = None
     c2: float | None = None
@@ -71,13 +70,25 @@ def _check_delta(delta: float) -> float:
 
 
 def c_tau_of(beta: float) -> float:
-    """tau(sqrt(beta))/tau(-sqrt(beta)); > 1 for beta > 0."""
-    root = math.sqrt(beta)
-    return tau(root) / tau(-root)
+    """tau(sqrt(beta))/tau(-sqrt(beta)); > 1 for beta > 0.
+
+    Raises ValueError where the ratio overflows, which it does from
+    sqrt(beta) = 37.36 on as tau(-sqrt(beta)) underflows, and for beta = inf.
+    """
+    if math.isfinite(beta):
+        root = math.sqrt(beta)
+        lower = tau(-root)
+        if lower > 0 and math.isfinite(c_tau := tau(root) / lower):
+            return c_tau
+    raise ValueError(f"c_tau overflows at beta={beta!r}")
 
 
 def _constants(delta: float | None, noisy: bool, beta: float, w: float | None = None) -> BoundConstants:
-    """The baseline flavor's constants at beta, or the improved flavor's when w is given."""
+    """The baseline flavor's constants at beta, or the improved flavor's when w is given.
+
+    Raises ValueError when c_tau (naming beta) or C1 = 1/Phi(-w) and C2
+    (naming w) overflow, rather than returning an infinite bound.
+    """
     c_tau = c_tau_of(beta)
     common = dict(
         delta=delta,
@@ -89,6 +100,8 @@ def _constants(delta: float | None, noisy: bool, beta: float, w: float | None = 
     )
     if w is None:
         return BoundConstants(**common, outer=c_tau, lead=1.0, window=math.sqrt(beta) + PHI0)
+    if not (cdf(-w) > 0 and math.isfinite(1.0 / cdf(-w) * math.sqrt(beta))):
+        raise ValueError(f"C1 = 1/Phi(-w) overflows at w={w!r}")
     c1 = 1.0 / cdf(-w)
     c2 = PHI0 / cdf(-w) + math.sqrt(beta)
     return BoundConstants(
@@ -239,6 +252,8 @@ class RkhsBounds:
 def rkhs_bounds(B: float, t: int, f_bound: float, sigma_win: float) -> RkhsBounds:
     """Noiseless bounds for objectives of RKHS norm at most B (B >= 1).
 
+    B above 37.36, where c_tau(B) overflows, raises ValueError.
+
     The two bounds are the noiseless baseline and improved forms of
     ``bound_value`` with sqrt(beta) = B:
     lemma:    c_tau(B) * [4M/(t-2) + (B + phi(0))*sigma_win],  c_tau(B) = tau(B)/tau(-B)
@@ -251,8 +266,12 @@ def rkhs_bounds(B: float, t: int, f_bound: float, sigma_win: float) -> RkhsBound
     if not (math.isfinite(B) and B >= 1.0):
         raise ValueError(f"B must be >= 1, got {B!r}")
     beta = B * B  # sqrt(B*B) == B exactly in binary floating point
-    lemma = bound_value(_constants(None, False, beta), t, f_bound, 0.0, sigma_win)
-    improved = bound_value(_constants(None, False, beta, B), t, f_bound, 0.0, sigma_win)
+    try:
+        lemma_c, improved_c = _constants(None, False, beta), _constants(None, False, beta, B)
+    except ValueError as exc:
+        raise ValueError(f"B={B!r} is too large: {exc}") from None
+    lemma = bound_value(lemma_c, t, f_bound, 0.0, sigma_win)
+    improved = bound_value(improved_c, t, f_bound, 0.0, sigma_win)
     c_r = tau(B) * (B + PHI0) / (cdf(-B) * B + B + PHI0)
     return RkhsBounds(lemma_bound=lemma, improved_bound=improved, c_r=c_r)
 

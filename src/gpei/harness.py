@@ -1,8 +1,8 @@
 """Experiment campaigns, Monte-Carlo lemma verification, and figure-data emission.
 
 A campaign factors the GP prior on the config grid once (one ``GridPrior``
-per campaign, or per worker process), samples one objective per trial from
-it, runs the optimization loop on chunks of at most ``eiopt.batch_size``
+per campaign, which its pool workers share), samples one objective per trial
+from it, runs the optimization loop on chunks of at most ``eiopt.batch_size``
 trials in lockstep (one chunk per pool task with several workers),
 evaluates the configured error bound at every valid iteration, and
 aggregates coverage (how often the bound held) against the nominal
@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -132,9 +133,9 @@ def grid_prior(config: ExperimentConfig) -> gp.GridPrior:
     return gp.GridPrior.build(config.kernel, config.grid_points())
 
 
-def run_trial(config: ExperimentConfig, batch: eiopt.Batch, b: int) -> Trace:
+def run_trial(cfg_hash: str, batch: eiopt.Batch, b: int) -> Trace:
     """Trial ``b`` of a finished batch as its ``Trace``; called once per trial."""
-    return batch.trace(b, config_hash(config))
+    return batch.trace(b, cfg_hash)
 
 
 def run_trials(config: ExperimentConfig, prior: gp.GridPrior, indices) -> list[Trace]:
@@ -142,7 +143,8 @@ def run_trials(config: ExperimentConfig, prior: gp.GridPrior, indices) -> list[T
     all of them in lockstep; each trace is fully determined by config and index."""
     seeds = [trial_seed(config.seed, i) for i in indices]
     batch = eiopt.run_batch(config, [prior.sample(s) for s in seeds], seeds)
-    return [run_trial(config, batch, b) for b in range(len(seeds))]
+    cfg_hash = config_hash(config)
+    return [run_trial(cfg_hash, batch, b) for b in range(len(seeds))]
 
 
 def trial_chunks(config: ExperimentConfig) -> list[range]:
@@ -152,13 +154,14 @@ def trial_chunks(config: ExperimentConfig) -> list[range]:
 
 
 # (config, prior) of the campaign a pool worker serves; set once per worker
-# process by _init_worker, so no task carries the n^2 prior.
+# process by _init_worker to the parent's prior, so no task carries the n^2
+# prior and no worker factors it again.
 _worker_campaign: tuple[ExperimentConfig, gp.GridPrior] | None = None
 
 
-def _init_worker(config: ExperimentConfig) -> None:
+def _init_worker(config: ExperimentConfig, prior: gp.GridPrior) -> None:
     global _worker_campaign
-    _worker_campaign = (config, grid_prior(config))
+    _worker_campaign = (config, prior)
 
 
 def _worker_trials(indices: range) -> list[Trace]:
@@ -188,14 +191,14 @@ def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
         raise ValueError(f"workers must be >= 1, got {workers}")
     constants = bounds.constants_for(config.theorem, config.delta, noisy=config.noise_sd > 0)
     chunks = trial_chunks(config)
-    # each pool worker factors the prior as it starts: start none without a
-    # chunk, and run a single chunk in this process
+    prior = grid_prior(config)
+    # pool workers inherit the prior (pickled once per worker under a non-fork
+    # start method): start none without a chunk, and run a single chunk here
     workers = min(workers, len(chunks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(config,)) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(config, prior)) as pool:
             traces = list(itertools.chain.from_iterable(pool.map(_worker_trials, chunks)))
     else:
-        prior = grid_prior(config)
         traces = [trace for chunk in chunks for trace in run_trials(config, prior, chunk)]
 
     checkable = set(valid_bound_ts(config, constants))
@@ -263,9 +266,23 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
+def _cell(v: float | int | str) -> str:
+    """A CSV cell: a float as its shortest round-trip repr, a str as is, an int
+    in decimal (a bool as 0/1)."""
+    if isinstance(v, float):
+        return _fmt(v)
+    return v if isinstance(v, str) else str(int(v))
+
+
+def _write_lines(path: str, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _write_table(path: str, meta: str, header, rows) -> None:
+    """The one artifact layout: a meta line, the CSV header, then one line per
+    row of rendered cells."""
+    _write_lines(path, itertools.chain((meta, ",".join(header)), map(",".join, rows)))
 
 
 def _meta_line(cfg_hash: str, seed: int) -> str:
@@ -281,57 +298,34 @@ def write_trace_csv(path: str, trial_index: int, trace: Trace, config: Experimen
         + ["y_next", "y_plus", "mu_next", "sigma_next", "ei_next", "sigma_at_star", "r_t", "r0_t", "bound", "holds"]
     )
     meta = f"{_meta_line(trace.config_hash, config.seed)} trial={trial_index} trial_seed={trace.seed}"
-    lines = [meta, ",".join(header)]
     check_cells = {c.t: [_fmt(c.bound), str(int(c.holds))] for c in checks}
-    for row in trace.rows:
-        cells = (
-            [str(trial_index), str(row.t)]
-            + [_fmt(c) for c in row.x_next]
-            + [
-                _fmt(row.y_next),
-                _fmt(row.y_plus),
-                _fmt(row.mu_next),
-                _fmt(row.sigma_next),
-                _fmt(row.ei_next),
-                _fmt(row.sigma_at_star),
-                _fmt(row.r_t),
-                _fmt(row.r0_t),
-            ]
-            + check_cells.get(row.t, ["", ""])
-        )
-        lines.append(",".join(cells))
-    _write_lines(path, lines)
+    rows = (
+        [str(trial_index), str(row.t)]
+        + [_fmt(c) for c in row.x_next]
+        + [
+            _fmt(row.y_next),
+            _fmt(row.y_plus),
+            _fmt(row.mu_next),
+            _fmt(row.sigma_next),
+            _fmt(row.ei_next),
+            _fmt(row.sigma_at_star),
+            _fmt(row.r_t),
+            _fmt(row.r0_t),
+        ]
+        + check_cells.get(row.t, ["", ""])
+        for row in trace.rows
+    )
+    _write_table(path, meta, header, rows)
+
+
+# coverage.csv columns: every CoverageRow field but the target, in field order
+_COVERAGE_COLUMNS = tuple(f.name for f in dataclasses.fields(CoverageRow) if f.name != "target")
+_coverage_cells = operator.attrgetter(*_COVERAGE_COLUMNS)
 
 
 def write_coverage_csv(path: str, result: CampaignResult) -> None:
-    header = [
-        "theorem", "t", "trials", "holds", "holds_frequency", "wilson_lower",
-        "bound_mean", "bound_min", "r_t_mean", "r_t_max", "margin_min",
-        "sigma_win_mean", "sigma_win_min_mean", "passed",
-    ]
-    lines = [_meta_line(result.config_hash, result.config.seed), ",".join(header)]
-    for row in result.coverage:
-        lines.append(
-            ",".join(
-                [
-                    row.theorem,
-                    str(row.t),
-                    str(row.trials),
-                    str(row.holds),
-                    _fmt(row.holds_frequency),
-                    _fmt(row.wilson_lower),
-                    _fmt(row.bound_mean),
-                    _fmt(row.bound_min),
-                    _fmt(row.r_t_mean),
-                    _fmt(row.r_t_max),
-                    _fmt(row.margin_min),
-                    _fmt(row.sigma_win_mean),
-                    _fmt(row.sigma_win_min_mean),
-                    str(int(row.passed)),
-                ]
-            )
-        )
-    _write_lines(path, lines)
+    rows = (map(_cell, _coverage_cells(row)) for row in result.coverage)
+    _write_table(path, _meta_line(result.config_hash, result.config.seed), _COVERAGE_COLUMNS, rows)
 
 
 def campaign_summary_lines(result: CampaignResult) -> list[str]:
@@ -475,7 +469,7 @@ def _verify_iei_add(config: ExperimentConfig, n: int) -> LemmaReport:
 def _verify_iei_ratio(config: ExperimentConfig, n: int) -> LemmaReport:
     improve, ei_vals, _ = _iei_draws(config, n)
     beta = 2.0 * math.log(1.0 / config.delta)
-    ratio = tau(-math.sqrt(beta)) / tau(math.sqrt(beta))
+    ratio = 1.0 / bounds.c_tau_of(beta)
     ok = ratio * improve <= ei_vals + _ROUNDOFF_GUARD
     passed, metrics = _coverage_metrics(ok, config.delta)
     return LemmaReport("iei_ratio", passed, metrics + (("beta", beta), ("ratio", float(ratio))))
@@ -595,11 +589,8 @@ def verify_lemma(lemma_id: str, config: ExperimentConfig, n: int | None = None) 
 def write_lemma_report(out_dir: str, report: LemmaReport, config: ExperimentConfig) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"verify_{report.lemma}.csv")
-    lines = [_meta_line(config_hash(config), config.seed), "metric,value"]
-    for key, value in report.metrics:
-        lines.append(f"{key},{_fmt(value)}")
-    lines.append(f"passed,{int(report.passed)}")
-    _write_lines(path, lines)
+    rows = [(key, _cell(value)) for key, value in (*report.metrics, ("passed", report.passed))]
+    _write_table(path, _meta_line(config_hash(config), config.seed), ("metric", "value"), rows)
 
     # summary.txt accumulates one line per check; merge-by-name keeps the
     # final file deterministic regardless of how many lemmas share the dir
@@ -624,76 +615,54 @@ _F3_PARAMS = BarTauParams(z=1e-3, w=2.0, c3=18.0)
 _F4_W, _F4_C1, _F4_C3 = 3.0, 741.0, 296.0
 
 
-def _f1_rows() -> tuple[list[str], list[list[str]]]:
+def _f1_rows() -> tuple[list[str], list[list]]:
     header = ["z", "cdf_neg_z", "half_gauss", "tau_neg_z"]
-    rows = []
-    for i in range(601):
-        z = i / 100.0
-        rows.append([_fmt(z), _fmt(cdf(-z)), _fmt(0.5 * math.exp(-0.5 * z * z)), _fmt(tau(-z))])
-    return header, rows
+    zs = [i / 100.0 for i in range(601)]
+    return header, [[z, cdf(-z), 0.5 * math.exp(-0.5 * z * z), tau(-z)] for z in zs]
 
 
-def _f2_rows() -> tuple[list[str], list[list[str]]]:
+def _f2_rows() -> tuple[list[str], list[list]]:
     header = ["a", "b", "ei"]
     a = [-3.0 + j * 0.05 for j in range(121)]
     b = [k / 100.0 for k in range(1, 101)]
     ei = np.asarray(ei_ab(np.repeat(a, len(b)), np.tile(b, len(a)))).tolist()
-    rows = [[_fmt(x), _fmt(y), _fmt(e)] for (x, y), e in zip(itertools.product(a, b), ei)]
+    return header, [[x, y, e] for (x, y), e in zip(itertools.product(a, b), ei)]
+
+
+def _sweep(label: str, fn, zs, z_slice: float, rho_max: float) -> tuple[list[str], list[list]]:
+    """fn(rho, z) at 100 rho in (0, rho_max) per z of zs (the contour), then at
+    200 rho for z_slice (the slice); each row carries log10 of the value and
+    its margin over tau(z)."""
+    header = ["part", "z", "rho", f"log10_{label}", f"{label}_minus_tau"]
+    rows = []
+    for part, part_zs, steps in (("contour", zs, 101), ("slice", [z_slice], 201)):
+        for z in part_zs:
+            ref = tau(z)
+            for j in range(1, steps):
+                rho = rho_max * j / steps
+                val = fn(rho, z)
+                rows.append([part, z, rho, math.log10(val), val - ref])
     return header, rows
 
 
-def _f3_rows() -> tuple[list[str], list[list[str]]]:
+def _f3_rows() -> tuple[list[str], list[list]]:
     p = _F3_PARAMS
-    header = ["part", "z", "rho", "log10_bar_tau", "bar_tau_minus_tau"]
-    rows = []
-    for i in range(50):
-        z = -5.0 + i * 0.1
-        pz = BarTauParams(z=z, w=p.w, c3=p.c3)
-        for j in range(1, 101):
-            rho = pz.rho_max * j / 101.0
-            val = bar_tau(rho, pz)
-            rows.append(["contour", _fmt(z), _fmt(rho), _fmt(math.log10(val)), _fmt(val - tau(z))])
-    ref = tau(p.z)
-    for j in range(1, 201):
-        rho = p.rho_max * j / 201.0
-        val = bar_tau(rho, p)
-        rows.append(["slice", _fmt(p.z), _fmt(rho), _fmt(math.log10(val)), _fmt(val - ref)])
-    return header, rows
+    zs = [-5.0 + i * 0.1 for i in range(50)]
+    return _sweep("bar_tau", lambda rho, z: bar_tau(rho, dataclasses.replace(p, z=z)), zs, p.z, p.rho_max)
 
 
-def _f4_rows() -> tuple[list[str], list[list[str]]]:
-    header = ["part", "z", "rho", "log10_tilde_tau", "tilde_tau_minus_tau"]
-    rho_max = _F4_W / _F4_C3
-    rows = []
-    for i in range(51):
-        z = i * 0.1
-        for j in range(1, 101):
-            rho = rho_max * j / 101.0
-            val = tilde_tau(rho, z, _F4_W, _F4_C1, _F4_C3)
-            rows.append(["contour", _fmt(z), _fmt(rho), _fmt(math.log10(val)), _fmt(val - tau(z))])
-    ref = tau(0.0)
-    for j in range(1, 201):
-        rho = rho_max * j / 201.0
-        val = tilde_tau(rho, 0.0, _F4_W, _F4_C1, _F4_C3)
-        rows.append(["slice", _fmt(0.0), _fmt(rho), _fmt(math.log10(val)), _fmt(val - ref)])
-    return header, rows
+def _f4_rows() -> tuple[list[str], list[list]]:
+    zs = [i * 0.1 for i in range(51)]
+    return _sweep("tilde_tau", lambda rho, z: tilde_tau(rho, z, _F4_W, _F4_C1, _F4_C3), zs, 0.0, _F4_W / _F4_C3)
 
 
-def _f5_rows() -> tuple[list[str], list[list[str]]]:
+def _f5_rows() -> tuple[list[str], list[list]]:
     header = ["delta", "log10_c4_42", "log10_c5_42", "log10_c4_46", "log10_c5_46"]
     rows = []
     for i in range(89):
         delta = (2 + i) / 100.0
         cmp_ = bounds.compare_coefficients(delta)
-        rows.append(
-            [
-                _fmt(delta),
-                _fmt(math.log10(cmp_.c4_42)),
-                _fmt(math.log10(cmp_.c5_42)),
-                _fmt(math.log10(cmp_.c4_46)),
-                _fmt(math.log10(cmp_.c5_46)),
-            ]
-        )
+        rows.append([delta, *map(math.log10, (cmp_.c4_42, cmp_.c5_42, cmp_.c4_46, cmp_.c5_46))])
     return header, rows
 
 
@@ -712,9 +681,6 @@ def emit_figure_data(fig_id: str, out_path: str) -> str:
     if fig_id not in _FIGURE_ROWS:
         raise ValueError(f"unknown figure id {fig_id!r}; known: {FIGURE_IDS}")
     header, rows = _FIGURE_ROWS[fig_id]()
-    lines = [f"# figure={fig_id} seed=0", ",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    parent = os.path.dirname(os.path.abspath(out_path))
-    os.makedirs(parent, exist_ok=True)
-    _write_lines(out_path, lines)
+    os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
+    _write_table(out_path, f"# figure={fig_id} seed=0", header, (map(_cell, row) for row in rows))
     return out_path

@@ -380,6 +380,33 @@ class TestRkhsBounds:
         with pytest.raises(ValueError):
             rkhs_bounds(0.5, 10, 1.0, 0.0)
 
+    @pytest.mark.parametrize("B", [37.6, 38.0, 39.0])
+    def test_overflowing_constants_raise(self, B):
+        # c_tau(B) overflows to inf at 37.6 and tau(-B) or Phi(-B) is 0 beyond
+        with pytest.raises(ValueError, match=rf"B={B!r} is too large: c_tau overflows at beta="):
+            rkhs_bounds(B, 10, 1.0, 0.1)
+
+    def test_largest_finite_B_unchanged(self):
+        out = rkhs_bounds(37.0, 10, 1.0, 0.1)
+        assert math.isfinite(out.lemma_bound) and math.isfinite(out.improved_bound)
+        assert (out.lemma_bound, out.improved_bound) == legacy_rkhs(37.0, 10, 1.0, 0.1)
+
+
+class TestOverflowingConstants:
+    def test_c_tau_names_beta(self):
+        for beta in (38.0**2, math.inf):
+            with pytest.raises(ValueError, match=rf"c_tau overflows at beta={beta!r}"):
+                bounds.c_tau_of(beta)
+        with pytest.raises(ValueError, match="c_tau overflows at beta="):
+            constants_thm42(1e-307, noisy=True)
+
+    def test_c1_names_w(self):
+        # no public entry point reaches it: w <= sqrt(beta), and c_tau overflows first
+        assert bounds._constants(None, False, 100.0, 37.0).c1 == 1.0 / bounds.cdf(-37.0)
+        for w in (37.6, 38.0):
+            with pytest.raises(ValueError, match=rf"C1 = 1/Phi\(-w\) overflows at w={w!r}"):
+                bounds._constants(None, False, 100.0, w)
+
 
 def synthetic_trace(ts, sigmas, r_ts, f_abs_max=1.0):
     """Hand-built trace with prescribed per-row sigma_next and r_t."""

@@ -44,6 +44,12 @@ class TestCoeffs:
         assert code == 2
         assert "delta" in err
 
+    @pytest.mark.parametrize("delta,beta", [("1e-320", "inf"), ("1e-307", "1417.3707660368002")])
+    def test_overflowing_constants_usage_error(self, capsys, delta, beta):
+        code, out, err = run_cli(capsys, "coeffs", "--delta", delta)
+        assert code == 2 and out == ""
+        assert err == f"error: c_tau overflows at beta={beta}\n"
+
 
 class TestVerifyCommand:
     def test_closed_form_pass(self, capsys, tmp_path):

@@ -131,6 +131,24 @@ class TestCampaign:
         )
         assert len(lines) == 2 + (cfg.T - cfg.T0)
 
+    def test_coverage_csv_schema(self, tmp_path):
+        cfg = tiny_config(T=12, noise_sd=0.0)
+        result = harness.run_experiment(cfg, str(tmp_path))
+        lines = (tmp_path / "coverage.csv").read_text().splitlines()
+        assert lines[0] == f"# config_hash={config_hash(cfg)} seed={cfg.seed}"
+        assert lines[1] == (
+            "theorem,t,trials,holds,holds_frequency,wilson_lower,bound_mean,bound_min,"
+            "r_t_mean,r_t_max,margin_min,sigma_win_mean,sigma_win_min_mean,passed"
+        )
+        row = result.coverage[0]
+        assert lines[2] == ",".join(
+            [row.theorem, str(row.t), str(row.trials), str(row.holds)]
+            + [repr(row.holds_frequency), repr(row.wilson_lower), repr(row.bound_mean), repr(row.bound_min),
+               repr(row.r_t_mean), repr(row.r_t_max), repr(row.margin_min), repr(row.sigma_win_mean),
+               repr(row.sigma_win_min_mean), str(int(row.passed))]
+        )
+        assert len(lines) == 2 + len(result.coverage)
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tiny_config()
         a, b = tmp_path / "a", tmp_path / "b"
@@ -172,10 +190,40 @@ class TestCampaign:
         for name in sorted(os.listdir(a)):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_pool_workers_take_the_parents_prior(self, tmp_path, monkeypatch):
+        # a forked worker inherits the patch and its one recorded call, so a
+        # worker that factored the prior again would fail its chunk (a spawned
+        # worker imports the real grid_prior and is checked by the bytes only)
+        cfg = tiny_config(grid_per_dim=400, T=60, trials=12)
+        a, b = tmp_path / "serial", tmp_path / "parallel"
+        harness.run_experiment(cfg, str(a), workers=1)
+        calls, original = [], harness.grid_prior
+
+        def grid_prior_once(config):
+            calls.append(os.getpid())
+            if len(calls) > 1:
+                raise AssertionError(f"grid_prior called again in process {os.getpid()}")
+            return original(config)
+
+        monkeypatch.setattr(harness, "grid_prior", grid_prior_once)
+        harness.run_experiment(cfg, str(b), workers=2)
+        assert calls == [os.getpid()]
+        assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+        for name in sorted(os.listdir(a)):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_one_config_hash_per_batch(self, monkeypatch):
+        cfg = tiny_config(grid_per_dim=400, T=60, trials=12)
+        hashed = []
+        monkeypatch.setattr(harness, "config_hash", lambda c: (hashed.append(c), config_hash(c))[1])
+        result = harness.run_campaign(cfg)
+        assert len(hashed) == len(harness.trial_chunks(cfg)) + 1  # each batch, then the result
+        assert {trace.config_hash for trace in result.traces} == {config_hash(cfg)}
+
     @pytest.mark.parametrize("overrides,chunks", [(dict(), 1), (dict(grid_per_dim=400, T=60, trials=12), 2)])
     def test_pool_starts_one_worker_per_chunk_at_most(self, tmp_path, monkeypatch, overrides, chunks):
-        # every pool worker factors the prior as it starts, even one given no
-        # chunk; a single chunk runs in-process with no pool
+        # a pool worker given no chunk would only cost a process start; a
+        # single chunk runs in-process with no pool
         started = []
 
         class RecordingPool(harness.ProcessPoolExecutor):
@@ -339,6 +387,30 @@ class TestVerifyLemmaPlumbing:
         assert text.splitlines()[0].startswith("# config_hash=")
         assert "passed,1" in text
 
+    @pytest.mark.parametrize("passed", [True, False])
+    def test_report_csv_layout(self, tmp_path, passed):
+        cfg = tiny_config()
+        report = harness.LemmaReport("fmu", passed, (("n", 500.0), ("frequency", 0.1 + 0.2)))
+        path = harness.write_lemma_report(str(tmp_path), report, cfg)
+        assert os.path.basename(path) == "verify_fmu.csv"
+        assert open(path).read() == (
+            f"# config_hash={config_hash(cfg)} seed={cfg.seed}\n"
+            "metric,value\n"
+            "n,500.0\n"
+            "frequency,0.30000000000000004\n"
+            f"passed,{int(passed)}\n"
+        )
+
+    @pytest.mark.parametrize("delta", [0.1, 0.05, 0.2, 0.01])
+    def test_iei_ratio_is_the_reciprocal_c_tau(self, delta):
+        # bitwise equal to tau(-sqrt(beta))/tau(sqrt(beta)) at these deltas;
+        # elsewhere the two can differ by roundoff
+        from gpei.stdnormal import tau
+
+        report = harness.verify_lemma("iei_ratio", tiny_config(delta=delta), n=500)
+        beta = report.metric("beta")
+        assert report.metric("ratio") == 1.0 / bounds.c_tau_of(beta) == tau(-np.sqrt(beta)) / tau(np.sqrt(beta))
+
 
 class TestFigures:
     def test_f1_schema_and_tail_bound(self, tmp_path):
@@ -389,6 +461,50 @@ class TestFigures:
         assert float(row[3]) == np.log10(cmp_.c4_46)
         assert float(row[4]) == np.log10(cmp_.c5_46)
 
+    @pytest.mark.parametrize("fig_id", ["F3_BarTau", "F4_TildeTau"])
+    def test_sweep_bytes_match_the_reference_loops(self, tmp_path, fig_id):
+        path = harness.emit_figure_data(fig_id, str(tmp_path / "f.csv"))
+        assert open(path).read() == "\n".join(reference_sweep_lines(fig_id)) + "\n"
+
     def test_unknown_figure(self, tmp_path):
         with pytest.raises(ValueError):
             harness.emit_figure_data("F9_Nope", str(tmp_path / "x.csv"))
+
+
+def reference_sweep_lines(fig_id):
+    """F3/F4 CSV lines as two separate contour-plus-slice loops wrote them."""
+    import math
+
+    from gpei.stdnormal import BarTauParams, bar_tau, tau, tilde_tau
+
+    def fmt(x):
+        return repr(float(x))
+
+    if fig_id == "F3_BarTau":
+        p = BarTauParams(z=1e-3, w=2.0, c3=18.0)
+        lines = ["# figure=F3_BarTau seed=0", "part,z,rho,log10_bar_tau,bar_tau_minus_tau"]
+        for i in range(50):
+            z = -5.0 + i * 0.1
+            pz = BarTauParams(z=z, w=p.w, c3=p.c3)
+            for j in range(1, 101):
+                rho = pz.rho_max * j / 101.0
+                val = bar_tau(rho, pz)
+                lines.append(",".join(["contour", fmt(z), fmt(rho), fmt(math.log10(val)), fmt(val - tau(z))]))
+        for j in range(1, 201):
+            rho = p.rho_max * j / 201.0
+            val = bar_tau(rho, p)
+            lines.append(",".join(["slice", fmt(p.z), fmt(rho), fmt(math.log10(val)), fmt(val - tau(p.z))]))
+        return lines
+    w, c1, c3 = 3.0, 741.0, 296.0
+    lines = ["# figure=F4_TildeTau seed=0", "part,z,rho,log10_tilde_tau,tilde_tau_minus_tau"]
+    for i in range(51):
+        z = i * 0.1
+        for j in range(1, 101):
+            rho = w / c3 * j / 101.0
+            val = tilde_tau(rho, z, w, c1, c3)
+            lines.append(",".join(["contour", fmt(z), fmt(rho), fmt(math.log10(val)), fmt(val - tau(z))]))
+    for j in range(1, 201):
+        rho = w / c3 * j / 201.0
+        val = tilde_tau(rho, 0.0, w, c1, c3)
+        lines.append(",".join(["slice", fmt(0.0), fmt(rho), fmt(math.log10(val)), fmt(val - tau(0.0))]))
+    return lines

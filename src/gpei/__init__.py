@@ -12,8 +12,8 @@ from .bounds import (
     rkhs_bounds,
 )
 from .config import ExperimentConfig, load_config
-from .eiopt import Trace, argmax_ei, ei, improvement, run
-from .gp import GpState, GridPrior, PriorSample, fit, info_gain, posterior, sample_prior, update, variance_sum_check
+from .eiopt import Trace, run
+from .gp import GpState, GridPrior, PriorSample, fit, info_gain, sample_prior, update, variance_sum_check
 from .kernels import KernelSpec
 from .stdnormal import BarTauParams, bar_tau, cdf, ei_ab, find_rho_bar, pdf, tau, theta, tilde_tau
 
@@ -29,23 +29,19 @@ __all__ = [
     "KernelSpec",
     "PriorSample",
     "Trace",
-    "argmax_ei",
     "bar_tau",
     "bound_value",
     "cdf",
     "compare_coefficients",
     "constants_thm42",
     "constants_thm46",
-    "ei",
     "ei_ab",
     "empirical_bound_check",
     "find_rho_bar",
     "fit",
-    "improvement",
     "info_gain",
     "load_config",
     "pdf",
-    "posterior",
     "rate_envelope",
     "rkhs_bounds",
     "run",

@@ -4,19 +4,21 @@ One loop iteration at step t: maximize EI_t over the finite candidate grid,
 observe the chosen point (with additive Gaussian noise when configured),
 extend the posterior by that observation, and record the step in (B, T - T0)
 columns.  The loop runs B trials on one shared ``GridPrior`` in lockstep
-(``run_batch``; a single run is B = 1): each step makes one EI evaluation and
-one argmax over the (B, n) block of posterior moments and one batched
-posterior append; a trial's ``Trace`` is slices of the batch's columns.  The
-moments are kept in a ``GridPosterior`` with state V (B, T, n), w (B, T),
-mu and var (B, n) and jitter (B,); it reads rows of the prior Gram matrix and
-appends one row of each trial's Cholesky factor per observation (O(t*n) per
-trial and step), refitting a trial alone when its new pivot is not positive.
-``batch_size`` keeps V near 2 MiB: B = max(1, 2 MiB // (8*T*n)).  A trial's
-trace does not depend on B or on the trials it shares a batch with.
-Acquisition maximization is an exhaustive scan, which is exact at desk scale
-and keeps inner-optimizer noise out of the recorded quantities; EI values
-within a relative 1e-12 of the maximum are tied, and ties break to the lowest
-candidate index (``lowest_argmax``).
+(``run_batch``, which draws trial b's objective as ``prior.sample(seeds[b])``;
+a single run is B = 1): each step makes one EI evaluation and one argmax over
+the (B, n) block of posterior moments and one batched posterior append; a
+trial that kappa stops leaves the block, and a trial's ``Trace`` is slices of
+the batch's columns.  The moments are kept in a ``GridPosterior`` with state
+V (B, T, n), w (B, T), mu and var (B, n) and jitter (B,); it reads rows of
+the prior Gram matrix and appends one row of each trial's Cholesky factor
+per observation (O(t*n) per trial and step), refitting a trial alone when
+its new pivot is not positive.  ``batch_size`` keeps V near 2 MiB:
+B = max(1, 2 MiB // (8*T*n)).  A trial's trace does not depend on B or on
+the trials it shares a batch with.  Acquisition maximization is an
+exhaustive scan, which is exact at desk scale and keeps inner-optimizer
+noise out of the recorded quantities; EI values within a relative 1e-12 of
+the maximum are tied, and ties break to the lowest candidate index
+(``lowest_argmax``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import gp, stdnormal
 from .config import ExperimentConfig
-from .gp import GpState, GridPrior, PriorSample
+from .gp import GpState, GridPrior
 from .rng import derive_stream_seed
 
 # Stream tags for the per-run substreams (initial design vs noise draws),
@@ -45,22 +47,9 @@ TIE_RTOL = 1e-12
 BATCH_BYTES = 2 << 20
 
 
-def improvement(y_plus: float, f_x: float) -> float:
-    """max(y_plus - f_x, 0): the amount a function value improves on the incumbent."""
-    if not (np.isfinite(y_plus) and np.isfinite(f_x)):
-        raise ValueError("improvement requires finite inputs")
-    return max(y_plus - f_x, 0.0)
-
-
-def ei(state: GpState, y_plus: float, x) -> float:
-    """EI_t(x) = sigma * tau((y_plus - mu)/sigma), degenerating to max(y_plus - mu, 0)
-    when the predictive sd is at most ``stdnormal.SIGMA_FLOOR``."""
-    mu, sigma = gp.posterior(state, x)
-    return float(stdnormal.ei_ab(float(y_plus) - mu, sigma))
-
-
 def ei_batch(state: GpState, y_plus: float, candidates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Posterior moments and EI at every candidate row; the loop's hot path."""
+    """Posterior moments and EI at every candidate row of a ``gp.fit`` state: the
+    reference the loop's ``GridPosterior`` moments are tested against."""
     mu, sigma = gp.posterior_batch(state, candidates)
     return mu, sigma, stdnormal.ei_ab(float(y_plus) - mu, sigma)
 
@@ -77,41 +66,31 @@ def lowest_argmax(vals: np.ndarray):
     return np.argmax(vals >= top - TIE_RTOL * np.abs(top), axis=-1)
 
 
-def argmax_ei(state: GpState, y_plus: float, candidates) -> tuple[int, np.ndarray]:
-    """Index and coordinates of the EI-maximizing candidate; values within a
-    relative 1e-12 of the maximum are tied and the lowest index wins."""
-    candidates = np.asarray(candidates, dtype=float)
-    if candidates.ndim != 2 or candidates.shape[0] < 1:
-        raise ValueError("candidates must be a non-empty 2-d array")
-    _, _, vals = ei_batch(state, y_plus, candidates)
-    idx = int(lowest_argmax(vals))
-    return idx, candidates[idx]
-
-
 class GridPosterior:
     """Posterior moments on the grid of a ``GridPrior`` for B trials that share
-    it, each extended one observation at a time.
+    it and step together, each extended by one observation per step.
 
     For trial b, with X_b its observed grid points, y_b their values and L_b
     the lower Cholesky factor of K(X_b, X_b) + (noise_var + jitter[b])*I, it
     holds V[b] = L_b^{-1} K(X_b, grid), w[b] = L_b^{-1} y_b,
     ``mu[b]`` = V[b]^T w[b] and ``var[b]`` = 1 - sum(V[b] * V[b], axis=0), in
     buffers V (B, capacity, n), w (B, capacity), ``mu`` and ``var`` (B, n) and
-    ``jitter`` (B,): B*capacity*n*8 bytes for V.  ``observe(j, y)`` borders
-    each selected L_b with the row [l^T, d], where l = V[b, :, j_b] =
-    L_b^{-1} k_t(grid[j_b]) and d^2 = 1 + noise_var + jitter[b] - l^T l,
-    appends v = (K[j_b] - l^T V[b]) / d to V[b] and (y_b - l^T w[b]) / d to
-    w[b], so that mu[b] += v * w_new and var[b] -= v^2: O(t*n) per trial and
-    step, with K[j_b] a row of the prior's Gram matrix and no kernel call or
-    triangular solve.  All selected trials append in one batched ``matmul``;
-    l^T l and l^T w are row-wise reductions, so a trial's arithmetic does not
-    depend on B or on the other trials.  Every trial starts from the prior
-    (no observations, mu = 0, var = 1, jitter ``gp.JITTER_START``) and takes
-    its initial observations through ``observe`` too.  Only a trial whose d^2
-    is not positive and finite is refitted alone: ``gp.chol_with_jitter``
-    factors its block of K plus noise_var*I (escalating the jitter), and V[b]
-    and w[b] are rebuilt from that factor.  Every kernel value comes from
-    the prior's K.
+    ``jitter`` (B,): B*capacity*n*8 bytes for V.  Every trial holds the same
+    number t of observations.  ``observe(j, y)`` borders each L_b with the
+    row [l^T, d], where l = V[b, :, j_b] = L_b^{-1} k_t(grid[j_b]) and
+    d^2 = 1 + noise_var + jitter[b] - l^T l, appends
+    v = (K[j_b] - l^T V[b]) / d to V[b] and (y_b - l^T w[b]) / d to w[b], so
+    that mu[b] += v * w_new and var[b] -= v^2: O(t*n) per trial and step,
+    with K[j_b] a row of the prior's Gram matrix and no kernel call or
+    triangular solve.  All trials append in one batched ``matmul``; l^T l and
+    l^T w are row-wise reductions, so a trial's arithmetic does not depend on
+    B or on the other trials.  ``keep(mask)`` drops the trials that stop.
+    Every trial starts from the prior (no observations, mu = 0, var = 1,
+    jitter ``gp.JITTER_START``) and takes its initial observations through
+    ``observe`` too.  Only a trial whose d^2 is not positive and finite is
+    refitted alone: ``gp.chol_with_jitter`` factors its block of K plus
+    noise_var*I (escalating the jitter), and V[b] and w[b] are rebuilt from
+    that factor.  Every kernel value comes from the prior's K.
     """
 
     def __init__(self, prior: GridPrior, idx, y, noise_var: float, capacity: int):
@@ -123,7 +102,7 @@ class GridPosterior:
         n = prior.grid.shape[0]
         self.prior = prior
         self.noise_var = float(noise_var)
-        self._t = np.zeros(B, dtype=np.intp)
+        self._t = 0
         self._idx = np.empty((B, capacity), dtype=np.intp)
         self._y = np.empty((B, capacity))
         self._V = np.empty((B, capacity, n))
@@ -135,7 +114,7 @@ class GridPosterior:
             self.observe(idx[:, s], y[:, s])
 
     def _refit(self, b: int) -> None:
-        t = self._t[b]
+        t = self._t
         idx = self._idx[b, :t]
         K = self.prior.K[np.ix_(idx, idx)]
         K.flat[:: t + 1] += self.noise_var
@@ -151,39 +130,35 @@ class GridPosterior:
         """Posterior sd on the grid, clipped into [0, 1] as in ``gp.posterior_batch``."""
         return np.sqrt(np.clip(self.var, 0.0, 1.0))
 
-    def observe(self, j, y, rows=slice(None)) -> None:
-        """Condition trial ``rows[k]`` on observing ``y[k]`` at grid[j[k]].
+    def keep(self, mask) -> None:
+        """Drop the trials where ``mask`` is False; the others keep their order and state."""
+        for name in ("_idx", "_y", "_V", "_w", "mu", "var", "jitter"):
+            setattr(self, name, getattr(self, name)[mask])
 
-        ``rows`` selects the trials that step (a slice or an index array;
-        every trial by default), and they must hold equally many observations.
-        """
+    def observe(self, j, y) -> None:
+        """Condition trial b on observing ``y[b]`` at grid[j[b]], for every trial."""
         j = np.asarray(j, dtype=np.intp)
         y = np.asarray(y, dtype=float)
         if not np.isfinite(y).all():
             raise ValueError(f"y must be finite, got {y!r}")
-        counts = self._t[rows]
-        t = int(counts[0])
-        if (counts != t).any():
-            raise ValueError("the observing trials must hold equally many observations")
-        # a view while rows is a slice: an index array copies (B, t, n)
-        V = self._V[rows, :t]
+        t = self._t
+        V = self._V[:, :t]
         l = V[np.arange(V.shape[0]), :, j]
-        d2 = 1.0 + self.noise_var + self.jitter[rows] - np.sum(l * l, axis=1)
+        d2 = 1.0 + self.noise_var + self.jitter - np.sum(l * l, axis=1)
         ok = np.isfinite(d2) & (d2 > 0.0)
         d = np.sqrt(np.where(ok, d2, 1.0))  # failed pivots are rebuilt below
         v = self.prior.K[j] - np.matmul(l[:, None, :], V)[:, 0]
         v /= d[:, None]
-        w_new = (y - np.sum(l * self._w[rows, :t], axis=1)) / d
-        self._V[rows, t] = v
-        self._w[rows, t] = w_new
-        self._idx[rows, t] = j
-        self._y[rows, t] = y
-        self._t[rows] += 1
-        self.mu[rows] += v * w_new[:, None]
-        self.var[rows] -= v * v
-        if not ok.all():
-            for b in np.arange(self._t.size)[rows][~ok]:
-                self._refit(b)
+        w_new = (y - np.sum(l * self._w[:, :t], axis=1)) / d
+        self._V[:, t] = v
+        self._w[:, t] = w_new
+        self._idx[:, t] = j
+        self._y[:, t] = y
+        self._t = t + 1
+        self.mu += v * w_new[:, None]
+        self.var -= v * v
+        for b in np.flatnonzero(~ok):
+            self._refit(b)
 
 
 # A trace's per-step columns, in field order; see ``Trace``.
@@ -237,10 +212,12 @@ class Batch:
     """The loop's record of B trials run together, as read-only arrays:
     ``columns[name]`` holds all trials' values of the ``Trace`` column ``name``
     over the budget, shape (B, T - T0) ((B, T - T0, d) for x_next), of which
-    trial b recorded ``steps[b]``; the entries after a kappa stop are filler."""
+    trial b recorded ``steps[b]``; the entries after a kappa stop are filler.
+    ``f_star`` and ``f_abs_max`` are each objective's minimum and sup-norm."""
 
-    samples: tuple[PriorSample, ...]
     seeds: tuple[int, ...]
+    f_star: np.ndarray  # (B,)
+    f_abs_max: np.ndarray  # (B,)
     init_indices: np.ndarray  # (B, T0)
     steps: np.ndarray  # (B,)
     stopped: np.ndarray  # (B,)
@@ -249,46 +226,43 @@ class Batch:
     def trace(self, b: int, config_hash: str = "") -> Trace:
         """Trial b's ``Trace``: slices of the batch's arrays, no copy."""
         k = self.steps[b]
-        sample = self.samples[b]
         return Trace(
             **{name: col[b, :k] for name, col in self.columns.items()},
             seed=self.seeds[b],
             config_hash=config_hash,
-            f_star=sample.f_star,
-            f_abs_max=sample.f_abs_max,
+            f_star=float(self.f_star[b]),
+            f_abs_max=float(self.f_abs_max[b]),
             init_indices=self.init_indices[b],
             stopped_early=bool(self.stopped[b]),
         )
 
 
-def run_batch(config: ExperimentConfig, samples, seeds) -> Batch:
-    """Execute the optimization loop on each prior draw, all trials in lockstep.
+def run_batch(config: ExperimentConfig, prior: GridPrior, seeds) -> Batch:
+    """Execute the optimization loop on one prior draw per seed, all trials in lockstep.
 
-    Trial b runs on ``samples[b]`` with seed ``seeds[b]``; all samples share
-    one ``GridPrior``.  T0 initial points are drawn uniformly (with
-    replacement) from the grid and observed as y = f + eps with
-    eps ~ N(0, noise_sd^2) i.i.d.; afterwards each step acquires the EI argmax
-    over the full grid (``lowest_argmax`` on ties), observes it, extends the
-    posterior, and records the step.  A trial stops at budget T, or right after
-    observing a point whose acquisition value fell below ``kappa`` when a
-    threshold is configured; the others step on without it.  Each step makes
-    one EI evaluation and one argmax over the (B, n) block of the trials
-    still running.  A trial's record is bit-identical for identical (config,
-    sample, seed), whatever the other trials of its batch.
+    Trial b runs on the objective ``prior.sample(seeds[b])`` with the noise
+    and initial-design streams of ``seeds[b]``.  T0 initial points are drawn
+    uniformly (with replacement) from the grid and observed as y = f + eps
+    with eps ~ N(0, noise_sd^2) i.i.d.; afterwards each step acquires the EI
+    argmax over the full grid (``lowest_argmax`` on ties), observes it,
+    extends the posterior, and records the step.  A trial stops at budget T,
+    or right after observing a point whose acquisition value fell below
+    ``kappa`` when a threshold is configured; it then leaves the posterior
+    (``GridPosterior.keep``) and the others step on without it.  Each step
+    makes one EI evaluation and one argmax over the (B, n) block of the
+    trials still running.  A trial's record is bit-identical for identical
+    (config, seed), whatever the other trials of its batch.
     """
     if not (1 <= config.T0 <= config.T):
         raise ValueError(f"need 1 <= T0 <= T, got T0={config.T0}, T={config.T}")
-    if not samples or len(samples) != len(seeds):
-        raise ValueError("need one seed per sample and at least one sample")
-    prior = samples[0].prior
-    if any(s.prior is not prior for s in samples):
-        raise ValueError("the samples of a batch must share one GridPrior")
+    if len(seeds) == 0:
+        raise ValueError("need at least one seed")
     if prior.kernel != config.kernel:
-        raise ValueError("prior sample kernel does not match the config's kernel")
+        raise ValueError("prior kernel does not match the config's kernel")
     grid = prior.grid
     if not np.array_equal(grid, config.grid_points()):
-        raise ValueError("prior sample grid does not match the config's candidate grid")
-    B, n, T0, T = len(samples), grid.shape[0], config.T0, config.T
+        raise ValueError("prior grid does not match the config's candidate grid")
+    B, n, T0, T = len(seeds), grid.shape[0], config.T0, config.T
     noise_sd = float(config.noise_sd)
 
     # each trial's noise stream yields its T0 initial draws, then one per step
@@ -297,61 +271,64 @@ def run_batch(config: ExperimentConfig, samples, seeds) -> Batch:
     for b, seed in enumerate(seeds):
         init[b] = np.random.default_rng(derive_stream_seed(seed, INIT_STREAM)).integers(0, n, size=T0)
         eps[b] = noise_sd * np.random.default_rng(derive_stream_seed(seed, NOISE_STREAM)).standard_normal(T)
+    samples = [prior.sample(seed) for seed in seeds]
     f = np.stack([s.f for s in samples])
     x_star = np.array([s.x_star_idx for s in samples])
     f_star = np.array([s.f_star for s in samples])
-    y0 = np.take_along_axis(f, init, axis=1) + eps[:, :T0]
+    f_abs_max = np.array([s.f_abs_max for s in samples])
+    f0 = np.take_along_axis(f, init, axis=1)
+    y0 = f0 + eps[:, :T0]
 
     post = GridPosterior(prior, init, y0, config.noise_var, T)
 
     best = np.argmin(y0, axis=1)
-    y_plus = y0[np.arange(B), best]
-    best_idx = init[np.arange(B), best]
+    y_plus, f_plus = y0[np.arange(B), best], f0[np.arange(B), best]  # f_plus = f(x+)
 
     S = T - T0
     j_col = np.zeros((B, S), dtype=np.intp)
     floats = np.zeros((8, B, S))
     steps = np.full(B, S)
     stopped = np.zeros(B, dtype=bool)
-    rows = np.arange(B)  # the trials still running
-    sel = slice(None)  # indexes them: a slice while all run, so blocks are views
+    rows = np.arange(B)  # the output row of each trial still running
     for s in range(S):
         t = T0 + s
-        mu, sigma = post.mu[sel], post.sigma[sel]
-        vals = stdnormal.ei_unchecked(y_plus[sel, None] - mu, sigma)
+        mu, sigma = post.mu, post.sigma
+        vals = stdnormal.ei_unchecked(y_plus[:, None] - mu, sigma)
         j = lowest_argmax(vals)
         k = np.arange(j.size)
-        f_next = f[rows, j]
-        y_new = f_next + eps[rows, t]
+        f_next = f[k, j]
+        y_new = f_next + eps[:, t]
         ei_next = vals[k, j]
-        j_col[sel, s] = j
-        floats[:, sel, s] = (f_next, y_new, y_plus[sel], mu[k, j], sigma[k, j], ei_next, sigma[k, x_star[sel]],
-                             f[rows, best_idx[sel]])
-        better = y_new < y_plus[sel]
-        y_plus[sel] = np.where(better, y_new, y_plus[sel])
-        best_idx[sel] = np.where(better, j, best_idx[sel])
+        j_col[rows, s] = j
+        floats[:, rows, s] = (f_next, y_new, y_plus, mu[k, j], sigma[k, j], ei_next, sigma[k, x_star], f_plus)
+        better = y_new < y_plus
+        y_plus = np.where(better, y_new, y_plus)
+        f_plus = np.where(better, f_next, f_plus)
         if config.kappa is not None:
             done = ei_next < config.kappa
             if done.any():
                 steps[rows[done]] = s + 1
                 stopped[rows[done]] = True
-                rows, j, y_new = rows[~done], j[~done], y_new[~done]
-                sel = rows
+                live = ~done
+                rows, j, y_new, y_plus, f_plus, f, eps, x_star = (
+                    a[live] for a in (rows, j, y_new, y_plus, f_plus, f, eps, x_star))
                 if not rows.size:
                     break
+                post.keep(live)
         if t + 1 < T:  # the posterior after the last row is never read
-            post.observe(j, y_new, sel)
+            post.observe(j, y_new)
 
     # floats holds f_next ... sigma_at_star in COLUMNS order, then f(x+) for r0_t
     *floats, best_f = floats
     t_col = np.broadcast_to(np.arange(T0, T), (B, S))
     regrets = floats[2] - f_star[:, None], best_f - f_star[:, None]
     columns = dict(zip(COLUMNS, (t_col, grid[j_col], j_col, *floats, *regrets)))
-    for arr in (init, steps, stopped, *columns.values()):
+    for arr in (f_star, f_abs_max, init, steps, stopped, *columns.values()):
         arr.flags.writeable = False
     return Batch(
-        samples=tuple(samples),
         seeds=tuple(int(s) for s in seeds),
+        f_star=f_star,
+        f_abs_max=f_abs_max,
         init_indices=init,
         steps=steps,
         stopped=stopped,
@@ -359,6 +336,6 @@ def run_batch(config: ExperimentConfig, samples, seeds) -> Batch:
     )
 
 
-def run(config: ExperimentConfig, sample: PriorSample, seed: int, config_hash: str = "") -> Trace:
-    """The loop on one prior draw: ``run_batch`` with a batch of one."""
-    return run_batch(config, [sample], [seed]).trace(0, config_hash)
+def run(config: ExperimentConfig, prior: GridPrior, seed: int, config_hash: str = "") -> Trace:
+    """The loop on the prior draw of one seed: ``run_batch`` with a batch of one."""
+    return run_batch(config, prior, [seed]).trace(0, config_hash)

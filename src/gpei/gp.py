@@ -135,17 +135,6 @@ def posterior_batch(state: GpState, Q) -> tuple[np.ndarray, np.ndarray]:
     return mu, sigma
 
 
-def posterior(state: GpState, x) -> tuple[float, float]:
-    """Posterior (mean, sd) at a single point."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"x must be a 1-d point, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    mu, sigma = posterior_batch(state, x[None, :])
-    return float(mu[0]), float(sigma[0])
-
-
 def update(state: GpState, x_new, y_new: float) -> GpState:
     """Return the posterior with one more observation: ``fit`` on the augmented data.
 

@@ -131,7 +131,7 @@ def run_trials(config: ExperimentConfig, prior: gp.GridPrior, indices) -> tuple[
     """One objective per trial index sampled from ``prior`` and run in lockstep:
     the batch and each trial's trace, fully determined by config and index."""
     seeds = [trial_seed(config.seed, i) for i in indices]
-    batch = eiopt.run_batch(config, [prior.sample(s) for s in seeds], seeds)
+    batch = eiopt.run_batch(config, prior, seeds)
     cfg_hash = config_hash(config)
     return batch, [run_trial(cfg_hash, batch, b) for b in range(len(seeds))]
 
@@ -396,9 +396,10 @@ def _joint_draws(config: ExperimentConfig, n_draws: int, stream: int):
     eps = config.noise_sd * rng.standard_normal((n_draws, k))
     y = f[:, :k] + eps
 
-    design = np.broadcast_to(np.arange(k), y.shape)
-    post = eiopt.GridPosterior(prior, design, y, config.noise_var, k)
-    return f[:, :k], f[:, k], y, post.mu[:, k], float(post.sigma[0, k])
+    # the posterior mean is linear in y: trial b observes the unit vector e_b,
+    # so mu[b, query] is the weight of y_b in every draw's mean at the query
+    post = eiopt.GridPosterior(prior, np.broadcast_to(np.arange(k), (k, k)), np.eye(k), config.noise_var, k)
+    return f[:, :k], f[:, k], y, y @ post.mu[:, k], float(post.sigma[0, k])
 
 
 def _coverage_metrics(indicator: np.ndarray, delta: float) -> tuple[bool, tuple[tuple[str, float], ...]]:
@@ -561,22 +562,25 @@ def verify_lemma(lemma_id: str, config: ExperimentConfig, n: int | None = None) 
 
 
 def write_lemma_report(out_dir: str, report: LemmaReport, config: ExperimentConfig) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"verify_{report.lemma}.csv")
-    rows = [(key, _cell(value)) for key, value in (*report.metrics, ("passed", report.passed))]
-    _write_table(path, _meta_line(config_hash(config), config.seed), ("metric", "value"), rows)
-
-    # summary.txt accumulates one line per check; merge-by-name keeps the
-    # final file deterministic regardless of how many lemmas share the dir
+    """Write ``verify_<lemma>.csv`` and merge the report's check line into
+    ``summary.txt``, which holds one ``check lemma[...]`` line per lemma,
+    sorted, however many lemmas share the directory.  A summary holding any
+    other line (a campaign's, say) raises ValueError before anything is written."""
     summary_path = os.path.join(out_dir, "summary.txt")
     existing: dict[str, str] = {}
     if os.path.exists(summary_path):
         with open(summary_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                name = line.split(" ", 2)[1] if line.startswith("check ") else line.strip()
-                existing[name] = line.rstrip("\n")
+            for line in fh.read().splitlines():
+                if not line.startswith("check lemma["):
+                    raise ValueError(f"{summary_path} holds a line that is not a lemma check: {line!r}")
+                existing[line.split(" ", 2)[1]] = line
     for line in report.lines():
         existing[line.split(" ", 2)[1]] = line
+
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"verify_{report.lemma}.csv")
+    rows = [(key, _cell(value)) for key, value in (*report.metrics, ("passed", report.passed))]
+    _write_table(path, _meta_line(config_hash(config), config.seed), ("metric", "value"), rows)
     _write_lines(summary_path, [existing[k] for k in sorted(existing)])
     return path
 

@@ -87,6 +87,28 @@ class TestVerifyCommand:
         assert len(summary) == 8 and summary == sorted(summary)
         assert files == dir_bytes(tmp_path / "one")
 
+    def test_all_twice_into_one_dir_equals_once(self, capsys, tmp_path):
+        cfg = tmp_path / "grid40.cfg"
+        cfg.write_text("grid_per_dim = 40\nT = 30\n")
+        argv = ["verify", "all", "--config", str(cfg), "--trials", "500", "--out"]
+        assert run_cli(capsys, *argv, str(tmp_path / "once"))[0] == 0
+        for _ in range(2):
+            assert run_cli(capsys, *argv, str(tmp_path / "twice"))[0] == 0
+        assert dir_bytes(tmp_path / "twice") == dir_bytes(tmp_path / "once")
+
+    def test_refuses_a_campaign_summary(self, capsys, tmp_path):
+        # a campaign's summary.txt holds its meta line, coverage checks and
+        # overall verdict; a lemma merged into it would reorder them
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("grid_per_dim = 30\nT = 20\ntrials = 2\n")
+        out_dir = tmp_path / "o"
+        assert run_cli(capsys, "run", "--config", str(cfg), "--out", str(out_dir))[0] == 0
+        before = dir_bytes(out_dir)
+        code, out, err = run_cli(capsys, "verify", "tail_bound", "--out", str(out_dir))
+        assert code == 2 and out == ""
+        assert str(out_dir / "summary.txt") in err and "not a lemma check" in err
+        assert dir_bytes(out_dir) == before
+
     def test_all_exits_1_when_one_lemma_fails(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setitem(
             harness._LEMMA_FUNCS, "fmu_t", lambda config, n: harness.LemmaReport("fmu_t", False, (("n", float(n)),))
@@ -198,3 +220,10 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("delta = 0.1\n")
+
+
+class TestPackage:
+    def test_every_exported_name_resolves(self):
+        assert len(set(gpei.__all__)) == len(gpei.__all__)
+        for name in gpei.__all__:
+            assert getattr(gpei, name, None) is not None, name

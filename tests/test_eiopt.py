@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from gpei import eiopt, gp
 from gpei.config import ExperimentConfig
-from gpei.eiopt import argmax_ei, ei, improvement, run
-from gpei.gp import GridPrior, fit, sample_prior
+from gpei.eiopt import ei_batch, lowest_argmax, run
+from gpei.gp import GridPrior, fit
 from gpei.kernels import KernelSpec
 from gpei.rng import trial_seed
 from gpei.stdnormal import ei_ab, ei_unchecked, tau
@@ -22,43 +22,50 @@ SE = KernelSpec("se", 0.5)
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
+def ei_at(state, y_plus, x):
+    """EI at one point: ``ei_ab`` on the posterior moments there."""
+    mu, sigma = gp.posterior_batch(state, np.asarray(x, dtype=float)[None, :])
+    return float(ei_ab(y_plus - mu[0], sigma[0]))
+
+
+def pick(state, y_plus, candidates):
+    """The loop's choice among ``candidates``: the tie rule on their EI."""
+    return int(lowest_argmax(ei_batch(state, y_plus, candidates)[2]))
+
+
 class TestImprovement:
+    # the improvement max(y_plus - f(x), 0) is EI with a known value: ei_ab(y_plus - f(x), 0)
     def test_no_improvement(self):
-        assert improvement(1.0, 2.0) == 0.0
+        assert ei_ab(1.0 - 2.0, 0.0) == 0.0
 
     def test_positive_improvement(self):
-        assert improvement(2.0, 1.5) == 0.5
+        assert ei_ab(2.0 - 1.5, 0.0) == 0.5
 
     @given(finite)
     def test_boundary(self, y):
-        assert improvement(y, y) == 0.0
+        assert ei_ab(y - y, 0.0) == 0.0
 
     @given(finite, finite)
     def test_nonnegative(self, y_plus, f_x):
-        assert improvement(y_plus, f_x) >= 0.0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            improvement(float("nan"), 0.0)
+        assert ei_ab(y_plus - f_x, 0.0) >= 0.0
 
 
 class TestEi:
     def test_z_zero_case(self):
         # empty state: posterior is (0, 1); with y_plus = 0 the value is tau(0)
         state = fit(SE, np.zeros((0, 1)), np.zeros(0), 0.0)
-        assert ei(state, 0.0, np.array([0.3])) == pytest.approx(tau(0.0), rel=1e-13)
+        assert ei_at(state, 0.0, [0.3]) == pytest.approx(tau(0.0), rel=1e-13)
 
     def test_exploitation_limit(self):
         # noiseless observed point: sigma ~ 0 there, EI = max(y_plus - mu, 0)
         state = fit(SE, np.array([[0.4]]), np.array([-1.0]), 0.0)
-        val = ei(state, 0.5, np.array([0.4]))
-        assert val == pytest.approx(1.5, abs=1e-6)
-        assert ei(state, -2.0, np.array([0.4])) == 0.0
+        assert ei_at(state, 0.5, [0.4]) == pytest.approx(1.5, abs=1e-6)
+        assert ei_at(state, -2.0, [0.4]) == 0.0
 
     def test_deep_negative_z(self):
         # prior point with incumbent 3 below the mean: tau(-3) = 0.00038215...
         state = fit(SE, np.zeros((0, 1)), np.zeros(0), 0.0)
-        assert ei(state, -3.0, np.array([0.0])) == pytest.approx(float(tau(-3.0)), rel=1e-12)
+        assert ei_at(state, -3.0, [0.0]) == pytest.approx(float(tau(-3.0)), rel=1e-12)
 
     def test_matches_scaled_tau_identity(self):
         rng = np.random.default_rng(0)
@@ -66,9 +73,9 @@ class TestEi:
         for _ in range(20):
             x = rng.uniform(size=1)
             y_plus = float(rng.normal())
-            mu, sigma = gp.posterior(state, x)
+            mu, sigma = (float(m[0]) for m in gp.posterior_batch(state, x[None, :]))
             expected = sigma * tau((y_plus - mu) / sigma) if sigma > 1e-12 else max(y_plus - mu, 0.0)
-            assert ei(state, y_plus, x) == pytest.approx(expected, rel=1e-12)
+            assert ei_at(state, y_plus, x) == pytest.approx(expected, rel=1e-12)
 
     def test_dominates_gap_and_nonnegative(self):
         rng = np.random.default_rng(1)
@@ -76,52 +83,44 @@ class TestEi:
         for _ in range(50):
             x = rng.uniform(size=1)
             y_plus = float(rng.normal())
-            mu, _ = gp.posterior(state, x)
-            val = ei(state, y_plus, x)
+            mu, _ = gp.posterior_batch(state, x[None, :])
+            val = ei_at(state, y_plus, x)
             assert val >= 0.0
-            assert val >= (y_plus - mu) - 1e-12
+            assert val >= (y_plus - mu[0]) - 1e-12
 
 
 class TestArgmaxEi:
     def test_single_candidate(self):
         state = fit(SE, np.zeros((0, 1)), np.zeros(0), 0.0)
-        idx, x = argmax_ei(state, 0.0, np.array([[0.7]]))
-        assert idx == 0 and x[0] == 0.7
+        assert pick(state, 0.0, np.array([[0.7]])) == 0
 
     def test_identical_candidates_tie_break(self):
         state = fit(SE, np.zeros((0, 1)), np.zeros(0), 0.0)
-        idx, _ = argmax_ei(state, 0.0, np.full((8, 1), 0.25))
-        assert idx == 0
+        assert pick(state, 0.0, np.full((8, 1), 0.25)) == 0
 
     def test_matches_exhaustive_rescan(self):
         rng = np.random.default_rng(2)
         state = fit(SE, rng.uniform(size=(6, 1)), rng.normal(size=6), 0.01)
         candidates = rng.uniform(size=(50, 1))
         y_plus = -0.3
-        idx, _ = argmax_ei(state, y_plus, candidates)
-        brute = max(range(50), key=lambda j: ei(state, y_plus, candidates[j]))
-        assert idx == brute
-
-    def test_rejects_empty(self):
-        state = fit(SE, np.zeros((0, 1)), np.zeros(0), 0.0)
-        with pytest.raises(ValueError):
-            argmax_ei(state, 0.0, np.zeros((0, 1)))
+        brute = max(range(50), key=lambda j: ei_at(state, y_plus, candidates[j]))
+        assert pick(state, y_plus, candidates) == brute
 
 
 class TestTieRule:
     def test_relative_tolerance(self):
         top = 0.75
-        assert eiopt.lowest_argmax(np.array([0.1, top * (1 - 0.9e-12), top])) == 1
-        assert eiopt.lowest_argmax(np.array([0.1, top * (1 - 1.1e-12), top])) == 2
-        assert eiopt.lowest_argmax(np.array([top, 0.1, top])) == 0
-        assert eiopt.lowest_argmax(np.zeros(4)) == 0
+        assert lowest_argmax(np.array([0.1, top * (1 - 0.9e-12), top])) == 1
+        assert lowest_argmax(np.array([0.1, top * (1 - 1.1e-12), top])) == 2
+        assert lowest_argmax(np.array([top, 0.1, top])) == 0
+        assert lowest_argmax(np.zeros(4)) == 0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_row_raises(self, bad):
         vals = np.zeros((3, 5))
         vals[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            eiopt.lowest_argmax(vals)
+            lowest_argmax(vals)
 
     def test_mirror_pair_on_symmetric_grid(self):
         # 25 points symmetric about the observed centre: the EI of each mirror
@@ -130,12 +129,11 @@ class TestTieRule:
         grid = np.linspace(0.1, 0.7, 25)[:, None]
         kernel = KernelSpec("se", 0.2)
         state = fit(kernel, grid[12:13], np.array([0.3]), 0.0)
-        idx, x = argmax_ei(state, 0.3, grid)
-        idx_rev, x_rev = argmax_ei(state, 0.3, grid[::-1])
-        _, _, vals = eiopt.ei_batch(state, 0.3, grid)
+        idx = pick(state, 0.3, grid)
+        idx_rev = pick(state, 0.3, grid[::-1])
+        _, _, vals = ei_batch(state, 0.3, grid)
         assert vals[idx] != vals[24 - idx]  # the roundoff the rule absorbs
-        assert idx == 0 and idx_rev == 0
-        assert x[0] == grid[0, 0] and x_rev[0] == grid[24, 0]
+        assert idx == 0 and idx_rev == 0  # grid[0], then grid[24]: the lowest index in each orientation
 
 
 def tiny_config(**kw):
@@ -146,8 +144,8 @@ def tiny_config(**kw):
 
 
 def run_once(config, seed=5):
-    sample = sample_prior(config.kernel, config.grid_points(), seed)
-    return sample, run(config, sample, seed)
+    prior = GridPrior.build(config.kernel, config.grid_points())
+    return prior.sample(seed), run(config, prior, seed)
 
 
 def record(trace):
@@ -224,9 +222,20 @@ class TestRun:
     def test_grid_mismatch_rejected(self):
         cfg = tiny_config()
         other = dataclasses.replace(cfg, grid_per_dim=30)
-        sample = sample_prior(cfg.kernel, other.grid_points(), 5)
-        with pytest.raises(ValueError):
-            run(cfg, sample, 5)
+        with pytest.raises(ValueError, match="grid"):
+            run(cfg, GridPrior.build(cfg.kernel, other.grid_points()), 5)
+
+    def test_kernel_mismatch_rejected(self):
+        cfg = tiny_config()
+        prior = GridPrior.build(KernelSpec("matern", 0.2, 2.5), cfg.grid_points())
+        with pytest.raises(ValueError, match="kernel"):
+            run(cfg, prior, 5)
+
+    @pytest.mark.parametrize("seeds", [[], range(0)])
+    def test_empty_seed_list_rejected(self, seeds):
+        cfg = tiny_config()
+        with pytest.raises(ValueError, match="at least one seed"):
+            eiopt.run_batch(cfg, GridPrior.build(cfg.kernel, cfg.grid_points()), seeds)
 
 
 def replay(config, seed):
@@ -258,8 +267,8 @@ class TestGridPosterior:
                 assert np.max(np.abs(post.sigma[0] - sigma_r)) <= tol
                 assert mu == post.mu[0, j]
                 assert sigma == post.sigma[0, j]
-                _, _, vals = eiopt.ei_batch(ref, y_plus, grid)
-                assert eiopt.lowest_argmax(vals) == j
+                _, _, vals = ei_batch(ref, y_plus, grid)
+                assert lowest_argmax(vals) == j
                 post.observe([j], [y_next])
                 obs_idx.append(j)
                 y.append(y_next)
@@ -335,6 +344,30 @@ class TestGridPosterior:
             assert np.array_equal(post.mu[b], alone.mu[0]) and np.array_equal(post.var[b], alone.var[0])
             assert post.jitter[b] == alone.jitter[0] == 1e-18
 
+    @pytest.mark.parametrize("noise_var", [0.05**2, 0.0])
+    def test_keep_then_observe_equals_the_trial_alone(self, monkeypatch, noise_var):
+        # trials 1 and 4 stop after three observations; the others step on as if
+        # they had been alone all along.  Trial 2 re-observes a point at jitter
+        # 1e-18, so in the noiseless case its pivot fails and it is refitted
+        monkeypatch.setattr(gp, "JITTER_START", 1e-18)
+        prior = GridPrior.build(SE, np.linspace(0, 1, 40)[:, None])
+        rng = np.random.default_rng(3)
+        idx = rng.integers(0, 40, size=(5, 6))
+        idx[2, 4] = idx[2, 1]
+        y = rng.normal(size=(5, 6))
+        mask = np.array([True, False, True, True, False])
+        post = eiopt.GridPosterior(prior, idx[:, :3], y[:, :3], noise_var, 6)
+        post.keep(mask)
+        for s in range(3, 6):
+            post.observe(idx[mask, s], y[mask, s])
+        for k, b in enumerate(np.flatnonzero(mask)):
+            alone = eiopt.GridPosterior(prior, idx[b : b + 1, :3], y[b : b + 1, :3], noise_var, 6)
+            for s in range(3, 6):
+                alone.observe(idx[b : b + 1, s], y[b : b + 1, s])
+            for name in ("mu", "var", "jitter", "_V", "_w"):
+                assert np.array_equal(getattr(post, name)[k], getattr(alone, name)[0]), name
+        assert post.jitter[1] == (1e-15 if noise_var == 0.0 else 1e-18)
+
     @pytest.mark.parametrize("case", ["noisy", "noiseless_escalation", "matern_2d_duplicates"])
     def test_refit_bitwise_equals_fit_and_solve(self, monkeypatch, case):
         # _refit factors the prior's K block; gp.fit assembles the same block
@@ -409,7 +442,7 @@ def run_in_batches(config, size):
     traces = []
     for start in range(0, config.trials, size):
         seeds = [trial_seed(config.seed, i) for i in range(start, min(start + size, config.trials))]
-        batch = eiopt.run_batch(config, [prior.sample(s) for s in seeds], seeds)
+        batch = eiopt.run_batch(config, prior, seeds)
         traces += [batch.trace(b) for b in range(len(seeds))]
     return traces
 
@@ -455,8 +488,7 @@ class TestLockstep:
 class TestSelectionOptimality:
     def test_no_candidate_beats_recorded_choice(self):
         cfg = tiny_config(T=10, seed=303)
-        sample = sample_prior(cfg.kernel, cfg.grid_points(), 303)
-        trace = run(cfg, sample, 303)
+        sample, trace = run_once(cfg, 303)
         grid = cfg.grid_points()
         # rebuild the observation sequence and refit at each step
         obs_idx = trace.init_indices.tolist()
@@ -467,8 +499,8 @@ class TestSelectionOptimality:
         for j, ei_next in zip(trace.x_next_idx.tolist(), trace.ei_next):
             state = fit(cfg.kernel, grid[obs_idx], np.array(y), cfg.noise_var)
             y_plus = min(y)
-            _, _, vals = eiopt.ei_batch(state, y_plus, grid)
+            _, _, vals = ei_batch(state, y_plus, grid)
             assert vals.max() <= ei_next + 1e-12
-            assert eiopt.lowest_argmax(vals) == j
+            assert lowest_argmax(vals) == j
             obs_idx.append(j)
             y.append(float(sample.f[j] + cfg.noise_sd * rng_noise.standard_normal()))

@@ -12,7 +12,7 @@ import pytest
 from scipy.linalg import lapack
 
 from gpei import gp, kernels
-from gpei.gp import FactorizationError, GridPrior, fit, info_gain, posterior, sample_prior, update, variance_sum_check
+from gpei.gp import FactorizationError, GridPrior, fit, info_gain, sample_prior, update, variance_sum_check
 from gpei.kernels import KernelSpec
 
 SE = KernelSpec("se", 0.5)
@@ -30,6 +30,12 @@ def brute_posterior(kernel, X, y, noise_var, x, jitter=gp.JITTER_START):
     mu = k @ A_inv @ y
     var = 1.0 - k @ A_inv @ k
     return mu, math.sqrt(max(var, 0.0))
+
+
+def posterior(state, x):
+    """Posterior (mean, sd) at the single point x, through ``posterior_batch``."""
+    mu, sigma = gp.posterior_batch(state, np.asarray(x, dtype=float)[None, :])
+    return float(mu[0]), float(sigma[0])
 
 
 class TestFitAndPosterior:

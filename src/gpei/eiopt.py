@@ -4,9 +4,10 @@ One loop iteration at step t: maximize EI_t over the finite candidate grid,
 observe the chosen point (with additive Gaussian noise when configured),
 extend the posterior by that observation, and record the step in (B, T - T0)
 columns.  The loop runs B trials on one shared ``GridPrior`` in lockstep
-(``run_batch``, which draws trial b's objective as ``prior.sample(seeds[b])``;
-a single run is B = 1): each step makes one EI evaluation and one argmax over
-the (B, n) block of posterior moments and one batched posterior append; a
+(``run_batch``, which draws trial b's objective as row b of
+``prior.draw(seeds)``; a single run is B = 1): each step makes one EI
+evaluation and one argmax over the (B, n) block of posterior moments and one
+batched posterior append; a
 trial that kappa stops leaves the block, and a trial's ``Trace`` is slices of
 the batch's columns.  The moments are kept in a ``GridPosterior`` with state
 V (B, T, n), w (B, T), mu and var (B, n) and jitter (B,); it reads rows of
@@ -240,7 +241,7 @@ class Batch:
 def run_batch(config: ExperimentConfig, prior: GridPrior, seeds) -> Batch:
     """Execute the optimization loop on one prior draw per seed, all trials in lockstep.
 
-    Trial b runs on the objective ``prior.sample(seeds[b])`` with the noise
+    Trial b runs on the objective ``prior.draw(seeds)[b]`` with the noise
     and initial-design streams of ``seeds[b]``.  T0 initial points are drawn
     uniformly (with replacement) from the grid and observed as y = f + eps
     with eps ~ N(0, noise_sd^2) i.i.d.; afterwards each step acquires the EI
@@ -271,11 +272,10 @@ def run_batch(config: ExperimentConfig, prior: GridPrior, seeds) -> Batch:
     for b, seed in enumerate(seeds):
         init[b] = np.random.default_rng(derive_stream_seed(seed, INIT_STREAM)).integers(0, n, size=T0)
         eps[b] = noise_sd * np.random.default_rng(derive_stream_seed(seed, NOISE_STREAM)).standard_normal(T)
-    samples = [prior.sample(seed) for seed in seeds]
-    f = np.stack([s.f for s in samples])
-    x_star = np.array([s.x_star_idx for s in samples])
-    f_star = np.array([s.f_star for s in samples])
-    f_abs_max = np.array([s.f_abs_max for s in samples])
+    f = prior.draw(seeds)
+    x_star = np.argmin(f, axis=1)
+    f_star = f[np.arange(B), x_star]
+    f_abs_max = np.abs(f).max(axis=1)
     f0 = np.take_along_axis(f, init, axis=1)
     y0 = f0 + eps[:, :T0]
 

@@ -8,8 +8,10 @@ cross-covariances k_t(x), noise variance s2 and observations y,
 
 Factorizations go through Cholesky with a small escalating diagonal jitter,
 since squared-exponential Gram matrices on fine grids are numerically
-singular.  The prior on a finite grid is factored once into a ``GridPrior``,
-which every draw of the objective and every grid posterior share.  The EI
+singular.  The prior on a finite grid is built once into a ``GridPrior``,
+which every draw of the objective and every grid posterior share; on an
+equally spaced tensor grid it draws by circulant embedding (one FFT per
+draw) and factors nothing.  The EI
 loop and the lemma protocols compute posteriors on its grid through
 ``eiopt.GridPosterior`` (a one-row Cholesky append per observation), which
 reads every kernel value from ``GridPrior.K``.  ``fit``, ``posterior_batch``
@@ -20,6 +22,7 @@ that tests compare the grid posterior against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,22 +157,110 @@ def update(state: GpState, x_new, y_new: float) -> GpState:
     return fit(state.kernel, X, y, state.noise_var)
 
 
+def _smooth5(n: int) -> int:
+    """The smallest length >= n with no prime factor above 5 (a fast FFT length)."""
+    while True:
+        k = n
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
+def _tensor_axes(grid: np.ndarray) -> tuple[tuple[int, ...], tuple[float, ...]] | None:
+    """(points, spacing) per axis when the rows of ``grid`` are the product of d
+    ascending, equally spaced axes with the last coordinate varying fastest
+    (the layout of ``ExperimentConfig.grid_points``); None for any other grid.
+
+    An axis is equally spaced when each coordinate lies within 16 ulps of the
+    axis's largest magnitude of a[0] + i*h, h = (a[-1] - a[0]) / (m - 1).
+    """
+    axes = [np.unique(col) for col in grid.T]
+    points = tuple(a.size for a in axes)
+    if math.prod(points) != grid.shape[0]:
+        return None
+    mesh = np.meshgrid(*axes, indexing="ij")
+    if not all(np.array_equal(m.ravel(), col) for m, col in zip(mesh, grid.T)):
+        return None
+    spacing = []
+    for a in axes:
+        h = (a[-1] - a[0]) / (a.size - 1) if a.size > 1 else 0.0
+        tol = 16 * np.finfo(float).eps * max(abs(a[0]), abs(a[-1]))
+        if np.max(np.abs(a - (a[0] + h * np.arange(a.size)))) > tol:
+            return None
+        spacing.append(float(h))
+    return points, tuple(spacing)
+
+
+def _circulant_eigenvalues(kernel: KernelSpec, points, spacing, k0: np.ndarray) -> np.ndarray | None:
+    """Eigenvalues of the smallest circulant embedding that samples the prior
+    exactly on a tensor grid (``points`` and ``spacing`` per axis, as
+    ``_tensor_axes`` returns them), or None when it has none worth using.
+
+    ``k0`` is the first row of the grid's Gram matrix (the covariances of the
+    lowest corner).  Axis k of m_k points with spacing h_k wraps onto a torus
+    of M_k points, at first the smallest 5-smooth length >= 2(m_k - 1); the
+    torus's first row holds the kernel at offsets h_k * min(j, M_k - j), and
+    its eigenvalues are the real part of that row's d-dimensional FFT.  The
+    torus is accepted when its smallest eigenvalue is >= -``JITTER_START`` and
+    the covariance of the eigenvalues clipped at 0 reproduces ``k0`` to within
+    ``JITTER_START``; otherwise every axis grows to the next 5-smooth length
+    >= 9/8 M_k.  None once the torus's FFT (5 N log2 N flops for N torus
+    points) would cost more than the 2 n^2 flops of the matrix-vector product
+    L z it replaces.  Returned clipped at 0, shape (M_1, ..., M_d).
+    """
+    n = math.prod(points)
+    torus = [_smooth5(max(1, 2 * (m - 1))) for m in points]
+    while True:
+        size = math.prod(torus)
+        if 5 * size * math.log2(size) > 2 * n * n:
+            return None
+        sq = np.zeros(torus)
+        for k, (M, h) in enumerate(zip(torus, spacing)):
+            j = np.arange(M)
+            offset = h * np.minimum(j, M - j)
+            sq += (offset * offset).reshape([M if i == k else 1 for i in range(len(torus))])
+        eig = np.fft.fftn(kernels._k_of_sq_dist(kernel, sq)).real
+        if eig.min() >= -JITTER_START:
+            np.maximum(eig, 0.0, out=eig)
+            row = np.fft.ifftn(eig).real[tuple(slice(0, m) for m in points)]
+            if np.max(np.abs(row.ravel() - k0)) <= JITTER_START:
+                return eig
+        torus = [_smooth5(M + -(-M // 8)) for M in torus]
+
+
 @dataclass(frozen=True)
 class GridPrior:
-    """The GP prior on a finite grid, factored once and shared by every draw.
+    """The GP prior on a finite grid, built once and shared by every draw.
 
-    ``K`` is the grid Gram matrix and ``L`` the F-ordered lower Cholesky
-    factor of K + jitter*I; the factorization reads K and never writes it.
-    Together they take 2*n^2*8 bytes (256 MiB at the 4096-point cap), which is
-    also the peak of ``build``.  Both are read-only, since every draw and trial
-    shares them.  Build one per campaign or worker process, not one per draw.
+    ``K`` is the grid Gram matrix, which every grid posterior reads.  A grid
+    laid out as ``ExperimentConfig.grid_points`` lays it out (equally spaced
+    ascending axes, last coordinate fastest) is sampled by circulant
+    embedding (Dietrich & Newsam 1997; Wood & Chan 1994) when
+    ``_circulant_eigenvalues`` finds a torus: ``eig`` holds the torus's
+    eigenvalues, ``points`` the grid's points per axis, and ``L`` and
+    ``jitter`` are None.  The draws' covariance then equals K entrywise to
+    within ``JITTER_START``, and the prior holds n^2*8 bytes for K plus 8
+    bytes per torus point (128 MiB plus about 0.4 MiB for the 64x64
+    Matern-5/2 grid at the 4096-point cap), which is also the peak of
+    ``build``: nothing n-by-n is factored.  Any other grid (points not
+    equally spaced or not in that order, or a kernel too wide for the torus
+    to pay off, such as SE with lengthscale r) is sampled through ``L``, the
+    F-ordered lower Cholesky factor of K + jitter*I, with ``eig`` None; K
+    and L then take 2*n^2*8 bytes.  Every array is read-only, since every
+    draw and trial shares them.  Build one per campaign or worker process,
+    not one per draw.
     """
 
     kernel: KernelSpec
     grid: np.ndarray
     K: np.ndarray
-    L: np.ndarray
-    jitter: float
+    L: np.ndarray | None
+    jitter: float | None
+    eig: np.ndarray | None
+    points: tuple[int, ...] | None
 
     @classmethod
     def build(cls, kernel: KernelSpec, grid) -> GridPrior:
@@ -177,16 +268,39 @@ class GridPrior:
         if grid.ndim != 2 or grid.shape[0] < 1:
             raise ValueError(f"grid must be a non-empty 2-d array, got shape {grid.shape}")
         K = kernels.gram(kernel, grid)
-        L, jitter = chol_with_jitter(K)
         K.flags.writeable = False
+        axes = _tensor_axes(grid)
+        eig = None if axes is None else _circulant_eigenvalues(kernel, *axes, K[0])
+        if eig is not None:
+            eig.flags.writeable = False
+            return cls(kernel, grid, K, None, None, eig, axes[0])
+        L, jitter = chol_with_jitter(K)
         L.flags.writeable = False
-        return cls(kernel, grid, K, L, jitter)
+        return cls(kernel, grid, K, L, jitter, None, None)
+
+    def draw(self, seeds) -> np.ndarray:
+        """The objectives of ``seeds`` on the grid, shape (len(seeds), n).  Row b
+        is a function of (kernel, grid, seeds[b]) alone, bit for bit, whatever
+        the other seeds.
+
+        Embedded: row b is Re FFT(sqrt(eig/N) * (z1 + i*z2)) restricted to the
+        grid, where z1 and z2 are the even and odd entries of the first 2N
+        standard normals of a PCG64 generator seeded with seeds[b] and N is
+        the torus size; one batched FFT transforms every row, each on its own.
+        Otherwise row b is L z for the generator's first n normals.
+        """
+        rngs = [np.random.default_rng(int(seed)) for seed in seeds]
+        if self.L is not None:
+            return np.stack([self.L @ rng.standard_normal(self.grid.shape[0]) for rng in rngs])
+        w = np.stack([rng.standard_normal(2 * self.eig.size) for rng in rngs]).view(np.complex128)
+        w = w.reshape(len(rngs), *self.eig.shape)
+        w *= np.sqrt(self.eig / self.eig.size)
+        f = np.fft.fftn(w, axes=range(1, w.ndim)).real[(slice(None), *(slice(0, m) for m in self.points))]
+        return np.ascontiguousarray(f).reshape(len(rngs), -1)
 
     def sample(self, seed: int) -> PriorSample:
-        """Draw f = L z with z standard normal from a PCG64 generator seeded
-        with ``seed``.  Deterministic given (kernel, grid, seed)."""
-        z = np.random.default_rng(int(seed)).standard_normal(self.grid.shape[0])
-        f = self.L @ z
+        """The draw of one seed (``draw([seed])``) with its minimum and sup-norm."""
+        f = self.draw([seed])[0]
         idx = int(np.argmin(f))
         return PriorSample(prior=self, f=f, f_star=float(f[idx]), x_star_idx=idx, f_abs_max=float(np.max(np.abs(f))))
 
@@ -211,7 +325,7 @@ class PriorSample:
 
 
 def sample_prior(kernel: KernelSpec, grid, seed: int) -> PriorSample:
-    """One draw from a freshly factored prior; loops over draws share one ``GridPrior``."""
+    """One draw from a freshly built prior; loops over draws share one ``GridPrior``."""
     return GridPrior.build(kernel, grid).sample(seed)
 
 

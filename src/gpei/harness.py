@@ -1,6 +1,6 @@
 """Experiment campaigns, Monte-Carlo lemma verification, and figure-data emission.
 
-A campaign factors the GP prior on the config grid once (one ``GridPrior``
+A campaign builds the GP prior on the config grid once (one ``GridPrior``
 per campaign, which its pool workers share), samples one objective per trial
 from it, runs the optimization loop on chunks of at most ``eiopt.batch_size``
 trials in lockstep (one chunk per pool task with several workers),
@@ -31,6 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import bdtr, bdtrc
 
 from . import bounds, eiopt, gp
 from .config import ExperimentConfig, config_hash
@@ -59,6 +60,10 @@ _MC_LEMMAS = frozenset(LEMMA_DEFAULT_N)
 _FMU_T_STEPS = 30
 _ICDF_TOLERANCE = 0.01
 _DESIGN_SIZE = 5
+
+# Significance of the two-sided exact binomial test of the fmu frequency
+# against its exact probability.
+_FMU_ALPHA = 1e-3
 
 # Absolute slack on concentration comparisons; covers posterior-arithmetic
 # roundoff when a predictive sd degenerates to ~0, nothing more.
@@ -118,7 +123,7 @@ class CampaignResult:
 
 
 def grid_prior(config: ExperimentConfig) -> gp.GridPrior:
-    """The factored prior on the config's grid, shared by all of a campaign's trials."""
+    """The prior on the config's grid, built once and shared by all of a campaign's trials."""
     return gp.GridPrior.build(config.kernel, config.grid_points())
 
 
@@ -144,7 +149,7 @@ def trial_chunks(config: ExperimentConfig) -> list[range]:
 
 # (config, prior) of the campaign a pool worker serves; set once per worker
 # process by _init_worker to the parent's prior, so no task carries the n^2
-# prior and no worker factors it again.
+# prior and no worker builds it again.
 _worker_campaign: tuple[ExperimentConfig, gp.GridPrior] | None = None
 
 
@@ -324,13 +329,32 @@ def campaign_summary_lines(result: CampaignResult) -> list[str]:
 
 
 _TRACE_NAME = re.compile(r"trace_[0-9]+\.csv")
+_LEMMA_REPORT_NAME = re.compile(r"verify_.*\.csv")
+
+
+def _refuse_lemma_dir(out_dir: str) -> None:
+    """Raise ValueError when ``out_dir`` holds lemma reports: a ``verify_*.csv``
+    or a ``summary.txt`` with a ``check lemma[`` line."""
+    if not os.path.isdir(out_dir):
+        return
+    reports = sorted(filter(_LEMMA_REPORT_NAME.fullmatch, os.listdir(out_dir)))
+    if reports:
+        raise ValueError(f"{os.path.join(out_dir, reports[0])} is a lemma report; a campaign needs its own directory")
+    summary_path = os.path.join(out_dir, "summary.txt")
+    if os.path.exists(summary_path):
+        with open(summary_path, "r", encoding="utf-8") as fh:
+            if any(line.startswith("check lemma[") for line in fh):
+                raise ValueError(f"{summary_path} holds lemma checks; a campaign needs its own directory")
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> CampaignResult:
     """Run a campaign and persist per-trial traces, coverage, and a summary.
 
     Any other ``trace_<digits>.csv`` in ``out_dir`` is deleted, so the
-    directory holds this campaign's traces only."""
+    directory holds this campaign's traces only.  A directory holding lemma
+    reports (``gpei verify`` output) raises ValueError before anything runs
+    or is written."""
+    _refuse_lemma_dir(out_dir)
     result = run_campaign(config, workers=workers)
     os.makedirs(out_dir, exist_ok=True)
     width = max(4, len(str(config.trials - 1)))
@@ -390,9 +414,12 @@ def _joint_draws(config: ExperimentConfig, n_draws: int, stream: int):
     """
     prior = gp.GridPrior.build(config.kernel, _lemma_fixture(config))
     k = prior.grid.shape[0] - 1
+    # all draws come from one stream through one factor of the fixture's K,
+    # whichever way the prior itself samples
+    L, _ = gp.chol_with_jitter(prior.K)
     rng = np.random.default_rng(derive_stream_seed(config.seed, stream))
     z = rng.standard_normal((n_draws, k + 1))
-    f = z @ prior.L.T
+    f = z @ L.T
     eps = config.noise_sd * rng.standard_normal((n_draws, k))
     y = f[:, :k] + eps
 
@@ -416,11 +443,21 @@ def _coverage_metrics(indicator: np.ndarray, delta: float) -> tuple[bool, tuple[
 
 
 def _verify_fmu(config: ExperimentConfig, n: int) -> LemmaReport:
+    """|f - mu| <= sqrt(beta)*sigma at the query: the frequency must reach the
+    one-sided coverage target, and an exact two-sided binomial test of it
+    against its exact probability 1 - 2*Phi(-sqrt(beta)) (f - mu is
+    N(0, sigma^2) under the prior) must not reject at ``_FMU_ALPHA``, so a
+    posterior sd that is off either way fails even above the target."""
     _, f_q, _, mu_q, sigma_q = _joint_draws(config, n, _FMU_STREAM)
     beta = 2.0 * math.log(1.0 / config.delta)
     ok = np.abs(f_q - mu_q) <= math.sqrt(beta) * sigma_q + _ROUNDOFF_GUARD
     passed, metrics = _coverage_metrics(ok, config.delta)
-    return LemmaReport("fmu", passed, metrics + (("beta", beta),))
+    hits = int(np.sum(ok))
+    p_exact = 1.0 - 2.0 * float(cdf(-math.sqrt(beta)))
+    # P(X <= hits) and P(X >= hits) for X ~ Binomial(n, p_exact), doubled
+    two_sided = min(1.0, 2.0 * min(float(bdtr(hits, n, p_exact)), float(bdtrc(hits - 1, n, p_exact))))
+    passed = passed and two_sided >= _FMU_ALPHA
+    return LemmaReport("fmu", passed, metrics + (("beta", beta), ("p_exact", p_exact), ("two_sided_p", two_sided)))
 
 
 def _iei_draws(config: ExperimentConfig, n: int) -> tuple[np.ndarray, np.ndarray, float]:

@@ -109,6 +109,22 @@ class TestVerifyCommand:
         assert str(out_dir / "summary.txt") in err and "not a lemma check" in err
         assert dir_bytes(out_dir) == before
 
+    @pytest.mark.parametrize("keep_csv", [True, False], ids=["report_csv", "summary_only"])
+    def test_run_refuses_a_verify_directory(self, capsys, tmp_path, keep_csv):
+        # the reverse order: a campaign would replace the lemma summary and
+        # leave the verify_<lemma>.csv files behind without their check lines
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("grid_per_dim = 30\nT = 20\ntrials = 2\n")
+        out_dir = tmp_path / "o"
+        assert run_cli(capsys, "verify", "tail_bound", "--out", str(out_dir))[0] == 0
+        if not keep_csv:
+            (out_dir / "verify_tail_bound.csv").unlink()
+        before = dir_bytes(out_dir)
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 2 and out == ""
+        assert str(out_dir / ("verify_tail_bound.csv" if keep_csv else "summary.txt")) in err
+        assert dir_bytes(out_dir) == before
+
     def test_all_exits_1_when_one_lemma_fails(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setitem(
             harness._LEMMA_FUNCS, "fmu_t", lambda config, n: harness.LemmaReport("fmu_t", False, (("n", float(n)),))

@@ -236,11 +236,37 @@ class TestSamplePrior:
 
 FAMILIES = [KernelSpec("se", 0.3), KernelSpec("matern", 0.3, 0.5),
             KernelSpec("matern", 0.3, 1.5), KernelSpec("matern", 0.3, 2.5)]
+CONFIG_FAMILIES = [KernelSpec("se", 0.2), KernelSpec("matern", 0.2, 0.5),
+                   KernelSpec("matern", 0.2, 1.5), KernelSpec("matern", 0.2, 2.5)]
+
+
+def config_grid(d, m):
+    """The grid ``ExperimentConfig(d=d, grid_per_dim=m).grid_points()`` lays out on [0, 1]^d."""
+    axis = np.linspace(0.0, 1.0, m)
+    return np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
 
 
 def small_grid(d):
-    axis = np.linspace(0.0, 1.0, 17 if d == 1 else 6)
-    return np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    return config_grid(d, 17 if d == 1 else 6)
+
+
+def fallback_grid(d):
+    """A grid sampled through the Cholesky factor: points not equally spaced
+    (d = 1) or rows in reverse ``grid_points`` order (d = 2)."""
+    return config_grid(1, 200) ** 2 if d == 1 else config_grid(2, 20)[::-1]
+
+
+def assert_samples_through_factor(spec, grid):
+    """The prior on ``grid`` draws f = L z, bit for bit, with L factored per draw."""
+    prior = GridPrior.build(spec, grid)
+    assert prior.eig is None and prior.points is None
+    for seed in (0, 7, 2**63 + 5):
+        L, _ = gp.chol_with_jitter(kernels.gram(spec, grid))
+        f = L @ np.random.default_rng(seed).standard_normal(grid.shape[0])
+        s = prior.sample(seed)
+        assert np.array_equal(s.f, f)
+        assert s.prior is prior and s.grid is prior.grid
+        assert np.array_equal(sample_prior(spec, grid, seed).f, f)
 
 
 class TestGridPrior:
@@ -255,22 +281,84 @@ class TestGridPrior:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_sample_equals_per_draw_factorization(self, d):
-        grid = small_grid(d)
-        spec = KernelSpec("matern", 0.3, 2.5)
-        prior = GridPrior.build(spec, grid)
-        for seed in (0, 7, 2**63 + 5):
-            L, _ = gp.chol_with_jitter(kernels.gram(spec, grid))
-            f = L @ np.random.default_rng(seed).standard_normal(grid.shape[0])
-            s = prior.sample(seed)
-            assert np.array_equal(s.f, f)
-            assert s.prior is prior and s.grid is prior.grid
-            assert np.array_equal(sample_prior(spec, grid, seed).f, f)
+        assert_samples_through_factor(KernelSpec("matern", 0.3, 2.5), fallback_grid(d))
+
+    def test_wide_se_samples_through_factor(self):
+        # SE with lengthscale r needs a torus too large to pay off
+        assert_samples_through_factor(KernelSpec("se", 1.0), config_grid(1, 200))
 
     def test_shared_arrays_read_only(self):
-        prior = GridPrior.build(KernelSpec("matern", 0.3, 2.5), small_grid(1))
-        for a in (prior.K, prior.L):
+        embedded = GridPrior.build(KernelSpec("matern", 0.2, 2.5), config_grid(1, 200))
+        fallback = GridPrior.build(KernelSpec("matern", 0.3, 2.5), fallback_grid(1))
+        assert embedded.L is None and fallback.eig is None
+        for a in (embedded.K, embedded.eig, fallback.K, fallback.L):
             with pytest.raises(ValueError, match="read-only"):
-                a[0, 0] = 0.0
+                a[(0,) * a.ndim] = 0.0
+
+
+def embedded_covariance(prior):
+    """The n-by-n covariance of the prior's draws: the circulant covariance
+    of its torus at each pair of grid points' index offsets."""
+    row = np.fft.ifftn(prior.eig).real
+    idx = np.stack(np.unravel_index(np.arange(prior.grid.shape[0]), prior.points), axis=1)
+    offsets = (idx[:, None, :] - idx[None, :, :]) % np.array(prior.eig.shape)
+    return row[tuple(np.moveaxis(offsets, -1, 0))]
+
+
+class TestCirculantEmbedding:
+    @pytest.mark.parametrize("d,m", [(1, 200), (2, 16)])
+    @pytest.mark.parametrize("spec", CONFIG_FAMILIES, ids=lambda s: f"{s.family}{s.nu or ''}")
+    def test_covariance_equals_gram_entrywise(self, spec, d, m):
+        prior = GridPrior.build(spec, config_grid(d, m))
+        assert prior.L is None and prior.jitter is None and prior.points == (m,) * d
+        assert prior.eig.min() >= 0.0
+        assert np.max(np.abs(embedded_covariance(prior) - prior.K)) <= gp.JITTER_START
+
+    @pytest.mark.parametrize("d,m", [(1, 60), (2, 10)])
+    def test_monte_carlo_covariance(self, d, m):
+        spec = KernelSpec("matern", 0.3, 0.5)
+        prior = GridPrior.build(spec, config_grid(d, m))
+        assert prior.L is None
+        draws = np.array([prior.sample(seed).f for seed in range(10_000)])
+        assert np.max(np.abs(draws.mean(axis=0))) < 0.05
+        assert np.max(np.abs(np.cov(draws.T, bias=True) - prior.K)) < 0.05
+
+    def test_sample_is_the_fft_of_the_seed_stream(self):
+        # f = Re FFT(sqrt(eig/N) (z1 + i z2)) on the grid, z1 and z2 the even
+        # and odd entries of the seed's first 2N standard normals
+        prior = GridPrior.build(KernelSpec("matern", 0.2, 2.5), config_grid(2, 16))
+        N = prior.eig.size
+        z = np.random.default_rng(11).standard_normal(2 * N)
+        w = np.sqrt(prior.eig / N) * (z[0::2] + 1j * z[1::2]).reshape(prior.eig.shape)
+        expected = np.fft.fftn(w).real[:16, :16].ravel()
+        assert np.allclose(prior.sample(11).f, expected, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("spec,grid", [
+        (KernelSpec("se", 0.2), config_grid(1, 200)),
+        (KernelSpec("matern", 0.2, 2.5), config_grid(2, 16)),
+        (KernelSpec("matern", 0.3, 2.5), fallback_grid(1)),
+    ], ids=["embedded_1d", "embedded_2d", "fallback"])
+    def test_draw_rows_do_not_depend_on_the_batch(self, spec, grid):
+        prior = GridPrior.build(spec, grid)
+        seeds = list(range(100, 143))
+        rows = prior.draw(seeds)
+        assert rows.shape == (43, grid.shape[0]) and rows.flags.c_contiguous
+        for size in (1, 2, 7):
+            assert np.array_equal(prior.draw(seeds[3 : 3 + size]), rows[3 : 3 + size])
+        for b in (0, 20, 42):
+            assert np.array_equal(prior.sample(seeds[b]).f, rows[b])
+
+    def test_torus_is_smallest_5_smooth_when_it_suffices(self):
+        # Matern-1/2 on a 1-d grid embeds at the first length >= 2(m - 1)
+        prior = GridPrior.build(KernelSpec("matern", 0.2, 0.5), config_grid(1, 200))
+        assert prior.eig.shape == (400,)
+        assert gp._smooth5(398) == 400 and gp._smooth5(597) == 600 and gp._smooth5(1) == 1
+
+    def test_torus_never_costs_more_than_the_matvec(self):
+        # 17 points: the 32-point torus's FFT (800 flops) exceeds 2*17^2
+        spec = KernelSpec("matern", 0.3, 0.5)
+        assert GridPrior.build(spec, config_grid(1, 17)).eig is None
+        assert GridPrior.build(spec, config_grid(1, 60)).eig is not None
 
 
 class TestInfoGain:
@@ -406,9 +494,9 @@ def traced_peak(fn, *args):
 class TestMemoryBudget:
     # 1024-point 2-d Matern-5/2 grid; budgets in units of one n-by-n float64
     # array.  chol_with_jitter allocates only L, which LAPACK factors in place,
-    # so a hidden work copy of K would show in these peaks.
-    axis = np.linspace(0.0, 1.0, 32)
-    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    # so a hidden work copy of K would show in these peaks.  The embedded
+    # prior holds K and an 81x81 torus; the reversed grid falls back to K and L.
+    grid = config_grid(2, 32)
     spec = KernelSpec("matern", 0.2, 2.5)
     unit = 8 * 1024**2
 
@@ -420,4 +508,8 @@ class TestMemoryBudget:
         assert traced_peak(gp.chol_with_jitter, K) <= 1.1 * self.unit
 
     def test_grid_prior_build(self):
-        assert traced_peak(GridPrior.build, self.spec, self.grid) <= 2.1 * self.unit
+        assert traced_peak(GridPrior.build, self.spec, self.grid) <= 1.2 * self.unit
+
+    def test_grid_prior_build_fallback(self):
+        assert GridPrior.build(self.spec, self.grid[::-1]).L is not None
+        assert traced_peak(GridPrior.build, self.spec, self.grid[::-1]) <= 2.1 * self.unit

@@ -316,15 +316,15 @@ class TestCampaign:
             assert row.trials == cfg.trials
 
     def test_kappa_stopped_rows_judged_at_their_trial_count(self, tmp_path):
-        # kappa stopping leaves 3 of 6 trials at t=20; that row's target is the
-        # 3-trial one (0.38), not the 6-trial one (0.53)
+        # kappa stopping leaves fewer than 6 trials at late t; such a row's
+        # target is the one at its own trial count, lower than the 6-trial one
         cfg = ExperimentConfig(d=2, grid_per_dim=16, T=40, trials=6, seed=42, kappa=1e-3,
                                noise_sd=0.0, theorem="thm42")
         result = harness.run_experiment(cfg, str(tmp_path))
-        row = next(r for r in result.coverage if r.t == 20)
-        assert row.trials == 3
-        assert row.target == harness.coverage_target(cfg.delta, 3) < harness.coverage_target(cfg.delta, 6)
-        assert {r.trials for r in result.coverage} > {6, 3}
+        row = next((r for r in result.coverage if r.trials < cfg.trials), None)
+        assert row is not None
+        assert row.target == harness.coverage_target(cfg.delta, row.trials) < harness.coverage_target(cfg.delta, 6)
+        assert {r.trials for r in result.coverage} > {6, row.trials}
         summary = (tmp_path / "summary.txt").read_text().splitlines()
         for r in result.coverage:
             line = next(x for x in summary if x.startswith(f"check coverage[thm42,t={r.t}] "))
@@ -456,6 +456,25 @@ class TestOneKernelSource:
         assert refits and result.passed
 
 
+class TestPriorFactorization:
+    # an n-by-n chol_with_jitter during a campaign can only be the prior's
+    # factorization; a refit factors a t-by-t block
+    @pytest.mark.parametrize("overrides,expected", [
+        (dict(trials=4), 0),
+        (dict(d=2, grid_per_dim=16, kernel=KernelSpec("matern", 0.2, 2.5), T=30, trials=2), 0),
+        (dict(kernel=KernelSpec("se", 1.0), T=30, trials=2), 1),
+    ], ids=["default_1d", "matern52_16x16", "se_lengthscale_r"])
+    def test_full_size_factorizations(self, monkeypatch, overrides, expected):
+        from gpei import gp
+
+        cfg = ExperimentConfig(**overrides)
+        shapes = []
+        original = gp.chol_with_jitter
+        monkeypatch.setattr(gp, "chol_with_jitter", lambda K: (shapes.append(K.shape), original(K))[1])
+        harness.run_campaign(cfg)
+        assert shapes.count((cfg.grid_size, cfg.grid_size)) == expected
+
+
 class TestWilson:
     def test_lower_bound_properties(self):
         assert harness.wilson_lower(100, 100) < 1.0
@@ -484,6 +503,31 @@ class TestVerifyLemmaPlumbing:
         report = harness.verify_lemma("fmu", tiny_config(grid_per_dim=30, T=12), n=500)
         assert report.passed
         assert report.metric("n") == 500
+
+    @pytest.mark.parametrize("delta", [0.05, 0.1, 0.3])
+    @pytest.mark.parametrize("noise_sd", [0.05, 0.0])
+    @pytest.mark.parametrize("seed", [42, 2718])
+    def test_fmu_two_sided_passes(self, seed, noise_sd, delta):
+        cfg = ExperimentConfig(seed=seed, noise_sd=noise_sd, delta=delta)
+        report = harness.verify_lemma("fmu", cfg)
+        beta = 2.0 * math.log(1.0 / delta)
+        assert report.metric("p_exact") == pytest.approx(math.erf(math.sqrt(beta / 2.0)), abs=1e-15)
+        assert report.passed and report.metric("two_sided_p") >= 1e-3
+
+    def test_fmu_two_sided_catches_a_shrunk_sd(self, monkeypatch):
+        # sigma * 0.8 makes the exact probability 0.914: above the one-sided
+        # target 0.880, far below the true 0.968
+        joint = harness._joint_draws
+
+        def shrunk(*args):
+            *draws, sigma_q = joint(*args)
+            return (*draws, 0.8 * sigma_q)
+
+        monkeypatch.setattr(harness, "_joint_draws", shrunk)
+        report = harness.verify_lemma("fmu", ExperimentConfig())
+        assert not report.passed
+        assert report.metric("frequency") >= report.metric("target")
+        assert report.metric("two_sided_p") < 1e-3
 
     def test_icdf_tolerance_scales_with_draws(self):
         cfg = tiny_config()

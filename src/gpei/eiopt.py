@@ -7,19 +7,18 @@ columns.  The loop runs B trials on one shared ``GridPrior`` in lockstep
 (``run_batch``, which draws trial b's objective as row b of
 ``prior.draw(seeds)``; a single run is B = 1): each step makes one EI
 evaluation and one argmax over the (B, n) block of posterior moments and one
-batched posterior append; a
-trial that kappa stops leaves the block, and a trial's ``Trace`` is slices of
-the batch's columns.  The moments are kept in a ``GridPosterior`` with state
-V (B, T, n), w (B, T), mu and var (B, n) and jitter (B,); it reads rows of
-the prior Gram matrix and appends one row of each trial's Cholesky factor
-per observation (O(t*n) per trial and step), refitting a trial alone when
-its new pivot is not positive.  ``batch_size`` keeps V near 2 MiB:
-B = max(1, 2 MiB // (8*T*n)).  A trial's trace does not depend on B or on
-the trials it shares a batch with.  Acquisition maximization is an
-exhaustive scan, which is exact at desk scale and keeps inner-optimizer
-noise out of the recorded quantities; EI values within a relative 1e-12 of
-the maximum are tied, and ties break to the lowest candidate index
-(``lowest_argmax``).
+batched posterior append; a trial that kappa stops leaves the block, and a
+trial's ``Trace`` is slices of the batch's columns.  The moments are kept in
+a ``GridPosterior`` with state V (B, T, n), w (B, T), mu and var (B, n) and
+jitter (B,); it takes kernel rows from ``GridPrior.rows`` and appends one row
+of each trial's Cholesky factor per observation (O(t*n) per trial and step),
+refitting a trial alone when its new pivot is not positive.  ``batch_size``
+keeps V near 2 MiB: B = max(1, 2 MiB // (8*T*n)).  A trial's trace does not
+depend on B or on the trials it shares a batch with.  Acquisition
+maximization is an exhaustive scan, which is exact at desk scale and keeps
+inner-optimizer noise out of the recorded quantities; EI values within a
+relative 1e-12 of the maximum are tied, and ties break to the lowest
+candidate index (``lowest_argmax``).
 """
 
 from __future__ import annotations
@@ -82,16 +81,16 @@ class GridPosterior:
     d^2 = 1 + noise_var + jitter[b] - l^T l, appends
     v = (K[j_b] - l^T V[b]) / d to V[b] and (y_b - l^T w[b]) / d to w[b], so
     that mu[b] += v * w_new and var[b] -= v^2: O(t*n) per trial and step,
-    with K[j_b] a row of the prior's Gram matrix and no kernel call or
-    triangular solve.  All trials append in one batched ``matmul``; l^T l and
-    l^T w are row-wise reductions, so a trial's arithmetic does not depend on
-    B or on the other trials.  ``keep(mask)`` drops the trials that stop.
-    Every trial starts from the prior (no observations, mu = 0, var = 1,
-    jitter ``gp.JITTER_START``) and takes its initial observations through
+    with the rows K[j] from one ``prior.rows(j)`` call and no triangular
+    solve.  All trials append in one batched ``matmul``; l^T l and l^T w are
+    row-wise reductions, so a trial's arithmetic does not depend on B or on
+    the other trials.  ``keep(mask)`` drops the trials that stop.  Every
+    trial starts from the prior (no observations, mu = 0, var = 1, jitter
+    ``gp.JITTER_START``) and takes its initial observations through
     ``observe`` too.  Only a trial whose d^2 is not positive and finite is
-    refitted alone: ``gp.chol_with_jitter`` factors its block of K plus
-    noise_var*I (escalating the jitter), and V[b] and w[b] are rebuilt from
-    that factor.  Every kernel value comes from the prior's K.
+    refitted alone: ``gp.chol_with_jitter`` factors the t-by-t block of its
+    ``prior.rows`` plus noise_var*I (escalating the jitter), and V[b] and w[b]
+    are rebuilt from that factor.  Every kernel value comes from ``prior.rows``.
     """
 
     def __init__(self, prior: GridPrior, idx, y, noise_var: float, capacity: int):
@@ -117,11 +116,12 @@ class GridPosterior:
     def _refit(self, b: int) -> None:
         t = self._t
         idx = self._idx[b, :t]
-        K = self.prior.K[np.ix_(idx, idx)]
+        rows = self.prior.rows(idx)
+        K = rows[:, idx]
         K.flat[:: t + 1] += self.noise_var
         L, self.jitter[b] = gp.chol_with_jitter(K)
         V = self._V[b, :t]
-        V[:] = gp.solve_lower(L, self.prior.K[idx])
+        V[:] = gp.solve_lower(L, rows)
         self._w[b, :t] = gp.solve_lower(L, self._y[b, :t])
         self.mu[b] = V.T @ self._w[b, :t]
         self.var[b] = 1.0 - np.sum(V * V, axis=0)
@@ -148,8 +148,7 @@ class GridPosterior:
         d2 = 1.0 + self.noise_var + self.jitter - np.sum(l * l, axis=1)
         ok = np.isfinite(d2) & (d2 > 0.0)
         d = np.sqrt(np.where(ok, d2, 1.0))  # failed pivots are rebuilt below
-        v = self.prior.K[j] - np.matmul(l[:, None, :], V)[:, 0]
-        v /= d[:, None]
+        v = (self.prior.rows(j) - np.matmul(l[:, None, :], V)[:, 0]) / d[:, None]
         w_new = (y - np.sum(l * self._w[:, :t], axis=1)) / d
         self._V[:, t] = v
         self._w[:, t] = w_new

@@ -9,15 +9,15 @@ cross-covariances k_t(x), noise variance s2 and observations y,
 Factorizations go through Cholesky with a small escalating diagonal jitter,
 since squared-exponential Gram matrices on fine grids are numerically
 singular.  The prior on a finite grid is built once into a ``GridPrior``,
-which every draw of the objective and every grid posterior share; on an
-equally spaced tensor grid it draws by circulant embedding (one FFT per
-draw) and factors nothing.  The EI
-loop and the lemma protocols compute posteriors on its grid through
-``eiopt.GridPosterior`` (a one-row Cholesky append per observation), which
-reads every kernel value from ``GridPrior.K``.  ``fit``, ``posterior_batch``
-and ``update`` (``fit`` on the augmented data) evaluate the kernel at
-arbitrary points; states are immutable.  They are the single-point reference
-that tests compare the grid posterior against.
+which every draw of the objective and every grid posterior share and which
+holds no Gram matrix; on an equally spaced tensor grid it draws by circulant
+embedding (one FFT per draw) and factors nothing.  The EI loop and the lemma
+protocols compute posteriors on its grid through ``eiopt.GridPosterior`` (a
+one-row Cholesky append per observation), which evaluates only the kernel
+rows of the points it observes (``GridPrior.rows``).  ``fit``,
+``posterior_batch`` and ``update`` (``fit`` on the augmented data) evaluate
+the kernel at arbitrary points; states are immutable.  They are the
+single-point reference that tests compare the grid posterior against.
 """
 
 from __future__ import annotations
@@ -194,28 +194,28 @@ def _tensor_axes(grid: np.ndarray) -> tuple[tuple[int, ...], tuple[float, ...]] 
     return points, tuple(spacing)
 
 
-def _circulant_eigenvalues(kernel: KernelSpec, points, spacing, k0: np.ndarray) -> np.ndarray | None:
+def _circulant_eigenvalues(kernel: KernelSpec, grid: np.ndarray, points, spacing) -> np.ndarray | None:
     """Eigenvalues of the smallest circulant embedding that samples the prior
-    exactly on a tensor grid (``points`` and ``spacing`` per axis, as
-    ``_tensor_axes`` returns them), or None when it has none worth using.
+    exactly on the tensor grid ``grid`` (``points`` and ``spacing`` per axis,
+    as ``_tensor_axes`` returns them), or None when it has none worth using.
 
-    ``k0`` is the first row of the grid's Gram matrix (the covariances of the
+    k0 is the first row of the grid's Gram matrix (the covariances of the
     lowest corner).  Axis k of m_k points with spacing h_k wraps onto a torus
     of M_k points, at first the smallest 5-smooth length >= 2(m_k - 1); the
     torus's first row holds the kernel at offsets h_k * min(j, M_k - j), and
     its eigenvalues are the real part of that row's d-dimensional FFT.  The
     torus is accepted when its smallest eigenvalue is >= -``JITTER_START`` and
-    the covariance of the eigenvalues clipped at 0 reproduces ``k0`` to within
+    the covariance of the eigenvalues clipped at 0 reproduces k0 to within
     ``JITTER_START``; otherwise every axis grows to the next 5-smooth length
     >= 9/8 M_k.  None once the torus's FFT (5 N log2 N flops for N torus
     points) would cost more than the 2 n^2 flops of the matrix-vector product
     L z it replaces.  Returned clipped at 0, shape (M_1, ..., M_d).
     """
-    n = math.prod(points)
+    k0 = kernels.cross_matrix(kernel, grid[:1], grid)[0]
     torus = [_smooth5(max(1, 2 * (m - 1))) for m in points]
     while True:
         size = math.prod(torus)
-        if 5 * size * math.log2(size) > 2 * n * n:
+        if 5 * size * math.log2(size) > 2 * grid.shape[0] ** 2:
             return None
         sq = np.zeros(torus)
         for k, (M, h) in enumerate(zip(torus, spacing)):
@@ -235,28 +235,26 @@ def _circulant_eigenvalues(kernel: KernelSpec, points, spacing, k0: np.ndarray) 
 class GridPrior:
     """The GP prior on a finite grid, built once and shared by every draw.
 
-    ``K`` is the grid Gram matrix, which every grid posterior reads.  A grid
-    laid out as ``ExperimentConfig.grid_points`` lays it out (equally spaced
-    ascending axes, last coordinate fastest) is sampled by circulant
-    embedding (Dietrich & Newsam 1997; Wood & Chan 1994) when
+    It keeps no Gram matrix K: every grid posterior gets its prior covariances
+    from ``rows``.  A grid laid out as ``ExperimentConfig.grid_points`` lays
+    it out (equally spaced ascending axes, last coordinate fastest) is sampled
+    by circulant embedding (Dietrich & Newsam 1997; Wood & Chan 1994) when
     ``_circulant_eigenvalues`` finds a torus: ``eig`` holds the torus's
     eigenvalues, ``points`` the grid's points per axis, and ``L`` and
     ``jitter`` are None.  The draws' covariance then equals K entrywise to
-    within ``JITTER_START``, and the prior holds n^2*8 bytes for K plus 8
-    bytes per torus point (128 MiB plus about 0.4 MiB for the 64x64
-    Matern-5/2 grid at the 4096-point cap), which is also the peak of
-    ``build``: nothing n-by-n is factored.  Any other grid (points not
-    equally spaced or not in that order, or a kernel too wide for the torus
-    to pay off, such as SE with lengthscale r) is sampled through ``L``, the
-    F-ordered lower Cholesky factor of K + jitter*I, with ``eig`` None; K
-    and L then take 2*n^2*8 bytes.  Every array is read-only, since every
-    draw and trial shares them.  Build one per campaign or worker process,
-    not one per draw.
+    within ``JITTER_START``; ``build`` evaluates K's first row only, and the
+    prior holds the grid plus 8 bytes per torus point (0.4 MiB for the 64x64
+    Matern-5/2 grid at the 4096-point cap).  Any other grid (points not
+    equally spaced or not in that order, or a kernel too wide for the torus to
+    pay off, such as SE with lengthscale r) is sampled through ``L``, the
+    F-ordered lower Cholesky factor of K + jitter*I, with ``eig`` None:
+    ``build`` assembles and factors K (2*n^2*8 bytes at its peak) and keeps L
+    only.  Every array, ``grid`` (a copy of the caller's) included, is
+    read-only, since every draw and trial shares them.
     """
 
     kernel: KernelSpec
     grid: np.ndarray
-    K: np.ndarray
     L: np.ndarray | None
     jitter: float | None
     eig: np.ndarray | None
@@ -264,19 +262,22 @@ class GridPrior:
 
     @classmethod
     def build(cls, kernel: KernelSpec, grid) -> GridPrior:
-        grid = np.asarray(grid, dtype=float)
+        grid = np.array(grid, dtype=float)
         if grid.ndim != 2 or grid.shape[0] < 1:
             raise ValueError(f"grid must be a non-empty 2-d array, got shape {grid.shape}")
-        K = kernels.gram(kernel, grid)
-        K.flags.writeable = False
+        grid.flags.writeable = False
         axes = _tensor_axes(grid)
-        eig = None if axes is None else _circulant_eigenvalues(kernel, *axes, K[0])
+        eig = None if axes is None else _circulant_eigenvalues(kernel, grid, *axes)
         if eig is not None:
             eig.flags.writeable = False
-            return cls(kernel, grid, K, None, None, eig, axes[0])
-        L, jitter = chol_with_jitter(K)
+            return cls(kernel, grid, None, None, eig, axes[0])
+        L, jitter = chol_with_jitter(kernels.gram(kernel, grid))
         L.flags.writeable = False
-        return cls(kernel, grid, K, L, jitter, None, None)
+        return cls(kernel, grid, L, jitter, None, None)
+
+    def rows(self, idx) -> np.ndarray:
+        """Rows idx of K, shape (len(idx), n), bitwise equal to ``kernels.gram``'s."""
+        return kernels.cross_matrix(self.kernel, self.grid[idx], self.grid)
 
     def draw(self, seeds) -> np.ndarray:
         """The objectives of ``seeds`` on the grid, shape (len(seeds), n).  Row b

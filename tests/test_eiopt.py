@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gpei import eiopt, gp
+from gpei import eiopt, gp, kernels
 from gpei.config import ExperimentConfig
 from gpei.eiopt import ei_batch, lowest_argmax, run
 from gpei.gp import GridPrior, fit
@@ -370,8 +370,9 @@ class TestGridPosterior:
 
     @pytest.mark.parametrize("case", ["noisy", "noiseless_escalation", "matern_2d_duplicates"])
     def test_refit_bitwise_equals_fit_and_solve(self, monkeypatch, case):
-        # _refit factors the prior's K block; gp.fit assembles the same block
-        # with its own kernel call and must give the same factor and jitter
+        # _refit factors a block of the prior's kernel rows; gp.fit assembles
+        # the same block with its own kernel call and must give the same
+        # factor and jitter
         if case == "matern_2d_duplicates":
             kernel = KernelSpec("matern", 0.2, 2.5)
             grid = ExperimentConfig(d=2, grid_per_dim=20).grid_points()
@@ -392,7 +393,7 @@ class TestGridPosterior:
         assert post.jitter[0] == ref.jitter
         if case == "noiseless_escalation":
             assert ref.jitter > 1e-18
-        assert np.array_equal(post._V[0, :t], gp.solve_lower(ref.chol, prior.K[idx]))
+        assert np.array_equal(post._V[0, :t], gp.solve_lower(ref.chol, kernels.gram(kernel, grid)[idx]))
         assert np.array_equal(post._w[0, :t], gp.solve_lower(ref.chol, y))
 
 

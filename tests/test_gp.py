@@ -217,7 +217,9 @@ class TestSamplePrior:
     def test_single_point_moments(self):
         # f on a 1-point grid is standard normal; Monte-Carlo moment check
         prior = GridPrior.build(SE, np.array([[0.0]]))
-        vals = np.array([prior.sample(seed).f[0] for seed in range(100_000)])
+        # draw(range(...)) equals the per-seed samples bitwise; in chunks, to
+        # keep few generators alive at once
+        vals = np.concatenate([prior.draw(range(i, i + 10_000))[:, 0] for i in range(0, 100_000, 10_000)])
         assert abs(vals.mean()) < 0.02
         assert 0.98 < vals.var() < 1.02
 
@@ -246,10 +248,6 @@ def config_grid(d, m):
     return np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
 
 
-def small_grid(d):
-    return config_grid(d, 17 if d == 1 else 6)
-
-
 def fallback_grid(d):
     """A grid sampled through the Cholesky factor: points not equally spaced
     (d = 1) or rows in reverse ``grid_points`` order (d = 2)."""
@@ -271,13 +269,19 @@ def assert_samples_through_factor(spec, grid):
 
 class TestGridPrior:
     @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: f"{s.family}{s.nu or ''}")
+    @pytest.mark.parametrize("spec", CONFIG_FAMILIES, ids=lambda s: f"{s.family}{s.nu or ''}")
     def test_gram_rows_equal_cross_matrix(self, spec, d):
-        # the loop reads K[j] where it used to call cross_matrix on grid[j]
-        grid = small_grid(d)
-        prior = GridPrior.build(spec, grid)
-        for j in range(grid.shape[0]):
-            assert np.array_equal(prior.K[j], kernels.cross_matrix(spec, grid[j : j + 1], grid)[0])
+        # every grid posterior takes its prior covariances from rows(), which
+        # must equal the Gram matrix's rows bitwise on every kind of prior
+        embedded = GridPrior.build(spec, config_grid(d, 200 if d == 1 else 16))
+        fallback = GridPrior.build(spec, fallback_grid(d))
+        assert embedded.eig is not None and fallback.L is not None
+        for prior in (embedded, fallback):
+            K = kernels.gram(spec, prior.grid)
+            n = K.shape[0]
+            assert np.array_equal(prior.rows(np.arange(n)), K)
+            for idx in ([0], [n - 1], [7, 0, 7, n // 2]):
+                assert np.array_equal(prior.rows(idx), K[idx])
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_sample_equals_per_draw_factorization(self, d):
@@ -291,9 +295,22 @@ class TestGridPrior:
         embedded = GridPrior.build(KernelSpec("matern", 0.2, 2.5), config_grid(1, 200))
         fallback = GridPrior.build(KernelSpec("matern", 0.3, 2.5), fallback_grid(1))
         assert embedded.L is None and fallback.eig is None
-        for a in (embedded.K, embedded.eig, fallback.K, fallback.L):
+        for a in (embedded.grid, embedded.eig, fallback.grid, fallback.L):
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0.0
+
+    @pytest.mark.parametrize("grid", [config_grid(1, 200), fallback_grid(1)], ids=["embedded", "fallback"])
+    def test_caller_grid_writes_do_not_reach_the_prior(self, grid):
+        # every kernel value and draw comes from the prior's grid, so the
+        # prior keeps its own copy
+        spec = KernelSpec("matern", 0.2, 2.5)
+        g = grid.copy()
+        prior = GridPrior.build(spec, g)
+        rows, f = prior.rows([0, 5]), prior.sample(3).f
+        g[0, 0] = 5.0
+        assert prior.grid is not g and np.array_equal(prior.grid, grid)
+        assert np.array_equal(prior.rows([0, 5]), rows)
+        assert np.array_equal(prior.sample(3).f, f)
 
 
 def embedded_covariance(prior):
@@ -312,7 +329,7 @@ class TestCirculantEmbedding:
         prior = GridPrior.build(spec, config_grid(d, m))
         assert prior.L is None and prior.jitter is None and prior.points == (m,) * d
         assert prior.eig.min() >= 0.0
-        assert np.max(np.abs(embedded_covariance(prior) - prior.K)) <= gp.JITTER_START
+        assert np.max(np.abs(embedded_covariance(prior) - kernels.gram(spec, prior.grid))) <= gp.JITTER_START
 
     @pytest.mark.parametrize("d,m", [(1, 60), (2, 10)])
     def test_monte_carlo_covariance(self, d, m):
@@ -321,7 +338,7 @@ class TestCirculantEmbedding:
         assert prior.L is None
         draws = np.array([prior.sample(seed).f for seed in range(10_000)])
         assert np.max(np.abs(draws.mean(axis=0))) < 0.05
-        assert np.max(np.abs(np.cov(draws.T, bias=True) - prior.K)) < 0.05
+        assert np.max(np.abs(np.cov(draws.T, bias=True) - kernels.gram(spec, prior.grid))) < 0.05
 
     def test_sample_is_the_fft_of_the_seed_stream(self):
         # f = Re FFT(sqrt(eig/N) (z1 + i z2)) on the grid, z1 and z2 the even
@@ -495,7 +512,8 @@ class TestMemoryBudget:
     # 1024-point 2-d Matern-5/2 grid; budgets in units of one n-by-n float64
     # array.  chol_with_jitter allocates only L, which LAPACK factors in place,
     # so a hidden work copy of K would show in these peaks.  The embedded
-    # prior holds K and an 81x81 torus; the reversed grid falls back to K and L.
+    # prior evaluates one kernel row and an 81x81 torus, nothing n-by-n; the
+    # reversed grid falls back to assembling K and factoring it into L.
     grid = config_grid(2, 32)
     spec = KernelSpec("matern", 0.2, 2.5)
     unit = 8 * 1024**2
@@ -508,7 +526,7 @@ class TestMemoryBudget:
         assert traced_peak(gp.chol_with_jitter, K) <= 1.1 * self.unit
 
     def test_grid_prior_build(self):
-        assert traced_peak(GridPrior.build, self.spec, self.grid) <= 1.2 * self.unit
+        assert traced_peak(GridPrior.build, self.spec, self.grid) <= 0.1 * self.unit
 
     def test_grid_prior_build_fallback(self):
         assert GridPrior.build(self.spec, self.grid[::-1]).L is not None

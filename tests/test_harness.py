@@ -436,24 +436,32 @@ class TestVectorisedChecks:
 
 
 class TestOneKernelSource:
-    def test_campaign_and_lemmas_run_without_fit_or_cross_matrix(self, monkeypatch):
-        # every posterior of a campaign or lemma protocol reads the prior's K:
-        # neither the reference fit nor a cross-covariance kernel call runs,
-        # also when a failed pivot forces a refit
+    def test_campaign_and_lemmas_run_without_fit_or_full_gram(self, monkeypatch):
+        # every posterior of a campaign or lemma protocol takes its kernel
+        # values from the prior's rows: the reference fit never runs, also
+        # when a failed pivot forces a refit, and a campaign on an embedded
+        # grid assembles no n-by-n Gram matrix
         from gpei import eiopt, gp, kernels
 
-        refits = []
-        original = eiopt.GridPosterior._refit
-        monkeypatch.setattr(eiopt.GridPosterior, "_refit", lambda self, b: (refits.append(b), original(self, b)))
+        refits, gram_sizes = [], []
+        original_refit, original_gram = eiopt.GridPosterior._refit, kernels.gram
+        monkeypatch.setattr(eiopt.GridPosterior, "_refit", lambda self, b: (refits.append(b), original_refit(self, b)))
         monkeypatch.setattr(gp, "fit", lambda *a: pytest.fail("gp.fit called"))
-        monkeypatch.setattr(kernels, "cross_matrix", lambda *a: pytest.fail("kernels.cross_matrix called"))
+        monkeypatch.setattr(kernels, "gram", lambda spec, X: (gram_sizes.append(len(X)), original_gram(spec, X))[1])
         for lemma in ("fmu", "iei_add", "iei_ratio"):
             assert harness.verify_lemma(lemma, tiny_config(), n=500).passed, lemma
         assert not refits
-        # noiseless re-queries at jitter 1e-18 have pivots that are not positive
+        cfg = tiny_config(grid_per_dim=200, noise_sd=0.0)
+        prior = harness.grid_prior(cfg)
+        assert prior.eig is not None
+        # noiseless re-queries at jitter 1e-18 have pivots that are not
+        # positive; the prior is built first, since the embedding's own
+        # tolerance is the jitter
+        monkeypatch.setattr(harness, "grid_prior", lambda config: prior)
         monkeypatch.setattr(gp, "JITTER_START", 1e-18)
-        result = harness.run_campaign(tiny_config(noise_sd=0.0, T=20))
+        result = harness.run_campaign(cfg)
         assert refits and result.passed
+        assert cfg.grid_size not in gram_sizes
 
 
 class TestPriorFactorization:

@@ -62,3 +62,15 @@ def test_step_and_repeat_counts_equal_the_trace_columns(overrides):
     fresh = sum(np.setdiff1d(trace.x_next_idx, trace.init_indices).size for trace in result.traces)
     assert tr.totals["eiopt.steps"] == steps
     assert tr.totals["eiopt.repeats"] == steps - fresh > 0
+
+
+@pytest.mark.parametrize("name", ["campaign_default", "campaign_grid4096"])
+def test_tiny_campaign_evaluates_kernel_rows_and_no_gram(name, tmp_path):
+    # both tiny grids embed: the prior evaluates kernel rows on demand and
+    # assembles no Gram matrix
+    wl = workloads.build(name, 7, tiny=True)
+    tr = tracer.Tracer()
+    with tr.active():
+        workloads.run_rep(wl, str(tmp_path))
+    assert tr.totals["kernels.gram.calls"] == 0
+    assert tr.totals["kernels.cross_matrix.calls"] > 0

@@ -10,10 +10,11 @@ evaluation and one argmax over the (B, n) block of posterior moments and one
 batched posterior append; a trial that kappa stops leaves the block, and a
 trial's ``Trace`` is slices of the batch's columns.  The moments are kept in
 a ``GridPosterior`` with state V (B, T, n), w (B, T), mu and var (B, n) and
-jitter (B,); it takes kernel rows from ``GridPrior.rows`` and appends one row
-of each trial's Cholesky factor per observation (O(t*n) per trial and step),
-refitting a trial alone when its new pivot is not positive.  ``batch_size``
-keeps V near 2 MiB: B = max(1, 2 MiB // (8*T*n)).  A trial's trace does not
+jitter (B,); it takes kernel rows from ``GridPrior.rows`` (the prior's
+table on grids of up to 512 points) and appends one row of each trial's
+Cholesky factor per observation (O(t*n) per trial and step), refitting a
+trial alone when its new pivot is not positive.  ``batch_size`` keeps V near
+2 MiB: B = max(1, ``gp.TABLE_BYTES`` // (8*T*n)).  A trial's trace does not
 depend on B or on the trials it shares a batch with.  Acquisition
 maximization is an exhaustive scan, which is exact at desk scale and keeps
 inner-optimizer noise out of the recorded quantities; EI values within a
@@ -42,9 +43,6 @@ NOISE_STREAM = 0x4E4F4953
 # count as tied with it: mirror points of a symmetric posterior have equal EI
 # in exact arithmetic but not after roundoff.
 TIE_RTOL = 1e-12
-
-# Size of the V buffer of one batch of lockstep trials; see ``batch_size``.
-BATCH_BYTES = 2 << 20
 
 
 def ei_batch(state: GpState, y_plus: float, candidates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -75,16 +73,19 @@ class GridPosterior:
     holds V[b] = L_b^{-1} K(X_b, grid), w[b] = L_b^{-1} y_b,
     ``mu[b]`` = V[b]^T w[b] and ``var[b]`` = 1 - sum(V[b] * V[b], axis=0), in
     buffers V (B, capacity, n), w (B, capacity), ``mu`` and ``var`` (B, n) and
-    ``jitter`` (B,): B*capacity*n*8 bytes for V.  Every trial holds the same
-    number t of observations.  ``observe(j, y)`` borders each L_b with the
-    row [l^T, d], where l = V[b, :, j_b] = L_b^{-1} k_t(grid[j_b]) and
-    d^2 = 1 + noise_var + jitter[b] - l^T l, appends
-    v = (K[j_b] - l^T V[b]) / d to V[b] and (y_b - l^T w[b]) / d to w[b], so
-    that mu[b] += v * w_new and var[b] -= v^2: O(t*n) per trial and step,
-    with the rows K[j] from one ``prior.rows(j)`` call and no triangular
-    solve.  All trials append in one batched ``matmul``; l^T l and l^T w are
-    row-wise reductions, so a trial's arithmetic does not depend on B or on
-    the other trials.  ``keep(mask)`` drops the trials that stop.  Every
+    ``jitter`` (B,): B*capacity*n*8 bytes for V, plus one (B, n) scratch.
+    Every trial holds the same number t of observations.  ``observe(j, y)``
+    borders each L_b with the row [l^T, d], where
+    l = V[b, :, j_b] = L_b^{-1} k_t(grid[j_b]) and
+    d^2 = 1 + noise_var + jitter[b] - l^T l, writes
+    v = (K[j_b] - l^T V[b]) / d straight into V[b] and appends
+    (y_b - l^T w[b]) / d to w[b], so that mu[b] += v * w_new and
+    var[b] -= v^2 (both products formed in the scratch): O(t*n) per trial and
+    step, with the rows K[j] from one ``prior.rows(j)`` call (a gather from
+    the prior's table on a grid of n <= 512 points, evaluated above that) and
+    no triangular solve.  All trials append in one batched ``matmul``; l^T l
+    and l^T w are row-wise reductions, so a trial's arithmetic does not
+    depend on B or on the other trials.  ``keep(mask)`` drops the trials that stop.  Every
     trial starts from the prior (no observations, mu = 0, var = 1, jitter
     ``gp.JITTER_START``) and takes its initial observations through
     ``observe`` too.  Only a trial whose d^2 is not positive and finite is
@@ -110,6 +111,8 @@ class GridPosterior:
         self.mu = np.zeros((B, n))
         self.var = np.ones((B, n))
         self.jitter = np.full(B, gp.JITTER_START)
+        self._trials = np.arange(B)
+        self._scratch = np.empty((B, n))
         for s in range(t):
             self.observe(idx[:, s], y[:, s])
 
@@ -133,8 +136,9 @@ class GridPosterior:
 
     def keep(self, mask) -> None:
         """Drop the trials where ``mask`` is False; the others keep their order and state."""
-        for name in ("_idx", "_y", "_V", "_w", "mu", "var", "jitter"):
+        for name in ("_idx", "_y", "_V", "_w", "mu", "var", "jitter", "_scratch"):
             setattr(self, name, getattr(self, name)[mask])
+        self._trials = np.arange(self.jitter.size)
 
     def observe(self, j, y) -> None:
         """Condition trial b on observing ``y[b]`` at grid[j[b]], for every trial."""
@@ -144,21 +148,25 @@ class GridPosterior:
             raise ValueError(f"y must be finite, got {y!r}")
         t = self._t
         V = self._V[:, :t]
-        l = V[np.arange(V.shape[0]), :, j]
+        l = V[self._trials, :, j]
         d2 = 1.0 + self.noise_var + self.jitter - np.sum(l * l, axis=1)
         ok = np.isfinite(d2) & (d2 > 0.0)
         d = np.sqrt(np.where(ok, d2, 1.0))  # failed pivots are rebuilt below
-        v = (self.prior.rows(j) - np.matmul(l[:, None, :], V)[:, 0]) / d[:, None]
+        v = self._V[:, t]
+        np.subtract(self.prior.rows(j), np.matmul(l[:, None, :], V)[:, 0], out=v)
+        v /= d[:, None]
         w_new = (y - np.sum(l * self._w[:, :t], axis=1)) / d
-        self._V[:, t] = v
         self._w[:, t] = w_new
         self._idx[:, t] = j
         self._y[:, t] = y
         self._t = t + 1
-        self.mu += v * w_new[:, None]
-        self.var -= v * v
-        for b in np.flatnonzero(~ok):
-            self._refit(b)
+        vv = np.multiply(v, w_new[:, None], out=self._scratch)
+        self.mu += vv
+        np.multiply(v, v, out=vv)
+        self.var -= vv
+        if not ok.all():
+            for b in np.flatnonzero(~ok):
+                self._refit(b)
 
 
 # A trace's per-step columns, in field order; see ``Trace``.
@@ -201,10 +209,11 @@ class Trace:
 
 
 def batch_size(T: int, n: int) -> int:
-    """Trials stepped together: max(1, 2 MiB // (8*T*n)), so that a batch's V
-    buffer takes about 2 MiB (43 trials at T=30 and n=200, 21 at T=60 and
-    n=200, one at n=4096)."""
-    return max(1, BATCH_BYTES // (8 * T * n))
+    """Trials stepped together: max(1, ``gp.TABLE_BYTES`` // (8*T*n)), so that
+    a batch's V buffer takes about 2 MiB, the budget within which a grid of
+    n <= 512 points keeps its kernel-row table (43 trials at T=30 and n=200,
+    21 at T=60 and n=200, one at n=4096)."""
+    return max(1, gp.TABLE_BYTES // (8 * T * n))
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,18 @@ cross-covariances k_t(x), noise variance s2 and observations y,
 Factorizations go through Cholesky with a small escalating diagonal jitter,
 since squared-exponential Gram matrices on fine grids are numerically
 singular.  The prior on a finite grid is built once into a ``GridPrior``,
-which every draw of the objective and every grid posterior share and which
-holds no Gram matrix; on an equally spaced tensor grid it draws by circulant
-embedding (one FFT per draw) and factors nothing.  The EI loop and the lemma
-protocols compute posteriors on its grid through ``eiopt.GridPosterior`` (a
-one-row Cholesky append per observation), which evaluates only the kernel
-rows of the points it observes (``GridPrior.rows``).  ``fit``,
-``posterior_batch`` and ``update`` (``fit`` on the augmented data) evaluate
-the kernel at arbitrary points; states are immutable.  They are the
-single-point reference that tests compare the grid posterior against.
+which every draw of the objective and every grid posterior share; on an
+equally spaced tensor grid it draws by circulant embedding (one FFT per draw)
+and factors nothing.  A prior on n <= 512 points (n^2*8 bytes within
+``TABLE_BYTES``) keeps its Gram matrix K as a read-only table of kernel rows;
+a larger one evaluates rows on demand, and on an embedded grid holds nothing
+n-by-n.  The EI loop and the lemma protocols compute posteriors on its grid
+through ``eiopt.GridPosterior`` (a one-row Cholesky append per observation),
+which reads only the kernel rows of the points it observes
+(``GridPrior.rows``).  ``fit``, ``posterior_batch`` and ``update`` (``fit``
+on the augmented data) evaluate the kernel at arbitrary points; states are
+immutable.  They are the single-point reference that tests compare the grid
+posterior against.
 """
 
 from __future__ import annotations
@@ -33,6 +36,11 @@ from .kernels import KernelSpec
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-6
+
+# Budget of one per-grid working array: a ``GridPrior`` keeps its Gram matrix
+# as a table of kernel rows when the n^2*8 bytes fit (n <= 512), and
+# ``eiopt.batch_size`` sizes a lockstep batch's V buffer to it.
+TABLE_BYTES = 2 << 20
 
 
 class FactorizationError(RuntimeError):
@@ -235,22 +243,27 @@ def _circulant_eigenvalues(kernel: KernelSpec, grid: np.ndarray, points, spacing
 class GridPrior:
     """The GP prior on a finite grid, built once and shared by every draw.
 
-    It keeps no Gram matrix K: every grid posterior gets its prior covariances
-    from ``rows``.  A grid laid out as ``ExperimentConfig.grid_points`` lays
-    it out (equally spaced ascending axes, last coordinate fastest) is sampled
-    by circulant embedding (Dietrich & Newsam 1997; Wood & Chan 1994) when
+    Every grid posterior gets its prior covariances from ``rows``.  On a grid
+    of n <= 512 points (n^2*8 bytes within ``TABLE_BYTES``) the prior keeps
+    ``K``, the grid's Gram matrix from ``kernels.gram``, and ``rows`` gathers
+    its rows (n^2*8 bytes held: 0.3 MiB at n = 200); on a larger grid ``K`` is
+    None and ``rows`` evaluates the kernel rows it is asked for.  A grid laid
+    out as ``ExperimentConfig.grid_points`` lays it out (equally spaced
+    ascending axes, last coordinate fastest) is sampled by circulant
+    embedding (Dietrich & Newsam 1997; Wood & Chan 1994) when
     ``_circulant_eigenvalues`` finds a torus: ``eig`` holds the torus's
     eigenvalues, ``points`` the grid's points per axis, and ``L`` and
     ``jitter`` are None.  The draws' covariance then equals K entrywise to
-    within ``JITTER_START``; ``build`` evaluates K's first row only, and the
-    prior holds the grid plus 8 bytes per torus point (0.4 MiB for the 64x64
-    Matern-5/2 grid at the 4096-point cap).  Any other grid (points not
-    equally spaced or not in that order, or a kernel too wide for the torus to
-    pay off, such as SE with lengthscale r) is sampled through ``L``, the
-    F-ordered lower Cholesky factor of K + jitter*I, with ``eig`` None:
-    ``build`` assembles and factors K (2*n^2*8 bytes at its peak) and keeps L
-    only.  Every array, ``grid`` (a copy of the caller's) included, is
-    read-only, since every draw and trial shares them.
+    within ``JITTER_START``; above the table bound ``build`` evaluates K's
+    first row only, and the prior holds the grid plus 8 bytes per torus point
+    (0.4 MiB for the 64x64 Matern-5/2 grid at the 4096-point cap).  Any other
+    grid (points not equally spaced or not in that order, or a kernel too wide
+    for the torus to pay off, such as SE with lengthscale r) is sampled
+    through ``L``, the F-ordered lower Cholesky factor of K + jitter*I, with
+    ``eig`` None: ``build`` assembles and factors K (2*n^2*8 bytes at its
+    peak) and keeps L, plus K on a grid within the table bound.  Every array,
+    ``grid`` (a copy of the caller's) included, is read-only, since every
+    draw and trial shares them.
     """
 
     kernel: KernelSpec
@@ -259,24 +272,33 @@ class GridPrior:
     jitter: float | None
     eig: np.ndarray | None
     points: tuple[int, ...] | None
+    K: np.ndarray | None
 
     @classmethod
     def build(cls, kernel: KernelSpec, grid) -> GridPrior:
         grid = np.array(grid, dtype=float)
         if grid.ndim != 2 or grid.shape[0] < 1:
             raise ValueError(f"grid must be a non-empty 2-d array, got shape {grid.shape}")
-        grid.flags.writeable = False
         axes = _tensor_axes(grid)
         eig = None if axes is None else _circulant_eigenvalues(kernel, grid, *axes)
-        if eig is not None:
-            eig.flags.writeable = False
-            return cls(kernel, grid, None, None, eig, axes[0])
-        L, jitter = chol_with_jitter(kernels.gram(kernel, grid))
-        L.flags.writeable = False
-        return cls(kernel, grid, L, jitter, None, None)
+        table = 8 * grid.shape[0] ** 2 <= TABLE_BYTES
+        K = kernels.gram(kernel, grid) if table or eig is None else None
+        L = jitter = None
+        if eig is None:
+            L, jitter = chol_with_jitter(K)
+        if not table:
+            K = None
+        for a in (grid, L, eig, K):
+            if a is not None:
+                a.flags.writeable = False
+        return cls(kernel, grid, L, jitter, eig, None if eig is None else axes[0], K)
 
     def rows(self, idx) -> np.ndarray:
-        """Rows idx of K, shape (len(idx), n), bitwise equal to ``kernels.gram``'s."""
+        """Rows idx of K, shape (len(idx), n), bitwise equal to ``kernels.gram``'s:
+        gathered from the table ``K`` or, above the table bound, evaluated by
+        ``kernels.cross_matrix``."""
+        if self.K is not None:
+            return self.K[idx]
         return kernels.cross_matrix(self.kernel, self.grid[idx], self.grid)
 
     def draw(self, seeds) -> np.ndarray:

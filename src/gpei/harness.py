@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import bdtr, bdtrc
 
-from . import bounds, eiopt, gp, kernels
+from . import bounds, eiopt, gp
 from .config import ExperimentConfig, config_hash
 from .eiopt import Trace
 from .rng import derive_stream_seed, trial_seed
@@ -415,8 +415,9 @@ def _joint_draws(config: ExperimentConfig, n_draws: int, stream: int):
     prior = gp.GridPrior.build(config.kernel, _lemma_fixture(config))
     k = prior.grid.shape[0] - 1
     # all draws come from one stream through one factor of the fixture's
-    # Gram matrix, whichever way the prior itself samples
-    L, _ = gp.chol_with_jitter(kernels.gram(config.kernel, prior.grid))
+    # Gram matrix (the prior's kernel-row table), whichever way the prior
+    # itself samples
+    L, _ = gp.chol_with_jitter(prior.K)
     rng = np.random.default_rng(derive_stream_seed(config.seed, stream))
     z = rng.standard_normal((n_draws, k + 1))
     f = z @ L.T

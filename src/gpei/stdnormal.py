@@ -63,8 +63,20 @@ def cdf(z):
 
 
 def _tau(z):
-    with np.errstate(over="ignore"):
-        return z * (0.5 * special.erfc(-z / _SQRT2)) + _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+    """z*Phi(z) + phi(z) in a new array, through one scratch array of z's
+    shape.  z*z overflows for |z| ~ 1e154, where exp(-inf) = 0 is the right
+    limit: callers silence that warning."""
+    out = np.negative(z, out=np.empty_like(z, dtype=float))
+    out /= _SQRT2
+    special.erfc(out, out=out)
+    out *= 0.5
+    out *= z
+    phi = np.multiply(z, -0.5, out=np.empty_like(out))
+    phi *= z
+    np.exp(phi, out=phi)
+    phi *= _INV_SQRT_2PI
+    out += phi
+    return out
 
 
 def tau(z):
@@ -72,7 +84,9 @@ def tau(z):
 
     Strictly positive and strictly increasing, with derivative Phi(z).
     """
-    return _scalar_or_array(_tau(_finite("z", z)))
+    z = _finite("z", z)
+    with np.errstate(over="ignore"):
+        return _scalar_or_array(_tau(z))
 
 
 def ei_unchecked(a, b):
@@ -81,13 +95,22 @@ def ei_unchecked(a, b):
     Entries with b <= ``SIGMA_FLOOR``, or whose a/b overflows, take the
     continuous limit max(a, 0); the others are b*tau(a/b).  b must be >= 0.
     A NaN or +inf in a or b yields a NaN or +inf EI, which callers that skip
-    ``ei_ab``'s checks must test for.
+    ``ei_ab``'s checks must test for.  When every b is above the floor and
+    every a/b is finite, b*tau(a/b) is evaluated in place with no mask.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        z = a / np.where(b > SIGMA_FLOOR, b, 1.0)
-    # for |a/b| beyond double range, b*tau(a/b) is indistinguishable from max(a, 0)
-    degenerate = (b <= SIGMA_FLOOR) | ~np.isfinite(z)
-    return np.where(degenerate, np.maximum(a, 0.0), b * _tau(np.where(degenerate, 0.0, z)))
+        floored = not (b.size and b.min() > SIGMA_FLOOR)  # also when b holds a NaN
+        z = a / (np.where(b > SIGMA_FLOOR, b, 1.0) if floored else b)
+        degenerate = None
+        if floored or not np.isfinite(z).all():
+            # for |a/b| beyond double range, b*tau(a/b) is indistinguishable from max(a, 0)
+            degenerate = (b <= SIGMA_FLOOR) | ~np.isfinite(z)
+            z = np.where(degenerate, 0.0, z)
+        out = _tau(z)
+        out *= b
+        if degenerate is not None:
+            np.copyto(out, np.maximum(a, 0.0), where=degenerate)
+    return out
 
 
 def ei_ab(a, b):

@@ -2,20 +2,22 @@
 
 import dataclasses
 import gc
+import math
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import special
 
 from gpei import eiopt, gp, kernels
 from gpei.config import ExperimentConfig
 from gpei.eiopt import ei_batch, lowest_argmax, run
 from gpei.gp import GridPrior, fit
 from gpei.kernels import KernelSpec
-from gpei.rng import trial_seed
-from gpei.stdnormal import ei_ab, ei_unchecked, tau
+from gpei.rng import derive_stream_seed, trial_seed
+from gpei.stdnormal import SIGMA_FLOOR, ei_ab, ei_unchecked, tau
 
 SE = KernelSpec("se", 0.5)
 
@@ -406,6 +408,26 @@ def legacy_ei_from_moments(y_plus, mu, sigma):
     return np.where(positive, vals, np.maximum(gap, 0.0))
 
 
+def masked_ei(a, b):
+    """``ei_unchecked`` as one masked pass over every entry, the form it had
+    before it evaluated b*tau(a/b) in place: the bitwise reference for inputs
+    ``ei_ab`` rejects (NaN, inf)."""
+    with np.errstate(all="ignore"):
+        z = a / np.where(b > SIGMA_FLOOR, b, 1.0)
+        degenerate = (b <= SIGMA_FLOOR) | ~np.isfinite(z)
+        z = np.where(degenerate, 0.0, z)
+        tau_z = z * (0.5 * special.erfc(-z / math.sqrt(2.0))) + 1.0 / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * z * z)
+        return np.where(degenerate, np.maximum(a, 0.0), b * tau_z)
+
+
+def assert_same_bits(x, y):
+    """x and y are equal bit for bit, except that any NaN matches any NaN."""
+    x, y = np.asarray(x), np.asarray(y)
+    nan = np.isnan(x)
+    assert x.shape == y.shape and np.array_equal(nan, np.isnan(y))
+    assert x[~nan].tobytes() == y[~nan].tobytes()
+
+
 class TestLoopEi:
     def test_block_bitwise_equals_stdnormal(self):
         rng = np.random.default_rng(8)
@@ -418,6 +440,38 @@ class TestLoopEi:
         assert np.array_equal(vals, ei_ab(y_plus - mu, sigma))
         assert np.array_equal(vals, legacy_ei_from_moments(y_plus, mu, sigma))
         assert np.array_equal(vals[2, 100:], np.maximum(y_plus[2] - mu[2, 100:], 0.0))
+        assert_same_bits(vals, masked_ei(y_plus - mu, sigma))
+
+        # no degenerate entry: the in-place pass without a mask
+        clear = rng.uniform(1e-3, 1, size=(6, 300))
+        vals = ei_unchecked(y_plus - mu, clear)
+        assert np.array_equal(vals, ei_ab(y_plus - mu, clear))
+        assert np.array_equal(vals, legacy_ei_from_moments(y_plus, mu, clear))
+        assert_same_bits(vals, masked_ei(y_plus - mu, clear))
+
+        # sigma just above the floor with |a| ~ 1e300: a/b overflows to
+        # +-inf, and EI is the limit max(a, 0), the only such entries
+        a, b = y_plus - mu, clear.copy()
+        a[1, 7], a[4, 9], b[1, 7], b[4, 9] = 1e300, -1e300, 2e-12, 2e-12
+        vals = ei_unchecked(a, b)
+        assert (vals[1, 7], vals[4, 9]) == (1e300, 0.0)
+        assert np.array_equal(vals, ei_ab(a, b))
+        assert_same_bits(vals, masked_ei(a, b))
+
+        # NaN and +inf sigma, which ei_ab rejects: NaN and +inf EI there
+        b[0, 3], b[3, 0], b[5, 299] = np.nan, np.inf, np.nan
+        vals = ei_unchecked(a, b)
+        assert np.isnan(vals[0, 3]) and np.isnan(vals[5, 299]) and vals[3, 0] == np.inf
+        assert_same_bits(vals, masked_ei(a, b))
+        # and NaN or +-inf in a, alone and against a NaN or +inf sigma
+        a[0, 3], a[3, 0], a[2, 50], a[2, 51], a[2, 52] = np.inf, np.nan, np.nan, np.inf, -np.inf
+        assert_same_bits(ei_unchecked(a, b), masked_ei(a, b))
+        assert_same_bits(ei_unchecked(a, clear), masked_ei(a, clear))
+
+        # 0-d inputs, through ei_ab, on either path
+        for x, y in [(0.3, 0.0), (0.3, 1e-12), (-0.2, 0.7), (1e300, 2e-12), (-1e300, 2e-12)]:
+            ei = ei_ab(x, y)
+            assert type(ei) is float and ei == masked_ei(np.array(x), np.array(y))
 
     @pytest.mark.parametrize("noise_sd", [0.05, 0.0])
     def test_recorded_ei_equals_ei_ab(self, noise_sd):
@@ -431,6 +485,18 @@ class TestLoopEi:
         def poisoned(self, *args):
             init(self, *args)
             self.mu[0, 3] = np.nan
+
+        monkeypatch.setattr(eiopt.GridPosterior, "__init__", poisoned)
+        with pytest.raises(ValueError, match="finite"):
+            run_once(tiny_config())
+
+    def test_nan_in_var_raises(self, monkeypatch):
+        # a NaN variance gives a NaN sd, and the EI block must not absorb it
+        init = eiopt.GridPosterior.__init__
+
+        def poisoned(self, *args):
+            init(self, *args)
+            self.var[0, 3] = np.nan
 
         monkeypatch.setattr(eiopt.GridPosterior, "__init__", poisoned)
         with pytest.raises(ValueError, match="finite"):
@@ -486,22 +552,63 @@ class TestLockstep:
         assert len(made) == 2 and all(ref() is None for ref in made) and len(traces) == 5
 
 
+class TestKernelRowTable:
+    @pytest.mark.parametrize("overrides", [dict(noise_sd=0.05), dict(noise_sd=0.0), dict(noise_sd=0.05, kappa=3e-3)],
+                             ids=["noisy", "noiseless_refit", "kappa"])
+    def test_table_and_on_demand_rows_give_the_same_bits(self, monkeypatch, overrides):
+        # a 200-point grid keeps K; with the table bound at 0 the same prior
+        # evaluates its rows on demand, and the loop records the same bits
+        cfg = tiny_config(grid_per_dim=200, T=30, trials=8, **overrides)
+        table = GridPrior.build(cfg.kernel, cfg.grid_points())
+        monkeypatch.setattr(gp, "TABLE_BYTES", 0)
+        on_demand = GridPrior.build(cfg.kernel, cfg.grid_points())
+        assert table.K is not None and on_demand.K is None and on_demand.eig is not None
+        refits = []
+        if cfg.noise_sd == 0.0:
+            # noiseless re-queries at jitter 1e-18 have pivots that are not
+            # positive; the priors are built first, since the embedding's
+            # tolerance is the jitter
+            monkeypatch.setattr(gp, "JITTER_START", 1e-18)
+            original = eiopt.GridPosterior._refit
+            monkeypatch.setattr(eiopt.GridPosterior, "_refit", lambda self, b: (refits.append(b), original(self, b)))
+        seeds = [trial_seed(cfg.seed, i) for i in range(cfg.trials)]
+        a, b = (eiopt.run_batch(cfg, prior, seeds) for prior in (table, on_demand))
+        for name in eiopt.COLUMNS:
+            assert a.columns[name].tobytes() == b.columns[name].tobytes(), name
+        assert np.array_equal(a.steps, b.steps) and np.array_equal(a.stopped, b.stopped)
+        assert bool(refits) == (cfg.noise_sd == 0.0)
+        assert a.stopped.any() == (cfg.kappa is not None)
+
+
+def assert_picks_are_ei_maxima(cfg, seed):
+    """Every pick of the loop's run of ``seed`` is the lowest-index tied
+    maximum of EI recomputed from a ``gp.fit`` on the observations so far."""
+    sample, trace = run_once(cfg, seed)
+    grid = cfg.grid_points()
+    # rebuild the observation sequence and refit at each step
+    obs_idx = trace.init_indices.tolist()
+    rng_noise = np.random.default_rng(derive_stream_seed(seed, eiopt.NOISE_STREAM))
+    y = [float(sample.f[j] + cfg.noise_sd * rng_noise.standard_normal()) for j in obs_idx]
+    for j, ei_next in zip(trace.x_next_idx.tolist(), trace.ei_next):
+        state = fit(cfg.kernel, grid[obs_idx], np.array(y), cfg.noise_var)
+        y_plus = min(y)
+        _, _, vals = ei_batch(state, y_plus, grid)
+        # the loop's moments match the refit's to 1e-10 with noise, 1e-6 without
+        assert vals.max() <= ei_next + (1e-12 if cfg.noise_sd > 0 else 1e-6)
+        assert lowest_argmax(vals) == j
+        obs_idx.append(j)
+        y.append(float(sample.f[j] + cfg.noise_sd * rng_noise.standard_normal()))
+
+
 class TestSelectionOptimality:
     def test_no_candidate_beats_recorded_choice(self):
-        cfg = tiny_config(T=10, seed=303)
-        sample, trace = run_once(cfg, 303)
-        grid = cfg.grid_points()
-        # rebuild the observation sequence and refit at each step
-        obs_idx = trace.init_indices.tolist()
-        from gpei.rng import derive_stream_seed
+        assert_picks_are_ei_maxima(tiny_config(T=10, seed=303), 303)
 
-        rng_noise = np.random.default_rng(derive_stream_seed(303, eiopt.NOISE_STREAM))
-        y = [float(sample.f[j] + cfg.noise_sd * rng_noise.standard_normal()) for j in obs_idx]
-        for j, ei_next in zip(trace.x_next_idx.tolist(), trace.ei_next):
-            state = fit(cfg.kernel, grid[obs_idx], np.array(y), cfg.noise_var)
-            y_plus = min(y)
-            _, _, vals = ei_batch(state, y_plus, grid)
-            assert vals.max() <= ei_next + 1e-12
-            assert lowest_argmax(vals) == j
-            obs_idx.append(j)
-            y.append(float(sample.f[j] + cfg.noise_sd * rng_noise.standard_normal()))
+    # the 600-point grid is above the kernel-row table bound: its posterior
+    # takes its kernel rows from kernels.cross_matrix, the 25-point one from K
+    @pytest.mark.parametrize("noise_sd,grid_per_dim", [(0.0, 25), (0.05, 600), (0.0, 600)],
+                             ids=["noiseless-25", "noisy-600", "noiseless-600"])
+    def test_picks_are_ei_maxima(self, noise_sd, grid_per_dim):
+        cfg = tiny_config(T=10, seed=303, noise_sd=noise_sd, grid_per_dim=grid_per_dim)
+        assert (GridPrior.build(cfg.kernel, cfg.grid_points()).K is None) == (grid_per_dim == 600)
+        assert_picks_are_ei_maxima(cfg, 303)

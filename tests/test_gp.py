@@ -272,16 +272,30 @@ class TestGridPrior:
     @pytest.mark.parametrize("spec", CONFIG_FAMILIES, ids=lambda s: f"{s.family}{s.nu or ''}")
     def test_gram_rows_equal_cross_matrix(self, spec, d):
         # every grid posterior takes its prior covariances from rows(), which
-        # must equal the Gram matrix's rows bitwise on every kind of prior
+        # must equal the Gram matrix's rows bitwise on every kind of prior:
+        # gathered from the table K up to 512 points, from cross_matrix above
         embedded = GridPrior.build(spec, config_grid(d, 200 if d == 1 else 16))
         fallback = GridPrior.build(spec, fallback_grid(d))
+        large = GridPrior.build(spec, config_grid(d, 600 if d == 1 else 24))
+        large_fallback = GridPrior.build(spec, config_grid(d, 600 if d == 1 else 24)[::-1])
         assert embedded.eig is not None and fallback.L is not None
-        for prior in (embedded, fallback):
+        assert large.eig is not None and large_fallback.L is not None
+        assert embedded.K is not None and fallback.K is not None
+        assert large.K is None and large_fallback.K is None
+        for prior in (embedded, fallback, large, large_fallback):
             K = kernels.gram(spec, prior.grid)
             n = K.shape[0]
             assert np.array_equal(prior.rows(np.arange(n)), K)
             for idx in ([0], [n - 1], [7, 0, 7, n // 2]):
                 assert np.array_equal(prior.rows(idx), K[idx])
+
+    def test_kernel_row_table_up_to_512_points(self):
+        # the table's n^2*8 bytes must fit gp.TABLE_BYTES, the 2 MiB that
+        # eiopt.batch_size also gives a batch's V buffer
+        spec = KernelSpec("matern", 0.2, 2.5)
+        assert gp.TABLE_BYTES == 2 << 20
+        assert GridPrior.build(spec, config_grid(1, 512)).K is not None
+        assert GridPrior.build(spec, config_grid(1, 513)).K is None
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_sample_equals_per_draw_factorization(self, d):
@@ -295,7 +309,7 @@ class TestGridPrior:
         embedded = GridPrior.build(KernelSpec("matern", 0.2, 2.5), config_grid(1, 200))
         fallback = GridPrior.build(KernelSpec("matern", 0.3, 2.5), fallback_grid(1))
         assert embedded.L is None and fallback.eig is None
-        for a in (embedded.grid, embedded.eig, fallback.grid, fallback.L):
+        for a in (embedded.grid, embedded.eig, embedded.K, fallback.grid, fallback.L, fallback.K):
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0.0
 
@@ -509,11 +523,12 @@ def traced_peak(fn, *args):
 
 
 class TestMemoryBudget:
-    # 1024-point 2-d Matern-5/2 grid; budgets in units of one n-by-n float64
-    # array.  chol_with_jitter allocates only L, which LAPACK factors in place,
-    # so a hidden work copy of K would show in these peaks.  The embedded
-    # prior evaluates one kernel row and an 81x81 torus, nothing n-by-n; the
-    # reversed grid falls back to assembling K and factoring it into L.
+    # 1024-point 2-d Matern-5/2 grid, above the 512-point kernel-row table
+    # bound; budgets in units of one n-by-n float64 array.  chol_with_jitter
+    # allocates only L, which LAPACK factors in place, so a hidden work copy
+    # of K would show in these peaks.  The embedded prior evaluates one kernel
+    # row and an 81x81 torus, nothing n-by-n; the reversed grid falls back to
+    # assembling K and factoring it into L, and keeps L only.
     grid = config_grid(2, 32)
     spec = KernelSpec("matern", 0.2, 2.5)
     unit = 8 * 1024**2

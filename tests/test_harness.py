@@ -440,7 +440,8 @@ class TestOneKernelSource:
         # every posterior of a campaign or lemma protocol takes its kernel
         # values from the prior's rows: the reference fit never runs, also
         # when a failed pivot forces a refit, and a campaign on an embedded
-        # grid assembles no n-by-n Gram matrix
+        # grid above the 512-point kernel-row table bound assembles no n-by-n
+        # Gram matrix
         from gpei import eiopt, gp, kernels
 
         refits, gram_sizes = [], []
@@ -451,9 +452,9 @@ class TestOneKernelSource:
         for lemma in ("fmu", "iei_add", "iei_ratio"):
             assert harness.verify_lemma(lemma, tiny_config(), n=500).passed, lemma
         assert not refits
-        cfg = tiny_config(grid_per_dim=200, noise_sd=0.0)
+        cfg = tiny_config(grid_per_dim=600, noise_sd=0.0)
         prior = harness.grid_prior(cfg)
-        assert prior.eig is not None
+        assert prior.eig is not None and prior.K is None
         # noiseless re-queries at jitter 1e-18 have pivots that are not
         # positive; the prior is built first, since the embedding's own
         # tolerance is the jitter

@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpei import harness
+from gpei import gp, harness
 from gpei.config import ExperimentConfig
+from gpei.kernels import KernelSpec
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -65,12 +66,32 @@ def test_step_and_repeat_counts_equal_the_trace_columns(overrides):
 
 
 @pytest.mark.parametrize("name", ["campaign_default", "campaign_grid4096"])
-def test_tiny_campaign_evaluates_kernel_rows_and_no_gram(name, tmp_path):
-    # both tiny grids embed: the prior evaluates kernel rows on demand and
-    # assembles no Gram matrix
+def test_tiny_campaign_reads_kernel_rows_from_one_gram(name, tmp_path, monkeypatch):
+    # both tiny grids (200 and 144 points) are within the 512-point
+    # kernel-row table bound: each prior build assembles one n-by-n Gram
+    # matrix and evaluates one cross_matrix row (the embedding's), and the
+    # loop evaluates no kernel row of its own
     wl = workloads.build(name, 7, tiny=True)
+    builds = []
+    original = gp.GridPrior.build
+    monkeypatch.setattr(gp.GridPrior, "build", lambda kernel, grid: (builds.append(len(grid)), original(kernel, grid))[1])
     tr = tracer.Tracer()
     with tr.active():
         workloads.run_rep(wl, str(tmp_path))
+    n = wl.configs[0][1].grid_size
+    assert builds and set(builds) == {n}
+    assert tr.totals["kernels.gram.calls"] == len(builds)
+    assert tr.totals["kernels.gram.entries"] == len(builds) * n * n
+    assert tr.totals["kernels.cross_matrix.calls"] == len(builds)
+
+
+def test_campaign_above_the_table_bound_evaluates_kernel_rows_and_no_gram():
+    # a 576-point grid keeps no kernel-row table: its prior embeds without
+    # assembling a Gram matrix, and the loop evaluates the rows it reads
+    cfg = ExperimentConfig(d=2, grid_per_dim=24, kernel=KernelSpec("matern", 0.2, 2.5), T=20, trials=2, seed=7)
+    assert harness.grid_prior(cfg).K is None
+    tr = tracer.Tracer()
+    with tr.active():
+        harness.run_campaign(cfg)
     assert tr.totals["kernels.gram.calls"] == 0
-    assert tr.totals["kernels.cross_matrix.calls"] > 0
+    assert tr.totals["kernels.cross_matrix.calls"] > 1

@@ -5,9 +5,10 @@ observe the chosen point (with additive Gaussian noise when configured),
 extend the posterior by that observation, and record the step in (B, T - T0)
 columns.  The loop runs B trials on one shared ``GridPrior`` in lockstep
 (``run_batch``, which draws trial b's objective as row b of
-``prior.draw(seeds)``; a single run is B = 1): each step makes one EI
-evaluation and one argmax over the (B, n) block of posterior moments and one
-batched posterior append; a trial that kappa stops leaves the block, and a
+``prior.draw(seeds)``; a single run is B = 1): each step makes one ``pick``
+over the (B, n) block of posterior moments (a screen by an upper bound on EI,
+then exact EI where the bound can reach the maximum) and one batched
+posterior append; a trial that kappa stops leaves the block, and a
 trial's ``Trace`` is slices of the batch's columns.  The moments are kept in
 a ``GridPosterior`` with state V (B, T, n), w (B, T), mu and var (B, n) and
 jitter (B,); it takes kernel rows from ``GridPrior.rows`` (the prior's
@@ -62,6 +63,52 @@ def lowest_argmax(vals: np.ndarray):
     if not np.isfinite(top).all():
         raise ValueError(f"acquisition values must be finite, got row maxima {top.ravel()!r}")
     return np.argmax(vals >= top - TIE_RTOL * np.abs(top), axis=-1)
+
+
+# The screen's bound exceeds EI by a factor of at most 1.4697 (at |a/b| =
+# 0.778; the factor tends to 1 as |a/b| grows).  1.5 leaves 2% for roundoff,
+# which stays below 1e-12 relative in both the bound and EI.  The cut's
+# 1e-300 covers the absolute roundoff of values that underflow (a row whose
+# bound is below it is evaluated in full), and its cap of 1e300 a bound that
+# overflows where EI does not.
+_SCREEN_RATIO = 1.5
+
+
+def pick(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the (B, n) block of exploitations a and explorations b, the
+    candidate ``lowest_argmax(ei_unchecked(a, b))`` and its EI, bit for bit,
+    with exact EI evaluated only where it can reach the row's tie threshold.
+
+    Gordon's bound on Mills' ratio (Ann. Math. Stat. 12, 1941),
+    x*phi(x)/(1 + x^2) <= 1 - Phi(x) for x >= 0, gives
+    tau(-x) <= phi(x)/(1 + x^2); with tau(z) = z + tau(-z), EI = b*tau(a/b)
+    (Jones, Schonlau & Welch 1998) is at most
+    U = max(a, 0) + b*phi(z)/(1 + z^2), z = a/b, which takes one exp; where
+    b <= ``SIGMA_FLOOR``, U = max(a, 0) = EI.  The row's maximum EI is at
+    least max(U)/``_SCREEN_RATIO``, so an entry whose U is below that cut is
+    below the tie threshold, and so is its EI.  Exact EI replaces U wherever
+    U is not below the cut (NaN included), and the tie rule on the mixed
+    block picks among exact values alone.  A NaN or +inf EI always passes
+    the screen, so ``lowest_argmax`` raises as it does on the full block.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z2 = np.divide(a, b)
+        z2 *= z2
+        bound = np.multiply(z2, -0.5)
+        np.exp(bound, out=bound)
+        z2 += 1.0
+        bound /= z2
+        bound *= b
+        bound *= stdnormal.PHI0
+        if not b.min() > stdnormal.SIGMA_FLOOR:  # also when b holds a NaN
+            np.copyto(bound, 0.0, where=b <= stdnormal.SIGMA_FLOOR)
+        bound += np.maximum(a, 0.0, out=z2)
+        cut = np.minimum(bound.max(axis=1) / _SCREEN_RATIO - 1e-300, 1e300)
+        keep = bound < cut[:, None]
+    np.logical_not(keep, out=keep)
+    bound[keep] = stdnormal.ei_unchecked(a[keep], b[keep])
+    j = lowest_argmax(bound)
+    return j, bound[np.arange(j.size), j]
 
 
 class GridPosterior:
@@ -258,9 +305,9 @@ def run_batch(config: ExperimentConfig, prior: GridPrior, seeds) -> Batch:
     or right after observing a point whose acquisition value fell below
     ``kappa`` when a threshold is configured; it then leaves the posterior
     (``GridPosterior.keep``) and the others step on without it.  Each step
-    makes one EI evaluation and one argmax over the (B, n) block of the
-    trials still running.  A trial's record is bit-identical for identical
-    (config, seed), whatever the other trials of its batch.
+    makes one ``pick`` over the (B, n) block of the trials still running.  A
+    trial's record is bit-identical for identical (config, seed), whatever
+    the other trials of its batch.
     """
     if not (1 <= config.T0 <= config.T):
         raise ValueError(f"need 1 <= T0 <= T, got T0={config.T0}, T={config.T}")
@@ -301,12 +348,10 @@ def run_batch(config: ExperimentConfig, prior: GridPrior, seeds) -> Batch:
     for s in range(S):
         t = T0 + s
         mu, sigma = post.mu, post.sigma
-        vals = stdnormal.ei_unchecked(y_plus[:, None] - mu, sigma)
-        j = lowest_argmax(vals)
+        j, ei_next = pick(y_plus[:, None] - mu, sigma)
         k = np.arange(j.size)
         f_next = f[k, j]
         y_new = f_next + eps[:, t]
-        ei_next = vals[k, j]
         j_col[rows, s] = j
         floats[:, rows, s] = (f_next, y_new, y_plus, mu[k, j], sigma[k, j], ei_next, sigma[k, x_star], f_plus)
         better = y_new < y_plus

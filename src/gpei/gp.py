@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import kernels
 from .kernels import KernelSpec
@@ -55,8 +54,11 @@ def chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     (through the buffer's C-ordered transpose, which equals K), adds the
     jitter to its diagonal and factors it in place with LAPACK potrf, so the
     call holds K and L only.  L is returned F-ordered with a zero strict upper
-    triangle.
+    triangle.  LAPACK (``scipy.linalg``) is loaded here and in
+    ``solve_lower`` only, so a run that factors nothing never imports scipy.
     """
+    from scipy.linalg import lapack
+
     n = K.shape[0]
     L = np.empty((n, n), order="F")
     jitter = JITTER_START
@@ -81,6 +83,8 @@ def solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.nda
     where ``scipy.linalg.solve_triangular``'s per-call validation costs several
     times the solve itself.
     """
+    from scipy.linalg import lapack
+
     x, info = lapack.dtrtrs(L, b, lower=1, trans=int(transpose))
     if info != 0:
         raise FactorizationError(f"triangular solve failed (LAPACK info={info})")

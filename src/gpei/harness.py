@@ -31,7 +31,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bdtr, bdtrc
 
 from . import bounds, eiopt, gp
 from .config import ExperimentConfig, config_hash
@@ -79,6 +78,21 @@ def wilson_lower(successes: int, n: int, z: float = _WILSON_Z) -> float:
     center = p + z * z / (2 * n)
     half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
     return max(0.0, (center - half) / denom)
+
+
+def binomial_tails(hits: int, n: int, p: float) -> tuple[float, float]:
+    """P(X <= hits) and P(X >= hits) for X ~ Binomial(n, p), 0 < p <= 1: exact
+    sums of the pmf, each term exp(log C(n, k) + k log p + (n - k) log(1 - p))
+    with the binomial coefficient from ``math.lgamma``, added by ``math.fsum``."""
+    if not 0 <= hits <= n:
+        raise ValueError(f"need 0 <= hits <= n, got hits={hits}, n={n}")
+    log_p, log_q = math.log(p), math.log1p(-p) if p < 1 else -math.inf
+    pmf = [
+        math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * log_p
+                 + ((n - k) * log_q if k < n else 0.0))
+        for k in range(n + 1)
+    ]
+    return math.fsum(pmf[: hits + 1]), math.fsum(pmf[hits:])
 
 
 def coverage_target(delta: float, trials: int) -> float:
@@ -456,7 +470,7 @@ def _verify_fmu(config: ExperimentConfig, n: int) -> LemmaReport:
     hits = int(np.sum(ok))
     p_exact = 1.0 - 2.0 * float(cdf(-math.sqrt(beta)))
     # P(X <= hits) and P(X >= hits) for X ~ Binomial(n, p_exact), doubled
-    two_sided = min(1.0, 2.0 * min(float(bdtr(hits, n, p_exact)), float(bdtrc(hits - 1, n, p_exact))))
+    two_sided = min(1.0, 2.0 * min(binomial_tails(hits, n, p_exact)))
     passed = passed and two_sided >= _FMU_ALPHA
     return LemmaReport("fmu", passed, metrics + (("beta", beta), ("p_exact", p_exact), ("two_sided_p", two_sided)))
 

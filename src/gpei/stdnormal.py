@@ -5,6 +5,8 @@ accepted and handled elementwise).  The CDF is routed through the
 complementary error function so that deep-tail values such as ``cdf(-8)``
 keep full relative accuracy; several bound constants divide by ``cdf(-w)``
 with ``w`` around 3, which a ``1 - (value near 1)`` computation would ruin.
+The erfc is libm's, through ``math.erfc`` one entry at a time (within 3 ulp
+on [-6, 6]), so the module needs numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -43,6 +44,11 @@ def _scalar_or_array(a: np.ndarray):
     return float(a) if a.ndim == 0 else a
 
 
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """libm's erfc (``math.erfc``) of each entry of the float array x, in a new array."""
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def pdf(z):
     """Standard normal density phi(z) = exp(-z^2/2)/sqrt(2*pi)."""
     z = _finite("z", z)
@@ -59,19 +65,20 @@ def cdf(z):
     ``1 - upper_tail`` arithmetic cannot.
     """
     z = _finite("z", z)
-    return _scalar_or_array(0.5 * special.erfc(-z / _SQRT2))
+    return _scalar_or_array(0.5 * _erfc(-z / _SQRT2))
 
 
 def _tau(z):
     """z*Phi(z) + phi(z) in a new array, through one scratch array of z's
     shape.  z*z overflows for |z| ~ 1e154, where exp(-inf) = 0 is the right
     limit: callers silence that warning."""
-    out = np.negative(z, out=np.empty_like(z, dtype=float))
-    out /= _SQRT2
-    special.erfc(out, out=out)
+    # phi holds erfc's argument first: z/(-sqrt(2)) has the bits of
+    # -z/sqrt(2), since IEEE division is symmetric in sign
+    phi = np.divide(z, -_SQRT2, out=np.empty_like(z, dtype=float))
+    out = _erfc(phi)
     out *= 0.5
     out *= z
-    phi = np.multiply(z, -0.5, out=np.empty_like(out))
+    np.multiply(z, -0.5, out=phi)
     phi *= z
     np.exp(phi, out=phi)
     phi *= _INV_SQRT_2PI

@@ -238,6 +238,34 @@ class TestModuleEntry:
         assert proc.stdout.startswith("delta = 0.1\n")
 
 
+# Imports the CLI, runs a tiny default campaign and the fmu_t lemma, prints
+# whether scipy is loaded, then builds the lemma fixture's prior (6 points off
+# any equally spaced grid, so it is factored) and prints that again.
+_IMPORT_PROBE = """
+import sys, tempfile
+import gpei.cli
+from gpei import gp, harness
+from gpei.config import ExperimentConfig
+loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+harness.run_experiment(ExperimentConfig(trials=2, T=25), tempfile.mkdtemp())
+harness.verify_lemma("fmu_t", ExperimentConfig())
+print(loaded())
+cfg = ExperimentConfig()
+gp.GridPrior.build(cfg.kernel, harness._lemma_fixture(cfg))
+print("scipy.linalg" in loaded())
+"""
+
+
+class TestImportPath:
+    def test_scipy_is_loaded_only_to_factor(self):
+        src = os.path.dirname(os.path.dirname(gpei.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "True"]
+
+
 class TestPackage:
     def test_every_exported_name_resolves(self):
         assert len(set(gpei.__all__)) == len(gpei.__all__)

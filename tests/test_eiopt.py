@@ -5,13 +5,13 @@ import gc
 import math
 import weakref
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import special
 
-from gpei import eiopt, gp, kernels
+from gpei import eiopt, gp, kernels, stdnormal
 from gpei.config import ExperimentConfig
 from gpei.eiopt import ei_batch, lowest_argmax, run
 from gpei.gp import GridPrior, fit
@@ -408,6 +408,10 @@ def legacy_ei_from_moments(y_plus, mu, sigma):
     return np.where(positive, vals, np.maximum(gap, 0.0))
 
 
+# libm's erfc entry by entry, the erfc ``stdnormal`` uses
+libm_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
 def masked_ei(a, b):
     """``ei_unchecked`` as one masked pass over every entry, the form it had
     before it evaluated b*tau(a/b) in place: the bitwise reference for inputs
@@ -416,7 +420,7 @@ def masked_ei(a, b):
         z = a / np.where(b > SIGMA_FLOOR, b, 1.0)
         degenerate = (b <= SIGMA_FLOOR) | ~np.isfinite(z)
         z = np.where(degenerate, 0.0, z)
-        tau_z = z * (0.5 * special.erfc(-z / math.sqrt(2.0))) + 1.0 / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * z * z)
+        tau_z = z * (0.5 * libm_erfc(-z / math.sqrt(2.0))) + 1.0 / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * z * z)
         return np.where(degenerate, np.maximum(a, 0.0), b * tau_z)
 
 
@@ -501,6 +505,145 @@ class TestLoopEi:
         monkeypatch.setattr(eiopt.GridPosterior, "__init__", poisoned)
         with pytest.raises(ValueError, match="finite"):
             run_once(tiny_config())
+
+
+def full_pick(a, b):
+    """The screened pick's reference: the tie rule on EI evaluated everywhere."""
+    vals = stdnormal.ei_unchecked(a, b)
+    j = lowest_argmax(vals)
+    return j, vals[np.arange(j.size), j]
+
+
+@st.composite
+def ei_blocks(draw):
+    """(a, b) blocks of random moments with the entries a screen could
+    mishandle mixed in: mirror-symmetric rows (exact ties), near ties,
+    b at or below ``SIGMA_FLOOR`` (a = b = 0 included), |a/b| beyond double
+    range, a row whose every z = a/b is far below 0 (EI from a cancelling
+    z*Phi(z) + phi(z), or underflowing to 0), a row at z ~ -38.5 where EI and
+    the bound are subnormal, a row whose largest bound sits where it exceeds
+    EI the most (|z| = 0.778) while exact entries (b = 0) hold larger EI,
+    and NaN or infinite entries."""
+    B, n = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(B, n)) * 10.0 ** draw(st.integers(-10, 2))
+    b = rng.uniform(0.0, 1.0, size=(B, n)) ** draw(st.integers(1, 8))
+    kinds = draw(st.sets(st.sampled_from(
+        ["mirror", "near", "floor", "zero", "overflow", "deep", "subnormal", "tight", "nan", "inf"])))
+    some = lambda: rng.uniform(size=(B, n)) < 0.2  # noqa: E731
+    if "deep" in kinds:
+        a[0] = -rng.uniform(5.0, 45.0, size=n) * b[0]
+    if "subnormal" in kinds:
+        a[-1] = -rng.uniform(38.3, 38.7, size=n) * b[-1]
+    if "tight" in kinds:
+        # bound 0.1836*b, EI 0.1250*b at entry 0; EI = bound = a in (0.1255*b, 0.1836*b) elsewhere
+        a[0, 0], b[0, 1:] = -0.778 * b[0, 0], 0.0
+        a[0, 1:] = rng.uniform(0.1255, 0.1836, size=n - 1) * b[0, 0]
+    if "floor" in kinds:
+        m = some()
+        b[m] = rng.choice([0.0, 1e-13, SIGMA_FLOOR], size=m.sum())
+    if "zero" in kinds:
+        m = some()
+        a[m] = b[m] = 0.0
+    if "overflow" in kinds:
+        m = some()
+        a[m], b[m] = rng.choice([-1e300, 1e300], size=m.sum()), 2e-12
+    if "nan" in kinds:
+        m = some() & some()
+        (a if draw(st.booleans()) else b)[m] = np.nan
+    if "inf" in kinds:
+        m = some() & some()
+        a[m] = rng.choice([-np.inf, np.inf], size=m.sum())
+        b[some() & some()] = np.inf
+    if "near" in kinds and n > 1:
+        a[:, 0], b[:, 0] = a[:, -1] * (1.0 + 1e-13), b[:, -1]
+    if "mirror" in kinds:
+        with np.errstate(invalid="ignore"):  # inf - inf
+            a, b = (a + a[:, ::-1]) * 0.5, (b + b[:, ::-1]) * 0.5
+    return a, b
+
+
+class TestScreenedPick:
+    def test_bound_ratio_below_screen_ratio(self):
+        # the screen's bound over EI is phi(x)/(1 + x^2) / tau(-x) at x = |a/b|
+        # (with max(a, 0) added to both for a > 0, which lowers the ratio)
+        with mp.workdps(30):
+            ratio = [mp.npdf(x) / (1 + x * x) / (mp.npdf(x) - x * mp.ncdf(-x))
+                     for x in (mp.mpf(k) / 200 for k in range(0, 2001))]
+        assert 1.4696 < max(ratio) < 1.4697 < eiopt._SCREEN_RATIO
+        assert ratio[0] == 1 and ratio[-1] < 1.02
+
+    @given(ei_blocks())
+    def test_equals_full_evaluation_bit_for_bit(self, block):
+        a, b = block
+        try:
+            j, ei = full_pick(a, b)
+        except ValueError:
+            with pytest.raises(ValueError, match="finite"):
+                eiopt.pick(a, b)
+            return
+        j_screened, ei_screened = eiopt.pick(a, b)
+        assert np.array_equal(j_screened, j)
+        assert ei_screened.tobytes() == ei.tobytes()
+
+    def test_non_finite_entries(self):
+        a, b = np.full((1, 6), -0.5), np.full((1, 6), 0.5)
+        # a = -inf against b = +inf: z is NaN, and EI takes the limit max(a, 0) = 0
+        a[0, 2], b[0, 2] = -np.inf, np.inf
+        assert np.array_equal(eiopt.pick(a, b)[0], [0])
+        for bad_a, bad_b in [(np.nan, 0.5), (-0.5, np.nan), (np.inf, 0.5), (-0.5, np.inf)]:
+            a[0, 4], b[0, 4] = bad_a, bad_b
+            with pytest.raises(ValueError, match="finite"):
+                eiopt.pick(a, b)
+
+    def test_bound_overflow_keeps_larger_finite_ei(self):
+        # entry 0's bound overflows to inf with its EI finite; entry 1 has a
+        # larger EI below a finite bound, and must still pass the screen
+        big = np.finfo(float).max
+        a = np.array([[big / (1 + 1.35e-4), big * (1 - 1e-6)]])
+        b = a / [[3.0, 5.0]]
+        vals = ei_unchecked(a, b)
+        assert np.isfinite(vals).all() and vals[0, 1] > vals[0, 0]
+        j, ei = eiopt.pick(a, b)
+        assert j.tolist() == [1] and ei.tobytes() == vals[0, 1:].tobytes()
+
+    def test_floored_entry_bounds_its_ei_exactly(self):
+        # b = 1e-13 is below the floor, so EI = max(a, 0) = 0 there, under the
+        # b*phi(0) = 4e-14 that the bound formula gives; the other entries' EI
+        # is ~1e-22, and the largest of them is the pick
+        a = np.array([[-0.009, 0.0, -0.0095, -0.009]])
+        b = np.array([[1e-3, 1e-13, 1e-3, 1e-3]])
+        j, ei = eiopt.pick(a, b)
+        vals = ei_unchecked(a, b)
+        assert 0 < vals[0, 0] < 1e-20 and vals[0, 1] == 0.0
+        assert j.tolist() == [0] and ei.tobytes() == vals[0, :1].tobytes()
+
+    @pytest.mark.parametrize("overrides", [dict(noise_sd=0.05), dict(noise_sd=0.0), dict(noise_sd=0.05, kappa=3e-3)],
+                             ids=["noisy", "noiseless_refit", "kappa"])
+    def test_run_batch_equals_full_evaluation(self, monkeypatch, overrides):
+        cfg = tiny_config(grid_per_dim=200, T=30, trials=8, **overrides)
+        prior = GridPrior.build(cfg.kernel, cfg.grid_points())
+        refits = []
+        if cfg.noise_sd == 0.0:
+            # noiseless re-queries at jitter 1e-18 have pivots that are not positive
+            monkeypatch.setattr(gp, "JITTER_START", 1e-18)
+            original = eiopt.GridPosterior._refit
+            monkeypatch.setattr(eiopt.GridPosterior, "_refit", lambda self, b: (refits.append(b), original(self, b)))
+        evaluated = []
+        monkeypatch.setattr(stdnormal, "ei_unchecked", lambda a, b: (evaluated.append(a.size), ei_unchecked(a, b))[1])
+        seeds = [trial_seed(cfg.seed, i) for i in range(cfg.trials)]
+        screened = eiopt.run_batch(cfg, prior, seeds)
+        screened_size = sum(evaluated)
+        evaluated.clear()
+        monkeypatch.setattr(eiopt, "pick", full_pick)
+        full = eiopt.run_batch(cfg, prior, seeds)
+        for name in eiopt.COLUMNS:
+            assert screened.columns[name].tobytes() == full.columns[name].tobytes(), name
+        assert np.array_equal(screened.steps, full.steps) and np.array_equal(screened.stopped, full.stopped)
+        assert bool(refits) == (cfg.noise_sd == 0.0)
+        assert full.stopped.any() == (cfg.kappa is not None)
+        # the screen evaluated exact EI on a small part of the blocks
+        assert screened_size < 0.25 * sum(evaluated)
 
 
 def run_in_batches(config, size):

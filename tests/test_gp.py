@@ -463,7 +463,7 @@ class TestFactorization:
             calls.append(kw)
             return a, -1
 
-        monkeypatch.setattr(gp.lapack, "dpotrf", bad_potrf)
+        monkeypatch.setattr(lapack, "dpotrf", bad_potrf)
         with pytest.raises(FactorizationError, match="info=-1"):
             gp.chol_with_jitter(np.eye(3))
         assert len(calls) == 1

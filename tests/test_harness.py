@@ -4,6 +4,7 @@ import math
 import os
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -491,6 +492,28 @@ class TestWilson:
         assert harness.wilson_lower(95, 100) < 0.95
         mid = harness.wilson_lower(50, 100)
         assert 0.3 < mid < 0.5
+
+
+class TestBinomialTails:
+    @pytest.mark.parametrize("n", [10, 2000])
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.9, 0.968])
+    def test_against_mpmath(self, n, p):
+        with mp.workdps(50):
+            pmf = [mp.binomial(n, k) * mp.mpf(p) ** k * (1 - mp.mpf(p)) ** (n - k) for k in range(n + 1)]
+            for hits in sorted({0, 1, n // 3, round(n * p), n - 1, n}):
+                lower, upper = harness.binomial_tails(hits, n, p)
+                for got, want in ((lower, mp.fsum(pmf[: hits + 1])), (upper, mp.fsum(pmf[hits:]))):
+                    if want > 1e-300:  # below that the double underflows
+                        assert abs(got - want) <= 1e-10 * want
+        assert harness.binomial_tails(0, n, p)[1] == pytest.approx(1.0, rel=1e-12)  # P(X >= 0)
+        assert harness.binomial_tails(n, n, p)[0] == pytest.approx(1.0, rel=1e-12)  # P(X <= n)
+
+    def test_certain_success_and_bad_counts(self):
+        assert harness.binomial_tails(4, 10, 1.0) == (0.0, 1.0)
+        assert harness.binomial_tails(10, 10, 1.0) == (1.0, 1.0)
+        for hits in (-1, 11):
+            with pytest.raises(ValueError):
+                harness.binomial_tails(hits, 10, 0.5)
 
 
 class TestVerifyLemmaPlumbing:

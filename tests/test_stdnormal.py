@@ -25,6 +25,7 @@ from gpei.stdnormal import (
     tau,
     theta,
     theta_at_rho_max,
+    _erfc,
     tilde_tau,
 )
 
@@ -43,6 +44,11 @@ def mp_cdf_quad(z):
 def mp_tau(z):
     z = mp.mpf(z)
     return z * mp.ncdf(z) + mp_pdf(z)
+
+
+def ulps(got, exact):
+    """Largest |got - exact| over the entries, in units of the last place of exact."""
+    return max(float(abs(mp.mpf(g) - e) / np.spacing(abs(float(e)))) for g, e in zip(got.tolist(), exact))
 
 
 finite_floats = st.floats(min_value=-30, max_value=30, allow_nan=False)
@@ -87,6 +93,19 @@ class TestCdf:
         for z in (-4.0, -6.0, -8.0):
             expected = float(mp_cdf_quad(z))
             assert abs(cdf(z) - expected) / expected < 1e-10
+        z = np.linspace(-8, 0, 161)
+        expected = np.array([float(mp.ncdf(v)) for v in z])
+        assert np.all(np.abs(np.asarray(cdf(z)) - expected) <= 1e-10 * expected)
+
+    def test_erfc_within_3_ulp(self):
+        # libm's erfc on [-6, 6], and the CDF against 0.5*erfc of the same
+        # rounded argument -z/sqrt(2) (that rounding is the CDF's only other error)
+        x = np.linspace(-6, 6, 1201)
+        exact = [mp.erfc(v) for v in x]
+        assert ulps(_erfc(x), exact) <= 3.0
+        z = x
+        exact = [mp.erfc(v) / 2 for v in -z / math.sqrt(2.0)]
+        assert ulps(np.asarray(cdf(z)), exact) <= 3.0
 
     def test_gaussian_tail_bound(self):
         c = np.logspace(-3, math.log10(8.0), 300)

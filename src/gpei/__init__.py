@@ -12,8 +12,8 @@ from .bounds import (
     rkhs_bounds,
 )
 from .config import ExperimentConfig, load_config
-from .eiopt import Trace, run
-from .gp import GpState, GridPrior, PriorSample, fit, info_gain, sample_prior, update, variance_sum_check
+from .eiopt import Trace
+from .gp import GpState, GridPrior, fit, info_gain, sample_prior, update, variance_sum_check
 from .kernels import KernelSpec
 from .stdnormal import BarTauParams, bar_tau, cdf, ei_ab, find_rho_bar, pdf, tau, theta, tilde_tau
 
@@ -27,7 +27,6 @@ __all__ = [
     "GpState",
     "GridPrior",
     "KernelSpec",
-    "PriorSample",
     "Trace",
     "bar_tau",
     "bound_value",
@@ -44,7 +43,6 @@ __all__ = [
     "pdf",
     "rate_envelope",
     "rkhs_bounds",
-    "run",
     "sample_prior",
     "tau",
     "theta",

@@ -88,9 +88,6 @@ def _cmd_figures(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     delta = args.delta
-    if not (0.0 < delta < 1.0):
-        print(f"error: delta must lie in (0, 1), got {delta}", file=sys.stderr)
-        return 2
     c42 = bounds.constants_thm42(delta, noisy=True)
     c46 = bounds.constants_thm46(delta, noisy=True)
     cmp_ = bounds.compare_coefficients(delta)

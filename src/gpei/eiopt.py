@@ -1,26 +1,15 @@
 """The expected-improvement acquisition and the sequential optimization loop.
 
-One loop iteration at step t: maximize EI_t over the finite candidate grid,
-observe the chosen point (with additive Gaussian noise when configured),
-extend the posterior by that observation, and record the step in (B, T - T0)
-columns.  The loop runs B trials on one shared ``GridPrior`` in lockstep
-(``run_batch``, which draws trial b's objective as row b of
-``prior.draw(seeds)``; a single run is B = 1): each step makes one ``pick``
-over the (B, n) block of posterior moments (a screen by an upper bound on EI,
-then exact EI where the bound can reach the maximum) and one batched
-posterior append; a trial that kappa stops leaves the block, and a
-trial's ``Trace`` is slices of the batch's columns.  The moments are kept in
-a ``GridPosterior`` with state V (B, T, n), w (B, T), mu and var (B, n) and
-jitter (B,); it takes kernel rows from ``GridPrior.rows`` (the prior's
-table on grids of up to 512 points) and appends one row of each trial's
-Cholesky factor per observation (O(t*n) per trial and step), refitting a
-trial alone when its new pivot is not positive.  ``batch_size`` keeps V near
-2 MiB: B = max(1, ``gp.TABLE_BYTES`` // (8*T*n)).  A trial's trace does not
-depend on B or on the trials it shares a batch with.  Acquisition
-maximization is an exhaustive scan, which is exact at desk scale and keeps
-inner-optimizer noise out of the recorded quantities; EI values within a
-relative 1e-12 of the maximum are tied, and ties break to the lowest
-candidate index (``lowest_argmax``).
+``run_batch`` runs B trials on one shared ``GridPrior`` in lockstep; a single
+run is a batch of one.  Each step picks every trial's EI maximum over the
+whole candidate grid (``pick``, an exhaustive scan: EI values within a
+relative 1e-12 of the maximum are tied, and ``lowest_argmax`` breaks ties to
+the lowest index), observes it (with additive Gaussian noise when
+configured), extends the trials' posteriors (``GridPosterior``) and records
+the step in the batch's (B, T - T0) columns; a trial's ``Trace`` is slices of
+them.  A trial's record does not depend on B or on the trials it shares a
+batch with.  ``ei_batch`` is EI on the reference posterior of ``gp.fit``,
+which the tests check the loop against.
 """
 
 from __future__ import annotations
@@ -117,28 +106,18 @@ class GridPosterior:
 
     For trial b, with X_b its observed grid points, y_b their values and L_b
     the lower Cholesky factor of K(X_b, X_b) + (noise_var + jitter[b])*I, it
-    holds V[b] = L_b^{-1} K(X_b, grid), w[b] = L_b^{-1} y_b,
-    ``mu[b]`` = V[b]^T w[b] and ``var[b]`` = 1 - sum(V[b] * V[b], axis=0), in
-    buffers V (B, capacity, n), w (B, capacity), ``mu`` and ``var`` (B, n) and
-    ``jitter`` (B,): B*capacity*n*8 bytes for V, plus one (B, n) scratch.
-    Every trial holds the same number t of observations.  ``observe(j, y)``
-    borders each L_b with the row [l^T, d], where
-    l = V[b, :, j_b] = L_b^{-1} k_t(grid[j_b]) and
-    d^2 = 1 + noise_var + jitter[b] - l^T l, writes
-    v = (K[j_b] - l^T V[b]) / d straight into V[b] and appends
-    (y_b - l^T w[b]) / d to w[b], so that mu[b] += v * w_new and
-    var[b] -= v^2 (both products formed in the scratch): O(t*n) per trial and
-    step, with the rows K[j] from one ``prior.rows(j)`` call (a gather from
-    the prior's table on a grid of n <= 512 points, evaluated above that) and
-    no triangular solve.  All trials append in one batched ``matmul``; l^T l
-    and l^T w are row-wise reductions, so a trial's arithmetic does not
-    depend on B or on the other trials.  ``keep(mask)`` drops the trials that stop.  Every
-    trial starts from the prior (no observations, mu = 0, var = 1, jitter
-    ``gp.JITTER_START``) and takes its initial observations through
-    ``observe`` too.  Only a trial whose d^2 is not positive and finite is
-    refitted alone: ``gp.chol_with_jitter`` factors the t-by-t block of its
-    ``prior.rows`` plus noise_var*I (escalating the jitter), and V[b] and w[b]
-    are rebuilt from that factor.  Every kernel value comes from ``prior.rows``.
+    holds V[b] = L_b^{-1} K(X_b, grid) and w[b] = L_b^{-1} y_b in buffers of
+    ``capacity`` observations, ``mu[b]`` = V[b]^T w[b] and
+    ``var[b]`` = 1 - sum(V[b] * V[b], axis=0).  ``observe(j, y)`` borders
+    each L_b with the row [l^T, d], where l = V[b, :, j_b] and
+    d^2 = 1 + noise_var + jitter[b] - l^T l, and updates mu and var in
+    O(t*n) per trial with no triangular solve; a trial whose d^2 is not
+    positive and finite is refitted alone, with ``gp.chol_with_jitter``
+    escalating its jitter.  Every kernel value comes from ``prior.rows``.  A
+    trial's arithmetic does not depend on B or on the other trials, and
+    ``keep(mask)`` drops the trials that stop.  Every trial starts from the
+    prior (mu = 0, var = 1, jitter ``gp.JITTER_START``) and takes its initial
+    observations through ``observe`` too.
     """
 
     def __init__(self, prior: GridPrior, idx, y, noise_var: float, capacity: int):
@@ -242,7 +221,6 @@ class Trace:
     r_t: np.ndarray
     r0_t: np.ndarray
     seed: int
-    config_hash: str
     f_star: float
     f_abs_max: float
     init_indices: np.ndarray
@@ -279,13 +257,12 @@ class Batch:
     stopped: np.ndarray  # (B,)
     columns: dict[str, np.ndarray]
 
-    def trace(self, b: int, config_hash: str = "") -> Trace:
+    def trace(self, b: int) -> Trace:
         """Trial b's ``Trace``: slices of the batch's arrays, no copy."""
         k = self.steps[b]
         return Trace(
             **{name: col[b, :k] for name, col in self.columns.items()},
             seed=self.seeds[b],
-            config_hash=config_hash,
             f_star=float(self.f_star[b]),
             f_abs_max=float(self.f_abs_max[b]),
             init_indices=self.init_indices[b],
@@ -387,8 +364,3 @@ def run_batch(config: ExperimentConfig, prior: GridPrior, seeds) -> Batch:
         stopped=stopped,
         columns=columns,
     )
-
-
-def run(config: ExperimentConfig, prior: GridPrior, seed: int, config_hash: str = "") -> Trace:
-    """The loop on the prior draw of one seed: ``run_batch`` with a batch of one."""
-    return run_batch(config, prior, [seed]).trace(0, config_hash)

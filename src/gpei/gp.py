@@ -1,26 +1,19 @@
-"""Gaussian-process prior sampling, posterior inference, and information-gain accounting.
+"""The GP prior on a finite grid, Cholesky with escalating jitter, and
+information-gain accounting.
 
-The posterior follows the standard conjugate form: with kernel matrix K_t,
-cross-covariances k_t(x), noise variance s2 and observations y,
+``GridPrior`` is built once per grid and shared by every draw of the
+objective (``GridPrior.draw``) and every grid posterior
+(``eiopt.GridPosterior``, which reads prior covariances through
+``GridPrior.rows``).  ``chol_with_jitter`` adds a small escalating diagonal
+jitter, since squared-exponential Gram matrices on fine grids are
+numerically singular.  ``fit``, ``posterior_batch`` and ``update`` evaluate
+the conjugate posterior at arbitrary points,
 
-    mu_t(x)     = k_t(x)^T (K_t + s2*I)^{-1} y
-    sigma_t^2(x) = k(x, x) - k_t(x)^T (K_t + s2*I)^{-1} k_t(x)
+    mu_t(x)      = k_t(x)^T (K_t + s2*I)^{-1} y
+    sigma_t^2(x) = k(x, x) - k_t(x)^T (K_t + s2*I)^{-1} k_t(x),
 
-Factorizations go through Cholesky with a small escalating diagonal jitter,
-since squared-exponential Gram matrices on fine grids are numerically
-singular.  The prior on a finite grid is built once into a ``GridPrior``,
-which every draw of the objective and every grid posterior share; on an
-equally spaced tensor grid it draws by circulant embedding (one FFT per draw)
-and factors nothing.  A prior on n <= 512 points (n^2*8 bytes within
-``TABLE_BYTES``) keeps its Gram matrix K as a read-only table of kernel rows;
-a larger one evaluates rows on demand, and on an embedded grid holds nothing
-n-by-n.  The EI loop and the lemma protocols compute posteriors on its grid
-through ``eiopt.GridPosterior`` (a one-row Cholesky append per observation),
-which reads only the kernel rows of the points it observes
-(``GridPrior.rows``).  ``fit``, ``posterior_batch`` and ``update`` (``fit``
-on the augmented data) evaluate the kernel at arbitrary points; states are
-immutable.  They are the single-point reference that tests compare the grid
-posterior against.
+as the reference the tests check the grid posterior against; no campaign or
+lemma protocol calls them, nor ``sample_prior``.
 """
 
 from __future__ import annotations
@@ -245,29 +238,20 @@ def _circulant_eigenvalues(kernel: KernelSpec, grid: np.ndarray, points, spacing
 
 @dataclass(frozen=True)
 class GridPrior:
-    """The GP prior on a finite grid, built once and shared by every draw.
+    """The GP prior on a finite grid, built once and shared by every draw and
+    every grid posterior.  Every array, ``grid`` (a copy of the caller's)
+    included, is read-only.
 
-    Every grid posterior gets its prior covariances from ``rows``.  On a grid
-    of n <= 512 points (n^2*8 bytes within ``TABLE_BYTES``) the prior keeps
-    ``K``, the grid's Gram matrix from ``kernels.gram``, and ``rows`` gathers
-    its rows (n^2*8 bytes held: 0.3 MiB at n = 200); on a larger grid ``K`` is
-    None and ``rows`` evaluates the kernel rows it is asked for.  A grid laid
-    out as ``ExperimentConfig.grid_points`` lays it out (equally spaced
-    ascending axes, last coordinate fastest) is sampled by circulant
-    embedding (Dietrich & Newsam 1997; Wood & Chan 1994) when
-    ``_circulant_eigenvalues`` finds a torus: ``eig`` holds the torus's
-    eigenvalues, ``points`` the grid's points per axis, and ``L`` and
-    ``jitter`` are None.  The draws' covariance then equals K entrywise to
-    within ``JITTER_START``; above the table bound ``build`` evaluates K's
-    first row only, and the prior holds the grid plus 8 bytes per torus point
-    (0.4 MiB for the 64x64 Matern-5/2 grid at the 4096-point cap).  Any other
-    grid (points not equally spaced or not in that order, or a kernel too wide
-    for the torus to pay off, such as SE with lengthscale r) is sampled
-    through ``L``, the F-ordered lower Cholesky factor of K + jitter*I, with
-    ``eig`` None: ``build`` assembles and factors K (2*n^2*8 bytes at its
-    peak) and keeps L, plus K on a grid within the table bound.  Every array,
-    ``grid`` (a copy of the caller's) included, is read-only, since every
-    draw and trial shares them.
+    ``rows`` serves the prior covariances: gathered from ``K``, the grid's
+    Gram matrix, which the prior keeps when its n^2*8 bytes fit
+    ``TABLE_BYTES`` (n <= 512), and evaluated on demand otherwise.  A grid
+    laid out as ``ExperimentConfig.grid_points`` lays it out is drawn by
+    circulant embedding (Dietrich & Newsam 1997; Wood & Chan 1994) when
+    ``_circulant_eigenvalues`` finds a torus: ``eig`` holds its eigenvalues
+    and ``points`` the grid's points per axis, the draws' covariance equals
+    K entrywise to within ``JITTER_START``, and above the table bound nothing
+    n-by-n is assembled or held.  Any other grid is drawn through
+    ``L``, the lower Cholesky factor of K + ``jitter``*I.
     """
 
     kernel: KernelSpec
@@ -325,35 +309,10 @@ class GridPrior:
         f = np.fft.fftn(w, axes=range(1, w.ndim)).real[(slice(None), *(slice(0, m) for m in self.points))]
         return np.ascontiguousarray(f).reshape(len(rngs), -1)
 
-    def sample(self, seed: int) -> PriorSample:
-        """The draw of one seed (``draw([seed])``) with its minimum and sup-norm."""
-        f = self.draw([seed])[0]
-        idx = int(np.argmin(f))
-        return PriorSample(prior=self, f=f, f_star=float(f[idx]), x_star_idx=idx, f_abs_max=float(np.max(np.abs(f))))
 
-
-@dataclass(frozen=True)
-class PriorSample:
-    """A draw of the latent objective on the grid of ``prior``.
-
-    The grid doubles as the optimizer's candidate set, so the minimum
-    ``f_star``, its index, and the sup-norm ``f_abs_max`` are exact.
-    """
-
-    prior: GridPrior
-    f: np.ndarray
-    f_star: float
-    x_star_idx: int
-    f_abs_max: float
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.prior.grid
-
-
-def sample_prior(kernel: KernelSpec, grid, seed: int) -> PriorSample:
-    """One draw from a freshly built prior; loops over draws share one ``GridPrior``."""
-    return GridPrior.build(kernel, grid).sample(seed)
+def sample_prior(kernel: KernelSpec, grid, seed: int) -> np.ndarray:
+    """The draw of one seed on a freshly built prior; loops over draws share one ``GridPrior``."""
+    return GridPrior.build(kernel, grid).draw([seed])[0]
 
 
 def info_gain(sigma_at_next, noise_var: float) -> float:

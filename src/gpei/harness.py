@@ -141,18 +141,16 @@ def grid_prior(config: ExperimentConfig) -> gp.GridPrior:
     return gp.GridPrior.build(config.kernel, config.grid_points())
 
 
-def run_trial(cfg_hash: str, batch: eiopt.Batch, b: int) -> Trace:
+def run_trial(batch: eiopt.Batch, b: int) -> Trace:
     """Trial ``b`` of a finished batch as its ``Trace``; called once per trial."""
-    return batch.trace(b, cfg_hash)
+    return batch.trace(b)
 
 
 def run_trials(config: ExperimentConfig, prior: gp.GridPrior, indices) -> tuple[eiopt.Batch, list[Trace]]:
     """One objective per trial index sampled from ``prior`` and run in lockstep:
     the batch and each trial's trace, fully determined by config and index."""
-    seeds = [trial_seed(config.seed, i) for i in indices]
-    batch = eiopt.run_batch(config, prior, seeds)
-    cfg_hash = config_hash(config)
-    return batch, [run_trial(cfg_hash, batch, b) for b in range(len(seeds))]
+    batch = eiopt.run_batch(config, prior, [trial_seed(config.seed, i) for i in indices])
+    return batch, [run_trial(batch, b) for b in range(len(indices))]
 
 
 def trial_chunks(config: ExperimentConfig) -> list[range]:
@@ -172,9 +170,8 @@ def _init_worker(config: ExperimentConfig, prior: gp.GridPrior) -> None:
     _worker_campaign = (config, prior)
 
 
-def _worker_trials(indices: range) -> list[Trace]:
-    config, prior = _worker_campaign
-    return run_trials(config, prior, indices)[1]
+def _worker_trials(indices: range) -> tuple[eiopt.Batch, list[Trace]]:
+    return run_trials(*_worker_campaign, indices)
 
 
 def valid_bound_ts(config: ExperimentConfig, constants: bounds.BoundConstants) -> list[int]:
@@ -200,17 +197,16 @@ def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     workers = min(workers, len(chunks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(config, prior)) as pool:
-            traces = list(itertools.chain.from_iterable(pool.map(_worker_trials, chunks)))
+            runs = list(pool.map(_worker_trials, chunks))
     else:
-        traces = [trace for chunk in chunks for trace in run_trials(config, prior, chunk)[1]]
+        runs = [run_trials(config, prior, chunk) for chunk in chunks]
+    batches, chunk_traces = zip(*runs)
+    traces = tuple(itertools.chain.from_iterable(chunk_traces))
 
-    # the checked columns, one row per iteration from T0 and one column per trial
-    sigma_next, r_t = np.zeros((2, config.T - config.T0, len(traces)))
-    for i, trace in enumerate(traces):
-        sigma_next[: trace.t.size, i] = trace.sigma_next
-        r_t[: trace.t.size, i] = trace.r_t
-    steps = [trace.t.size for trace in traces]
-    f_bound = [trace.f_abs_max for trace in traces]
+    # the checked columns, one row per iteration from T0 and one column per
+    # trial; check_columns masks the filler after each trial's steps
+    sigma_next, r_t = (np.concatenate([b.columns[name] for b in batches]).T for name in ("sigma_next", "r_t"))
+    steps, f_bound = (np.concatenate([getattr(b, name) for b in batches]) for name in ("steps", "f_abs_max"))
     checks = bounds.check_columns(constants, ts, config.T0, sigma_next, r_t, steps, f_bound, config.noise_sd)
     coverage = _coverage_rows(config, checks)
 
@@ -222,7 +218,7 @@ def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
         config=config,
         config_hash=config_hash(config),
         coverage=coverage,
-        traces=tuple(traces),
+        traces=traces,
         checks=checks,
         variance_violations=violations,
         variance_checked=variance_checked,
@@ -295,7 +291,7 @@ def write_trace_csv(path: str, result: CampaignResult, trial_index: int) -> None
     cells before the first), each column formatted from ``tolist()``."""
     config, trace = result.config, result.traces[trial_index]
     header = ["trial", "t", *(f"x_next_{i}" for i in range(config.d)), *_TRACE_FLOATS, "bound", "holds"]
-    meta = f"{_meta_line(trace.config_hash, config.seed)} trial={trial_index} trial_seed={trace.seed}"
+    meta = f"{_meta_line(result.config_hash, config.seed)} trial={trial_index} trial_seed={trace.seed}"
     checked = ~np.isnan(result.checks.r_t[trial_index])
     unchecked = [""] * (trace.t.size - checked.sum())  # the rows before the first checked t
     cells = (

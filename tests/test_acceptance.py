@@ -197,12 +197,16 @@ class TestCriterion5TheoremCoverage:
             c46 = bounds.constants_thm46(DELTA, noisy=noisy)
             res = results[(noise_sd, "thm46")]
             ts = harness.valid_bound_ts(res.config, c42)
-            for trace in res.traces:
-                for t in ts:
-                    b42, _, _ = bounds.empirical_bound_check(trace, c42, trace.f_abs_max, noise_sd, t)
-                    b46, _, _ = bounds.empirical_bound_check(trace, c46, trace.f_abs_max, noise_sd, t)
-                    worst_gap = max(worst_gap, b46 - b42)
-                    points += 1
+            # the campaign's columns: one row per iteration from T0, one column per trace
+            sigma_next, r_t = (np.stack([getattr(tr, name) for tr in res.traces], axis=1)
+                               for name in ("sigma_next", "r_t"))
+            steps = [tr.t.size for tr in res.traces]
+            f_bound = [tr.f_abs_max for tr in res.traces]
+            b42, b46 = (bounds.check_columns(c, ts, res.config.T0, sigma_next, r_t, steps, f_bound, noise_sd).bound
+                        for c in (c42, c46))
+            assert b42.shape == (len(res.traces), len(ts)) and not np.isnan(b42).any()
+            worst_gap = max(worst_gap, float(np.max(b46 - b42)))
+            points += b42.size
         ok = worst_gap < 0
         report(5, ok, f"improved bound smaller at all {points} points (worst b46-b42={worst_gap:.3g})")
         assert worst_gap < 0

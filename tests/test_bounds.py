@@ -429,7 +429,6 @@ def synthetic_trace(ts, sigmas, r_ts, f_abs_max=1.0):
         r_t=r_t,
         r0_t=np.maximum(r_t, 0.0),
         seed=0,
-        config_hash="test",
         f_star=0.0,
         f_abs_max=f_abs_max,
         init_indices=np.zeros(ts[0] if ts else 1, dtype=np.intp),  # T0 initial points before t = ts[0]

@@ -40,9 +40,11 @@ class TestCoeffs:
         assert abs(values["C5_46"] - 1187) / 1187 < 0.02
 
     def test_bad_delta_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "coeffs", "--delta", "1.5")
-        assert code == 2
-        assert "delta" in err
+        # bounds rejects delta outside (0, 1), NaN included, and main exits 2
+        for delta, shown in (("1.5", "1.5"), ("0", "0.0"), ("1", "1.0"), ("nan", "nan")):
+            code, out, err = run_cli(capsys, "coeffs", "--delta", delta)
+            assert (code, out) == (2, "")
+            assert err == f"error: delta must lie in (0, 1), got {shown}\n"
 
     @pytest.mark.parametrize("delta,beta", [("1e-320", "inf"), ("1e-307", "1417.3707660368002")])
     def test_overflowing_constants_usage_error(self, capsys, delta, beta):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gpei import eiopt, gp, kernels, stdnormal
 from gpei.config import ExperimentConfig
-from gpei.eiopt import ei_batch, lowest_argmax, run
+from gpei.eiopt import ei_batch, lowest_argmax
 from gpei.gp import GridPrior, fit
 from gpei.kernels import KernelSpec
 from gpei.rng import derive_stream_seed, trial_seed
@@ -146,8 +146,9 @@ def tiny_config(**kw):
 
 
 def run_once(config, seed=5):
+    """The objective of ``seed`` and the loop's trace on it: a batch of one."""
     prior = GridPrior.build(config.kernel, config.grid_points())
-    return prior.sample(seed), run(config, prior, seed)
+    return prior.draw([seed])[0], eiopt.run_batch(config, prior, [seed]).trace(0)
 
 
 def record(trace):
@@ -159,17 +160,17 @@ def record(trace):
 class TestRun:
     def test_single_point_grid(self):
         cfg = tiny_config(grid_per_dim=1, T=8, noise_sd=0.1)
-        sample, trace = run_once(cfg)
+        _, trace = run_once(cfg)
         assert trace.t.tolist() == list(range(1, 8))
         assert (trace.x_next_idx == 0).all() and (trace.r0_t == 0.0).all()
 
     def test_noiseless_identities(self):
         cfg = tiny_config(noise_sd=0.0)
-        sample, trace = run_once(cfg)
+        f, trace = run_once(cfg)
         visited = list(trace.init_indices)
         for y_plus, j in zip(trace.y_plus, trace.x_next_idx):
             # y_plus equals the true minimum over visited points so far
-            assert y_plus == pytest.approx(sample.f[visited].min(), abs=1e-12)
+            assert y_plus == pytest.approx(f[visited].min(), abs=1e-12)
             visited.append(j)
         assert np.allclose(trace.r_t, trace.r0_t, rtol=0, atol=1e-12)
         assert (trace.r_t >= 0.0).all()
@@ -194,7 +195,7 @@ class TestRun:
 
     def test_r_t_bounded_below_by_noise(self):
         cfg = tiny_config(T=20, noise_sd=0.3)
-        sample, trace = run_once(cfg)
+        _, trace = run_once(cfg)
         # r_t = y_plus - f_star is bounded below by -2 * max |noise| since
         # y_plus >= f_star + min eps; recover eps magnitudes from y - f
         eps_max = np.abs(trace.y_next - trace.f_next).max()
@@ -202,7 +203,7 @@ class TestRun:
 
     def test_initial_indices_reproducible(self):
         cfg = tiny_config(T0=3, T=10)
-        sample, trace = run_once(cfg, seed=5)
+        _, trace = run_once(cfg, seed=5)
         from gpei.rng import derive_stream_seed
 
         rng_init = np.random.default_rng(derive_stream_seed(5, eiopt.INIT_STREAM))
@@ -225,13 +226,13 @@ class TestRun:
         cfg = tiny_config()
         other = dataclasses.replace(cfg, grid_per_dim=30)
         with pytest.raises(ValueError, match="grid"):
-            run(cfg, GridPrior.build(cfg.kernel, other.grid_points()), 5)
+            eiopt.run_batch(cfg, GridPrior.build(cfg.kernel, other.grid_points()), [5])
 
     def test_kernel_mismatch_rejected(self):
         cfg = tiny_config()
         prior = GridPrior.build(KernelSpec("matern", 0.2, 2.5), cfg.grid_points())
         with pytest.raises(ValueError, match="kernel"):
-            run(cfg, prior, 5)
+            eiopt.run_batch(cfg, prior, [5])
 
     @pytest.mark.parametrize("seeds", [[], range(0)])
     def test_empty_seed_list_rejected(self, seeds):
@@ -242,11 +243,11 @@ class TestRun:
 
 def replay(config, seed):
     """The loop's trace plus its initial observations: (init indices, init y, trace)."""
-    sample, trace = run_once(config, seed)
+    f, trace = run_once(config, seed)
     from gpei.rng import derive_stream_seed
 
     rng_noise = np.random.default_rng(derive_stream_seed(seed, eiopt.NOISE_STREAM))
-    y0 = [float(sample.f[j] + config.noise_sd * rng_noise.standard_normal()) for j in trace.init_indices]
+    y0 = [float(f[j] + config.noise_sd * rng_noise.standard_normal()) for j in trace.init_indices]
     return trace.init_indices.tolist(), y0, trace
 
 
@@ -726,12 +727,12 @@ class TestKernelRowTable:
 def assert_picks_are_ei_maxima(cfg, seed):
     """Every pick of the loop's run of ``seed`` is the lowest-index tied
     maximum of EI recomputed from a ``gp.fit`` on the observations so far."""
-    sample, trace = run_once(cfg, seed)
+    f, trace = run_once(cfg, seed)
     grid = cfg.grid_points()
     # rebuild the observation sequence and refit at each step
     obs_idx = trace.init_indices.tolist()
     rng_noise = np.random.default_rng(derive_stream_seed(seed, eiopt.NOISE_STREAM))
-    y = [float(sample.f[j] + cfg.noise_sd * rng_noise.standard_normal()) for j in obs_idx]
+    y = [float(f[j] + cfg.noise_sd * rng_noise.standard_normal()) for j in obs_idx]
     for j, ei_next in zip(trace.x_next_idx.tolist(), trace.ei_next):
         state = fit(cfg.kernel, grid[obs_idx], np.array(y), cfg.noise_var)
         y_plus = min(y)
@@ -740,7 +741,7 @@ def assert_picks_are_ei_maxima(cfg, seed):
         assert vals.max() <= ei_next + (1e-12 if cfg.noise_sd > 0 else 1e-6)
         assert lowest_argmax(vals) == j
         obs_idx.append(j)
-        y.append(float(sample.f[j] + cfg.noise_sd * rng_noise.standard_normal()))
+        y.append(float(f[j] + cfg.noise_sd * rng_noise.standard_normal()))
 
 
 class TestSelectionOptimality:

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from gpei import gp, kernels
+from gpei import eiopt, gp, kernels
+from gpei.config import ExperimentConfig
 from gpei.gp import FactorizationError, GridPrior, fit, info_gain, sample_prior, update, variance_sum_check
 from gpei.kernels import KernelSpec
 
@@ -80,7 +81,7 @@ class TestFitAndPosterior:
     def test_noiseless_interpolates_many_points(self):
         # values drawn from the prior itself, the noiseless loop's actual regime
         X = np.linspace(0, 1, 12)[:, None]
-        y = sample_prior(SE, X, 77).f
+        y = sample_prior(SE, X, 77)
         state = fit(SE, X, y, 0.0)
         for i in range(12):
             mu, sigma = posterior(state, X[i])
@@ -198,36 +199,39 @@ class TestUpdate:
         assert np.all(s_after <= s_before + 1e-10)
 
 
+def draws(prior, count):
+    """The draws of seeds 0 .. count - 1.  A row of ``draw`` does not depend on
+    the other seeds, so chunks of 10 000 give the per-seed draws bitwise while
+    few generators are alive at once."""
+    return np.concatenate([prior.draw(range(i, min(i + 10_000, count))) for i in range(0, count, 10_000)])
+
+
 class TestSamplePrior:
     def test_deterministic(self):
         grid = np.linspace(0, 1, 30)[:, None]
-        s1 = sample_prior(SE, grid, 999)
-        s2 = sample_prior(SE, grid, 999)
-        assert np.array_equal(s1.f, s2.f)
-        assert s1.f_star == s2.f_star and s1.x_star_idx == s2.x_star_idx
+        assert np.array_equal(sample_prior(SE, grid, 999), sample_prior(SE, grid, 999))
 
     def test_summary_fields(self):
-        grid = np.linspace(0, 1, 25)[:, None]
-        s = sample_prior(SE, grid, 5)
-        assert s.f_star == s.f.min()
-        assert s.f[s.x_star_idx] == s.f_star
-        assert s.f_abs_max == np.abs(s.f).max()
-        assert s.f_abs_max >= abs(s.f_star)
+        # a batch records each objective's minimum f* and its sup-norm
+        cfg = ExperimentConfig(grid_per_dim=25, kernel=SE, T=3, trials=4)
+        prior = GridPrior.build(SE, cfg.grid_points())
+        seeds = [5, 6, 7, 8]
+        batch = eiopt.run_batch(cfg, prior, seeds)
+        f = prior.draw(seeds)
+        assert np.array_equal(batch.f_star, f.min(axis=1))
+        assert np.array_equal(batch.f_abs_max, np.abs(f).max(axis=1))
+        assert (batch.f_abs_max >= np.abs(batch.f_star)).all()
 
     def test_single_point_moments(self):
         # f on a 1-point grid is standard normal; Monte-Carlo moment check
         prior = GridPrior.build(SE, np.array([[0.0]]))
-        # draw(range(...)) equals the per-seed samples bitwise; in chunks, to
-        # keep few generators alive at once
-        vals = np.concatenate([prior.draw(range(i, i + 10_000))[:, 0] for i in range(0, 100_000, 10_000)])
+        vals = draws(prior, 100_000)[:, 0]
         assert abs(vals.mean()) < 0.02
         assert 0.98 < vals.var() < 1.02
 
     def test_empirical_covariance_matches_kernel(self):
         grid = np.array([[0.0], [0.2], [0.45], [0.7], [1.0]])
-        prior = GridPrior.build(SE, grid)
-        draws = np.array([prior.sample(seed).f for seed in range(10_000)])
-        emp = np.cov(draws.T, bias=True)
+        emp = np.cov(draws(GridPrior.build(SE, grid), 10_000).T, bias=True)
         expected = kernels.gram(SE, grid)
         assert np.max(np.abs(emp - expected)) < 0.05
 
@@ -261,10 +265,8 @@ def assert_samples_through_factor(spec, grid):
     for seed in (0, 7, 2**63 + 5):
         L, _ = gp.chol_with_jitter(kernels.gram(spec, grid))
         f = L @ np.random.default_rng(seed).standard_normal(grid.shape[0])
-        s = prior.sample(seed)
-        assert np.array_equal(s.f, f)
-        assert s.prior is prior and s.grid is prior.grid
-        assert np.array_equal(sample_prior(spec, grid, seed).f, f)
+        assert np.array_equal(prior.draw([seed])[0], f)
+        assert np.array_equal(sample_prior(spec, grid, seed), f)
 
 
 class TestGridPrior:
@@ -320,11 +322,11 @@ class TestGridPrior:
         spec = KernelSpec("matern", 0.2, 2.5)
         g = grid.copy()
         prior = GridPrior.build(spec, g)
-        rows, f = prior.rows([0, 5]), prior.sample(3).f
+        rows, f = prior.rows([0, 5]), prior.draw([3])
         g[0, 0] = 5.0
         assert prior.grid is not g and np.array_equal(prior.grid, grid)
         assert np.array_equal(prior.rows([0, 5]), rows)
-        assert np.array_equal(prior.sample(3).f, f)
+        assert np.array_equal(prior.draw([3]), f)
 
 
 def embedded_covariance(prior):
@@ -350,9 +352,9 @@ class TestCirculantEmbedding:
         spec = KernelSpec("matern", 0.3, 0.5)
         prior = GridPrior.build(spec, config_grid(d, m))
         assert prior.L is None
-        draws = np.array([prior.sample(seed).f for seed in range(10_000)])
-        assert np.max(np.abs(draws.mean(axis=0))) < 0.05
-        assert np.max(np.abs(np.cov(draws.T, bias=True) - kernels.gram(spec, prior.grid))) < 0.05
+        f = draws(prior, 10_000)
+        assert np.max(np.abs(f.mean(axis=0))) < 0.05
+        assert np.max(np.abs(np.cov(f.T, bias=True) - kernels.gram(spec, prior.grid))) < 0.05
 
     def test_sample_is_the_fft_of_the_seed_stream(self):
         # f = Re FFT(sqrt(eig/N) (z1 + i z2)) on the grid, z1 and z2 the even
@@ -362,7 +364,7 @@ class TestCirculantEmbedding:
         z = np.random.default_rng(11).standard_normal(2 * N)
         w = np.sqrt(prior.eig / N) * (z[0::2] + 1j * z[1::2]).reshape(prior.eig.shape)
         expected = np.fft.fftn(w).real[:16, :16].ravel()
-        assert np.allclose(prior.sample(11).f, expected, rtol=0.0, atol=1e-14)
+        assert np.allclose(prior.draw([11])[0], expected, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("spec,grid", [
         (KernelSpec("se", 0.2), config_grid(1, 200)),
@@ -377,7 +379,7 @@ class TestCirculantEmbedding:
         for size in (1, 2, 7):
             assert np.array_equal(prior.draw(seeds[3 : 3 + size]), rows[3 : 3 + size])
         for b in (0, 20, 42):
-            assert np.array_equal(prior.sample(seeds[b]).f, rows[b])
+            assert np.array_equal(prior.draw([seeds[b]])[0], rows[b])
 
     def test_torus_is_smallest_5_smooth_when_it_suffices(self):
         # Matern-1/2 on a 1-d grid embeds at the first length >= 2(m - 1)

@@ -1,5 +1,6 @@
 """Tests for config handling, campaign persistence, lemma plumbing, and figures."""
 
+import dataclasses
 import math
 import os
 import re
@@ -8,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from gpei import bounds, harness
+from gpei import bounds, eiopt, harness
 from gpei.eiopt import NOISE_STREAM
 from gpei.rng import derive_stream_seed
 from gpei.stdnormal import ei_unchecked
@@ -218,13 +219,14 @@ class TestCampaign:
         for name in sorted(os.listdir(a)):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
-    def test_one_config_hash_per_batch(self, monkeypatch):
+    def test_one_config_hash_per_campaign(self, monkeypatch):
+        # two batches, one hash: it lives on the result, not on each trace
         cfg = tiny_config(grid_per_dim=400, T=60, trials=12)
+        assert len(harness.trial_chunks(cfg)) == 2
         hashed = []
         monkeypatch.setattr(harness, "config_hash", lambda c: (hashed.append(c), config_hash(c))[1])
         result = harness.run_campaign(cfg)
-        assert len(hashed) == len(harness.trial_chunks(cfg)) + 1  # each batch, then the result
-        assert {trace.config_hash for trace in result.traces} == {config_hash(cfg)}
+        assert hashed == [cfg] and result.config_hash == config_hash(cfg)
 
     @pytest.mark.parametrize("overrides,chunks", [(dict(), 1), (dict(grid_per_dim=400, T=60, trials=12), 2)])
     def test_pool_starts_one_worker_per_chunk_at_most(self, tmp_path, monkeypatch, overrides, chunks):
@@ -370,7 +372,7 @@ class TestLoopConsistency:
             assert np.array_equal(tr.ei_next, ei_unchecked(tr.y_plus - tr.mu_next, tr.sigma_next))
             assert np.array_equal(tr.r_t, tr.y_plus - tr.f_star)
             assert (tr.r0_t >= 0).all()
-            f = prior.sample(tr.seed).f
+            f = prior.draw([tr.seed])[0]
             eps = cfg.noise_sd * np.random.default_rng(derive_stream_seed(tr.seed, NOISE_STREAM)).standard_normal(cfg.T)
             y0 = f[tr.init_indices] + eps[: cfg.T0]
             assert np.array_equal(tr.f_next, f[tr.x_next_idx])
@@ -434,6 +436,58 @@ class TestVectorisedChecks:
             got = (row.bound_mean, row.bound_min, row.r_t_mean, row.r_t_max, row.margin_min,
                    row.sigma_win_mean, row.sigma_win_min_mean)
             assert got == expected, t
+
+
+def poison_filler(run_batch):
+    """``run_batch`` with every column entry after a trial's steps (the filler a
+    kappa stop leaves) replaced by a value that no check may see: sigma_next
+    0.75, inside the domain of ``bounds.bound_value``, and 10**9 elsewhere."""
+
+    def poisoned(config, prior, seeds):
+        batch = run_batch(config, prior, seeds)
+        filler = np.arange(config.T - config.T0) >= batch.steps[:, None]
+        columns = {name: col.copy() for name, col in batch.columns.items()}
+        for name, col in columns.items():
+            col[filler] = 0.75 if name == "sigma_next" else 10**9
+        return dataclasses.replace(batch, columns=columns)
+
+    return poisoned
+
+
+class TestBatchColumns:
+    """A campaign checks the columns of its batches, filler included, and masks
+    every (trial, t) past the trial's steps."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_checks_equal_each_trace_alone(self, tmp_path, monkeypatch, workers):
+        # the kappa-stopped d=2, 16x16 Matern-5/2 noiseless campaign, in batches
+        # of 25 and 5 trials (two pool tasks with two workers); forked workers
+        # inherit the poisoned run_batch
+        cfg = ExperimentConfig(d=2, grid_per_dim=16, kernel=KernelSpec("matern", 0.2, 2.5), T=40, trials=30,
+                               seed=42, kappa=1e-3, noise_sd=0.0, theorem="thm42")
+        assert [len(c) for c in harness.trial_chunks(cfg)] == [25, 5]
+        clean, poisoned = tmp_path / "clean", tmp_path / "poisoned"
+        harness.run_experiment(cfg, str(clean), workers=workers)
+        monkeypatch.setattr(eiopt, "run_batch", poison_filler(eiopt.run_batch))
+        result = harness.run_experiment(cfg, str(poisoned), workers=workers)
+        assert sorted(os.listdir(clean)) == sorted(os.listdir(poisoned))
+        for name in sorted(os.listdir(clean)):
+            assert (clean / name).read_bytes() == (poisoned / name).read_bytes(), name
+
+        c = bounds.constants_for(cfg.theorem, cfg.delta, noisy=False)
+        ts = harness.valid_bound_ts(cfg, c)
+        stopped = 0
+        for i, tr in enumerate(result.traces):
+            k = sum(t - cfg.T0 < tr.t.size for t in ts)  # the checked t this trial recorded
+            alone = bounds.check_columns(c, ts[:k], cfg.T0, tr.sigma_next[:, None], tr.r_t[:, None], [tr.t.size],
+                                         [tr.f_abs_max], cfg.noise_sd)
+            for name in ("sigma_win_max", "sigma_win_min", "bound", "r_t"):
+                got = getattr(result.checks, name)[i]
+                assert got[:k].tobytes() == getattr(alone, name)[0].tobytes(), name
+                assert np.isnan(got[k:]).all(), name
+            assert result.checks.holds[i].tolist() == alone.holds[0].tolist() + [False] * (len(ts) - k)
+            stopped += k < len(ts)
+        assert 0 < stopped < cfg.trials
 
 
 class TestOneKernelSource:

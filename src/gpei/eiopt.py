@@ -22,12 +22,7 @@ import numpy as np
 from . import gp, stdnormal
 from .config import ExperimentConfig
 from .gp import GpState, GridPrior
-from .rng import derive_stream_seed
-
-# Stream tags for the per-run substreams (initial design vs noise draws),
-# so objective sampling and noise are independently reproducible.
-INIT_STREAM = 0x494E4954
-NOISE_STREAM = 0x4E4F4953
+from .rng import INIT, NOISE, to_segment
 
 # Candidates whose EI lies within this fraction of |max EI| below the maximum
 # count as tied with it: mirror points of a symmetric posterior have equal EI
@@ -235,9 +230,9 @@ class Trace:
 
 def batch_size(T: int, n: int) -> int:
     """Trials stepped together: max(1, ``gp.TABLE_BYTES`` // (8*T*n)), so that
-    a batch's V buffer takes about 2 MiB, the budget within which a grid of
-    n <= 512 points keeps its kernel-row table (43 trials at T=30 and n=200,
-    21 at T=60 and n=200, one at n=4096)."""
+    a batch's V buffer takes about 2 MiB, the budget within which a fallback
+    grid of n <= 512 points keeps its kernel-row table (43 trials at T=30 and
+    n=200, 21 at T=60 and n=200, one at n=4096)."""
     return max(1, gp.TABLE_BYTES // (8 * T * n))
 
 
@@ -273,8 +268,10 @@ class Batch:
 def run_batch(config: ExperimentConfig, prior: GridPrior, seeds) -> Batch:
     """Execute the optimization loop on one prior draw per seed, all trials in lockstep.
 
-    Trial b runs on the objective ``prior.draw(seeds)[b]`` with the noise
-    and initial-design streams of ``seeds[b]``.  T0 initial points are drawn
+    Trial b seeds one generator with ``seeds[b]`` and runs on the objective
+    ``prior.draw(seeds)[b]``, drawn from the start of its stream, with its
+    initial design and noise read from the stream's ``rng.INIT`` and
+    ``rng.NOISE`` segments.  T0 initial points are drawn
     uniformly (with replacement) from the grid and observed as y = f + eps
     with eps ~ N(0, noise_sd^2) i.i.d.; afterwards each step acquires the EI
     argmax over the full grid (``lowest_argmax`` on ties), observes it,
@@ -298,13 +295,16 @@ def run_batch(config: ExperimentConfig, prior: GridPrior, seeds) -> Batch:
     B, n, T0, T = len(seeds), grid.shape[0], config.T0, config.T
     noise_sd = float(config.noise_sd)
 
-    # each trial's noise stream yields its T0 initial draws, then one per step
+    # one generator per trial; its noise segment yields the T0 initial
+    # draws, then one per step
+    rngs = [np.random.default_rng(int(seed)) for seed in seeds]
+    seeded = [rng.bit_generator.state for rng in rngs]
+    f = prior.draw(rngs)
     init = np.empty((B, T0), dtype=np.intp)
     eps = np.empty((B, T))
-    for b, seed in enumerate(seeds):
-        init[b] = np.random.default_rng(derive_stream_seed(seed, INIT_STREAM)).integers(0, n, size=T0)
-        eps[b] = noise_sd * np.random.default_rng(derive_stream_seed(seed, NOISE_STREAM)).standard_normal(T)
-    f = prior.draw(seeds)
+    for b, (rng, state) in enumerate(zip(rngs, seeded)):
+        init[b] = to_segment(rng, state, INIT).integers(0, n, size=T0)
+        eps[b] = noise_sd * to_segment(rng, state, NOISE).standard_normal(T)
     x_star = np.argmin(f, axis=1)
     f_star = f[np.arange(B), x_star]
     f_abs_max = np.abs(f).max(axis=1)

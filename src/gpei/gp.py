@@ -4,9 +4,11 @@ information-gain accounting.
 ``GridPrior`` is built once per grid and shared by every draw of the
 objective (``GridPrior.draw``) and every grid posterior
 (``eiopt.GridPosterior``, which reads prior covariances through
-``GridPrior.rows``).  ``chol_with_jitter`` adds a small escalating diagonal
-jitter, since squared-exponential Gram matrices on fine grids are
-numerically singular.  ``fit``, ``posterior_batch`` and ``update`` evaluate
+``GridPrior.rows``).  On a grid drawn by circulant embedding, the draws and
+the rows share one kernel evaluation, the kernel at the grid's signed
+lattice offsets, and nothing n-by-n exists.  ``chol_with_jitter`` adds a
+small escalating diagonal jitter, since squared-exponential Gram matrices on
+fine grids are numerically singular.  ``fit``, ``posterior_batch`` and ``update`` evaluate
 the conjugate posterior at arbitrary points,
 
     mu_t(x)      = k_t(x)^T (K_t + s2*I)^{-1} y
@@ -18,6 +20,7 @@ lemma protocol calls them, nor ``sample_prior``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,9 +32,10 @@ from .kernels import KernelSpec
 JITTER_START = 1e-10
 JITTER_MAX = 1e-6
 
-# Budget of one per-grid working array: a ``GridPrior`` keeps its Gram matrix
-# as a table of kernel rows when the n^2*8 bytes fit (n <= 512), and
-# ``eiopt.batch_size`` sizes a lockstep batch's V buffer to it.
+# Budget of one per-grid working array: a ``GridPrior`` on a grid that falls
+# back to Cholesky keeps its Gram matrix as a table of kernel rows when the
+# n^2*8 bytes fit (n <= 512), and ``eiopt.batch_size`` sizes a lockstep
+# batch's V buffer to it.
 TABLE_BYTES = 2 << 20
 
 
@@ -199,22 +203,26 @@ def _tensor_axes(grid: np.ndarray) -> tuple[tuple[int, ...], tuple[float, ...]] 
     return points, tuple(spacing)
 
 
-def _circulant_eigenvalues(kernel: KernelSpec, grid: np.ndarray, points, spacing) -> np.ndarray | None:
-    """Eigenvalues of the smallest circulant embedding that samples the prior
+def _circulant_eigenvalues(
+    kernel: KernelSpec, grid: np.ndarray, points, spacing
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(eig, row) of the smallest circulant embedding that samples the prior
     exactly on the tensor grid ``grid`` (``points`` and ``spacing`` per axis,
     as ``_tensor_axes`` returns them), or None when it has none worth using.
 
-    k0 is the first row of the grid's Gram matrix (the covariances of the
-    lowest corner).  Axis k of m_k points with spacing h_k wraps onto a torus
-    of M_k points, at first the smallest 5-smooth length >= 2(m_k - 1); the
-    torus's first row holds the kernel at offsets h_k * min(j, M_k - j), and
-    its eigenvalues are the real part of that row's d-dimensional FFT.  The
-    torus is accepted when its smallest eigenvalue is >= -``JITTER_START`` and
-    the covariance of the eigenvalues clipped at 0 reproduces k0 to within
-    ``JITTER_START``; otherwise every axis grows to the next 5-smooth length
-    >= 9/8 M_k.  None once the torus's FFT (5 N log2 N flops for N torus
-    points) would cost more than the 2 n^2 flops of the matrix-vector product
-    L z it replaces.  Returned clipped at 0, shape (M_1, ..., M_d).
+    Axis k of m_k points with spacing h_k wraps onto a torus of M_k points, at
+    first the smallest 5-smooth length >= 2(m_k - 1).  ``row``, the torus's
+    first row, shape (M_1, ..., M_d), is the kernel at the offsets
+    h_k * min(j, M_k - j), squared and summed in axis order.  ``eig`` is the
+    real part of rfftn(row): the half spectrum of the torus's eigenvalues,
+    whose minimum is the whole spectrum's since row is real and even.  The
+    torus is accepted when that minimum is >= -``JITTER_START`` and the
+    irfftn of the eigenvalues clipped at 0 reproduces k0, the first row of
+    the grid's Gram matrix, to within ``JITTER_START``; otherwise every axis
+    grows to the next 5-smooth length >= 9/8 M_k.  None once the torus's FFT
+    (5 N log2 N flops for N torus points) would cost more than the 2 n^2
+    flops of the matrix-vector product L z it replaces.  ``eig`` is returned
+    clipped at 0.
     """
     k0 = kernels.cross_matrix(kernel, grid[:1], grid)[0]
     torus = [_smooth5(max(1, 2 * (m - 1))) for m in points]
@@ -227,12 +235,13 @@ def _circulant_eigenvalues(kernel: KernelSpec, grid: np.ndarray, points, spacing
             j = np.arange(M)
             offset = h * np.minimum(j, M - j)
             sq += (offset * offset).reshape([M if i == k else 1 for i in range(len(torus))])
-        eig = np.fft.fftn(kernels._k_of_sq_dist(kernel, sq)).real
+        row = kernels._k_of_sq_dist(kernel, sq)
+        eig = np.fft.rfftn(row).real
         if eig.min() >= -JITTER_START:
             np.maximum(eig, 0.0, out=eig)
-            row = np.fft.ifftn(eig).real[tuple(slice(0, m) for m in points)]
-            if np.max(np.abs(row.ravel() - k0)) <= JITTER_START:
-                return eig
+            back = np.fft.irfftn(eig, s=torus, axes=range(len(torus)))[tuple(slice(0, m) for m in points)]
+            if np.max(np.abs(back.ravel() - k0)) <= JITTER_START:
+                return eig, row
         torus = [_smooth5(M + -(-M // 8)) for M in torus]
 
 
@@ -242,25 +251,30 @@ class GridPrior:
     every grid posterior.  Every array, ``grid`` (a copy of the caller's)
     included, is read-only.
 
-    ``rows`` serves the prior covariances: gathered from ``K``, the grid's
-    Gram matrix, which the prior keeps when its n^2*8 bytes fit
-    ``TABLE_BYTES`` (n <= 512), and evaluated on demand otherwise.  A grid
-    laid out as ``ExperimentConfig.grid_points`` lays it out is drawn by
-    circulant embedding (Dietrich & Newsam 1997; Wood & Chan 1994) when
-    ``_circulant_eigenvalues`` finds a torus: ``eig`` holds its eigenvalues
-    and ``points`` the grid's points per axis, the draws' covariance equals
-    K entrywise to within ``JITTER_START``, and above the table bound nothing
-    n-by-n is assembled or held.  Any other grid is drawn through
-    ``L``, the lower Cholesky factor of K + ``jitter``*I.
+    A grid laid out as ``ExperimentConfig.grid_points`` lays it out (m_k
+    equally spaced points on axis k, n = m_1 * ... * m_d) is embedded when
+    ``_circulant_eigenvalues`` finds a torus (Dietrich & Newsam 1997; Wood &
+    Chan 1994).  Its kernel is stationary, so the prior keeps one kernel
+    evaluation: ``k_offsets``, the kernel at every signed lattice offset,
+    shape (2m_1 - 1, ..., 2m_d - 1), whose entry i is the torus row's entry
+    at offset i - (m - 1) on each axis, bit for bit.  ``rows`` returns
+    windows of it, ``root_eig`` holds the square roots of the torus's
+    eigenvalues (the half spectrum, clipped at 0) and ``torus`` its shape,
+    the draws' covariance equals K entrywise to within ``JITTER_START``, and
+    nothing n-by-n is assembled or held at any size.  Any other grid falls
+    back to ``L``, the lower Cholesky factor of K + ``jitter``*I, and keeps
+    ``K``, the grid's Gram matrix, as a table of kernel rows when its n^2*8
+    bytes fit ``TABLE_BYTES`` (n <= 512).
     """
 
     kernel: KernelSpec
     grid: np.ndarray
     L: np.ndarray | None
     jitter: float | None
-    eig: np.ndarray | None
-    points: tuple[int, ...] | None
     K: np.ndarray | None
+    k_offsets: np.ndarray | None
+    root_eig: np.ndarray | None
+    torus: tuple[int, ...] | None
 
     @classmethod
     def build(cls, kernel: KernelSpec, grid) -> GridPrior:
@@ -268,45 +282,80 @@ class GridPrior:
         if grid.ndim != 2 or grid.shape[0] < 1:
             raise ValueError(f"grid must be a non-empty 2-d array, got shape {grid.shape}")
         axes = _tensor_axes(grid)
-        eig = None if axes is None else _circulant_eigenvalues(kernel, grid, *axes)
-        table = 8 * grid.shape[0] ** 2 <= TABLE_BYTES
-        K = kernels.gram(kernel, grid) if table or eig is None else None
-        L = jitter = None
-        if eig is None:
+        embedding = None if axes is None else _circulant_eigenvalues(kernel, grid, *axes)
+        L = jitter = K = k_offsets = root_eig = torus = None
+        if embedding is None:
+            K = kernels.gram(kernel, grid)
             L, jitter = chol_with_jitter(K)
-        if not table:
-            K = None
-        for a in (grid, L, eig, K):
+            if 8 * grid.shape[0] ** 2 > TABLE_BYTES:
+                K = None
+        else:
+            eig, row = embedding
+            torus = row.shape
+            k_offsets = row[np.ix_(*(np.arange(1 - m, m) % M for m, M in zip(axes[0], torus)))]
+            root_eig = np.sqrt(eig)
+        for a in (grid, L, K, k_offsets, root_eig):
             if a is not None:
                 a.flags.writeable = False
-        return cls(kernel, grid, L, jitter, eig, None if eig is None else axes[0], K)
+        return cls(kernel, grid, L, jitter, K, k_offsets, root_eig, torus)
+
+    @property
+    def points(self) -> tuple[int, ...] | None:
+        """Points per axis of an embedded grid; None on a fallback grid."""
+        return None if self.k_offsets is None else tuple((s + 1) // 2 for s in self.k_offsets.shape)
+
+    @functools.cached_property
+    def _windows(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """(windows, corners): every (m_1, ..., m_d) window of ``k_offsets`` as
+        one read-only view, and per axis the window index of each grid point's
+        row, m_k - 1 - j_k for the point's index j_k on axis k.  Built on first
+        use and never pickled."""
+        points = self.points
+        windows = np.lib.stride_tricks.sliding_window_view(self.k_offsets, points)
+        return windows, np.unravel_index(np.arange(self.grid.shape[0])[::-1], points)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_windows", None)
+        return state
 
     def rows(self, idx) -> np.ndarray:
-        """Rows idx of K, shape (len(idx), n), bitwise equal to ``kernels.gram``'s:
-        gathered from the table ``K`` or, above the table bound, evaluated by
-        ``kernels.cross_matrix``."""
+        """Rows idx of the grid's kernel matrix, shape (len(idx), n).  Embedded:
+        row j is the window of ``k_offsets`` at offsets grid - grid[j], the
+        kernel at the squared lattice offsets (within 1e-15 of ``kernels.gram``'s
+        rows), with no kernel evaluation.  Fallback: rows of ``kernels.gram``,
+        bitwise, gathered from the table ``K`` or, above the table bound,
+        evaluated on the prior's validated grid as ``kernels.cross_matrix``
+        evaluates them."""
+        if self.k_offsets is not None:
+            windows, corners = self._windows
+            return windows[tuple(c[idx] for c in corners)].reshape(-1, self.grid.shape[0])
         if self.K is not None:
             return self.K[idx]
-        return kernels.cross_matrix(self.kernel, self.grid[idx], self.grid)
+        return kernels._k_of_sq_dist(self.kernel, kernels._sq_dist(self.grid[idx], self.grid))
 
     def draw(self, seeds) -> np.ndarray:
         """The objectives of ``seeds`` on the grid, shape (len(seeds), n).  Row b
         is a function of (kernel, grid, seeds[b]) alone, bit for bit, whatever
-        the other seeds.
+        the other seeds.  A seed is an int, read as ``np.random.default_rng(seed)``,
+        or a generator, read from its current state.
 
-        Embedded: row b is Re FFT(sqrt(eig/N) * (z1 + i*z2)) restricted to the
-        grid, where z1 and z2 are the even and odd entries of the first 2N
-        standard normals of a PCG64 generator seeded with seeds[b] and N is
-        the torus size; one batched FFT transforms every row, each on its own.
+        Embedded: row b is f = C^{1/2} eta restricted to the grid, with C the
+        torus's circulant covariance and eta the first N standard normals of
+        seeds[b]'s generator, N the torus size: irfftn(root_eig * rfftn(eta)),
+        one batched real FFT each way for every row, each on its own.
         Otherwise row b is L z for the generator's first n normals.
         """
-        rngs = [np.random.default_rng(int(seed)) for seed in seeds]
+        rngs = [np.random.default_rng(seed) for seed in seeds]
         if self.L is not None:
             return np.stack([self.L @ rng.standard_normal(self.grid.shape[0]) for rng in rngs])
-        w = np.stack([rng.standard_normal(2 * self.eig.size) for rng in rngs]).view(np.complex128)
-        w = w.reshape(len(rngs), *self.eig.shape)
-        w *= np.sqrt(self.eig / self.eig.size)
-        f = np.fft.fftn(w, axes=range(1, w.ndim)).real[(slice(None), *(slice(0, m) for m in self.points))]
+        eta = np.empty((len(rngs), math.prod(self.torus)))
+        for rng, row in zip(rngs, eta):
+            rng.standard_normal(out=row)
+        axes = tuple(range(1, len(self.torus) + 1))
+        w = np.fft.rfftn(eta.reshape(len(rngs), *self.torus), axes=axes)
+        w *= self.root_eig
+        f = np.fft.irfftn(w, s=self.torus, axes=axes)[(slice(None), *(slice(0, m) for m in self.points))]
         return np.ascontiguousarray(f).reshape(len(rngs), -1)
 
 

@@ -146,11 +146,15 @@ def run_trial(batch: eiopt.Batch, b: int) -> Trace:
     return batch.trace(b)
 
 
-def run_trials(config: ExperimentConfig, prior: gp.GridPrior, indices) -> tuple[eiopt.Batch, list[Trace]]:
+def run_trials(config: ExperimentConfig, prior: gp.GridPrior, indices) -> eiopt.Batch:
     """One objective per trial index sampled from ``prior`` and run in lockstep:
-    the batch and each trial's trace, fully determined by config and index."""
-    batch = eiopt.run_batch(config, prior, [trial_seed(config.seed, i) for i in indices])
-    return batch, [run_trial(batch, b) for b in range(len(indices))]
+    the batch, fully determined by config and index."""
+    return eiopt.run_batch(config, prior, [trial_seed(config.seed, i) for i in indices])
+
+
+def batch_traces(batch: eiopt.Batch) -> list[Trace]:
+    """Each trial's trace, one ``run_trial`` call per trial."""
+    return [run_trial(batch, b) for b in range(len(batch.seeds))]
 
 
 def trial_chunks(config: ExperimentConfig) -> list[range]:
@@ -170,7 +174,7 @@ def _init_worker(config: ExperimentConfig, prior: gp.GridPrior) -> None:
     _worker_campaign = (config, prior)
 
 
-def _worker_trials(indices: range) -> tuple[eiopt.Batch, list[Trace]]:
+def _worker_trials(indices: range) -> eiopt.Batch:
     return run_trials(*_worker_campaign, indices)
 
 
@@ -193,15 +197,15 @@ def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     chunks = trial_chunks(config)
     prior = grid_prior(config)
     # pool workers inherit the prior (pickled once per worker under a non-fork
-    # start method): start none without a chunk, and run a single chunk here
+    # start method): start none without a chunk, and run a single chunk here;
+    # a task returns its batch alone, and the traces are sliced here
     workers = min(workers, len(chunks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(config, prior)) as pool:
-            runs = list(pool.map(_worker_trials, chunks))
+            batches = list(pool.map(_worker_trials, chunks))
     else:
-        runs = [run_trials(config, prior, chunk) for chunk in chunks]
-    batches, chunk_traces = zip(*runs)
-    traces = tuple(itertools.chain.from_iterable(chunk_traces))
+        batches = [run_trials(config, prior, chunk) for chunk in chunks]
+    traces = tuple(itertools.chain.from_iterable(map(batch_traces, batches)))
 
     # the checked columns, one row per iteration from T0 and one column per
     # trial; check_columns masks the filler after each trial's steps
@@ -425,9 +429,8 @@ def _joint_draws(config: ExperimentConfig, n_draws: int, stream: int):
     prior = gp.GridPrior.build(config.kernel, _lemma_fixture(config))
     k = prior.grid.shape[0] - 1
     # all draws come from one stream through one factor of the fixture's
-    # Gram matrix (the prior's kernel-row table), whichever way the prior
-    # itself samples
-    L, _ = gp.chol_with_jitter(prior.K)
+    # kernel matrix (the prior's rows), whichever way the prior itself samples
+    L, _ = gp.chol_with_jitter(prior.rows(np.arange(k + 1)))
     rng = np.random.default_rng(derive_stream_seed(config.seed, stream))
     z = rng.standard_normal((n_draws, k + 1))
     f = z @ L.T
@@ -506,7 +509,8 @@ def _verify_fmu_t(config: ExperimentConfig, n: int) -> LemmaReport:
     root_beta = np.array([math.sqrt(bounds.beta_t_seq(t + 1, config.delta)) for t in ts])
     successes = np.zeros(n, dtype=bool)
     for chunk in trial_chunks(run_cfg):  # one batch held at a time
-        batch, _ = run_trials(run_cfg, prior, chunk)
+        batch = run_trials(run_cfg, prior, chunk)
+        batch_traces(batch)  # one run_trial per run, as in a campaign: perfbench's tracer counts steps there
         f, mu, sigma = (batch.columns[name] for name in ("f_next", "mu_next", "sigma_next"))
         recorded = np.arange(root_beta.size) < batch.steps[:, None]
         miss = recorded & (np.abs(f - mu) > root_beta * sigma + _ROUNDOFF_GUARD)

@@ -442,7 +442,7 @@ def loop_trace(**overrides):
     from gpei.config import ExperimentConfig
 
     cfg = ExperimentConfig(seed=1, **overrides)
-    return harness.run_trials(cfg, harness.grid_prior(cfg), [1])[1][0]
+    return harness.run_trial(harness.run_trials(cfg, harness.grid_prior(cfg), [1]), 0)
 
 
 class TestEmpiricalBoundCheck:

@@ -16,7 +16,7 @@ from gpei.config import ExperimentConfig
 from gpei.eiopt import ei_batch, lowest_argmax
 from gpei.gp import GridPrior, fit
 from gpei.kernels import KernelSpec
-from gpei.rng import derive_stream_seed, trial_seed
+from gpei.rng import INIT, NOISE, trial_seed
 from gpei.stdnormal import SIGMA_FLOOR, ei_ab, ei_unchecked, tau
 
 SE = KernelSpec("se", 0.5)
@@ -145,6 +145,26 @@ def tiny_config(**kw):
     return ExperimentConfig(**base)
 
 
+def segment(seed, k):
+    """A generator at segment k of the trial stream of ``seed``: the
+    generator ``default_rng(seed)`` after k * 2**64 draws."""
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(k * 2**64)
+    return rng
+
+
+def lattice_gram(spec, d, m):
+    """The kernel matrix of the d-dimensional config grid of m points per
+    axis at its squared lattice offsets: (|i_k - j_k| / (m - 1))^2 summed in
+    axis order, for i_k and j_k the two points' indices on axis k."""
+    idx = np.stack(np.unravel_index(np.arange(m**d), (m,) * d), axis=1)
+    sq = np.zeros((m**d, m**d))
+    for k in range(d):
+        offset = 1.0 / (m - 1) * np.abs(idx[:, None, k] - idx[None, :, k])
+        sq += offset * offset
+    return kernels._k_of_sq_dist(spec, sq)
+
+
 def run_once(config, seed=5):
     """The objective of ``seed`` and the loop's trace on it: a batch of one."""
     prior = GridPrior.build(config.kernel, config.grid_points())
@@ -204,10 +224,7 @@ class TestRun:
     def test_initial_indices_reproducible(self):
         cfg = tiny_config(T0=3, T=10)
         _, trace = run_once(cfg, seed=5)
-        from gpei.rng import derive_stream_seed
-
-        rng_init = np.random.default_rng(derive_stream_seed(5, eiopt.INIT_STREAM))
-        expected = [int(i) for i in rng_init.integers(0, cfg.grid_size, size=cfg.T0)]
+        expected = [int(i) for i in segment(5, INIT).integers(0, cfg.grid_size, size=cfg.T0)]
         assert list(trace.init_indices) == expected
 
     def test_stopping_threshold(self):
@@ -241,12 +258,44 @@ class TestRun:
             eiopt.run_batch(cfg, GridPrior.build(cfg.kernel, cfg.grid_points()), seeds)
 
 
+class TestTrialStream:
+    """One generator per trial seed: the objective reads its stream from the
+    start, the initial design from segment ``rng.INIT`` and the noise from
+    segment ``rng.NOISE``.  The pool's workers run the same batches
+    (``test_harness``'s serial-parallel tests)."""
+
+    def test_objective_depends_on_seed_kernel_and_grid_alone(self):
+        cfg = tiny_config(T0=2, T=12)
+        prior = GridPrior.build(cfg.kernel, cfg.grid_points())
+        f = prior.draw([5, 6])
+        assert np.array_equal(prior.draw([np.random.default_rng(6)]), f[1:])
+        for other in (dict(), dict(T0=4, T=20), dict(noise_sd=0.3), dict(noise_sd=0.0, kappa=1e-3)):
+            for seeds, rows in (([5, 6], f), ([6], f[1:])):
+                batch = eiopt.run_batch(dataclasses.replace(cfg, **other), prior, seeds)
+                assert np.array_equal(batch.f_star, rows.min(axis=1))
+                for b, row in enumerate(rows):
+                    tr = batch.trace(b)
+                    assert np.array_equal(tr.f_next, row[tr.x_next_idx])
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("se", 0.2), KernelSpec("matern", 0.2, 0.5)],
+                             ids=["se", "matern0.5"])
+    def test_design_and_noise_depend_on_seed_t0_and_t_alone(self, kernel):
+        cfg = tiny_config(kernel=kernel, T0=3, T=12, noise_sd=0.3)
+        prior = GridPrior.build(kernel, cfg.grid_points())
+        seeds = [5, 6, 7]
+        batch = eiopt.run_batch(cfg, prior, seeds)
+        for b, seed in enumerate(seeds):
+            init = segment(seed, INIT).integers(0, cfg.grid_size, size=cfg.T0)
+            eps = cfg.noise_sd * segment(seed, NOISE).standard_normal(cfg.T)
+            for tr in (batch.trace(b), eiopt.run_batch(cfg, prior, [seed]).trace(0)):
+                assert np.array_equal(tr.init_indices, init)
+                assert np.array_equal(tr.y_next, tr.f_next + eps[tr.t])
+
+
 def replay(config, seed):
     """The loop's trace plus its initial observations: (init indices, init y, trace)."""
     f, trace = run_once(config, seed)
-    from gpei.rng import derive_stream_seed
-
-    rng_noise = np.random.default_rng(derive_stream_seed(seed, eiopt.NOISE_STREAM))
+    rng_noise = segment(seed, NOISE)
     y0 = [float(f[j] + config.noise_sd * rng_noise.standard_normal()) for j in trace.init_indices]
     return trace.init_indices.tolist(), y0, trace
 
@@ -373,9 +422,12 @@ class TestGridPosterior:
 
     @pytest.mark.parametrize("case", ["noisy", "noiseless_escalation", "matern_2d_duplicates"])
     def test_refit_bitwise_equals_fit_and_solve(self, monkeypatch, case):
-        # _refit factors a block of the prior's kernel rows; gp.fit assembles
-        # the same block with its own kernel call and must give the same
-        # factor and jitter
+        # _refit factors a block of the prior's kernel rows and must give
+        # the factor and jitter of the reference's steps on the same block:
+        # gp.fit, which assembles it with its own kernel call, on the
+        # fallback 40-point grid; on the embedded 20x20 grid, where the rows
+        # are the kernel at squared lattice offsets, the same steps on a
+        # block of that kernel assembled here
         if case == "matern_2d_duplicates":
             kernel = KernelSpec("matern", 0.2, 2.5)
             grid = ExperimentConfig(d=2, grid_per_dim=20).grid_points()
@@ -385,19 +437,28 @@ class TestGridPosterior:
             idx = [3, 17, 30, 8, 22, 39] if case == "noisy" else [4, 9, 4, 20, 9]
             noise_var = 0.05**2 if case == "noisy" else 0.0
         prior = GridPrior.build(kernel, grid)
+        assert (prior.k_offsets is not None) == (case == "matern_2d_duplicates")
         if case == "noiseless_escalation":
             # duplicate noiseless points: at jitter 1e-18 the pivot is not positive
             monkeypatch.setattr(gp, "JITTER_START", 1e-18)
         y = np.random.default_rng(5).normal(size=len(idx))
         post = eiopt.GridPosterior(prior, [idx], [y], noise_var, len(idx) + 1)
         post._refit(0)
-        ref = fit(kernel, grid[idx], y, noise_var)
         t = len(idx)
-        assert post.jitter[0] == ref.jitter
+        if prior.k_offsets is None:
+            K = kernels.gram(kernel, grid)
+            ref = fit(kernel, grid[idx], y, noise_var)
+            chol, jitter = ref.chol, ref.jitter
+        else:
+            K = lattice_gram(kernel, 2, 20)
+            block = K[np.ix_(idx, idx)]
+            block.flat[:: t + 1] += noise_var
+            chol, jitter = gp.chol_with_jitter(block)
+        assert post.jitter[0] == jitter
         if case == "noiseless_escalation":
-            assert ref.jitter > 1e-18
-        assert np.array_equal(post._V[0, :t], gp.solve_lower(ref.chol, kernels.gram(kernel, grid)[idx]))
-        assert np.array_equal(post._w[0, :t], gp.solve_lower(ref.chol, y))
+            assert jitter > 1e-18
+        assert np.array_equal(post._V[0, :t], gp.solve_lower(chol, K[idx]))
+        assert np.array_equal(post._w[0, :t], gp.solve_lower(chol, y))
 
 
 def legacy_ei_from_moments(y_plus, mu, sigma):
@@ -700,18 +761,20 @@ class TestKernelRowTable:
     @pytest.mark.parametrize("overrides", [dict(noise_sd=0.05), dict(noise_sd=0.0), dict(noise_sd=0.05, kappa=3e-3)],
                              ids=["noisy", "noiseless_refit", "kappa"])
     def test_table_and_on_demand_rows_give_the_same_bits(self, monkeypatch, overrides):
-        # a 200-point grid keeps K; with the table bound at 0 the same prior
-        # evaluates its rows on demand, and the loop records the same bits
-        cfg = tiny_config(grid_per_dim=200, T=30, trials=8, **overrides)
+        # SE with lengthscale 1 needs a torus too large to pay off, so its
+        # 200-point grid falls back and keeps K; with the table bound at 0 the
+        # same prior evaluates its rows on demand, and the loop records the
+        # same bits
+        cfg = tiny_config(grid_per_dim=200, kernel=KernelSpec("se", 1.0), T=30, trials=8, **overrides)
         table = GridPrior.build(cfg.kernel, cfg.grid_points())
         monkeypatch.setattr(gp, "TABLE_BYTES", 0)
         on_demand = GridPrior.build(cfg.kernel, cfg.grid_points())
-        assert table.K is not None and on_demand.K is None and on_demand.eig is not None
+        assert table.K is not None and on_demand.K is None and on_demand.L is not None
         refits = []
         if cfg.noise_sd == 0.0:
             # noiseless re-queries at jitter 1e-18 have pivots that are not
-            # positive; the priors are built first, since the embedding's
-            # tolerance is the jitter
+            # positive; the priors are built first, with their own factor's
+            # jitter
             monkeypatch.setattr(gp, "JITTER_START", 1e-18)
             original = eiopt.GridPosterior._refit
             monkeypatch.setattr(eiopt.GridPosterior, "_refit", lambda self, b: (refits.append(b), original(self, b)))
@@ -731,7 +794,7 @@ def assert_picks_are_ei_maxima(cfg, seed):
     grid = cfg.grid_points()
     # rebuild the observation sequence and refit at each step
     obs_idx = trace.init_indices.tolist()
-    rng_noise = np.random.default_rng(derive_stream_seed(seed, eiopt.NOISE_STREAM))
+    rng_noise = segment(seed, NOISE)
     y = [float(f[j] + cfg.noise_sd * rng_noise.standard_normal()) for j in obs_idx]
     for j, ei_next in zip(trace.x_next_idx.tolist(), trace.ei_next):
         state = fit(cfg.kernel, grid[obs_idx], np.array(y), cfg.noise_var)
@@ -748,8 +811,8 @@ class TestSelectionOptimality:
     def test_no_candidate_beats_recorded_choice(self):
         assert_picks_are_ei_maxima(tiny_config(T=10, seed=303), 303)
 
-    # the 600-point grid is above the kernel-row table bound: its posterior
-    # takes its kernel rows from kernels.cross_matrix, the 25-point one from K
+    # the 600-point grid is embedded: its posterior reads windows of the
+    # kernel at lattice offsets; the 25-point one falls back to the table K
     @pytest.mark.parametrize("noise_sd,grid_per_dim", [(0.0, 25), (0.05, 600), (0.0, 600)],
                              ids=["noiseless-25", "noisy-600", "noiseless-600"])
     def test_picks_are_ei_maxima(self, noise_sd, grid_per_dim):

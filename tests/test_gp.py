@@ -5,6 +5,7 @@ conjugate formulas, independent of the Cholesky path under test.
 """
 
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -261,7 +262,7 @@ def fallback_grid(d):
 def assert_samples_through_factor(spec, grid):
     """The prior on ``grid`` draws f = L z, bit for bit, with L factored per draw."""
     prior = GridPrior.build(spec, grid)
-    assert prior.eig is None and prior.points is None
+    assert prior.k_offsets is None and prior.points is None
     for seed in (0, 7, 2**63 + 5):
         L, _ = gp.chol_with_jitter(kernels.gram(spec, grid))
         f = L @ np.random.default_rng(seed).standard_normal(grid.shape[0])
@@ -269,35 +270,83 @@ def assert_samples_through_factor(spec, grid):
         assert np.array_equal(sample_prior(spec, grid, seed), f)
 
 
+def lattice_gram(spec, d, m):
+    """The kernel matrix of ``config_grid(d, m)`` at its squared lattice
+    offsets: per pair of points, (h * |i_k - j_k|)^2 summed in axis order,
+    h = 1/(m - 1) the spacing and i_k, j_k the points' indices on axis k."""
+    h = 1.0 / (m - 1)
+    idx = np.stack(np.unravel_index(np.arange(m**d), (m,) * d), axis=1)
+    sq = np.zeros((m**d, m**d))
+    for k in range(d):
+        offset = h * np.abs(idx[:, None, k] - idx[None, :, k])
+        sq += offset * offset
+    return kernels._k_of_sq_dist(spec, sq)
+
+
 class TestGridPrior:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("spec", CONFIG_FAMILIES, ids=lambda s: f"{s.family}{s.nu or ''}")
     def test_gram_rows_equal_cross_matrix(self, spec, d):
-        # every grid posterior takes its prior covariances from rows(), which
-        # must equal the Gram matrix's rows bitwise on every kind of prior:
-        # gathered from the table K up to 512 points, from cross_matrix above
-        embedded = GridPrior.build(spec, config_grid(d, 200 if d == 1 else 16))
+        # every grid posterior takes its prior covariances from rows(): on an
+        # embedded grid windows of the kernel at lattice offsets, bitwise the
+        # kernel at the squared lattice offsets and within 1e-15 of the Gram
+        # matrix, with no table at any size; on a fallback grid the Gram
+        # matrix's rows bitwise, from the table K up to 512 points and
+        # evaluated above
+        m, large_m = (200, 600) if d == 1 else (16, 24)
+        embedded = GridPrior.build(spec, config_grid(d, m))
         fallback = GridPrior.build(spec, fallback_grid(d))
-        large = GridPrior.build(spec, config_grid(d, 600 if d == 1 else 24))
-        large_fallback = GridPrior.build(spec, config_grid(d, 600 if d == 1 else 24)[::-1])
-        assert embedded.eig is not None and fallback.L is not None
-        assert large.eig is not None and large_fallback.L is not None
-        assert embedded.K is not None and fallback.K is not None
+        large = GridPrior.build(spec, config_grid(d, large_m))
+        large_fallback = GridPrior.build(spec, config_grid(d, large_m)[::-1])
+        assert embedded.k_offsets is not None and fallback.L is not None
+        assert large.k_offsets is not None and large_fallback.L is not None
+        assert embedded.K is None and fallback.K is not None
         assert large.K is None and large_fallback.K is None
-        for prior in (embedded, fallback, large, large_fallback):
+        for prior, ref in ((embedded, lattice_gram(spec, d, m)), (large, lattice_gram(spec, d, large_m)),
+                           (fallback, None), (large_fallback, None)):
             K = kernels.gram(spec, prior.grid)
             n = K.shape[0]
-            assert np.array_equal(prior.rows(np.arange(n)), K)
+            if ref is None:
+                ref = K
+            else:
+                assert np.max(np.abs(ref - K)) <= 1e-15
+            assert np.array_equal(prior.rows(np.arange(n)), ref)
             for idx in ([0], [n - 1], [7, 0, 7, n // 2]):
-                assert np.array_equal(prior.rows(idx), K[idx])
+                assert np.array_equal(prior.rows(idx), ref[idx])
 
     def test_kernel_row_table_up_to_512_points(self):
-        # the table's n^2*8 bytes must fit gp.TABLE_BYTES, the 2 MiB that
-        # eiopt.batch_size also gives a batch's V buffer
+        # a fallback grid's table's n^2*8 bytes must fit gp.TABLE_BYTES, the
+        # 2 MiB that eiopt.batch_size also gives a batch's V buffer; an
+        # embedded grid keeps no table at any size
         spec = KernelSpec("matern", 0.2, 2.5)
         assert gp.TABLE_BYTES == 2 << 20
-        assert GridPrior.build(spec, config_grid(1, 512)).K is not None
-        assert GridPrior.build(spec, config_grid(1, 513)).K is None
+        assert GridPrior.build(spec, config_grid(1, 512)[::-1]).K is not None
+        assert GridPrior.build(spec, config_grid(1, 513)[::-1]).K is None
+        assert GridPrior.build(spec, config_grid(1, 512)).K is None
+
+    def test_fallback_rows_above_the_table_skip_the_grid_check(self, monkeypatch):
+        # above the table bound a fallback prior evaluates its rows on its own
+        # read-only grid, checked at build, with cross_matrix's arithmetic
+        spec = KernelSpec("matern", 0.2, 2.5)
+        prior = GridPrior.build(spec, config_grid(2, 24)[::-1])
+        assert prior.K is None and prior.L is not None
+        idx = [0, 575, 17, 17]
+        expected = kernels.cross_matrix(spec, prior.grid[idx], prior.grid)
+        monkeypatch.setattr(kernels, "_as_points", lambda *a: pytest.fail("grid checked again"))
+        assert np.array_equal(prior.rows(idx), expected)
+
+    def test_pickled_embedded_prior_holds_no_window_view(self):
+        # a pool worker receives the prior pickled: the 64x64 grid's prior is
+        # its grid, its offsets and its half spectrum, well under 1 MiB, and
+        # the windows view is rebuilt where rows are read
+        prior = GridPrior.build(KernelSpec("matern", 0.2, 2.5), config_grid(2, 64))
+        rows = prior.rows([0, 4095, 2080])
+        data = pickle.dumps(prior)
+        assert len(data) < 1 << 20
+        copy = pickle.loads(data)
+        assert "_windows" not in copy.__dict__
+        assert np.array_equal(copy.rows([0, 4095, 2080]), rows)
+        assert np.array_equal(copy.draw([3]), prior.draw([3]))
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_sample_equals_per_draw_factorization(self, d):
@@ -310,8 +359,9 @@ class TestGridPrior:
     def test_shared_arrays_read_only(self):
         embedded = GridPrior.build(KernelSpec("matern", 0.2, 2.5), config_grid(1, 200))
         fallback = GridPrior.build(KernelSpec("matern", 0.3, 2.5), fallback_grid(1))
-        assert embedded.L is None and fallback.eig is None
-        for a in (embedded.grid, embedded.eig, embedded.K, fallback.grid, fallback.L, fallback.K):
+        assert embedded.L is None and fallback.k_offsets is None
+        windows = embedded._windows[0]
+        for a in (embedded.grid, embedded.k_offsets, embedded.root_eig, windows, fallback.grid, fallback.L, fallback.K):
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0.0
 
@@ -331,10 +381,11 @@ class TestGridPrior:
 
 def embedded_covariance(prior):
     """The n-by-n covariance of the prior's draws: the circulant covariance
-    of its torus at each pair of grid points' index offsets."""
-    row = np.fft.ifftn(prior.eig).real
+    of its torus, whose eigenvalues are root_eig^2 (the half spectrum), at
+    each pair of grid points' index offsets."""
+    row = np.fft.irfftn(prior.root_eig**2, s=prior.torus, axes=range(len(prior.torus)))
     idx = np.stack(np.unravel_index(np.arange(prior.grid.shape[0]), prior.points), axis=1)
-    offsets = (idx[:, None, :] - idx[None, :, :]) % np.array(prior.eig.shape)
+    offsets = (idx[:, None, :] - idx[None, :, :]) % np.array(prior.torus)
     return row[tuple(np.moveaxis(offsets, -1, 0))]
 
 
@@ -344,7 +395,7 @@ class TestCirculantEmbedding:
     def test_covariance_equals_gram_entrywise(self, spec, d, m):
         prior = GridPrior.build(spec, config_grid(d, m))
         assert prior.L is None and prior.jitter is None and prior.points == (m,) * d
-        assert prior.eig.min() >= 0.0
+        assert prior.root_eig.min() >= 0.0
         assert np.max(np.abs(embedded_covariance(prior) - kernels.gram(spec, prior.grid))) <= gp.JITTER_START
 
     @pytest.mark.parametrize("d,m", [(1, 60), (2, 10)])
@@ -357,14 +408,23 @@ class TestCirculantEmbedding:
         assert np.max(np.abs(np.cov(f.T, bias=True) - kernels.gram(spec, prior.grid))) < 0.05
 
     def test_sample_is_the_fft_of_the_seed_stream(self):
-        # f = Re FFT(sqrt(eig/N) (z1 + i z2)) on the grid, z1 and z2 the even
-        # and odd entries of the seed's first 2N standard normals
-        prior = GridPrior.build(KernelSpec("matern", 0.2, 2.5), config_grid(2, 16))
-        N = prior.eig.size
-        z = np.random.default_rng(11).standard_normal(2 * N)
-        w = np.sqrt(prior.eig / N) * (z[0::2] + 1j * z[1::2]).reshape(prior.eig.shape)
-        expected = np.fft.fftn(w).real[:16, :16].ravel()
-        assert np.allclose(prior.draw([11])[0], expected, rtol=0.0, atol=1e-14)
+        # f = C^(1/2) eta on the grid, bit for bit: eta the seed's first N
+        # standard normals, C the circulant matrix of the torus row (the
+        # kernel at offsets h * min(j, M - j) per axis), its square root
+        # applied by a real FFT each way with the eigenvalues' half spectrum,
+        # which is the complex FFT's left half (the row is real and even)
+        spec = KernelSpec("matern", 0.2, 2.5)
+        prior = GridPrior.build(spec, config_grid(2, 16))
+        M1, M2 = prior.torus
+        j1, j2 = np.minimum(np.arange(M1), M1 - np.arange(M1)), np.minimum(np.arange(M2), M2 - np.arange(M2))
+        h = 1.0 / 15
+        row = kernels._k_of_sq_dist(spec, (h * j1[:, None]) ** 2 + (h * j2[None, :]) ** 2)
+        eig = np.fft.rfftn(row).real
+        full = np.fft.fftn(row)
+        assert np.max(np.abs(full.real[:, : M2 // 2 + 1] - eig)) <= 1e-14 and np.max(np.abs(full.imag)) <= 1e-14
+        eta = np.random.default_rng(11).standard_normal(M1 * M2).reshape(M1, M2)
+        f = np.fft.irfftn(np.sqrt(np.maximum(eig, 0.0)) * np.fft.rfftn(eta), s=(M1, M2), axes=(0, 1))
+        assert np.array_equal(prior.draw([11])[0], f[:16, :16].ravel())
 
     @pytest.mark.parametrize("spec,grid", [
         (KernelSpec("se", 0.2), config_grid(1, 200)),
@@ -384,14 +444,14 @@ class TestCirculantEmbedding:
     def test_torus_is_smallest_5_smooth_when_it_suffices(self):
         # Matern-1/2 on a 1-d grid embeds at the first length >= 2(m - 1)
         prior = GridPrior.build(KernelSpec("matern", 0.2, 0.5), config_grid(1, 200))
-        assert prior.eig.shape == (400,)
+        assert prior.torus == (400,) and prior.root_eig.shape == (201,)
         assert gp._smooth5(398) == 400 and gp._smooth5(597) == 600 and gp._smooth5(1) == 1
 
     def test_torus_never_costs_more_than_the_matvec(self):
         # 17 points: the 32-point torus's FFT (800 flops) exceeds 2*17^2
         spec = KernelSpec("matern", 0.3, 0.5)
-        assert GridPrior.build(spec, config_grid(1, 17)).eig is None
-        assert GridPrior.build(spec, config_grid(1, 60)).eig is not None
+        assert GridPrior.build(spec, config_grid(1, 17)).k_offsets is None
+        assert GridPrior.build(spec, config_grid(1, 60)).k_offsets is not None
 
 
 class TestInfoGain:
@@ -529,8 +589,9 @@ class TestMemoryBudget:
     # bound; budgets in units of one n-by-n float64 array.  chol_with_jitter
     # allocates only L, which LAPACK factors in place, so a hidden work copy
     # of K would show in these peaks.  The embedded prior evaluates one kernel
-    # row and an 81x81 torus, nothing n-by-n; the reversed grid falls back to
-    # assembling K and factoring it into L, and keeps L only.
+    # row and an 81x81 torus and keeps the kernel at 63x63 lattice offsets,
+    # nothing n-by-n; the reversed grid falls back to assembling K and
+    # factoring it into L, and keeps L only.
     grid = config_grid(2, 32)
     spec = KernelSpec("matern", 0.2, 2.5)
     unit = 8 * 1024**2

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import multiprocessing
 import os
 import re
 
@@ -10,12 +11,10 @@ import numpy as np
 import pytest
 
 from gpei import bounds, eiopt, harness
-from gpei.eiopt import NOISE_STREAM
-from gpei.rng import derive_stream_seed
 from gpei.stdnormal import ei_unchecked
 from gpei.config import ExperimentConfig, config_hash, from_flat, load_config, parse_config_file
 from gpei.kernels import KernelSpec
-from gpei.rng import splitmix64, trial_seed
+from gpei.rng import NOISE, splitmix64, trial_seed
 
 
 def tiny_config(**kw):
@@ -219,6 +218,32 @@ class TestCampaign:
         for name in sorted(os.listdir(a)):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_spawned_workers_match_serial(self, tmp_path, monkeypatch):
+        # a spawned worker receives the prior pickled, without its windows
+        # view, and rebuilds the view where it reads rows
+        spawn = multiprocessing.get_context("spawn")
+
+        class SpawnPool(harness.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kw):
+                super().__init__(max_workers, mp_context=spawn, **kw)
+
+        cfg = tiny_config(grid_per_dim=400, T=60, trials=12)
+        a, b = tmp_path / "serial", tmp_path / "parallel"
+        harness.run_experiment(cfg, str(a), workers=1)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SpawnPool)
+        harness.run_experiment(cfg, str(b), workers=2)
+        assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+        for name in sorted(os.listdir(a)):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_pool_task_returns_its_batch_alone(self, monkeypatch):
+        # the parent slices each trial's trace from the batch, so a task
+        # pickles no trace
+        cfg = tiny_config(grid_per_dim=400, T=60, trials=12)
+        monkeypatch.setattr(harness, "_worker_campaign", (cfg, harness.grid_prior(cfg)))
+        batch = harness._worker_trials(range(10))
+        assert isinstance(batch, eiopt.Batch) and batch.seeds == tuple(trial_seed(cfg.seed, i) for i in range(10))
+
     def test_one_config_hash_per_campaign(self, monkeypatch):
         # two batches, one hash: it lives on the result, not on each trace
         cfg = tiny_config(grid_per_dim=400, T=60, trials=12)
@@ -373,7 +398,9 @@ class TestLoopConsistency:
             assert np.array_equal(tr.r_t, tr.y_plus - tr.f_star)
             assert (tr.r0_t >= 0).all()
             f = prior.draw([tr.seed])[0]
-            eps = cfg.noise_sd * np.random.default_rng(derive_stream_seed(tr.seed, NOISE_STREAM)).standard_normal(cfg.T)
+            rng = np.random.default_rng(tr.seed)
+            rng.bit_generator.advance(NOISE * 2**64)  # the trial stream's noise segment
+            eps = cfg.noise_sd * rng.standard_normal(cfg.T)
             y0 = f[tr.init_indices] + eps[: cfg.T0]
             assert np.array_equal(tr.f_next, f[tr.x_next_idx])
             assert np.array_equal(tr.y_next, tr.f_next + eps[tr.t])
@@ -509,7 +536,7 @@ class TestOneKernelSource:
         assert not refits
         cfg = tiny_config(grid_per_dim=600, noise_sd=0.0)
         prior = harness.grid_prior(cfg)
-        assert prior.eig is not None and prior.K is None
+        assert prior.k_offsets is not None and prior.K is None
         # noiseless re-queries at jitter 1e-18 have pivots that are not
         # positive; the prior is built first, since the embedding's own
         # tolerance is the jitter

@@ -16,7 +16,6 @@ import pytest
 
 from gpei import gp, harness
 from gpei.config import ExperimentConfig
-from gpei.kernels import KernelSpec
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -66,11 +65,11 @@ def test_step_and_repeat_counts_equal_the_trace_columns(overrides):
 
 
 @pytest.mark.parametrize("name", ["campaign_default", "campaign_grid4096"])
-def test_tiny_campaign_reads_kernel_rows_from_one_gram(name, tmp_path, monkeypatch):
-    # both tiny grids (200 and 144 points) are within the 512-point
-    # kernel-row table bound: each prior build assembles one n-by-n Gram
-    # matrix and evaluates one cross_matrix row (the embedding's), and the
-    # loop evaluates no kernel row of its own
+def test_tiny_campaign_evaluates_one_kernel_row_per_prior(name, tmp_path, monkeypatch):
+    # both tiny grids (200 and 144 points) are embedded: each prior build
+    # evaluates one cross_matrix row (the embedding's check against the
+    # grid's coordinates) and assembles no Gram matrix, and the loop
+    # evaluates no kernel row of its own
     wl = workloads.build(name, 7, tiny=True)
     builds = []
     original = gp.GridPrior.build
@@ -80,18 +79,18 @@ def test_tiny_campaign_reads_kernel_rows_from_one_gram(name, tmp_path, monkeypat
         workloads.run_rep(wl, str(tmp_path))
     n = wl.configs[0][1].grid_size
     assert builds and set(builds) == {n}
-    assert tr.totals["kernels.gram.calls"] == len(builds)
-    assert tr.totals["kernels.gram.entries"] == len(builds) * n * n
+    assert tr.totals["kernels.gram.calls"] == tr.totals["kernels.gram.entries"] == 0
     assert tr.totals["kernels.cross_matrix.calls"] == len(builds)
 
 
-def test_campaign_above_the_table_bound_evaluates_kernel_rows_and_no_gram():
-    # a 576-point grid keeps no kernel-row table: its prior embeds without
-    # assembling a Gram matrix, and the loop evaluates the rows it reads
-    cfg = ExperimentConfig(d=2, grid_per_dim=24, kernel=KernelSpec("matern", 0.2, 2.5), T=20, trials=2, seed=7)
-    assert harness.grid_prior(cfg).K is None
+def test_grid_cap_campaign_evaluates_one_kernel_row_and_no_gram(tmp_path):
+    # a full campaign_grid4096 repetition (64x64 grid, T=60) reads every
+    # kernel row of its loop from the prior's lattice offsets
+    wl = workloads.build("campaign_grid4096", 7)
+    assert harness.grid_prior(wl.configs[0][1]).K is None
     tr = tracer.Tracer()
     with tr.active():
-        harness.run_campaign(cfg)
+        rep = workloads.run_rep(wl, str(tmp_path))
+    assert rep.failed == 0 and tr.totals["harness.run_trial.calls"] == 1
     assert tr.totals["kernels.gram.calls"] == 0
-    assert tr.totals["kernels.cross_matrix.calls"] > 1
+    assert tr.totals["kernels.cross_matrix.calls"] == 1

@@ -106,13 +106,13 @@ class GridPosterior:
     ``var[b]`` = 1 - sum(V[b] * V[b], axis=0).  ``observe(j, y)`` borders
     each L_b with the row [l^T, d], where l = V[b, :, j_b] and
     d^2 = 1 + noise_var + jitter[b] - l^T l, and updates mu and var in
-    O(t*n) per trial with no triangular solve; a trial whose d^2 is not
-    positive and finite is refitted alone, with ``gp.chol_with_jitter``
-    escalating its jitter.  Every kernel value comes from ``prior.rows``.  A
-    trial's arithmetic does not depend on B or on the other trials, and
-    ``keep(mask)`` drops the trials that stop.  Every trial starts from the
-    prior (mu = 0, var = 1, jitter ``gp.JITTER_START``) and takes its initial
-    observations through ``observe`` too.
+    O(t*n) per trial with no triangular solve.  This append builds every
+    posterior: a trial whose d^2 is not positive and finite is rebuilt by
+    ``_refit``, which replays it at a higher jitter.  Every kernel value comes
+    from ``prior.rows``.  A trial's arithmetic does not depend on B or on the
+    other trials, and ``keep(mask)`` drops the trials that stop.  Every trial
+    starts from the prior (mu = 0, var = 1, jitter ``gp.JITTER_START``) and
+    takes its initial observations through ``observe`` too.
     """
 
     def __init__(self, prior: GridPrior, idx, y, noise_var: float, capacity: int):
@@ -138,17 +138,20 @@ class GridPosterior:
             self.observe(idx[:, s], y[:, s])
 
     def _refit(self, b: int) -> None:
+        """Rebuild trial b at ten times its jitter by replaying its observations
+        through ``observe`` on a one-trial posterior, whose own ``_refit``
+        escalates again where a pivot still fails; ``gp.FactorizationError``
+        past ``gp.JITTER_MAX``."""
+        jitter = self.jitter[b] * 10.0
+        if jitter > gp.JITTER_MAX:
+            raise gp.FactorizationError(f"posterior pivot failed after escalating jitter to {gp.JITTER_MAX:g}")
         t = self._t
-        idx = self._idx[b, :t]
-        rows = self.prior.rows(idx)
-        K = rows[:, idx]
-        K.flat[:: t + 1] += self.noise_var
-        L, self.jitter[b] = gp.chol_with_jitter(K)
-        V = self._V[b, :t]
-        V[:] = gp.solve_lower(L, rows)
-        self._w[b, :t] = gp.solve_lower(L, self._y[b, :t])
-        self.mu[b] = V.T @ self._w[b, :t]
-        self.var[b] = 1.0 - np.sum(V * V, axis=0)
+        alone = GridPosterior(self.prior, np.empty((1, 0), dtype=np.intp), np.empty((1, 0)), self.noise_var, t)
+        alone.jitter[0] = jitter
+        for s in range(t):
+            alone.observe(self._idx[b, s : s + 1], self._y[b, s : s + 1])
+        self._V[b, :t], self._w[b, :t] = alone._V[0], alone._w[0]
+        self.mu[b], self.var[b], self.jitter[b] = alone.mu[0], alone.var[0], alone.jitter[0]
 
     @property
     def sigma(self) -> np.ndarray:

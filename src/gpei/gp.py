@@ -8,8 +8,10 @@ objective (``GridPrior.draw``) and every grid posterior
 the rows share one kernel evaluation, the kernel at the grid's signed
 lattice offsets, and nothing n-by-n exists.  ``chol_with_jitter`` adds a
 small escalating diagonal jitter, since squared-exponential Gram matrices on
-fine grids are numerically singular.  ``fit``, ``posterior_batch`` and ``update`` evaluate
-the conjugate posterior at arbitrary points,
+fine grids are numerically singular.  Every factorization and solve runs in
+numpy, so every run uses numpy's one BLAS/LAPACK build.  ``fit``,
+``posterior_batch`` and ``update`` evaluate the conjugate posterior at
+arbitrary points,
 
     mu_t(x)      = k_t(x)^T (K_t + s2*I)^{-1} y
     sigma_t^2(x) = k(x, x) - k_t(x)^T (K_t + s2*I)^{-1} k_t(x),
@@ -38,6 +40,9 @@ JITTER_MAX = 1e-6
 # batch's V buffer to it.
 TABLE_BYTES = 2 << 20
 
+# Column-block width of ``chol_with_jitter``.
+CHOL_BLOCK = 64
+
 
 class FactorizationError(RuntimeError):
     """Cholesky failed even after jitter escalation."""
@@ -47,45 +52,36 @@ def chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of K + jitter*I, escalating jitter 1e-10 .. 1e-6.
 
     K must be an exactly symmetric float64 matrix.  It is read, never written,
-    so it may be read-only.  Each attempt copies K into one F-ordered buffer
-    (through the buffer's C-ordered transpose, which equals K), adds the
-    jitter to its diagonal and factors it in place with LAPACK potrf, so the
-    call holds K and L only.  L is returned F-ordered with a zero strict upper
-    triangle.  LAPACK (``scipy.linalg``) is loaded here and in
-    ``solve_lower`` only, so a run that factors nothing never imports scipy.
+    so it may be read-only.  Each attempt copies K into one n-by-n buffer, adds
+    the jitter to its diagonal and factors it in place, left-looking, one block
+    of ``CHOL_BLOCK`` columns at a time: the block's columns take the update
+    from the factor's earlier columns, ``np.linalg.cholesky`` factors its
+    diagonal block (a ``LinAlgError`` there, a pivot that is not positive,
+    escalates the jitter) and the panel below is solved against that block.
+    So the call holds K, L and about one panel, and for n <= ``CHOL_BLOCK``,
+    L is ``np.linalg.cholesky(K + jitter*I)`` bit for bit.  L's strict upper
+    triangle is zero.
     """
-    from scipy.linalg import lapack
-
     n = K.shape[0]
-    L = np.empty((n, n), order="F")
+    L = np.empty((n, n))
     jitter = JITTER_START
     while jitter <= JITTER_MAX:
-        L.T[...] = K
-        L.T.flat[:: n + 1] += jitter
-        _, info = lapack.dpotrf(L, lower=1, overwrite_a=1, clean=1)
-        if info == 0:
+        L[...] = K
+        L.flat[:: n + 1] += jitter
+        try:
+            for k in range(0, n, CHOL_BLOCK):
+                e = min(k + CHOL_BLOCK, n)
+                cols = L[k:, k:e]
+                cols -= L[k:, :k] @ L[k:e, :k].T
+                cols[: e - k] = D = np.linalg.cholesky(cols[: e - k])
+                cols[e - k :] = np.linalg.solve(D, cols[e - k :].T).T
+                L[k:e, e:] = 0.0
             return L, jitter
-        if info < 0:
-            raise FactorizationError(f"Cholesky rejected its input (LAPACK info={info})")
-        jitter *= 10.0
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
     raise FactorizationError(
         f"Cholesky failed for {n}x{n} matrix after escalating jitter to {JITTER_MAX:g}"
     )
-
-
-def solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Solve L x = b, or L^T x = b when ``transpose``, for a lower-triangular L.
-
-    Calls LAPACK trtrs directly: the loop solves small systems at every step,
-    where ``scipy.linalg.solve_triangular``'s per-call validation costs several
-    times the solve itself.
-    """
-    from scipy.linalg import lapack
-
-    x, info = lapack.dtrtrs(L, b, lower=1, trans=int(transpose))
-    if info != 0:
-        raise FactorizationError(f"triangular solve failed (LAPACK info={info})")
-    return x
 
 
 @dataclass(frozen=True)
@@ -127,7 +123,7 @@ def fit(kernel: KernelSpec, X, y, noise_var: float) -> GpState:
     K = kernels.gram(kernel, X)
     K.flat[:: X.shape[0] + 1] += noise_var
     L, jitter = chol_with_jitter(K)
-    alpha = solve_lower(L, solve_lower(L, y), transpose=True)
+    alpha = np.linalg.solve(L.T, np.linalg.solve(L, y))
     return GpState(kernel, X.copy(), y.copy(), float(noise_var), L, alpha, jitter)
 
 
@@ -141,7 +137,7 @@ def posterior_batch(state: GpState, Q) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(n), np.ones(n)
     kx = kernels.cross_matrix(state.kernel, state.X, Q)
     mu = kx.T @ state.alpha
-    v = solve_lower(state.chol, kx)
+    v = np.linalg.solve(state.chol, kx)
     var = 1.0 - np.sum(v * v, axis=0)
     sigma = np.sqrt(np.clip(var, 0.0, 1.0))
     return mu, sigma

@@ -428,12 +428,12 @@ def _joint_draws(config: ExperimentConfig, n_draws: int, stream: int):
     """
     prior = gp.GridPrior.build(config.kernel, _lemma_fixture(config))
     k = prior.grid.shape[0] - 1
-    # all draws come from one stream through one factor of the fixture's
-    # kernel matrix (the prior's rows), whichever way the prior itself samples
-    L, _ = gp.chol_with_jitter(prior.rows(np.arange(k + 1)))
+    # all draws come from one stream through the prior's Cholesky factor: the
+    # query row follows grid[n - 1], so the fixture's rows are never in the
+    # lexicographic order of a tensor grid and the prior always falls back
     rng = np.random.default_rng(derive_stream_seed(config.seed, stream))
     z = rng.standard_normal((n_draws, k + 1))
-    f = z @ L.T
+    f = z @ prior.L.T
     eps = config.noise_sd * rng.standard_normal((n_draws, k))
     y = f[:, :k] + eps
 

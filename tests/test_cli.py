@@ -240,32 +240,43 @@ class TestModuleEntry:
         assert proc.stdout.startswith("delta = 0.1\n")
 
 
-# Imports the CLI, runs a tiny default campaign and the fmu_t lemma, prints
-# whether scipy is loaded, then builds the lemma fixture's prior (6 points off
-# any equally spaced grid, so it is factored) and prints that again.
+# Imports the CLI and runs, printing after each whether scipy is loaded: a
+# tiny default campaign; a campaign on the SE lengthscale-r grid, whose prior
+# falls back to a Cholesky factor; ``verify all``, whose fmu/iei_* fixture is
+# factored too; and a forced posterior refit (a duplicate noiseless point at
+# jitter 1e-18).
 _IMPORT_PROBE = """
-import sys, tempfile
+import contextlib, io, sys, tempfile
 import gpei.cli
-from gpei import gp, harness
+from gpei import eiopt, gp, harness
 from gpei.config import ExperimentConfig
+from gpei.kernels import KernelSpec
 loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 harness.run_experiment(ExperimentConfig(trials=2, T=25), tempfile.mkdtemp())
-harness.verify_lemma("fmu_t", ExperimentConfig())
 print(loaded())
-cfg = ExperimentConfig()
-gp.GridPrior.build(cfg.kernel, harness._lemma_fixture(cfg))
-print("scipy.linalg" in loaded())
+fallback = ExperimentConfig(kernel=KernelSpec("se", 1.0), trials=2, T=25)
+assert harness.grid_prior(fallback).L is not None
+harness.run_experiment(fallback, tempfile.mkdtemp())
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert gpei.cli.main(["verify", "all", "--out", tempfile.mkdtemp()]) == 0
+print(loaded())
+gp.JITTER_START = 1e-18
+post = eiopt.GridPosterior(harness.grid_prior(ExperimentConfig()), [[4]], [[0.2]], 0.0, 2)
+post.observe([4], [0.2])
+assert post.jitter[0] > 1e-18
+print(loaded())
 """
 
 
 class TestImportPath:
-    def test_scipy_is_loaded_only_to_factor(self):
+    def test_scipy_is_never_loaded(self):
         src = os.path.dirname(os.path.dirname(gpei.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True,
                               timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "True"]
+        assert proc.stdout.splitlines() == ["[]"] * 4
 
 
 class TestPackage:

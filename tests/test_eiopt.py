@@ -300,6 +300,23 @@ def replay(config, seed):
     return trace.init_indices.tolist(), y0, trace
 
 
+def exact_posterior(prior, idx, y, noise_var, jitter):
+    """Posterior mean and sd on the prior's grid, clipped as ``GridPosterior.sigma``
+    clips it, from the prior's float64 kernel rows at 50 digits: the moments
+    that a posterior at this jitter rounds, free of any solve's roundoff."""
+    rows = prior.rows(idx)
+    with mp.workdps(50):
+        K = mp.matrix(rows[:, idx].tolist()) + (mp.mpf(noise_var) + mp.mpf(jitter)) * mp.eye(len(idx))
+        alpha = mp.lu_solve(K, mp.matrix(list(y)))
+        mu, sigma = [], []
+        for j in range(rows.shape[1]):
+            k = mp.matrix(rows[:, j].tolist())
+            mu.append(float((k.T * alpha)[0]))
+            var = 1 - (k.T * mp.lu_solve(K, k))[0]
+            sigma.append(float(mp.sqrt(min(max(var, 0), 1))))
+    return np.array(mu), np.array(sigma)
+
+
 class TestGridPosterior:
     @pytest.mark.parametrize("noise_sd,tol", [(0.05, 1e-10), (0.0, 1e-6)])
     def test_loop_moments_match_refit(self, noise_sd, tol):
@@ -345,19 +362,24 @@ class TestGridPosterior:
 
     def test_rebuilds_after_fallback(self, monkeypatch):
         # a duplicate noiseless point at jitter 1e-18 has a pivot of exactly 0,
-        # so observe refits at 1e-15 and the grid moments follow the new factor
+        # and so it has at 1e-17 and 1e-16, where 1 + jitter rounds to 1: the
+        # replay escalates to 1e-15, which gp.fit's escalation from 1e-18 also
+        # reaches, and the grid moments follow the new factor.  The moments
+        # are checked against the exact posterior: at the duplicate point the
+        # variance is about 5e-16, where gp.fit's own solves are off by 1.3e-9
+        # in sd
         monkeypatch.setattr(gp, "JITTER_START", 1e-18)
         grid = np.linspace(0, 1, 9)[:, None]
-        post = eiopt.GridPosterior(GridPrior.build(SE, grid), [[4]], [[0.2]], 0.0, 4)
+        prior = GridPrior.build(SE, grid)
+        post = eiopt.GridPosterior(prior, [[4]], [[0.2]], 0.0, 4)
         post.observe([4], [0.2])
         ref = fit(SE, grid[[4, 4]], np.array([0.2, 0.2]), 0.0)
         assert post.jitter[0] == ref.jitter == 1e-15
-        mu_r, sigma_r = gp.posterior_batch(ref, grid)
+        mu_r, sigma_r = exact_posterior(prior, [4, 4], [0.2, 0.2], 0.0, 1e-15)
         assert np.allclose(post.mu[0], mu_r, rtol=0, atol=1e-9)
         assert np.allclose(post.sigma[0], sigma_r, rtol=0, atol=1e-9)
         post.observe([0], [-0.4])  # appends again on the refitted factor
-        ref = fit(SE, grid[[4, 4, 0]], np.array([0.2, 0.2, -0.4]), 0.0)
-        mu_r, sigma_r = gp.posterior_batch(ref, grid)
+        mu_r, sigma_r = exact_posterior(prior, [4, 4, 0], [0.2, 0.2, -0.4], 0.0, 1e-15)
         assert np.allclose(post.mu[0], mu_r, rtol=0, atol=1e-9)
         assert np.allclose(post.sigma[0], sigma_r, rtol=0, atol=1e-9)
 
@@ -380,14 +402,17 @@ class TestGridPosterior:
         prior = GridPrior.build(SE, grid)
         init, y0, j, y = [[4], [4], [2]], [[0.2], [0.2], [0.1]], [0, 4, 7], [-0.4, 0.2, 0.5]
         post = eiopt.GridPosterior(prior, init, y0, 0.0, 4)
+        # the refits of this posterior; the replay's one-trial posterior
+        # escalates through its own _refit
         refits = []
         original = eiopt.GridPosterior._refit
-        monkeypatch.setattr(eiopt.GridPosterior, "_refit", lambda self, b: (refits.append(b), original(self, b)))
+        monkeypatch.setattr(eiopt.GridPosterior, "_refit",
+                            lambda self, b: (self is post and refits.append(b), original(self, b)))
         post.observe(j, y)
         assert refits == [1]
         ref = fit(SE, grid[[4, 4]], np.array([0.2, 0.2]), 0.0)
         assert post.jitter[1] == ref.jitter == 1e-15
-        mu_r, sigma_r = gp.posterior_batch(ref, grid)
+        mu_r, sigma_r = exact_posterior(prior, [4, 4], [0.2, 0.2], 0.0, 1e-15)
         assert np.allclose(post.mu[1], mu_r, rtol=0, atol=1e-9)
         assert np.allclose(post.sigma[1], sigma_r, rtol=0, atol=1e-9)
         for b in (0, 2):
@@ -422,12 +447,11 @@ class TestGridPosterior:
 
     @pytest.mark.parametrize("case", ["noisy", "noiseless_escalation", "matern_2d_duplicates"])
     def test_refit_bitwise_equals_fit_and_solve(self, monkeypatch, case):
-        # _refit factors a block of the prior's kernel rows and must give
-        # the factor and jitter of the reference's steps on the same block:
-        # gp.fit, which assembles it with its own kernel call, on the
-        # fallback 40-point grid; on the embedded 20x20 grid, where the rows
-        # are the kernel at squared lattice offsets, the same steps on a
-        # block of that kernel assembled here
+        # _refit replays the trial's observations at ten times its jitter,
+        # escalating further while a pivot fails, and must give the state of
+        # a fresh one-trial posterior that observes them at the jitter it
+        # ends at, bit for bit, without a refit of its own: on the fallback
+        # 40-point grid and on the embedded 20x20 grid
         if case == "matern_2d_duplicates":
             kernel = KernelSpec("matern", 0.2, 2.5)
             grid = ExperimentConfig(d=2, grid_per_dim=20).grid_points()
@@ -442,23 +466,38 @@ class TestGridPosterior:
             # duplicate noiseless points: at jitter 1e-18 the pivot is not positive
             monkeypatch.setattr(gp, "JITTER_START", 1e-18)
         y = np.random.default_rng(5).normal(size=len(idx))
-        post = eiopt.GridPosterior(prior, [idx], [y], noise_var, len(idx) + 1)
-        post._refit(0)
         t = len(idx)
-        if prior.k_offsets is None:
-            K = kernels.gram(kernel, grid)
-            ref = fit(kernel, grid[idx], y, noise_var)
-            chol, jitter = ref.chol, ref.jitter
-        else:
-            K = lattice_gram(kernel, 2, 20)
-            block = K[np.ix_(idx, idx)]
-            block.flat[:: t + 1] += noise_var
-            chol, jitter = gp.chol_with_jitter(block)
-        assert post.jitter[0] == jitter
+
+        def assert_fresh_replay(post):
+            ref = eiopt.GridPosterior(prior, np.empty((1, 0), dtype=np.intp), np.empty((1, 0)), noise_var, t + 1)
+            ref.jitter[0] = post.jitter[0]
+            with monkeypatch.context() as m:
+                m.setattr(eiopt.GridPosterior, "_refit", lambda *a: pytest.fail("reference refitted"))
+                for j, y_j in zip(idx, y):
+                    ref.observe([j], [y_j])
+            for name in ("mu", "var", "jitter"):
+                assert np.array_equal(getattr(post, name), getattr(ref, name)), name
+            assert np.array_equal(post._V[:, :t], ref._V[:, :t]) and np.array_equal(post._w[:, :t], ref._w[:, :t])
+
+        post = eiopt.GridPosterior(prior, [idx], [y], noise_var, t + 1)
+        before = post.jitter[0]
         if case == "noiseless_escalation":
-            assert jitter > 1e-18
-        assert np.array_equal(post._V[0, :t], gp.solve_lower(chol, K[idx]))
-        assert np.array_equal(post._w[0, :t], gp.solve_lower(chol, y))
+            # the duplicates refitted while the trial was built, escalating
+            # 1e-17, 1e-16, 1e-15
+            assert before == 1e-15
+            assert_fresh_replay(post)
+        post._refit(0)
+        assert post.jitter[0] == 10.0 * before
+        assert_fresh_replay(post)
+
+    def test_refit_past_jitter_max_raises(self, monkeypatch):
+        # a duplicate noiseless point: the pivot fails at 1e-18 and again at
+        # 1e-17, and the next escalation would pass JITTER_MAX
+        monkeypatch.setattr(gp, "JITTER_START", 1e-18)
+        monkeypatch.setattr(gp, "JITTER_MAX", 1e-17)
+        post = eiopt.GridPosterior(GridPrior.build(SE, np.linspace(0, 1, 9)[:, None]), [[4]], [[0.2]], 0.0, 4)
+        with pytest.raises(gp.FactorizationError, match="jitter"):
+            post.observe([4], [0.2])
 
 
 def legacy_ei_from_moments(y_plus, mu, sigma):

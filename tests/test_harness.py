@@ -565,6 +565,26 @@ class TestPriorFactorization:
         harness.run_campaign(cfg)
         assert shapes.count((cfg.grid_size, cfg.grid_size)) == expected
 
+    def test_lemma_fixture_always_falls_back_and_is_factored_once(self, monkeypatch):
+        # the fixture's query row follows grid[n - 1], so its rows are never a
+        # tensor grid in lexicographic order at any size the cap allows, and
+        # a lemma protocol draws through its prior's one Cholesky factor
+        from gpei import gp
+        from gpei.config import MAX_GRID_SIZE
+
+        for d in (1, 2, 3):
+            m = 1
+            while m**d <= MAX_GRID_SIZE:
+                if m**d > harness._DESIGN_SIZE:
+                    fixture = harness._lemma_fixture(ExperimentConfig(d=d, grid_per_dim=m))
+                    assert gp._tensor_axes(fixture) is None, (d, m)
+                m += 1
+        shapes = []
+        original = gp.chol_with_jitter
+        monkeypatch.setattr(gp, "chol_with_jitter", lambda K: (shapes.append(K.shape), original(K))[1])
+        assert harness.verify_lemma("fmu", ExperimentConfig()).passed
+        assert shapes == [(harness._DESIGN_SIZE + 1,) * 2]
+
 
 class TestWilson:
     def test_lower_bound_properties(self):

@@ -231,12 +231,14 @@ class Trace:
         return tuple(map(_Row._make, zip(*(getattr(self, name).tolist() for name in COLUMNS))))
 
 
+BATCH_BYTES = 2 << 20
+
+
 def batch_size(T: int, n: int) -> int:
-    """Trials stepped together: max(1, ``gp.TABLE_BYTES`` // (8*T*n)), so that
-    a batch's V buffer takes about 2 MiB, the budget within which a fallback
-    grid of n <= 512 points keeps its kernel-row table (43 trials at T=30 and
+    """Trials stepped together: max(1, ``BATCH_BYTES`` // (8*T*n)), so that a
+    batch's (B, T, n) V buffer takes about 2 MiB (43 trials at T=30 and
     n=200, 21 at T=60 and n=200, one at n=4096)."""
-    return max(1, gp.TABLE_BYTES // (8 * T * n))
+    return max(1, BATCH_BYTES // (8 * T * n))
 
 
 @dataclass(frozen=True)

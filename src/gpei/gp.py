@@ -4,12 +4,13 @@ information-gain accounting.
 ``GridPrior`` is built once per grid and shared by every draw of the
 objective (``GridPrior.draw``) and every grid posterior
 (``eiopt.GridPosterior``, which reads prior covariances through
-``GridPrior.rows``).  On a grid drawn by circulant embedding, the draws and
-the rows share one kernel evaluation, the kernel at the grid's signed
-lattice offsets, and nothing n-by-n exists.  ``chol_with_jitter`` adds a
-small escalating diagonal jitter, since squared-exponential Gram matrices on
-fine grids are numerically singular.  Every factorization and solve runs in
-numpy, so every run uses numpy's one BLAS/LAPACK build.  ``fit``,
+``GridPrior.rows``).  On a lattice, every config grid, the rows are windows
+of one kernel evaluation, the kernel at the grid's signed lattice offsets,
+and no kernel matrix is held; a lattice that circulant embedding samples
+exactly is drawn by FFT and holds nothing n-by-n.  ``chol_with_jitter`` adds
+a small escalating diagonal jitter, since squared-exponential Gram matrices
+on fine grids are numerically singular.  Every factorization and solve runs
+in numpy, so every run uses numpy's one BLAS/LAPACK build.  ``fit``,
 ``posterior_batch`` and ``update`` evaluate the conjugate posterior at
 arbitrary points,
 
@@ -34,12 +35,6 @@ from .kernels import KernelSpec
 JITTER_START = 1e-10
 JITTER_MAX = 1e-6
 
-# Budget of one per-grid working array: a ``GridPrior`` on a grid that falls
-# back to Cholesky keeps its Gram matrix as a table of kernel rows when the
-# n^2*8 bytes fit (n <= 512), and ``eiopt.batch_size`` sizes a lockstep
-# batch's V buffer to it.
-TABLE_BYTES = 2 << 20
-
 # Column-block width of ``chol_with_jitter``.
 CHOL_BLOCK = 64
 
@@ -52,9 +47,11 @@ def chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of K + jitter*I, escalating jitter 1e-10 .. 1e-6.
 
     K must be an exactly symmetric float64 matrix.  It is read, never written,
-    so it may be read-only.  Each attempt copies K into one n-by-n buffer, adds
-    the jitter to its diagonal and factors it in place, left-looking, one block
-    of ``CHOL_BLOCK`` columns at a time: the block's columns take the update
+    so it may be read-only.  A non-finite entry raises ValueError before any
+    attempt: no pivot flags a NaN, and an infinite one would only exhaust the
+    jitter.  Each attempt copies K into one n-by-n buffer, adds the jitter to
+    its diagonal and factors it in place, left-looking, one block of
+    ``CHOL_BLOCK`` columns at a time: the block's columns take the update
     from the factor's earlier columns, ``np.linalg.cholesky`` factors its
     diagonal block (a ``LinAlgError`` there, a pivot that is not positive,
     escalates the jitter) and the panel below is solved against that block.
@@ -62,6 +59,8 @@ def chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     L is ``np.linalg.cholesky(K + jitter*I)`` bit for bit.  L's strict upper
     triangle is zero.
     """
+    if not np.isfinite(K).all():
+        raise ValueError("K must be finite")
     n = K.shape[0]
     L = np.empty((n, n))
     jitter = JITTER_START
@@ -128,7 +127,9 @@ def fit(kernel: KernelSpec, X, y, noise_var: float) -> GpState:
 
 
 def posterior_batch(state: GpState, Q) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and sd at each row of Q.  sd is clipped into [0, 1]."""
+    """Posterior mean and sd at each row of Q.  sd is clipped into [0, 1]; at a
+    noiseless duplicate, where the variance is at the jitter floor, it is
+    roundoff (at jitter 1e-15, 2.107e-8 against the exact 2.236e-8)."""
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2:
         raise ValueError(f"query points must be 2-d, got shape {Q.shape}")
@@ -199,75 +200,76 @@ def _tensor_axes(grid: np.ndarray) -> tuple[tuple[int, ...], tuple[float, ...]] 
     return points, tuple(spacing)
 
 
+def _kernel_at_offsets(kernel: KernelSpec, offsets) -> np.ndarray:
+    """The kernel on the product of the per-axis offset arrays ``offsets``:
+    entry (j_1, ..., j_d) is k at offsets[0][j_1]^2 + ... + offsets[d-1][j_d]^2,
+    squared and summed in axis order."""
+    sq = np.zeros([o.size for o in offsets])
+    for k, o in enumerate(offsets):
+        sq += (o * o).reshape([-1 if i == k else 1 for i in range(len(offsets))])
+    return kernels._k_of_sq_dist(kernel, sq)
+
+
 def _circulant_eigenvalues(
     kernel: KernelSpec, grid: np.ndarray, points, spacing
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """(eig, row) of the smallest circulant embedding that samples the prior
+) -> tuple[np.ndarray, tuple[int, ...]] | None:
+    """(eig, torus) of the smallest circulant embedding that samples the prior
     exactly on the tensor grid ``grid`` (``points`` and ``spacing`` per axis,
     as ``_tensor_axes`` returns them), or None when it has none worth using.
 
     Axis k of m_k points with spacing h_k wraps onto a torus of M_k points, at
-    first the smallest 5-smooth length >= 2(m_k - 1).  ``row``, the torus's
-    first row, shape (M_1, ..., M_d), is the kernel at the offsets
-    h_k * min(j, M_k - j), squared and summed in axis order.  ``eig`` is the
-    real part of rfftn(row): the half spectrum of the torus's eigenvalues,
-    whose minimum is the whole spectrum's since row is real and even.  The
-    torus is accepted when that minimum is >= -``JITTER_START`` and the
-    irfftn of the eigenvalues clipped at 0 reproduces k0, the first row of
-    the grid's Gram matrix, to within ``JITTER_START``; otherwise every axis
-    grows to the next 5-smooth length >= 9/8 M_k.  None once the torus's FFT
-    (5 N log2 N flops for N torus points) would cost more than the 2 n^2
-    flops of the matrix-vector product L z it replaces.  ``eig`` is returned
-    clipped at 0.
+    first the smallest 5-smooth length >= 2(m_k - 1).  The torus's first row,
+    shape ``torus`` = (M_1, ..., M_d), is the kernel at the offsets
+    h_k * min(j, M_k - j).  ``eig`` is the real part of its rfftn: the half
+    spectrum of the torus's eigenvalues, whose minimum is the whole
+    spectrum's since the row is real and even.  The torus is accepted when
+    that minimum is >= -``JITTER_START`` and the irfftn of the eigenvalues
+    clipped at 0 reproduces k0, the first row of the grid's Gram matrix, to
+    within ``JITTER_START``; otherwise every axis grows to the next 5-smooth
+    length >= 9/8 M_k.  None once the torus's FFT (5 N log2 N flops for N
+    torus points) would cost more than the 2 n^2 flops of the matrix-vector
+    product L z it replaces.  ``eig`` is returned clipped at 0.
     """
     k0 = kernels.cross_matrix(kernel, grid[:1], grid)[0]
-    torus = [_smooth5(max(1, 2 * (m - 1))) for m in points]
+    torus = tuple(_smooth5(max(1, 2 * (m - 1))) for m in points)
     while True:
         size = math.prod(torus)
         if 5 * size * math.log2(size) > 2 * grid.shape[0] ** 2:
             return None
-        sq = np.zeros(torus)
-        for k, (M, h) in enumerate(zip(torus, spacing)):
-            j = np.arange(M)
-            offset = h * np.minimum(j, M - j)
-            sq += (offset * offset).reshape([M if i == k else 1 for i in range(len(torus))])
-        row = kernels._k_of_sq_dist(kernel, sq)
-        eig = np.fft.rfftn(row).real
+        offsets = [h * np.minimum(np.arange(M), M - np.arange(M)) for M, h in zip(torus, spacing)]
+        eig = np.fft.rfftn(_kernel_at_offsets(kernel, offsets)).real
         if eig.min() >= -JITTER_START:
             np.maximum(eig, 0.0, out=eig)
             back = np.fft.irfftn(eig, s=torus, axes=range(len(torus)))[tuple(slice(0, m) for m in points)]
             if np.max(np.abs(back.ravel() - k0)) <= JITTER_START:
-                return eig, row
-        torus = [_smooth5(M + -(-M // 8)) for M in torus]
+                return eig, torus
+        torus = tuple(_smooth5(M + -(-M // 8)) for M in torus)
 
 
 @dataclass(frozen=True)
 class GridPrior:
     """The GP prior on a finite grid, built once and shared by every draw and
     every grid posterior.  Every array, ``grid`` (a copy of the caller's)
-    included, is read-only.
+    included, is read-only, and no n-by-n kernel matrix is held.
 
-    A grid laid out as ``ExperimentConfig.grid_points`` lays it out (m_k
-    equally spaced points on axis k, n = m_1 * ... * m_d) is embedded when
-    ``_circulant_eigenvalues`` finds a torus (Dietrich & Newsam 1997; Wood &
-    Chan 1994).  Its kernel is stationary, so the prior keeps one kernel
-    evaluation: ``k_offsets``, the kernel at every signed lattice offset,
-    shape (2m_1 - 1, ..., 2m_d - 1), whose entry i is the torus row's entry
-    at offset i - (m - 1) on each axis, bit for bit.  ``rows`` returns
-    windows of it, ``root_eig`` holds the square roots of the torus's
-    eigenvalues (the half spectrum, clipped at 0) and ``torus`` its shape,
-    the draws' covariance equals K entrywise to within ``JITTER_START``, and
-    nothing n-by-n is assembled or held at any size.  Any other grid falls
-    back to ``L``, the lower Cholesky factor of K + ``jitter``*I, and keeps
-    ``K``, the grid's Gram matrix, as a table of kernel rows when its n^2*8
-    bytes fit ``TABLE_BYTES`` (n <= 512).
+    Rows follow the grid's geometry.  A lattice, laid out as
+    ``ExperimentConfig.grid_points`` lays it out (m_k equally spaced points on
+    axis k, n = m_1 * ... * m_d), keeps ``k_offsets``, the kernel at every
+    signed lattice offset, shape (2m_1 - 1, ..., 2m_d - 1), and ``rows``
+    returns windows of it; any other grid evaluates its rows per call.
+
+    Draws follow the embedding.  Where ``_circulant_eigenvalues`` finds a
+    torus (Dietrich & Newsam 1997; Wood & Chan 1994), ``root_eig`` holds the
+    square roots of its eigenvalues (the half spectrum, clipped at 0) and
+    ``torus`` its shape, the draws' covariance equals K entrywise to within
+    ``JITTER_START``, and nothing n-by-n is assembled or held.  Any other grid
+    draws through ``L``, the lower Cholesky factor of K + ``jitter``*I.
     """
 
     kernel: KernelSpec
     grid: np.ndarray
     L: np.ndarray | None
     jitter: float | None
-    K: np.ndarray | None
     k_offsets: np.ndarray | None
     root_eig: np.ndarray | None
     torus: tuple[int, ...] | None
@@ -278,26 +280,23 @@ class GridPrior:
         if grid.ndim != 2 or grid.shape[0] < 1:
             raise ValueError(f"grid must be a non-empty 2-d array, got shape {grid.shape}")
         axes = _tensor_axes(grid)
-        embedding = None if axes is None else _circulant_eigenvalues(kernel, grid, *axes)
-        L = jitter = K = k_offsets = root_eig = torus = None
+        L = jitter = k_offsets = root_eig = torus = embedding = None
+        if axes is not None:
+            k_offsets = _kernel_at_offsets(kernel, [h * np.abs(np.arange(1 - m, m)) for m, h in zip(*axes)])
+            embedding = _circulant_eigenvalues(kernel, grid, *axes)
         if embedding is None:
-            K = kernels.gram(kernel, grid)
-            L, jitter = chol_with_jitter(K)
-            if 8 * grid.shape[0] ** 2 > TABLE_BYTES:
-                K = None
+            L, jitter = chol_with_jitter(kernels.gram(kernel, grid))
         else:
-            eig, row = embedding
-            torus = row.shape
-            k_offsets = row[np.ix_(*(np.arange(1 - m, m) % M for m, M in zip(axes[0], torus)))]
+            eig, torus = embedding
             root_eig = np.sqrt(eig)
-        for a in (grid, L, K, k_offsets, root_eig):
+        for a in (grid, L, k_offsets, root_eig):
             if a is not None:
                 a.flags.writeable = False
-        return cls(kernel, grid, L, jitter, K, k_offsets, root_eig, torus)
+        return cls(kernel, grid, L, jitter, k_offsets, root_eig, torus)
 
     @property
     def points(self) -> tuple[int, ...] | None:
-        """Points per axis of an embedded grid; None on a fallback grid."""
+        """Points per axis of a lattice; None on any other grid."""
         return None if self.k_offsets is None else tuple((s + 1) // 2 for s in self.k_offsets.shape)
 
     @functools.cached_property
@@ -316,25 +315,23 @@ class GridPrior:
         return state
 
     def rows(self, idx) -> np.ndarray:
-        """Rows idx of the grid's kernel matrix, shape (len(idx), n).  Embedded:
-        row j is the window of ``k_offsets`` at offsets grid - grid[j], the
-        kernel at the squared lattice offsets (within 1e-15 of ``kernels.gram``'s
-        rows), with no kernel evaluation.  Fallback: rows of ``kernels.gram``,
-        bitwise, gathered from the table ``K`` or, above the table bound,
-        evaluated on the prior's validated grid as ``kernels.cross_matrix``
-        evaluates them."""
-        if self.k_offsets is not None:
-            windows, corners = self._windows
-            return windows[tuple(c[idx] for c in corners)].reshape(-1, self.grid.shape[0])
-        if self.K is not None:
-            return self.K[idx]
-        return kernels._k_of_sq_dist(self.kernel, kernels._sq_dist(self.grid[idx], self.grid))
+        """Rows idx of the grid's kernel matrix, shape (len(idx), n).  On a
+        lattice, row j is the window of ``k_offsets`` at offsets grid - grid[j],
+        the kernel at the squared lattice offsets (within 1e-15 of
+        ``kernels.gram``'s rows), with no kernel evaluation.  On any other grid,
+        rows of ``kernels.gram``, bitwise, evaluated on the prior's validated
+        grid as ``kernels.cross_matrix`` evaluates them."""
+        if self.k_offsets is None:
+            return kernels._k_of_sq_dist(self.kernel, kernels._sq_dist(self.grid[idx], self.grid))
+        windows, corners = self._windows
+        return windows[tuple(c[idx] for c in corners)].reshape(-1, self.grid.shape[0])
 
     def draw(self, seeds) -> np.ndarray:
-        """The objectives of ``seeds`` on the grid, shape (len(seeds), n).  Row b
-        is a function of (kernel, grid, seeds[b]) alone, bit for bit, whatever
-        the other seeds.  A seed is an int, read as ``np.random.default_rng(seed)``,
-        or a generator, read from its current state.
+        """The objectives of ``seeds`` on the grid, shape (len(seeds), n), so
+        (0, n) for no seeds.  Row b is a function of (kernel, grid, seeds[b])
+        alone, bit for bit, whatever the other seeds.  A seed is an int, read
+        as ``np.random.default_rng(seed)``, or a generator, read from its
+        current state.
 
         Embedded: row b is f = C^{1/2} eta restricted to the grid, with C the
         torus's circulant covariance and eta the first N standard normals of
@@ -343,8 +340,9 @@ class GridPrior:
         Otherwise row b is L z for the generator's first n normals.
         """
         rngs = [np.random.default_rng(seed) for seed in seeds]
+        n = self.grid.shape[0]
         if self.L is not None:
-            return np.stack([self.L @ rng.standard_normal(self.grid.shape[0]) for rng in rngs])
+            return np.array([self.L @ rng.standard_normal(n) for rng in rngs]).reshape(len(rngs), n)
         eta = np.empty((len(rngs), math.prod(self.torus)))
         for rng, row in zip(rngs, eta):
             rng.standard_normal(out=row)
@@ -352,7 +350,7 @@ class GridPrior:
         w = np.fft.rfftn(eta.reshape(len(rngs), *self.torus), axes=axes)
         w *= self.root_eig
         f = np.fft.irfftn(w, s=self.torus, axes=axes)[(slice(None), *(slice(0, m) for m in self.points))]
-        return np.ascontiguousarray(f).reshape(len(rngs), -1)
+        return np.ascontiguousarray(f).reshape(len(rngs), n)
 
 
 def sample_prior(kernel: KernelSpec, grid, seed: int) -> np.ndarray:

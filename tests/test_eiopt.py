@@ -165,6 +165,21 @@ def lattice_gram(spec, d, m):
     return kernels._k_of_sq_dist(spec, sq)
 
 
+@dataclasses.dataclass(frozen=True)
+class GatheredRows(GridPrior):
+    """A grid prior whose rows are gathered from the kernel matrix ``gram``."""
+
+    gram: np.ndarray = None
+
+    def rows(self, idx):
+        return self.gram[idx]
+
+
+def gathered(prior, gram):
+    """``prior``, drawing as it draws, with its rows gathered from ``gram``."""
+    return GatheredRows(**{f.name: getattr(prior, f.name) for f in dataclasses.fields(prior)}, gram=gram)
+
+
 def run_once(config, seed=5):
     """The objective of ``seed`` and the loop's trace on it: a batch of one."""
     prior = GridPrior.build(config.kernel, config.grid_points())
@@ -450,18 +465,21 @@ class TestGridPosterior:
         # _refit replays the trial's observations at ten times its jitter,
         # escalating further while a pivot fails, and must give the state of
         # a fresh one-trial posterior that observes them at the jitter it
-        # ends at, bit for bit, without a refit of its own: on the fallback
-        # 40-point grid and on the embedded 20x20 grid
+        # ends at, bit for bit, without a refit of its own, whose rows are
+        # gathered from lattice_gram: on the 40-point lattice, which draws
+        # through L, and on the embedded 20x20 grid
         if case == "matern_2d_duplicates":
-            kernel = KernelSpec("matern", 0.2, 2.5)
+            kernel, d, per_axis = KernelSpec("matern", 0.2, 2.5), 2, 20
             grid = ExperimentConfig(d=2, grid_per_dim=20).grid_points()
             idx, noise_var = [17, 203, 17, 399, 0, 203, 250], 0.05**2
         else:
-            kernel, grid = SE, np.linspace(0, 1, 40)[:, None]
+            kernel, d, per_axis = SE, 1, 40
+            grid = np.linspace(0, 1, 40)[:, None]
             idx = [3, 17, 30, 8, 22, 39] if case == "noisy" else [4, 9, 4, 20, 9]
             noise_var = 0.05**2 if case == "noisy" else 0.0
         prior = GridPrior.build(kernel, grid)
-        assert (prior.k_offsets is not None) == (case == "matern_2d_duplicates")
+        assert (prior.root_eig is not None) == (case == "matern_2d_duplicates")
+        reference = gathered(prior, lattice_gram(kernel, d, per_axis))
         if case == "noiseless_escalation":
             # duplicate noiseless points: at jitter 1e-18 the pivot is not positive
             monkeypatch.setattr(gp, "JITTER_START", 1e-18)
@@ -469,7 +487,7 @@ class TestGridPosterior:
         t = len(idx)
 
         def assert_fresh_replay(post):
-            ref = eiopt.GridPosterior(prior, np.empty((1, 0), dtype=np.intp), np.empty((1, 0)), noise_var, t + 1)
+            ref = eiopt.GridPosterior(reference, np.empty((1, 0), dtype=np.intp), np.empty((1, 0)), noise_var, t + 1)
             ref.jitter[0] = post.jitter[0]
             with monkeypatch.context() as m:
                 m.setattr(eiopt.GridPosterior, "_refit", lambda *a: pytest.fail("reference refitted"))
@@ -796,29 +814,28 @@ class TestLockstep:
         assert len(made) == 2 and all(ref() is None for ref in made) and len(traces) == 5
 
 
-class TestKernelRowTable:
+class TestFallbackLattice:
     @pytest.mark.parametrize("overrides", [dict(noise_sd=0.05), dict(noise_sd=0.0), dict(noise_sd=0.05, kappa=3e-3)],
                              ids=["noisy", "noiseless_refit", "kappa"])
-    def test_table_and_on_demand_rows_give_the_same_bits(self, monkeypatch, overrides):
+    def test_lattice_gram_rows_give_the_same_bits(self, monkeypatch, overrides):
         # SE with lengthscale 1 needs a torus too large to pay off, so its
-        # 200-point grid falls back and keeps K; with the table bound at 0 the
-        # same prior evaluates its rows on demand, and the loop records the
-        # same bits
+        # 200-point lattice draws through L and reads its rows as windows of
+        # the kernel at lattice offsets; the same prior with its rows gathered
+        # from lattice_gram records the same bits
         cfg = tiny_config(grid_per_dim=200, kernel=KernelSpec("se", 1.0), T=30, trials=8, **overrides)
-        table = GridPrior.build(cfg.kernel, cfg.grid_points())
-        monkeypatch.setattr(gp, "TABLE_BYTES", 0)
-        on_demand = GridPrior.build(cfg.kernel, cfg.grid_points())
-        assert table.K is not None and on_demand.K is None and on_demand.L is not None
+        windows = GridPrior.build(cfg.kernel, cfg.grid_points())
+        assert windows.root_eig is None and windows.L is not None and windows.k_offsets is not None
+        reference = gathered(windows, lattice_gram(cfg.kernel, 1, 200))
         refits = []
         if cfg.noise_sd == 0.0:
             # noiseless re-queries at jitter 1e-18 have pivots that are not
-            # positive; the priors are built first, with their own factor's
+            # positive; the prior is built first, with its own factor's
             # jitter
             monkeypatch.setattr(gp, "JITTER_START", 1e-18)
             original = eiopt.GridPosterior._refit
             monkeypatch.setattr(eiopt.GridPosterior, "_refit", lambda self, b: (refits.append(b), original(self, b)))
         seeds = [trial_seed(cfg.seed, i) for i in range(cfg.trials)]
-        a, b = (eiopt.run_batch(cfg, prior, seeds) for prior in (table, on_demand))
+        a, b = (eiopt.run_batch(cfg, prior, seeds) for prior in (reference, windows))
         for name in eiopt.COLUMNS:
             assert a.columns[name].tobytes() == b.columns[name].tobytes(), name
         assert np.array_equal(a.steps, b.steps) and np.array_equal(a.stopped, b.stopped)
@@ -850,11 +867,11 @@ class TestSelectionOptimality:
     def test_no_candidate_beats_recorded_choice(self):
         assert_picks_are_ei_maxima(tiny_config(T=10, seed=303), 303)
 
-    # the 600-point grid is embedded: its posterior reads windows of the
-    # kernel at lattice offsets; the 25-point one falls back to the table K
+    # both grids' posteriors read windows of the kernel at lattice offsets;
+    # the 600-point grid is embedded, the 25-point one draws through L
     @pytest.mark.parametrize("noise_sd,grid_per_dim", [(0.0, 25), (0.05, 600), (0.0, 600)],
                              ids=["noiseless-25", "noisy-600", "noiseless-600"])
     def test_picks_are_ei_maxima(self, noise_sd, grid_per_dim):
         cfg = tiny_config(T=10, seed=303, noise_sd=noise_sd, grid_per_dim=grid_per_dim)
-        assert (GridPrior.build(cfg.kernel, cfg.grid_points()).K is None) == (grid_per_dim == 600)
+        assert (GridPrior.build(cfg.kernel, cfg.grid_points()).L is None) == (grid_per_dim == 600)
         assert_picks_are_ei_maxima(cfg, 303)

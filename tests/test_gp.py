@@ -4,6 +4,7 @@ Posterior oracles are dense linear solves written out directly against the
 conjugate formulas, independent of the Cholesky path under test.
 """
 
+import dataclasses
 import math
 import pickle
 import tracemalloc
@@ -261,7 +262,7 @@ def fallback_grid(d):
 def assert_samples_through_factor(spec, grid):
     """The prior on ``grid`` draws f = L z, bit for bit, with L factored per draw."""
     prior = GridPrior.build(spec, grid)
-    assert prior.k_offsets is None and prior.points is None
+    assert prior.root_eig is None and prior.torus is None
     for seed in (0, 7, 2**63 + 5):
         L, _ = gp.chol_with_jitter(kernels.gram(spec, grid))
         f = L @ np.random.default_rng(seed).standard_normal(grid.shape[0])
@@ -282,27 +283,34 @@ def lattice_gram(spec, d, m):
     return kernels._k_of_sq_dist(spec, sq)
 
 
+def assert_no_kernel_table(prior):
+    """The prior holds no n-by-n kernel matrix: it has no ``K`` field, and
+    beside the factor L no array with n^2 entries."""
+    n = prior.grid.shape[0]
+    assert "K" not in {f.name for f in dataclasses.fields(prior)}
+    assert all(a.size < n * n for name, a in vars(prior).items() if isinstance(a, np.ndarray) and name != "L")
+
+
 class TestGridPrior:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("spec", CONFIG_FAMILIES, ids=lambda s: f"{s.family}{s.nu or ''}")
     def test_gram_rows_equal_cross_matrix(self, spec, d):
-        # every grid posterior takes its prior covariances from rows(): on an
-        # embedded grid windows of the kernel at lattice offsets, bitwise the
-        # kernel at the squared lattice offsets and within 1e-15 of the Gram
-        # matrix, with no table at any size; on a fallback grid the Gram
-        # matrix's rows bitwise, from the table K up to 512 points and
-        # evaluated above
+        # every grid posterior takes its prior covariances from rows(): on a
+        # lattice windows of the kernel at lattice offsets, bitwise the kernel
+        # at the squared lattice offsets and within 1e-15 of the Gram matrix;
+        # on any other grid the Gram matrix's rows bitwise, evaluated per
+        # call; no table at any size
         m, large_m = (200, 600) if d == 1 else (16, 24)
         embedded = GridPrior.build(spec, config_grid(d, m))
         fallback = GridPrior.build(spec, fallback_grid(d))
         large = GridPrior.build(spec, config_grid(d, large_m))
         large_fallback = GridPrior.build(spec, config_grid(d, large_m)[::-1])
-        assert embedded.k_offsets is not None and fallback.L is not None
-        assert large.k_offsets is not None and large_fallback.L is not None
-        assert embedded.K is None and fallback.K is not None
-        assert large.K is None and large_fallback.K is None
+        assert embedded.root_eig is not None and fallback.L is not None
+        assert large.root_eig is not None and large_fallback.L is not None
+        assert fallback.k_offsets is None and large_fallback.k_offsets is None
         for prior, ref in ((embedded, lattice_gram(spec, d, m)), (large, lattice_gram(spec, d, large_m)),
                            (fallback, None), (large_fallback, None)):
+            assert_no_kernel_table(prior)
             K = kernels.gram(spec, prior.grid)
             n = K.shape[0]
             if ref is None:
@@ -313,22 +321,37 @@ class TestGridPrior:
             for idx in ([0], [n - 1], [7, 0, 7, n // 2]):
                 assert np.array_equal(prior.rows(idx), ref[idx])
 
-    def test_kernel_row_table_up_to_512_points(self):
-        # a fallback grid's table's n^2*8 bytes must fit gp.TABLE_BYTES, the
-        # 2 MiB that eiopt.batch_size also gives a batch's V buffer; an
-        # embedded grid keeps no table at any size
-        spec = KernelSpec("matern", 0.2, 2.5)
-        assert gp.TABLE_BYTES == 2 << 20
-        assert GridPrior.build(spec, config_grid(1, 512)[::-1]).K is not None
-        assert GridPrior.build(spec, config_grid(1, 513)[::-1]).K is None
-        assert GridPrior.build(spec, config_grid(1, 512)).K is None
+    @pytest.mark.parametrize("spec,d,m", [(KernelSpec("se", 1.0), 1, 200), (KernelSpec("se", 0.2), 1, 40),
+                                          (KernelSpec("se", 1.0), 2, 24)], ids=["se1_200", "se02_40", "se1_24x24"])
+    def test_fallback_lattice_rows_are_windows_of_lattice_offsets(self, spec, d, m):
+        # a lattice whose torus does not pay off draws through L, and still
+        # reads its rows as windows of the kernel at lattice offsets: bitwise
+        # the kernel at the squared lattice offsets, within 1e-15 of the Gram
+        # matrix (measured at most 3.3e-16)
+        prior = GridPrior.build(spec, config_grid(d, m))
+        assert prior.root_eig is None and prior.L is not None and prior.points == (m,) * d
+        assert_no_kernel_table(prior)
+        ref = lattice_gram(spec, d, m)
+        assert np.max(np.abs(ref - kernels.gram(spec, prior.grid))) <= 1e-15
+        assert np.array_equal(prior.rows(np.arange(m**d)), ref)
+        for idx in ([0], [m**d - 1], [7, 0, 7, m // 2]):
+            assert np.array_equal(prior.rows(idx), ref[idx])
 
-    def test_fallback_rows_above_the_table_skip_the_grid_check(self, monkeypatch):
-        # above the table bound a fallback prior evaluates its rows on its own
+    def test_no_kernel_row_table_at_any_size(self):
+        # rows are windows of lattice offsets or evaluated per call, so no
+        # prior keeps a table, and the 2 MiB budget is eiopt's, for a
+        # lockstep batch's V buffer
+        spec = KernelSpec("matern", 0.2, 2.5)
+        assert not hasattr(gp, "TABLE_BYTES") and eiopt.BATCH_BYTES == 2 << 20
+        for grid in (config_grid(1, 512)[::-1], config_grid(1, 513)[::-1], config_grid(1, 512), config_grid(1, 17)):
+            assert_no_kernel_table(GridPrior.build(spec, grid))
+
+    def test_off_lattice_rows_skip_the_grid_check(self, monkeypatch):
+        # a grid that is no lattice evaluates its rows on the prior's own
         # read-only grid, checked at build, with cross_matrix's arithmetic
         spec = KernelSpec("matern", 0.2, 2.5)
         prior = GridPrior.build(spec, config_grid(2, 24)[::-1])
-        assert prior.K is None and prior.L is not None
+        assert prior.k_offsets is None and prior.L is not None
         idx = [0, 575, 17, 17]
         expected = kernels.cross_matrix(spec, prior.grid[idx], prior.grid)
         monkeypatch.setattr(kernels, "_as_points", lambda *a: pytest.fail("grid checked again"))
@@ -358,9 +381,10 @@ class TestGridPrior:
     def test_shared_arrays_read_only(self):
         embedded = GridPrior.build(KernelSpec("matern", 0.2, 2.5), config_grid(1, 200))
         fallback = GridPrior.build(KernelSpec("matern", 0.3, 2.5), fallback_grid(1))
-        assert embedded.L is None and fallback.k_offsets is None
-        windows = embedded._windows[0]
-        for a in (embedded.grid, embedded.k_offsets, embedded.root_eig, windows, fallback.grid, fallback.L, fallback.K):
+        lattice = GridPrior.build(KernelSpec("se", 1.0), config_grid(1, 200))
+        assert embedded.L is None and fallback.k_offsets is None and lattice.root_eig is None
+        for a in (embedded.grid, embedded.k_offsets, embedded.root_eig, embedded._windows[0], fallback.grid,
+                  fallback.L, lattice.k_offsets, lattice.L, lattice._windows[0]):
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0.0
 
@@ -440,6 +464,14 @@ class TestCirculantEmbedding:
         for b in (0, 20, 42):
             assert np.array_equal(prior.draw([seeds[b]])[0], rows[b])
 
+    @pytest.mark.parametrize("spec,grid", [
+        (KernelSpec("matern", 0.2, 2.5), config_grid(2, 16)),
+        (KernelSpec("se", 1.0), config_grid(1, 200)),
+    ], ids=["embedded", "fallback"])
+    def test_draw_of_no_seeds_is_empty(self, spec, grid):
+        f = GridPrior.build(spec, grid).draw([])
+        assert f.shape == (0, grid.shape[0]) and f.dtype == np.float64
+
     def test_torus_is_smallest_5_smooth_when_it_suffices(self):
         # Matern-1/2 on a 1-d grid embeds at the first length >= 2(m - 1)
         prior = GridPrior.build(KernelSpec("matern", 0.2, 0.5), config_grid(1, 200))
@@ -449,8 +481,8 @@ class TestCirculantEmbedding:
     def test_torus_never_costs_more_than_the_matvec(self):
         # 17 points: the 32-point torus's FFT (800 flops) exceeds 2*17^2
         spec = KernelSpec("matern", 0.3, 0.5)
-        assert GridPrior.build(spec, config_grid(1, 17)).k_offsets is None
-        assert GridPrior.build(spec, config_grid(1, 60)).k_offsets is not None
+        assert GridPrior.build(spec, config_grid(1, 17)).root_eig is None
+        assert GridPrior.build(spec, config_grid(1, 60)).root_eig is not None
 
 
 class TestInfoGain:
@@ -539,6 +571,31 @@ class TestFactorization:
             L, jitter = gp.chol_with_jitter(K)
             assert_factor(L, K, jitter)
 
+    @pytest.mark.parametrize("K", [
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[1.0, 0.0], [0.0, np.inf]],
+        [[1.0, np.inf], [np.inf, 1.0]],
+        [[1.0, -np.inf], [-np.inf, 1.0]],
+    ], ids=["nan_diagonal", "nan_off_diagonal", "inf_diagonal", "inf_off_diagonal", "minus_inf_off_diagonal"])
+    def test_non_finite_k_raises_before_any_attempt(self, K):
+        # no pivot flags a NaN, +inf on the diagonal factors to a non-finite
+        # L, and an infinite off-diagonal entry would only exhaust the jitter
+        K = read_only(K)
+        before = K.copy()
+        with pytest.raises(ValueError, match="finite"):
+            gp.chol_with_jitter(K)
+        assert np.array_equal(K, before, equal_nan=True)
+
+    def test_one_nan_pair_in_a_large_k_raises(self):
+        K = np.eye(100)
+        K[3, 70] = K[70, 3] = np.nan
+        before = K.copy()
+        K = read_only(K)
+        with pytest.raises(ValueError, match="finite"):
+            gp.chol_with_jitter(K)
+        assert np.array_equal(K, before, equal_nan=True)
+
     def test_read_only_k_unchanged_after_success(self):
         X = np.random.default_rng(4).uniform(size=(129, 2))
         K = kernels.gram(KernelSpec("matern", 0.3, 2.5), X)
@@ -586,10 +643,10 @@ def traced_peak(fn, *args):
 
 
 class TestMemoryBudget:
-    # 1024-point 2-d Matern-5/2 grid, above the 512-point kernel-row table
-    # bound; budgets in units of one n-by-n float64 array.  chol_with_jitter
-    # allocates L and factors it in place, one 64-column block at a time, so
-    # beside L it holds about one (n x 64) panel (measured peak 1.08 units);
+    # 1024-point 2-d Matern-5/2 grid; budgets in units of one n-by-n float64
+    # array.  chol_with_jitter allocates L and factors it in place, one
+    # 64-column block at a time, so beside L it holds about one (n x 64)
+    # panel (measured peak 1.08 units);
     # np.linalg.cholesky(K + jitter*I) would hold two n-by-n arrays.  The
     # embedded prior evaluates one kernel row and an 81x81 torus and keeps
     # the kernel at 63x63 lattice offsets, nothing n-by-n; the reversed grid

@@ -522,8 +522,7 @@ class TestOneKernelSource:
         # every posterior of a campaign or lemma protocol takes its kernel
         # values from the prior's rows: the reference fit never runs, also
         # when a failed pivot forces a refit, and a campaign on an embedded
-        # grid above the 512-point kernel-row table bound assembles no n-by-n
-        # Gram matrix
+        # 600-point grid assembles no n-by-n Gram matrix
         from gpei import eiopt, gp, kernels
 
         refits, gram_sizes = [], []
@@ -536,7 +535,7 @@ class TestOneKernelSource:
         assert not refits
         cfg = tiny_config(grid_per_dim=600, noise_sd=0.0)
         prior = harness.grid_prior(cfg)
-        assert prior.k_offsets is not None and prior.K is None
+        assert prior.root_eig is not None and prior.L is None
         # noiseless re-queries at jitter 1e-18 have pivots that are not
         # positive; the prior is built first, since the embedding's own
         # tolerance is the jitter

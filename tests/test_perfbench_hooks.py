@@ -87,7 +87,7 @@ def test_grid_cap_campaign_evaluates_one_kernel_row_and_no_gram(tmp_path):
     # a full campaign_grid4096 repetition (64x64 grid, T=60) reads every
     # kernel row of its loop from the prior's lattice offsets
     wl = workloads.build("campaign_grid4096", 7)
-    assert harness.grid_prior(wl.configs[0][1]).K is None
+    assert harness.grid_prior(wl.configs[0][1]).L is None
     tr = tracer.Tracer()
     with tr.active():
         rep = workloads.run_rep(wl, str(tmp_path))

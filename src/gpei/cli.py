@@ -69,14 +69,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = _load(args)
-    passed = True
-    for lemma in harness.LEMMA_IDS if args.lemma == "all" else (args.lemma,):
-        report = harness.verify_lemma(lemma, config, n=args.trials)
+    # every protocol runs before anything is written, so one that refuses
+    # leaves no partial output
+    lemmas = harness.LEMMA_IDS if args.lemma == "all" else (args.lemma,)
+    reports = [harness.verify_lemma(lemma, config, n=args.trials) for lemma in lemmas]
+    for report in reports:
         harness.write_lemma_report(args.out, report, config)
-        for line in report.lines():
-            print(line)
-        passed &= report.passed
-    return 0 if passed else 1
+        print(*report.lines(), sep="\n")
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def _cmd_figures(args) -> int:

@@ -1,13 +1,13 @@
 """The GP prior on a finite grid, Cholesky with escalating jitter, and
 information-gain accounting.
 
-``GridPrior`` is built once per grid and shared by every draw of the
-objective (``GridPrior.draw``) and every grid posterior
-(``eiopt.GridPosterior``, which reads prior covariances through
-``GridPrior.rows``).  On a lattice, every config grid, the rows are windows
-of one kernel evaluation, the kernel at the grid's signed lattice offsets,
-and no kernel matrix is held; a lattice that circulant embedding samples
-exactly is drawn by FFT and holds nothing n-by-n.  ``chol_with_jitter`` adds
+``GridPrior`` is built once per grid, a lattice as every config grid is,
+and shared by every draw of the objective (``GridPrior.draw``) and every
+grid posterior (``eiopt.GridPosterior``, which reads prior covariances
+through ``GridPrior.rows``).  Every kernel value it holds comes from one
+evaluation, the kernel at the grid's signed lattice offsets, and no kernel
+matrix is held; a lattice that circulant embedding samples exactly is drawn
+by FFT and holds nothing n-by-n.  ``chol_with_jitter`` adds
 a small escalating diagonal jitter, since squared-exponential Gram matrices
 on fine grids are numerically singular.  Every factorization and solve runs
 in numpy, so every run uses numpy's one BLAS/LAPACK build.  ``fit``,
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -210,12 +210,21 @@ def _kernel_at_offsets(kernel: KernelSpec, offsets) -> np.ndarray:
     return kernels._k_of_sq_dist(kernel, sq)
 
 
-def _circulant_eigenvalues(
-    kernel: KernelSpec, grid: np.ndarray, points, spacing
-) -> tuple[np.ndarray, tuple[int, ...]] | None:
+def _irfftn_corner(w: np.ndarray, torus, points) -> np.ndarray:
+    """The first ``points`` entries of ``np.fft.irfftn(w, s=torus)`` over w's
+    trailing axes, bit for bit: numpy's ifft per leading axis, each sliced
+    before the next axis is transformed, then its irfft along the last."""
+    lead = w.ndim - len(torus)
+    for k, (M, m) in enumerate(zip(torus[:-1], points), lead):
+        w = np.fft.ifft(w, M, axis=k)[(slice(None),) * k + (slice(0, m),)]
+    return np.fft.irfft(w, torus[-1], axis=-1)[..., : points[-1]]
+
+
+def _circulant_eigenvalues(kernel: KernelSpec, k0, points, spacing) -> tuple[np.ndarray, tuple[int, ...]] | None:
     """(eig, torus) of the smallest circulant embedding that samples the prior
-    exactly on the tensor grid ``grid`` (``points`` and ``spacing`` per axis,
-    as ``_tensor_axes`` returns them), or None when it has none worth using.
+    exactly on the lattice whose first kernel row is ``k0`` (``points`` and
+    ``spacing`` per axis, as ``_tensor_axes`` returns them), or None when it
+    has none worth using.
 
     Axis k of m_k points with spacing h_k wraps onto a torus of M_k points, at
     first the smallest 5-smooth length >= 2(m_k - 1).  The torus's first row,
@@ -230,47 +239,46 @@ def _circulant_eigenvalues(
     torus points) would cost more than the 2 n^2 flops of the matrix-vector
     product L z it replaces.  ``eig`` is returned clipped at 0.
     """
-    k0 = kernels.cross_matrix(kernel, grid[:1], grid)[0]
     torus = tuple(_smooth5(max(1, 2 * (m - 1))) for m in points)
     while True:
         size = math.prod(torus)
-        if 5 * size * math.log2(size) > 2 * grid.shape[0] ** 2:
+        if 5 * size * math.log2(size) > 2 * k0.size**2:
             return None
         offsets = [h * np.minimum(np.arange(M), M - np.arange(M)) for M, h in zip(torus, spacing)]
         eig = np.fft.rfftn(_kernel_at_offsets(kernel, offsets)).real
         if eig.min() >= -JITTER_START:
             np.maximum(eig, 0.0, out=eig)
-            back = np.fft.irfftn(eig, s=torus, axes=range(len(torus)))[tuple(slice(0, m) for m in points)]
-            if np.max(np.abs(back.ravel() - k0)) <= JITTER_START:
+            if np.max(np.abs(_irfftn_corner(eig, torus, points).ravel() - k0)) <= JITTER_START:
                 return eig, torus
         torus = tuple(_smooth5(M + -(-M // 8)) for M in torus)
 
 
 @dataclass(frozen=True)
 class GridPrior:
-    """The GP prior on a finite grid, built once and shared by every draw and
+    """The GP prior on a lattice, built once and shared by every draw and
     every grid posterior.  Every array, ``grid`` (a copy of the caller's)
     included, is read-only, and no n-by-n kernel matrix is held.
 
-    Rows follow the grid's geometry.  A lattice, laid out as
-    ``ExperimentConfig.grid_points`` lays it out (m_k equally spaced points on
-    axis k, n = m_1 * ... * m_d), keeps ``k_offsets``, the kernel at every
-    signed lattice offset, shape (2m_1 - 1, ..., 2m_d - 1), and ``rows``
-    returns windows of it; any other grid evaluates its rows per call.
+    The grid must be a lattice laid out as ``ExperimentConfig.grid_points``
+    lays it out: m_k equally spaced points on axis k, n = m_1 * ... * m_d.
+    Every kernel value the prior holds comes from one evaluation,
+    ``k_offsets``, the kernel at every signed lattice offset, shape
+    (2m_1 - 1, ..., 2m_d - 1); ``rows`` returns windows of it.
 
     Draws follow the embedding.  Where ``_circulant_eigenvalues`` finds a
     torus (Dietrich & Newsam 1997; Wood & Chan 1994), ``root_eig`` holds the
     square roots of its eigenvalues (the half spectrum, clipped at 0) and
     ``torus`` its shape, the draws' covariance equals K entrywise to within
-    ``JITTER_START``, and nothing n-by-n is assembled or held.  Any other grid
-    draws through ``L``, the lower Cholesky factor of K + ``jitter``*I.
+    ``JITTER_START``, and nothing n-by-n is assembled or held.  Otherwise it
+    draws through ``L``, the lower Cholesky factor of K + ``jitter``*I for
+    the K whose rows ``rows`` returns.
     """
 
     kernel: KernelSpec
     grid: np.ndarray
     L: np.ndarray | None
     jitter: float | None
-    k_offsets: np.ndarray | None
+    k_offsets: np.ndarray
     root_eig: np.ndarray | None
     torus: tuple[int, ...] | None
 
@@ -280,24 +288,26 @@ class GridPrior:
         if grid.ndim != 2 or grid.shape[0] < 1:
             raise ValueError(f"grid must be a non-empty 2-d array, got shape {grid.shape}")
         axes = _tensor_axes(grid)
-        L = jitter = k_offsets = root_eig = torus = embedding = None
-        if axes is not None:
-            k_offsets = _kernel_at_offsets(kernel, [h * np.abs(np.arange(1 - m, m)) for m, h in zip(*axes)])
-            embedding = _circulant_eigenvalues(kernel, grid, *axes)
+        if axes is None:
+            raise ValueError("grid must be a lattice of equally spaced ascending axes, "
+                             "last coordinate fastest, as ExperimentConfig.grid_points lays it out")
+        k_offsets = _kernel_at_offsets(kernel, [h * np.abs(np.arange(1 - m, m)) for m, h in zip(*axes)])
+        grid.flags.writeable = k_offsets.flags.writeable = False
+        prior = cls(kernel, grid, None, None, k_offsets, None, None)
+        # the embedding's check row and the fallback's K are rows the posterior reads
+        embedding = _circulant_eigenvalues(kernel, prior.rows([0])[0], *axes)
         if embedding is None:
-            L, jitter = chol_with_jitter(kernels.gram(kernel, grid))
-        else:
-            eig, torus = embedding
-            root_eig = np.sqrt(eig)
-        for a in (grid, L, k_offsets, root_eig):
-            if a is not None:
-                a.flags.writeable = False
-        return cls(kernel, grid, L, jitter, k_offsets, root_eig, torus)
+            L, jitter = chol_with_jitter(prior.rows(np.arange(grid.shape[0])))
+            L.flags.writeable = False
+            return replace(prior, L=L, jitter=jitter)
+        root_eig = np.sqrt(embedding[0])
+        root_eig.flags.writeable = False
+        return replace(prior, root_eig=root_eig, torus=embedding[1])
 
     @property
-    def points(self) -> tuple[int, ...] | None:
-        """Points per axis of a lattice; None on any other grid."""
-        return None if self.k_offsets is None else tuple((s + 1) // 2 for s in self.k_offsets.shape)
+    def points(self) -> tuple[int, ...]:
+        """Points per axis."""
+        return tuple((s + 1) // 2 for s in self.k_offsets.shape)
 
     @functools.cached_property
     def _windows(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -315,14 +325,10 @@ class GridPrior:
         return state
 
     def rows(self, idx) -> np.ndarray:
-        """Rows idx of the grid's kernel matrix, shape (len(idx), n).  On a
-        lattice, row j is the window of ``k_offsets`` at offsets grid - grid[j],
-        the kernel at the squared lattice offsets (within 1e-15 of
-        ``kernels.gram``'s rows), with no kernel evaluation.  On any other grid,
-        rows of ``kernels.gram``, bitwise, evaluated on the prior's validated
-        grid as ``kernels.cross_matrix`` evaluates them."""
-        if self.k_offsets is None:
-            return kernels._k_of_sq_dist(self.kernel, kernels._sq_dist(self.grid[idx], self.grid))
+        """Rows idx of the grid's kernel matrix, shape (len(idx), n): row j is
+        the window of ``k_offsets`` at offsets grid - grid[j], the kernel at
+        the squared lattice offsets (within 1e-15 of ``kernels.gram``'s rows),
+        with no kernel evaluation."""
         windows, corners = self._windows
         return windows[tuple(c[idx] for c in corners)].reshape(-1, self.grid.shape[0])
 
@@ -336,8 +342,9 @@ class GridPrior:
         Embedded: row b is f = C^{1/2} eta restricted to the grid, with C the
         torus's circulant covariance and eta the first N standard normals of
         seeds[b]'s generator, N the torus size: irfftn(root_eig * rfftn(eta)),
-        one batched real FFT each way for every row, each on its own.
-        Otherwise row b is L z for the generator's first n normals.
+        one batched real FFT each way for every row, each on its own, the
+        inverse only as far as the grid.  Otherwise row b is L z for the
+        generator's first n normals.
         """
         rngs = [np.random.default_rng(seed) for seed in seeds]
         n = self.grid.shape[0]
@@ -346,11 +353,9 @@ class GridPrior:
         eta = np.empty((len(rngs), math.prod(self.torus)))
         for rng, row in zip(rngs, eta):
             rng.standard_normal(out=row)
-        axes = tuple(range(1, len(self.torus) + 1))
-        w = np.fft.rfftn(eta.reshape(len(rngs), *self.torus), axes=axes)
+        w = np.fft.rfftn(eta.reshape(len(rngs), *self.torus), axes=tuple(range(1, len(self.torus) + 1)))
         w *= self.root_eig
-        f = np.fft.irfftn(w, s=self.torus, axes=axes)[(slice(None), *(slice(0, m) for m in self.points))]
-        return np.ascontiguousarray(f).reshape(len(rngs), n)
+        return np.ascontiguousarray(_irfftn_corner(w, self.torus, self.points)).reshape(len(rngs), n)
 
 
 def sample_prior(kernel: KernelSpec, grid, seed: int) -> np.ndarray:

@@ -405,42 +405,42 @@ class LemmaReport:
         return [f"check lemma[{self.lemma}] {'PASS' if self.passed else 'FAIL'} {body}"]
 
 
-def _lemma_fixture(config: ExperimentConfig):
-    """Fixed 5-point design plus a fixed off-design query on the config grid."""
-    grid = config.grid_points()
-    n = grid.shape[0]
+def _lemma_fixture(config: ExperimentConfig) -> np.ndarray:
+    """Grid indices of a fixed 5-point design, then of a fixed off-design query."""
+    n = config.grid_size
     if n < _DESIGN_SIZE + 1:
         raise ValueError(f"lemma fixture needs a grid of at least {_DESIGN_SIZE + 1} points, got {n}")
     design = sorted({int(round(i)) for i in np.linspace(0, n - 1, _DESIGN_SIZE)})
     query = int(0.35 * (n - 1))
     while query in design:
         query = (query + 1) % n
-    pts = np.vstack([grid[design], grid[query][None, :]])
-    return pts
+    return np.array([*design, query])
 
 
 def _joint_draws(config: ExperimentConfig, n_draws: int, stream: int):
     """Draw n_draws joint objective vectors on (design, query) and noisy observations.
 
     Returns (f_design, f_query, y_design, posterior mean at query, sigma at
-    query), with the moments from one ``eiopt.GridPosterior`` of the n_draws
-    draws over the fixture's prior.
+    query).  Everything reads the config grid's prior, as a campaign does:
+    the draws are L z through the lower Cholesky factor L of the fixture's
+    block of ``prior.rows``, and the moments come from one
+    ``eiopt.GridPosterior`` of the n_draws draws that observes the design
+    indices.
     """
-    prior = gp.GridPrior.build(config.kernel, _lemma_fixture(config))
-    k = prior.grid.shape[0] - 1
-    # all draws come from one stream through the prior's Cholesky factor: the
-    # query row follows grid[n - 1], so the fixture's rows are never in the
-    # lexicographic order of a tensor grid and the prior always falls back
+    prior = grid_prior(config)
+    idx = _lemma_fixture(config)
+    k = idx.size - 1
+    L, _ = gp.chol_with_jitter(prior.rows(idx)[:, idx])
     rng = np.random.default_rng(derive_stream_seed(config.seed, stream))
     z = rng.standard_normal((n_draws, k + 1))
-    f = z @ prior.L.T
+    f = z @ L.T
     eps = config.noise_sd * rng.standard_normal((n_draws, k))
     y = f[:, :k] + eps
 
     # the posterior mean is linear in y: trial b observes the unit vector e_b,
     # so mu[b, query] is the weight of y_b in every draw's mean at the query
-    post = eiopt.GridPosterior(prior, np.broadcast_to(np.arange(k), (k, k)), np.eye(k), config.noise_var, k)
-    return f[:, :k], f[:, k], y, y @ post.mu[:, k], float(post.sigma[0, k])
+    post = eiopt.GridPosterior(prior, np.broadcast_to(idx[:k], (k, k)), np.eye(k), config.noise_var, k)
+    return f[:, :k], f[:, k], y, y @ post.mu[:, idx[k]], float(post.sigma[0, idx[k]])
 
 
 def _coverage_metrics(indicator: np.ndarray, delta: float) -> tuple[bool, tuple[tuple[str, float], ...]]:

@@ -16,11 +16,6 @@ SQUARED_EXPONENTIAL = "se"
 MATERN = "matern"
 MATERN_NUS = (0.5, 1.5, 2.5)
 
-# Rows of the Gram matrix evaluated at once; bounds ``gram``'s temporaries
-# to a few GRAM_BLOCK-by-n buffers (1 MiB each at the 4096-point cap), small
-# enough to stay in cache.
-GRAM_BLOCK = 32
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -121,23 +116,13 @@ def eval(spec: KernelSpec, x, x2) -> float:
 
 
 def gram(spec: KernelSpec, X) -> np.ndarray:
-    """t-by-t covariance matrix of a point set; symmetric PSD with unit diagonal.
-
-    Only the upper triangle is evaluated, ``GRAM_BLOCK`` rows at a time, and
-    each block's transpose fills the lower triangle: half the kernel
-    evaluations, no full-size temporary besides the result, and an exactly
-    symmetric matrix equal bitwise to ``cross_matrix(spec, X, X)``.
-    """
+    """t-by-t covariance matrix of a point set, ``cross_matrix(spec, X, X)``:
+    exactly symmetric, since each squared distance is summed from the same
+    squared differences in either order, and PSD with unit diagonal."""
     pts = _as_points("X", X)
-    n = pts.shape[0]
-    if n < 1:
+    if pts.shape[0] < 1:
         raise ValueError("X must contain at least one point")
-    K = np.empty((n, n))
-    for i in range(0, n, GRAM_BLOCK):
-        h = min(i + GRAM_BLOCK, n)
-        K[i:h, i:] = _k_of_sq_dist(spec, _sq_dist(pts[i:h], pts[i:]))
-        K[h:, i:h] = K[i:h, h:].T
-    return K
+    return cross_matrix(spec, pts, pts)
 
 
 def cross_matrix(spec: KernelSpec, X, Q) -> np.ndarray:

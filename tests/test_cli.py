@@ -89,6 +89,23 @@ class TestVerifyCommand:
         assert len(summary) == 8 and summary == sorted(summary)
         assert files == dir_bytes(tmp_path / "one")
 
+    @pytest.mark.parametrize("grid_per_dim", [6, 30])
+    def test_all_writes_nothing_when_a_protocol_refuses(self, capsys, tmp_path, grid_per_dim):
+        # fmu_t runs 30 steps, more than a 6-point grid holds: verify all
+        # refuses it after fmu has run, and exits 2 with nothing written; on
+        # 30 points every report is written
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(f"grid_per_dim = {grid_per_dim}\nT = 6\n")
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(capsys, "verify", "all", "--config", str(cfg), "--trials", "500", "--out", str(out_dir))
+        if grid_per_dim == 6:
+            assert (code, out) == (2, "") and "T=30 exceeds grid size 6" in err
+            assert not out_dir.exists()
+        else:
+            assert code == 0 and out.count(" PASS ") == len(harness.LEMMA_IDS)
+            assert sorted(dir_bytes(out_dir)) == sorted(
+                [f"verify_{lemma}.csv" for lemma in harness.LEMMA_IDS] + ["summary.txt"])
+
     def test_all_twice_into_one_dir_equals_once(self, capsys, tmp_path):
         cfg = tmp_path / "grid40.cfg"
         cfg.write_text("grid_per_dim = 40\nT = 30\n")

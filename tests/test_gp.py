@@ -231,7 +231,7 @@ class TestSamplePrior:
         assert 0.98 < vals.var() < 1.02
 
     def test_empirical_covariance_matches_kernel(self):
-        grid = np.array([[0.0], [0.2], [0.45], [0.7], [1.0]])
+        grid = np.linspace(0.0, 1.0, 5)[:, None]
         emp = np.cov(draws(GridPrior.build(SE, grid), 10_000).T, bias=True)
         expected = kernels.gram(SE, grid)
         assert np.max(np.abs(emp - expected)) < 0.05
@@ -253,18 +253,24 @@ def config_grid(d, m):
     return np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
 
 
+# SE with lengthscale r: a config lattice needs a torus too large to pay off
+FALLBACK_SE = KernelSpec("se", 1.0)
+FALLBACK_M = {1: 40, 2: 20}
+
+
 def fallback_grid(d):
-    """A grid sampled through the Cholesky factor: points not equally spaced
-    (d = 1) or rows in reverse ``grid_points`` order (d = 2)."""
-    return config_grid(1, 200) ** 2 if d == 1 else config_grid(2, 20)[::-1]
+    """A config lattice that ``FALLBACK_SE`` samples through the Cholesky factor."""
+    return config_grid(d, FALLBACK_M[d])
 
 
-def assert_samples_through_factor(spec, grid):
-    """The prior on ``grid`` draws f = L z, bit for bit, with L factored per draw."""
+def assert_samples_through_factor(spec, d, m):
+    """The prior on ``config_grid(d, m)`` draws f = L z, bit for bit, with L
+    factored per draw from the kernel at the squared lattice offsets."""
+    grid = config_grid(d, m)
     prior = GridPrior.build(spec, grid)
     assert prior.root_eig is None and prior.torus is None
     for seed in (0, 7, 2**63 + 5):
-        L, _ = gp.chol_with_jitter(kernels.gram(spec, grid))
+        L, _ = gp.chol_with_jitter(lattice_gram(spec, d, m))
         f = L @ np.random.default_rng(seed).standard_normal(grid.shape[0])
         assert np.array_equal(prior.draw([seed])[0], f)
         assert np.array_equal(sample_prior(spec, grid, seed), f)
@@ -295,28 +301,25 @@ class TestGridPrior:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("spec", CONFIG_FAMILIES, ids=lambda s: f"{s.family}{s.nu or ''}")
     def test_gram_rows_equal_cross_matrix(self, spec, d):
-        # every grid posterior takes its prior covariances from rows(): on a
-        # lattice windows of the kernel at lattice offsets, bitwise the kernel
-        # at the squared lattice offsets and within 1e-15 of the Gram matrix;
-        # on any other grid the Gram matrix's rows bitwise, evaluated per
-        # call; no table at any size
+        # every grid posterior takes its prior covariances from rows():
+        # windows of the kernel at lattice offsets, bitwise the kernel at the
+        # squared lattice offsets and within 1e-15 of the Gram matrix, on an
+        # embedded lattice and on one that falls back; no table at any size
         m, large_m = (200, 600) if d == 1 else (16, 24)
+        fallback_m, large_fallback_m = (FALLBACK_M[1], 512) if d == 1 else (FALLBACK_M[2], 24)
         embedded = GridPrior.build(spec, config_grid(d, m))
-        fallback = GridPrior.build(spec, fallback_grid(d))
+        fallback = GridPrior.build(FALLBACK_SE, fallback_grid(d))
         large = GridPrior.build(spec, config_grid(d, large_m))
-        large_fallback = GridPrior.build(spec, config_grid(d, large_m)[::-1])
+        large_fallback = GridPrior.build(FALLBACK_SE, config_grid(d, large_fallback_m))
         assert embedded.root_eig is not None and fallback.L is not None
         assert large.root_eig is not None and large_fallback.L is not None
-        assert fallback.k_offsets is None and large_fallback.k_offsets is None
         for prior, ref in ((embedded, lattice_gram(spec, d, m)), (large, lattice_gram(spec, d, large_m)),
-                           (fallback, None), (large_fallback, None)):
+                           (fallback, lattice_gram(FALLBACK_SE, d, fallback_m)),
+                           (large_fallback, lattice_gram(FALLBACK_SE, d, large_fallback_m))):
             assert_no_kernel_table(prior)
-            K = kernels.gram(spec, prior.grid)
+            K = kernels.gram(prior.kernel, prior.grid)
             n = K.shape[0]
-            if ref is None:
-                ref = K
-            else:
-                assert np.max(np.abs(ref - K)) <= 1e-15
+            assert np.max(np.abs(ref - K)) <= 1e-15
             assert np.array_equal(prior.rows(np.arange(n)), ref)
             for idx in ([0], [n - 1], [7, 0, 7, n // 2]):
                 assert np.array_equal(prior.rows(idx), ref[idx])
@@ -338,24 +341,35 @@ class TestGridPrior:
             assert np.array_equal(prior.rows(idx), ref[idx])
 
     def test_no_kernel_row_table_at_any_size(self):
-        # rows are windows of lattice offsets or evaluated per call, so no
-        # prior keeps a table, and the 2 MiB budget is eiopt's, for a
-        # lockstep batch's V buffer
-        spec = KernelSpec("matern", 0.2, 2.5)
+        # rows are windows of lattice offsets, so no prior keeps a table,
+        # and the 2 MiB budget is eiopt's, for a lockstep batch's V buffer
+        matern = KernelSpec("matern", 0.2, 2.5)
         assert not hasattr(gp, "TABLE_BYTES") and eiopt.BATCH_BYTES == 2 << 20
-        for grid in (config_grid(1, 512)[::-1], config_grid(1, 513)[::-1], config_grid(1, 512), config_grid(1, 17)):
-            assert_no_kernel_table(GridPrior.build(spec, grid))
+        for spec, m in ((FALLBACK_SE, 512), (FALLBACK_SE, 513), (matern, 512), (matern, 17)):
+            assert_no_kernel_table(GridPrior.build(spec, config_grid(1, m)))
 
-    def test_off_lattice_rows_skip_the_grid_check(self, monkeypatch):
-        # a grid that is no lattice evaluates its rows on the prior's own
-        # read-only grid, checked at build, with cross_matrix's arithmetic
+    @pytest.mark.parametrize("spec,d,m", [(FALLBACK_SE, 1, 200), (KernelSpec("se", 0.2), 1, 40),
+                                          (FALLBACK_SE, 2, 24)], ids=["se1_200", "se02_40", "se1_24x24"])
+    def test_fallback_factor_is_the_factor_of_the_rows(self, spec, d, m):
+        # a lattice that falls back factors the matrix whose rows the
+        # posterior reads: L L^T is rows(all) plus the jitter, bit for bit
+        prior = GridPrior.build(spec, config_grid(d, m))
+        L, jitter = gp.chol_with_jitter(prior.rows(np.arange(m**d)))
+        assert prior.root_eig is None and prior.jitter == jitter
+        assert np.array_equal(prior.L, L)
+
+    @pytest.mark.parametrize("grid", [
+        config_grid(1, 40)[::-1], config_grid(2, 8)[::-1], config_grid(1, 40) ** 2,
+        np.random.default_rng(3).uniform(size=(30, 2)),
+    ], ids=["reversed_1d", "reversed_2d", "squared", "random"])
+    def test_off_lattice_grid_raises(self, grid):
+        # every kernel value comes from the kernel at lattice offsets, so a
+        # grid that is no lattice in grid_points order is refused
         spec = KernelSpec("matern", 0.2, 2.5)
-        prior = GridPrior.build(spec, config_grid(2, 24)[::-1])
-        assert prior.k_offsets is None and prior.L is not None
-        idx = [0, 575, 17, 17]
-        expected = kernels.cross_matrix(spec, prior.grid[idx], prior.grid)
-        monkeypatch.setattr(kernels, "_as_points", lambda *a: pytest.fail("grid checked again"))
-        assert np.array_equal(prior.rows(idx), expected)
+        with pytest.raises(ValueError, match="lattice"):
+            GridPrior.build(spec, grid)
+        with pytest.raises(ValueError, match="lattice"):
+            sample_prior(spec, grid, 0)
 
     def test_pickled_embedded_prior_holds_no_window_view(self):
         # a pool worker receives the prior pickled: the 64x64 grid's prior is
@@ -372,27 +386,27 @@ class TestGridPrior:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_sample_equals_per_draw_factorization(self, d):
-        assert_samples_through_factor(KernelSpec("matern", 0.3, 2.5), fallback_grid(d))
+        assert_samples_through_factor(FALLBACK_SE, d, FALLBACK_M[d])
 
     def test_wide_se_samples_through_factor(self):
         # SE with lengthscale r needs a torus too large to pay off
-        assert_samples_through_factor(KernelSpec("se", 1.0), config_grid(1, 200))
+        assert_samples_through_factor(KernelSpec("se", 1.0), 1, 200)
 
     def test_shared_arrays_read_only(self):
         embedded = GridPrior.build(KernelSpec("matern", 0.2, 2.5), config_grid(1, 200))
-        fallback = GridPrior.build(KernelSpec("matern", 0.3, 2.5), fallback_grid(1))
-        lattice = GridPrior.build(KernelSpec("se", 1.0), config_grid(1, 200))
-        assert embedded.L is None and fallback.k_offsets is None and lattice.root_eig is None
+        fallback = GridPrior.build(FALLBACK_SE, fallback_grid(2))
+        lattice = GridPrior.build(FALLBACK_SE, fallback_grid(1))
+        assert embedded.L is None and fallback.root_eig is None and lattice.root_eig is None
         for a in (embedded.grid, embedded.k_offsets, embedded.root_eig, embedded._windows[0], fallback.grid,
                   fallback.L, lattice.k_offsets, lattice.L, lattice._windows[0]):
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0.0
 
-    @pytest.mark.parametrize("grid", [config_grid(1, 200), fallback_grid(1)], ids=["embedded", "fallback"])
-    def test_caller_grid_writes_do_not_reach_the_prior(self, grid):
+    @pytest.mark.parametrize("spec,grid", [(KernelSpec("matern", 0.2, 2.5), config_grid(1, 200)),
+                                           (FALLBACK_SE, fallback_grid(1))], ids=["embedded", "fallback"])
+    def test_caller_grid_writes_do_not_reach_the_prior(self, spec, grid):
         # every kernel value and draw comes from the prior's grid, so the
         # prior keeps its own copy
-        spec = KernelSpec("matern", 0.2, 2.5)
         g = grid.copy()
         prior = GridPrior.build(spec, g)
         rows, f = prior.rows([0, 5]), prior.draw([3])
@@ -449,10 +463,20 @@ class TestCirculantEmbedding:
         f = np.fft.irfftn(np.sqrt(np.maximum(eig, 0.0)) * np.fft.rfftn(eta), s=(M1, M2), axes=(0, 1))
         assert np.array_equal(prior.draw([11])[0], f[:16, :16].ravel())
 
+    @pytest.mark.parametrize("torus,points", [((10,), (6,)), ((9, 16), (5, 9)), ((6, 8, 10), (4, 5, 6))])
+    def test_corner_inverse_equals_the_full_irfftn(self, torus, points):
+        # the draws transform back only as far as the grid's corner, bit for
+        # bit the corner of numpy's full irfftn, with a batch axis in front
+        eta = np.random.default_rng(9).standard_normal((3, *torus))
+        axes = tuple(range(1, len(torus) + 1))
+        w = np.fft.rfftn(eta, axes=axes)
+        full = np.fft.irfftn(w, s=torus, axes=axes)[(slice(None), *(slice(0, m) for m in points))]
+        assert np.array_equal(gp._irfftn_corner(w, torus, points), full)
+
     @pytest.mark.parametrize("spec,grid", [
         (KernelSpec("se", 0.2), config_grid(1, 200)),
         (KernelSpec("matern", 0.2, 2.5), config_grid(2, 16)),
-        (KernelSpec("matern", 0.3, 2.5), fallback_grid(1)),
+        (FALLBACK_SE, fallback_grid(1)),
     ], ids=["embedded_1d", "embedded_2d", "fallback"])
     def test_draw_rows_do_not_depend_on_the_batch(self, spec, grid):
         prior = GridPrior.build(spec, grid)
@@ -648,15 +672,14 @@ class TestMemoryBudget:
     # 64-column block at a time, so beside L it holds about one (n x 64)
     # panel (measured peak 1.08 units);
     # np.linalg.cholesky(K + jitter*I) would hold two n-by-n arrays.  The
-    # embedded prior evaluates one kernel row and an 81x81 torus and keeps
-    # the kernel at 63x63 lattice offsets, nothing n-by-n; the reversed grid
-    # falls back to assembling K and factoring it into L, and keeps L only.
+    # embedded prior evaluates an 81x81 torus and keeps the kernel at 63x63
+    # lattice offsets, nothing n-by-n; SE with lengthscale 0.5 falls back to
+    # gathering K from the windows of its offsets and factoring it into L,
+    # and keeps L only.
     grid = config_grid(2, 32)
     spec = KernelSpec("matern", 0.2, 2.5)
+    fallback_spec = KernelSpec("se", 0.5)
     unit = 8 * 1024**2
-
-    def test_gram(self):
-        assert traced_peak(kernels.gram, self.spec, self.grid) <= 1.5 * self.unit
 
     def test_chol_with_jitter(self):
         K = kernels.gram(self.spec, self.grid)
@@ -666,5 +689,5 @@ class TestMemoryBudget:
         assert traced_peak(GridPrior.build, self.spec, self.grid) <= 0.1 * self.unit
 
     def test_grid_prior_build_fallback(self):
-        assert GridPrior.build(self.spec, self.grid[::-1]).L is not None
-        assert traced_peak(GridPrior.build, self.spec, self.grid[::-1]) <= 2.1 * self.unit
+        assert GridPrior.build(self.fallback_spec, self.grid).L is not None
+        assert traced_peak(GridPrior.build, self.fallback_spec, self.grid) <= 2.1 * self.unit

@@ -545,6 +545,23 @@ class TestOneKernelSource:
         assert refits and result.passed
         assert cfg.grid_size not in gram_sizes
 
+    @pytest.mark.parametrize("kernel", [KernelSpec("se", 0.2), KernelSpec("se", 1.0)], ids=["embedded", "fallback"])
+    def test_campaign_and_verify_all_call_no_kernel_matrix(self, tmp_path, monkeypatch, capsys, kernel):
+        # every kernel value a prior holds comes from its lattice offsets: a
+        # campaign and verify all call neither gram nor cross_matrix, on a
+        # lattice that is embedded and on one that falls back
+        from gpei import cli, kernels
+
+        cfg = tiny_config(grid_per_dim=200, kernel=kernel)
+        assert (harness.grid_prior(cfg).L is None) == (kernel.lengthscale == 0.2)
+        for name in ("gram", "cross_matrix"):
+            monkeypatch.setattr(kernels, name, lambda *a, name=name: pytest.fail(f"kernels.{name} called"))
+        assert harness.run_campaign(cfg).passed
+        path = tmp_path / "exp.cfg"
+        path.write_text(cfg.flat_text())
+        assert cli.main(["verify", "all", "--config", str(path), "--trials", "500", "--out", str(tmp_path / "v")]) == 0
+        assert capsys.readouterr().out.count(" PASS ") == len(harness.LEMMA_IDS)
+
 
 class TestPriorFactorization:
     # an n-by-n chol_with_jitter during a campaign can only be the prior's
@@ -564,10 +581,11 @@ class TestPriorFactorization:
         harness.run_campaign(cfg)
         assert shapes.count((cfg.grid_size, cfg.grid_size)) == expected
 
-    def test_lemma_fixture_always_falls_back_and_is_factored_once(self, monkeypatch):
-        # the fixture's query row follows grid[n - 1], so its rows are never a
-        # tensor grid in lexicographic order at any size the cap allows, and
-        # a lemma protocol draws through its prior's one Cholesky factor
+    def test_lemma_fixture_reads_the_grid_prior_and_is_factored_once(self, monkeypatch):
+        # the fixture is six distinct grid indices, the query last, at every
+        # size the cap allows; a lemma protocol factors the fixture's block
+        # of the config grid prior's rows once, beside the prior's own
+        # factor on a lattice that falls back
         from gpei import gp
         from gpei.config import MAX_GRID_SIZE
 
@@ -575,14 +593,21 @@ class TestPriorFactorization:
             m = 1
             while m**d <= MAX_GRID_SIZE:
                 if m**d > harness._DESIGN_SIZE:
-                    fixture = harness._lemma_fixture(ExperimentConfig(d=d, grid_per_dim=m))
-                    assert gp._tensor_axes(fixture) is None, (d, m)
+                    idx = harness._lemma_fixture(ExperimentConfig(d=d, grid_per_dim=m))
+                    assert np.unique(idx).size == idx.size == harness._DESIGN_SIZE + 1, (d, m)
+                    assert 0 <= idx.min() and idx.max() < m**d, (d, m)
                 m += 1
-        shapes = []
+        factored = []
         original = gp.chol_with_jitter
-        monkeypatch.setattr(gp, "chol_with_jitter", lambda K: (shapes.append(K.shape), original(K))[1])
-        assert harness.verify_lemma("fmu", ExperimentConfig()).passed
-        assert shapes == [(harness._DESIGN_SIZE + 1,) * 2]
+        monkeypatch.setattr(gp, "chol_with_jitter", lambda K: (factored.append(K.copy()), original(K))[1])
+        for kernel, full in ((KernelSpec("se", 0.2), []), (KernelSpec("se", 1.0), [(200, 200)])):
+            cfg = ExperimentConfig(kernel=kernel)
+            factored.clear()
+            assert harness.verify_lemma("fmu", cfg).passed
+            fixture = factored[-1]
+            assert [K.shape for K in factored] == full + [(harness._DESIGN_SIZE + 1,) * 2]
+            idx = harness._lemma_fixture(cfg)
+            assert np.array_equal(fixture, harness.grid_prior(cfg).rows(idx)[:, idx])
 
 
 class TestWilson:

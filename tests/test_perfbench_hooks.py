@@ -67,9 +67,9 @@ def test_step_and_repeat_counts_equal_the_trace_columns(overrides):
 @pytest.mark.parametrize("name", ["campaign_default", "campaign_grid4096"])
 def test_tiny_campaign_evaluates_one_kernel_row_per_prior(name, tmp_path, monkeypatch):
     # both tiny grids (200 and 144 points) are embedded: each prior build
-    # evaluates one cross_matrix row (the embedding's check against the
-    # grid's coordinates) and assembles no Gram matrix, and the loop
-    # evaluates no kernel row of its own
+    # evaluates the kernel once, at its lattice offsets, and reads the
+    # embedding check's kernel row from them, so neither it nor the loop
+    # calls cross_matrix or assembles a Gram matrix
     wl = workloads.build(name, 7, tiny=True)
     builds = []
     original = gp.GridPrior.build
@@ -80,12 +80,13 @@ def test_tiny_campaign_evaluates_one_kernel_row_per_prior(name, tmp_path, monkey
     n = wl.configs[0][1].grid_size
     assert builds and set(builds) == {n}
     assert tr.totals["kernels.gram.calls"] == tr.totals["kernels.gram.entries"] == 0
-    assert tr.totals["kernels.cross_matrix.calls"] == len(builds)
+    assert tr.totals["kernels.cross_matrix.calls"] == 0
 
 
 def test_grid_cap_campaign_evaluates_one_kernel_row_and_no_gram(tmp_path):
     # a full campaign_grid4096 repetition (64x64 grid, T=60) reads every
-    # kernel row of its loop from the prior's lattice offsets
+    # kernel row, the embedding check's and the loop's, from the prior's
+    # lattice offsets
     wl = workloads.build("campaign_grid4096", 7)
     assert harness.grid_prior(wl.configs[0][1]).L is None
     tr = tracer.Tracer()
@@ -93,4 +94,4 @@ def test_grid_cap_campaign_evaluates_one_kernel_row_and_no_gram(tmp_path):
         rep = workloads.run_rep(wl, str(tmp_path))
     assert rep.failed == 0 and tr.totals["harness.run_trial.calls"] == 1
     assert tr.totals["kernels.gram.calls"] == 0
-    assert tr.totals["kernels.cross_matrix.calls"] == 1
+    assert tr.totals["kernels.cross_matrix.calls"] == 0

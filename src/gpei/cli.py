@@ -72,7 +72,7 @@ def _cmd_verify(args) -> int:
     # every protocol runs before anything is written, so one that refuses
     # leaves no partial output
     lemmas = harness.LEMMA_IDS if args.lemma == "all" else (args.lemma,)
-    reports = [harness.verify_lemma(lemma, config, n=args.trials) for lemma in lemmas]
+    reports = harness.verify_lemmas(lemmas, config, n=args.trials)
     for report in reports:
         harness.write_lemma_report(args.out, report, config)
         print(*report.lines(), sep="\n")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,9 @@ class ExperimentConfig:
             raise ValueError(f"grid size {self.grid_size} exceeds the desk-scale cap {MAX_GRID_SIZE}")
         if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
             raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd!r}")
+        if self.noise_sd > 0 and self.noise_var < sys.float_info.min:
+            raise ValueError(f"noise_sd must be 0 or have a normal float variance (>= {sys.float_info.min!r}), "
+                             f"got noise_sd={self.noise_sd!r} with variance {self.noise_var!r}")
         if not (0 < self.delta < 1):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
         if not (isinstance(self.T, int) and isinstance(self.T0, int) and 1 <= self.T0 <= self.T):

@@ -286,7 +286,8 @@ def run_batch(config: ExperimentConfig, prior: GridPrior, seeds) -> Batch:
     (``GridPosterior.keep``) and the others step on without it.  Each step
     makes one ``pick`` over the (B, n) block of the trials still running.  A
     trial's record is bit-identical for identical (config, seed), whatever
-    the other trials of its batch.
+    the other trials of its batch.  ``prior`` must be ``GridPrior.build`` of
+    a config with this config's kernel and grid; any other raises ValueError.
     """
     if not (1 <= config.T0 <= config.T):
         raise ValueError(f"need 1 <= T0 <= T, got T0={config.T0}, T={config.T}")

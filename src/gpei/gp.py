@@ -1,8 +1,8 @@
 """The GP prior on a finite grid, Cholesky with escalating jitter, and
 information-gain accounting.
 
-``GridPrior`` is built once per grid, a lattice as every config grid is,
-and shared by every draw of the objective (``GridPrior.draw``) and every
+``GridPrior`` is built once per config, from its kernel and grid, and
+shared by every draw of the objective (``GridPrior.draw``) and every
 grid posterior (``eiopt.GridPosterior``, which reads prior covariances
 through ``GridPrior.rows``).  Every kernel value it holds comes from one
 evaluation, the kernel at the grid's signed lattice offsets, and no kernel
@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
+from .config import ExperimentConfig
 from .kernels import KernelSpec
 
 JITTER_START = 1e-10
@@ -175,31 +176,6 @@ def _smooth5(n: int) -> int:
         n += 1
 
 
-def _tensor_axes(grid: np.ndarray) -> tuple[tuple[int, ...], tuple[float, ...]] | None:
-    """(points, spacing) per axis when the rows of ``grid`` are the product of d
-    ascending, equally spaced axes with the last coordinate varying fastest
-    (the layout of ``ExperimentConfig.grid_points``); None for any other grid.
-
-    An axis is equally spaced when each coordinate lies within 16 ulps of the
-    axis's largest magnitude of a[0] + i*h, h = (a[-1] - a[0]) / (m - 1).
-    """
-    axes = [np.unique(col) for col in grid.T]
-    points = tuple(a.size for a in axes)
-    if math.prod(points) != grid.shape[0]:
-        return None
-    mesh = np.meshgrid(*axes, indexing="ij")
-    if not all(np.array_equal(m.ravel(), col) for m, col in zip(mesh, grid.T)):
-        return None
-    spacing = []
-    for a in axes:
-        h = (a[-1] - a[0]) / (a.size - 1) if a.size > 1 else 0.0
-        tol = 16 * np.finfo(float).eps * max(abs(a[0]), abs(a[-1]))
-        if np.max(np.abs(a - (a[0] + h * np.arange(a.size)))) > tol:
-            return None
-        spacing.append(float(h))
-    return points, tuple(spacing)
-
-
 def _kernel_at_offsets(kernel: KernelSpec, offsets) -> np.ndarray:
     """The kernel on the product of the per-axis offset arrays ``offsets``:
     entry (j_1, ..., j_d) is k at offsets[0][j_1]^2 + ... + offsets[d-1][j_d]^2,
@@ -222,9 +198,8 @@ def _irfftn_corner(w: np.ndarray, torus, points) -> np.ndarray:
 
 def _circulant_eigenvalues(kernel: KernelSpec, k0, points, spacing) -> tuple[np.ndarray, tuple[int, ...]] | None:
     """(eig, torus) of the smallest circulant embedding that samples the prior
-    exactly on the lattice whose first kernel row is ``k0`` (``points`` and
-    ``spacing`` per axis, as ``_tensor_axes`` returns them), or None when it
-    has none worth using.
+    exactly on the lattice whose first kernel row is ``k0``, with ``points``
+    points and ``spacing`` per axis, or None when it has none worth using.
 
     Axis k of m_k points with spacing h_k wraps onto a torus of M_k points, at
     first the smallest 5-smooth length >= 2(m_k - 1).  The torus's first row,
@@ -255,15 +230,14 @@ def _circulant_eigenvalues(kernel: KernelSpec, k0, points, spacing) -> tuple[np.
 
 @dataclass(frozen=True)
 class GridPrior:
-    """The GP prior on a lattice, built once and shared by every draw and
-    every grid posterior.  Every array, ``grid`` (a copy of the caller's)
-    included, is read-only, and no n-by-n kernel matrix is held.
+    """The GP prior on a config's grid, built once and shared by every draw
+    and every grid posterior.  Every array, ``grid`` included, is read-only,
+    and no n-by-n kernel matrix is held.
 
-    The grid must be a lattice laid out as ``ExperimentConfig.grid_points``
-    lays it out: m_k equally spaced points on axis k, n = m_1 * ... * m_d.
     Every kernel value the prior holds comes from one evaluation,
     ``k_offsets``, the kernel at every signed lattice offset, shape
-    (2m_1 - 1, ..., 2m_d - 1); ``rows`` returns windows of it.
+    (2m_1 - 1, ..., 2m_d - 1) for m_k points on axis k; ``rows`` returns
+    windows of it.
 
     Draws follow the embedding.  Where ``_circulant_eigenvalues`` finds a
     torus (Dietrich & Newsam 1997; Wood & Chan 1994), ``root_eig`` holds the
@@ -283,19 +257,21 @@ class GridPrior:
     torus: tuple[int, ...] | None
 
     @classmethod
-    def build(cls, kernel: KernelSpec, grid) -> GridPrior:
-        grid = np.array(grid, dtype=float)
-        if grid.ndim != 2 or grid.shape[0] < 1:
-            raise ValueError(f"grid must be a non-empty 2-d array, got shape {grid.shape}")
-        axes = _tensor_axes(grid)
-        if axes is None:
-            raise ValueError("grid must be a lattice of equally spaced ascending axes, "
-                             "last coordinate fastest, as ExperimentConfig.grid_points lays it out")
-        k_offsets = _kernel_at_offsets(kernel, [h * np.abs(np.arange(1 - m, m)) for m, h in zip(*axes)])
+    def build(cls, config: ExperimentConfig) -> GridPrior:
+        """The prior of ``config.kernel`` on ``config.grid_points()``: m =
+        ``grid_per_dim`` points on each of the d axes, spacing r / (m - 1)
+        (0 for m = 1).  Raises ValueError on an empty grid; the config is
+        not otherwise validated."""
+        m = config.grid_per_dim
+        if m < 1:
+            raise ValueError(f"grid_per_dim must be >= 1, got {m!r}")
+        h = config.r / (m - 1) if m > 1 else 0.0
+        grid = config.grid_points()
+        k_offsets = _kernel_at_offsets(config.kernel, [h * np.abs(np.arange(1 - m, m))] * config.d)
         grid.flags.writeable = k_offsets.flags.writeable = False
-        prior = cls(kernel, grid, None, None, k_offsets, None, None)
+        prior = cls(config.kernel, grid, None, None, k_offsets, None, None)
         # the embedding's check row and the fallback's K are rows the posterior reads
-        embedding = _circulant_eigenvalues(kernel, prior.rows([0])[0], *axes)
+        embedding = _circulant_eigenvalues(config.kernel, prior.rows([0])[0], (m,) * config.d, (h,) * config.d)
         if embedding is None:
             L, jitter = chol_with_jitter(prior.rows(np.arange(grid.shape[0])))
             L.flags.writeable = False
@@ -358,9 +334,10 @@ class GridPrior:
         return np.ascontiguousarray(_irfftn_corner(w, self.torus, self.points)).reshape(len(rngs), n)
 
 
-def sample_prior(kernel: KernelSpec, grid, seed: int) -> np.ndarray:
-    """The draw of one seed on a freshly built prior; loops over draws share one ``GridPrior``."""
-    return GridPrior.build(kernel, grid).draw([seed])[0]
+def sample_prior(config: ExperimentConfig, seed: int) -> np.ndarray:
+    """The draw of one seed on the config grid's freshly built prior; loops
+    over draws share one ``GridPrior``."""
+    return GridPrior.build(config).draw([seed])[0]
 
 
 def info_gain(sigma_at_next, noise_var: float) -> float:

@@ -137,8 +137,9 @@ class CampaignResult:
 
 
 def grid_prior(config: ExperimentConfig) -> gp.GridPrior:
-    """The prior on the config's grid, built once and shared by all of a campaign's trials."""
-    return gp.GridPrior.build(config.kernel, config.grid_points())
+    """The prior on the config's grid, built once and shared by all of a
+    campaign's trials or of a ``verify_lemmas`` call's protocols."""
+    return gp.GridPrior.build(config)
 
 
 def run_trial(batch: eiopt.Batch, b: int) -> Trace:
@@ -417,17 +418,16 @@ def _lemma_fixture(config: ExperimentConfig) -> np.ndarray:
     return np.array([*design, query])
 
 
-def _joint_draws(config: ExperimentConfig, n_draws: int, stream: int):
+def _joint_draws(config: ExperimentConfig, prior: gp.GridPrior, n_draws: int, stream: int):
     """Draw n_draws joint objective vectors on (design, query) and noisy observations.
 
     Returns (f_design, f_query, y_design, posterior mean at query, sigma at
-    query).  Everything reads the config grid's prior, as a campaign does:
-    the draws are L z through the lower Cholesky factor L of the fixture's
-    block of ``prior.rows``, and the moments come from one
+    query).  Everything reads ``prior``, the config grid's prior, as a
+    campaign does: the draws are L z through the lower Cholesky factor L of
+    the fixture's block of ``prior.rows``, and the moments come from one
     ``eiopt.GridPosterior`` of the n_draws draws that observes the design
     indices.
     """
-    prior = grid_prior(config)
     idx = _lemma_fixture(config)
     k = idx.size - 1
     L, _ = gp.chol_with_jitter(prior.rows(idx)[:, idx])
@@ -456,13 +456,13 @@ def _coverage_metrics(indicator: np.ndarray, delta: float) -> tuple[bool, tuple[
     )
 
 
-def _verify_fmu(config: ExperimentConfig, n: int) -> LemmaReport:
+def _verify_fmu(config: ExperimentConfig, n: int, prior: gp.GridPrior) -> LemmaReport:
     """|f - mu| <= sqrt(beta)*sigma at the query: the frequency must reach the
     one-sided coverage target, and an exact two-sided binomial test of it
     against its exact probability 1 - 2*Phi(-sqrt(beta)) (f - mu is
     N(0, sigma^2) under the prior) must not reject at ``_FMU_ALPHA``, so a
     posterior sd that is off either way fails even above the target."""
-    _, f_q, _, mu_q, sigma_q = _joint_draws(config, n, _FMU_STREAM)
+    _, f_q, _, mu_q, sigma_q = _joint_draws(config, prior, n, _FMU_STREAM)
     beta = 2.0 * math.log(1.0 / config.delta)
     ok = np.abs(f_q - mu_q) <= math.sqrt(beta) * sigma_q + _ROUNDOFF_GUARD
     passed, metrics = _coverage_metrics(ok, config.delta)
@@ -474,24 +474,24 @@ def _verify_fmu(config: ExperimentConfig, n: int) -> LemmaReport:
     return LemmaReport("fmu", passed, metrics + (("beta", beta), ("p_exact", p_exact), ("two_sided_p", two_sided)))
 
 
-def _iei_draws(config: ExperimentConfig, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _iei_draws(config: ExperimentConfig, n: int, prior: gp.GridPrior) -> tuple[np.ndarray, np.ndarray, float]:
     """(improvement, EI, sigma) at the query over n joint draws, with y+ the best noisy observation."""
-    _, f_q, y, mu_q, sigma_q = _joint_draws(config, n, _IEI_STREAM)
+    _, f_q, y, mu_q, sigma_q = _joint_draws(config, prior, n, _IEI_STREAM)
     y_plus = y.min(axis=1)
     improve = np.maximum(y_plus - f_q, 0.0)
     return improve, ei_ab(y_plus - mu_q, sigma_q), sigma_q
 
 
-def _verify_iei_add(config: ExperimentConfig, n: int) -> LemmaReport:
-    improve, ei_vals, sigma_q = _iei_draws(config, n)
+def _verify_iei_add(config: ExperimentConfig, n: int, prior: gp.GridPrior) -> LemmaReport:
+    improve, ei_vals, sigma_q = _iei_draws(config, n, prior)
     beta = max(1.44, 2.0 * math.log(bounds.C_ALPHA / config.delta))
     ok = np.abs(improve - ei_vals) <= math.sqrt(beta) * sigma_q + _ROUNDOFF_GUARD
     passed, metrics = _coverage_metrics(ok, config.delta)
     return LemmaReport("iei_add", passed, metrics + (("beta", beta),))
 
 
-def _verify_iei_ratio(config: ExperimentConfig, n: int) -> LemmaReport:
-    improve, ei_vals, _ = _iei_draws(config, n)
+def _verify_iei_ratio(config: ExperimentConfig, n: int, prior: gp.GridPrior) -> LemmaReport:
+    improve, ei_vals, _ = _iei_draws(config, n, prior)
     beta = 2.0 * math.log(1.0 / config.delta)
     ratio = 1.0 / bounds.c_tau_of(beta)
     ok = ratio * improve <= ei_vals + _ROUNDOFF_GUARD
@@ -499,11 +499,10 @@ def _verify_iei_ratio(config: ExperimentConfig, n: int) -> LemmaReport:
     return LemmaReport("iei_ratio", passed, metrics + (("beta", beta), ("ratio", float(ratio))))
 
 
-def _verify_fmu_t(config: ExperimentConfig, n: int) -> LemmaReport:
+def _verify_fmu_t(config: ExperimentConfig, n: int, prior: gp.GridPrior) -> LemmaReport:
     """Fraction of full runs where the all-t prediction-error bound never fails."""
     run_cfg = dataclasses.replace(config, T=_FMU_T_STEPS, trials=n)
     run_cfg.validate()
-    prior = grid_prior(run_cfg)
     # one entry per step of the loop, t = T0 ... T - 1
     ts = range(run_cfg.T0, run_cfg.T)
     root_beta = np.array([math.sqrt(bounds.beta_t_seq(t + 1, config.delta)) for t in ts])
@@ -519,7 +518,7 @@ def _verify_fmu_t(config: ExperimentConfig, n: int) -> LemmaReport:
     return LemmaReport("fmu_t", passed, metrics + (("steps", float(_FMU_T_STEPS)),))
 
 
-def _verify_icdf(config: ExperimentConfig, n: int) -> LemmaReport:
+def _verify_icdf(config: ExperimentConfig, n: int, prior: gp.GridPrior | None) -> LemmaReport:
     """Improvement CDF: MC frequency of I <= a against Phi(a/sigma - z).
 
     The tolerance is max(0.01, 4 binomial standard errors at the worst a), so
@@ -544,21 +543,21 @@ def _verify_icdf(config: ExperimentConfig, n: int) -> LemmaReport:
     )
 
 
-def _verify_tail_bound(config: ExperimentConfig, n: int) -> LemmaReport:
+def _verify_tail_bound(config: ExperimentConfig, n: int, prior: gp.GridPrior | None) -> LemmaReport:
     c = np.logspace(-3, math.log10(8.0), 400)
     margin = 0.5 * np.exp(-0.5 * c * c) - np.asarray(cdf(-c))
     worst = float(np.min(margin))
     return LemmaReport("tail_bound", worst >= 0.0, (("points", 400.0), ("min_margin", worst)))
 
 
-def _verify_tau_vs_phi(config: ExperimentConfig, n: int) -> LemmaReport:
+def _verify_tau_vs_phi(config: ExperimentConfig, n: int, prior: gp.GridPrior | None) -> LemmaReport:
     z = np.linspace(1e-3, 10.0, 1000)
     margin = np.asarray(cdf(-z)) - np.asarray(tau(-z))
     worst = float(np.min(margin))
     return LemmaReport("tau_vs_phi", worst > 0.0, (("points", 1000.0), ("min_margin", worst)))
 
 
-def _verify_ei_monotone(config: ExperimentConfig, n: int) -> LemmaReport:
+def _verify_ei_monotone(config: ExperimentConfig, n: int, prior: gp.GridPrior | None) -> LemmaReport:
     """Finite-difference partials of ei_ab match Phi(a/b) and phi(a/b).
 
     The grid keeps |a/b| <= 6: beyond that the b-partial phi(a/b) drops below
@@ -594,23 +593,36 @@ _LEMMA_FUNCS = {
     "ei_monotone": _verify_ei_monotone,
 }
 LEMMA_IDS = tuple(_LEMMA_FUNCS)
+# the protocols that read the config grid's prior
+_PRIOR_LEMMAS = frozenset({"fmu", "fmu_t", "iei_add", "iei_ratio"})
+
+
+def verify_lemmas(lemma_ids, config: ExperimentConfig, n: int | None = None) -> list[LemmaReport]:
+    """Run each lemma's verification protocol, in order, and report pass/fail.
+
+    Every id and size is checked before any protocol runs.  The config
+    grid's prior is built at most once, and only when a requested protocol
+    reads it.  ``n`` overrides each protocol's default Monte-Carlo size;
+    Monte-Carlo protocols require n >= 500.  Closed-form lemmas scan fixed
+    grids and ignore n and the prior.
+    """
+    config.validate()
+    runs = []
+    for lemma_id in lemma_ids:
+        key = lemma_id.strip().lower()
+        if key not in _LEMMA_FUNCS:
+            raise ValueError(f"unknown lemma id {lemma_id!r}; known: {LEMMA_IDS}")
+        size = n if n is not None else LEMMA_DEFAULT_N.get(key, 0)
+        if key in _MC_LEMMAS and size < 500:
+            raise ValueError(f"Monte-Carlo lemma {key!r} requires at least 500 draws, got {size}")
+        runs.append((key, size))
+    prior = grid_prior(config) if _PRIOR_LEMMAS.intersection(key for key, _ in runs) else None
+    return [_LEMMA_FUNCS[key](config, size, prior) for key, size in runs]
 
 
 def verify_lemma(lemma_id: str, config: ExperimentConfig, n: int | None = None) -> LemmaReport:
-    """Run one lemma's verification protocol and report pass/fail.
-
-    ``n`` overrides the protocol's default Monte-Carlo size; Monte-Carlo
-    protocols require n >= 500.  Closed-form lemmas scan fixed grids and
-    ignore n.
-    """
-    key = lemma_id.strip().lower()
-    if key not in _LEMMA_FUNCS:
-        raise ValueError(f"unknown lemma id {lemma_id!r}; known: {LEMMA_IDS}")
-    config.validate()
-    size = n if n is not None else LEMMA_DEFAULT_N.get(key, 0)
-    if key in _MC_LEMMAS and size < 500:
-        raise ValueError(f"Monte-Carlo lemma {key!r} requires at least 500 draws, got {size}")
-    return _LEMMA_FUNCS[key](config, size)
+    """``verify_lemmas`` of the one id ``lemma_id``."""
+    return verify_lemmas([lemma_id], config, n)[0]
 
 
 def write_lemma_report(out_dir: str, report: LemmaReport, config: ExperimentConfig) -> str:

@@ -75,14 +75,20 @@ class TestVerifyCommand:
         assert code == 2
         assert "--workers" in err
 
-    def test_all_matches_single_ids(self, capsys, tmp_path):
+    def test_all_matches_single_ids(self, capsys, tmp_path, monkeypatch):
+        # verify all builds the grid prior once for the four protocols that
+        # read it; one id at a time, each of them builds its own
+        builds, original = [], harness.grid_prior
+        monkeypatch.setattr(harness, "grid_prior", lambda config: (builds.append(config), original(config))[1])
         cfg = tmp_path / "grid40.cfg"
         cfg.write_text("grid_per_dim = 40\nT = 30\n")
         code, out, _ = run_cli(capsys, "verify", "all", "--config", str(cfg), "--out", str(tmp_path / "all"))
         assert code == 0
         assert len(out.splitlines()) == 8
+        assert len(builds) == 1
         for lemma in harness.LEMMA_IDS:
             assert run_cli(capsys, "verify", lemma, "--config", str(cfg), "--out", str(tmp_path / "one"))[0] == 0
+        assert len(builds) == 1 + 4
         files = dir_bytes(tmp_path / "all")
         assert sorted(files) == sorted([f"verify_{lemma}.csv" for lemma in harness.LEMMA_IDS] + ["summary.txt"])
         summary = files["summary.txt"].decode().splitlines()
@@ -145,9 +151,8 @@ class TestVerifyCommand:
         assert dir_bytes(out_dir) == before
 
     def test_all_exits_1_when_one_lemma_fails(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setitem(
-            harness._LEMMA_FUNCS, "fmu_t", lambda config, n: harness.LemmaReport("fmu_t", False, (("n", float(n)),))
-        )
+        monkeypatch.setitem(harness._LEMMA_FUNCS, "fmu_t",
+                            lambda config, n, prior: harness.LemmaReport("fmu_t", False, (("n", float(n)),)))
         code, out, _ = run_cli(capsys, "verify", "all", "--out", str(tmp_path))
         assert code == 1
         assert "check lemma[fmu_t] FAIL" in out and out.count(" PASS ") == 7
@@ -231,6 +236,21 @@ class TestRunCommand:
         assert "t_min=17.72" in err and "window divisor" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("noise_sd", ["1e-170", "1e-155", "1e-150"])
+    def test_noise_sd_whose_variance_is_not_normal_exits_2(self, capsys, tmp_path, noise_sd):
+        # 1e-170 squares to 0 and 1e-155 to the subnormal 1e-310, on which the
+        # campaign failed only after every trial had run; 1e-150's variance
+        # 1e-300 is a normal float
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"grid_per_dim = 40\nT = 20\ntrials = 3\nnoise_sd = {noise_sd}\n")
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out_dir))
+        if noise_sd == "1e-150":
+            assert code == 0 and "overall PASS" in out
+        else:
+            assert (code, out) == (2, "") and f"noise_sd={float(noise_sd)!r}" in err
+            assert not out_dir.exists()
+
     def test_missing_subcommand_usage_error(self, capsys):
         assert main([]) == 2
 
@@ -286,14 +306,37 @@ print(loaded())
 """
 
 
+# Builds the default prior and the 64x64 Matern-5/2 prior, then runs a
+# one-trial default campaign, and prints whether numpy.ma is loaded: numpy
+# imports it on the first np.unique, and a prior takes its lattice from the
+# config, so nothing here needs it.
+_NUMPY_MA_PROBE = """
+import sys
+from gpei import harness
+from gpei.config import ExperimentConfig
+from gpei.kernels import KernelSpec
+harness.grid_prior(ExperimentConfig())
+harness.grid_prior(ExperimentConfig(d=2, grid_per_dim=64, kernel=KernelSpec("matern", 0.2, 2.5)))
+harness.run_campaign(ExperimentConfig(trials=1))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def run_probe(code):
+    """Run ``code`` in a fresh interpreter that imports this gpei; its stdout lines."""
+    src = os.path.dirname(os.path.dirname(gpei.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 class TestImportPath:
     def test_scipy_is_never_loaded(self):
-        src = os.path.dirname(os.path.dirname(gpei.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True,
-                              timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]"] * 4
+        assert run_probe(_IMPORT_PROBE) == ["[]"] * 4
+
+    def test_priors_and_a_campaign_do_not_load_numpy_ma(self):
+        assert run_probe(_NUMPY_MA_PROBE) == ["False"]
 
 
 class TestPackage:

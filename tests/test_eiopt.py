@@ -24,6 +24,11 @@ SE = KernelSpec("se", 0.5)
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
+def se_prior(m):
+    """The prior of ``SE`` on the m-point lattice over [0, 1]."""
+    return GridPrior.build(ExperimentConfig(grid_per_dim=m, kernel=SE))
+
+
 def ei_at(state, y_plus, x):
     """EI at one point: ``ei_ab`` on the posterior moments there."""
     mu, sigma = gp.posterior_batch(state, np.asarray(x, dtype=float)[None, :])
@@ -182,7 +187,7 @@ def gathered(prior, gram):
 
 def run_once(config, seed=5):
     """The objective of ``seed`` and the loop's trace on it: a batch of one."""
-    prior = GridPrior.build(config.kernel, config.grid_points())
+    prior = GridPrior.build(config)
     return prior.draw([seed])[0], eiopt.run_batch(config, prior, [seed]).trace(0)
 
 
@@ -258,11 +263,11 @@ class TestRun:
         cfg = tiny_config()
         other = dataclasses.replace(cfg, grid_per_dim=30)
         with pytest.raises(ValueError, match="grid"):
-            eiopt.run_batch(cfg, GridPrior.build(cfg.kernel, other.grid_points()), [5])
+            eiopt.run_batch(cfg, GridPrior.build(other), [5])
 
     def test_kernel_mismatch_rejected(self):
         cfg = tiny_config()
-        prior = GridPrior.build(KernelSpec("matern", 0.2, 2.5), cfg.grid_points())
+        prior = GridPrior.build(dataclasses.replace(cfg, kernel=KernelSpec("matern", 0.2, 2.5)))
         with pytest.raises(ValueError, match="kernel"):
             eiopt.run_batch(cfg, prior, [5])
 
@@ -270,7 +275,7 @@ class TestRun:
     def test_empty_seed_list_rejected(self, seeds):
         cfg = tiny_config()
         with pytest.raises(ValueError, match="at least one seed"):
-            eiopt.run_batch(cfg, GridPrior.build(cfg.kernel, cfg.grid_points()), seeds)
+            eiopt.run_batch(cfg, GridPrior.build(cfg), seeds)
 
 
 class TestTrialStream:
@@ -281,7 +286,7 @@ class TestTrialStream:
 
     def test_objective_depends_on_seed_kernel_and_grid_alone(self):
         cfg = tiny_config(T0=2, T=12)
-        prior = GridPrior.build(cfg.kernel, cfg.grid_points())
+        prior = GridPrior.build(cfg)
         f = prior.draw([5, 6])
         assert np.array_equal(prior.draw([np.random.default_rng(6)]), f[1:])
         for other in (dict(), dict(T0=4, T=20), dict(noise_sd=0.3), dict(noise_sd=0.0, kappa=1e-3)):
@@ -296,7 +301,7 @@ class TestTrialStream:
                              ids=["se", "matern0.5"])
     def test_design_and_noise_depend_on_seed_t0_and_t_alone(self, kernel):
         cfg = tiny_config(kernel=kernel, T0=3, T=12, noise_sd=0.3)
-        prior = GridPrior.build(kernel, cfg.grid_points())
+        prior = GridPrior.build(cfg)
         seeds = [5, 6, 7]
         batch = eiopt.run_batch(cfg, prior, seeds)
         for b, seed in enumerate(seeds):
@@ -341,7 +346,7 @@ class TestGridPosterior:
         grid = cfg.grid_points()
         for seed in (3, 4):
             obs_idx, y, trace = replay(cfg, seed)
-            post = eiopt.GridPosterior(GridPrior.build(cfg.kernel, grid), [obs_idx], [y], cfg.noise_var, cfg.T)
+            post = eiopt.GridPosterior(GridPrior.build(cfg), [obs_idx], [y], cfg.noise_var, cfg.T)
             for j, mu, sigma, y_plus, y_next in zip(
                 trace.x_next_idx, trace.mu_next, trace.sigma_next, trace.y_plus, trace.y_next
             ):
@@ -361,8 +366,8 @@ class TestGridPosterior:
     def test_initial_observations_append_without_refit(self, monkeypatch, noise_var):
         # the T0 initial points take the append path from the prior; _refit is
         # only the fallback for a failed pivot
-        grid = np.linspace(0, 1, 40)[:, None]
-        prior = GridPrior.build(SE, grid)
+        prior = se_prior(40)
+        grid = prior.grid
         init = np.array([[3, 17, 30, 8, 22], [39, 0, 12, 25, 5]])
         y0 = np.random.default_rng(1).normal(size=init.shape)
         monkeypatch.setattr(eiopt.GridPosterior, "_refit", lambda *a: pytest.fail("_refit called"))
@@ -384,8 +389,8 @@ class TestGridPosterior:
         # variance is about 5e-16, where gp.fit's own solves are off by 1.3e-9
         # in sd
         monkeypatch.setattr(gp, "JITTER_START", 1e-18)
-        grid = np.linspace(0, 1, 9)[:, None]
-        prior = GridPrior.build(SE, grid)
+        prior = se_prior(9)
+        grid = prior.grid
         post = eiopt.GridPosterior(prior, [[4]], [[0.2]], 0.0, 4)
         post.observe([4], [0.2])
         ref = fit(SE, grid[[4, 4]], np.array([0.2, 0.2]), 0.0)
@@ -399,12 +404,12 @@ class TestGridPosterior:
         assert np.allclose(post.sigma[0], sigma_r, rtol=0, atol=1e-9)
 
     def test_rejects_non_finite_y(self):
-        post = eiopt.GridPosterior(GridPrior.build(SE, np.linspace(0, 1, 9)[:, None]), [[4]], [[0.2]], 0.05, 4)
+        post = eiopt.GridPosterior(se_prior(9), [[4]], [[0.2]], 0.05, 4)
         with pytest.raises(ValueError):
             post.observe([0], [float("nan")])
 
     def test_non_finite_y_in_one_trial_raises(self):
-        post = eiopt.GridPosterior(GridPrior.build(SE, np.linspace(0, 1, 9)[:, None]),
+        post = eiopt.GridPosterior(se_prior(9),
                                    [[4], [2], [6]], [[0.2], [0.1], [-0.3]], 0.05, 4)
         with pytest.raises(ValueError):
             post.observe([0, 1, 8], [0.1, float("inf"), 0.3])
@@ -413,8 +418,8 @@ class TestGridPosterior:
         # as above, trial 1 re-observes its noiseless point at jitter 1e-18 and
         # its pivot is exactly 0; trials 0 and 2 observe fresh points
         monkeypatch.setattr(gp, "JITTER_START", 1e-18)
-        grid = np.linspace(0, 1, 9)[:, None]
-        prior = GridPrior.build(SE, grid)
+        prior = se_prior(9)
+        grid = prior.grid
         init, y0, j, y = [[4], [4], [2]], [[0.2], [0.2], [0.1]], [0, 4, 7], [-0.4, 0.2, 0.5]
         post = eiopt.GridPosterior(prior, init, y0, 0.0, 4)
         # the refits of this posterior; the replay's one-trial posterior
@@ -442,7 +447,7 @@ class TestGridPosterior:
         # they had been alone all along.  Trial 2 re-observes a point at jitter
         # 1e-18, so in the noiseless case its pivot fails and it is refitted
         monkeypatch.setattr(gp, "JITTER_START", 1e-18)
-        prior = GridPrior.build(SE, np.linspace(0, 1, 40)[:, None])
+        prior = se_prior(40)
         rng = np.random.default_rng(3)
         idx = rng.integers(0, 40, size=(5, 6))
         idx[2, 4] = idx[2, 1]
@@ -470,14 +475,12 @@ class TestGridPosterior:
         # through L, and on the embedded 20x20 grid
         if case == "matern_2d_duplicates":
             kernel, d, per_axis = KernelSpec("matern", 0.2, 2.5), 2, 20
-            grid = ExperimentConfig(d=2, grid_per_dim=20).grid_points()
             idx, noise_var = [17, 203, 17, 399, 0, 203, 250], 0.05**2
         else:
             kernel, d, per_axis = SE, 1, 40
-            grid = np.linspace(0, 1, 40)[:, None]
             idx = [3, 17, 30, 8, 22, 39] if case == "noisy" else [4, 9, 4, 20, 9]
             noise_var = 0.05**2 if case == "noisy" else 0.0
-        prior = GridPrior.build(kernel, grid)
+        prior = GridPrior.build(ExperimentConfig(d=d, grid_per_dim=per_axis, kernel=kernel))
         assert (prior.root_eig is not None) == (case == "matern_2d_duplicates")
         reference = gathered(prior, lattice_gram(kernel, d, per_axis))
         if case == "noiseless_escalation":
@@ -513,7 +516,7 @@ class TestGridPosterior:
         # 1e-17, and the next escalation would pass JITTER_MAX
         monkeypatch.setattr(gp, "JITTER_START", 1e-18)
         monkeypatch.setattr(gp, "JITTER_MAX", 1e-17)
-        post = eiopt.GridPosterior(GridPrior.build(SE, np.linspace(0, 1, 9)[:, None]), [[4]], [[0.2]], 0.0, 4)
+        post = eiopt.GridPosterior(se_prior(9), [[4]], [[0.2]], 0.0, 4)
         with pytest.raises(gp.FactorizationError, match="jitter"):
             post.observe([4], [0.2])
 
@@ -741,7 +744,7 @@ class TestScreenedPick:
                              ids=["noisy", "noiseless_refit", "kappa"])
     def test_run_batch_equals_full_evaluation(self, monkeypatch, overrides):
         cfg = tiny_config(grid_per_dim=200, T=30, trials=8, **overrides)
-        prior = GridPrior.build(cfg.kernel, cfg.grid_points())
+        prior = GridPrior.build(cfg)
         refits = []
         if cfg.noise_sd == 0.0:
             # noiseless re-queries at jitter 1e-18 have pivots that are not positive
@@ -767,7 +770,7 @@ class TestScreenedPick:
 
 def run_in_batches(config, size):
     """Traces of all the config's trials, run through ``run_batch`` in batches of ``size``."""
-    prior = GridPrior.build(config.kernel, config.grid_points())
+    prior = GridPrior.build(config)
     traces = []
     for start in range(0, config.trials, size):
         seeds = [trial_seed(config.seed, i) for i in range(start, min(start + size, config.trials))]
@@ -823,7 +826,7 @@ class TestFallbackLattice:
         # the kernel at lattice offsets; the same prior with its rows gathered
         # from lattice_gram records the same bits
         cfg = tiny_config(grid_per_dim=200, kernel=KernelSpec("se", 1.0), T=30, trials=8, **overrides)
-        windows = GridPrior.build(cfg.kernel, cfg.grid_points())
+        windows = GridPrior.build(cfg)
         assert windows.root_eig is None and windows.L is not None and windows.k_offsets is not None
         reference = gathered(windows, lattice_gram(cfg.kernel, 1, 200))
         refits = []
@@ -873,5 +876,5 @@ class TestSelectionOptimality:
                              ids=["noiseless-25", "noisy-600", "noiseless-600"])
     def test_picks_are_ei_maxima(self, noise_sd, grid_per_dim):
         cfg = tiny_config(T=10, seed=303, noise_sd=noise_sd, grid_per_dim=grid_per_dim)
-        assert (GridPrior.build(cfg.kernel, cfg.grid_points()).L is None) == (grid_per_dim == 600)
+        assert (GridPrior.build(cfg).L is None) == (grid_per_dim == 600)
         assert_picks_are_ei_maxima(cfg, 303)

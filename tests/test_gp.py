@@ -81,8 +81,9 @@ class TestFitAndPosterior:
 
     def test_noiseless_interpolates_many_points(self):
         # values drawn from the prior itself, the noiseless loop's actual regime
-        X = np.linspace(0, 1, 12)[:, None]
-        y = sample_prior(SE, X, 77)
+        cfg = ExperimentConfig(grid_per_dim=12, kernel=SE)
+        X = cfg.grid_points()
+        y = sample_prior(cfg, 77)
         state = fit(SE, X, y, 0.0)
         for i in range(12):
             mu, sigma = posterior(state, X[i])
@@ -209,13 +210,13 @@ def draws(prior, count):
 
 class TestSamplePrior:
     def test_deterministic(self):
-        grid = np.linspace(0, 1, 30)[:, None]
-        assert np.array_equal(sample_prior(SE, grid, 999), sample_prior(SE, grid, 999))
+        cfg = ExperimentConfig(grid_per_dim=30, kernel=SE)
+        assert np.array_equal(sample_prior(cfg, 999), sample_prior(cfg, 999))
 
     def test_summary_fields(self):
         # a batch records each objective's minimum f* and its sup-norm
         cfg = ExperimentConfig(grid_per_dim=25, kernel=SE, T=3, trials=4)
-        prior = GridPrior.build(SE, cfg.grid_points())
+        prior = GridPrior.build(cfg)
         seeds = [5, 6, 7, 8]
         batch = eiopt.run_batch(cfg, prior, seeds)
         f = prior.draw(seeds)
@@ -225,20 +226,21 @@ class TestSamplePrior:
 
     def test_single_point_moments(self):
         # f on a 1-point grid is standard normal; Monte-Carlo moment check
-        prior = GridPrior.build(SE, np.array([[0.0]]))
+        prior = lattice_prior(SE, 1, 1)
+        assert np.array_equal(prior.grid, [[0.0]])
         vals = draws(prior, 100_000)[:, 0]
         assert abs(vals.mean()) < 0.02
         assert 0.98 < vals.var() < 1.02
 
     def test_empirical_covariance_matches_kernel(self):
-        grid = np.linspace(0.0, 1.0, 5)[:, None]
-        emp = np.cov(draws(GridPrior.build(SE, grid), 10_000).T, bias=True)
-        expected = kernels.gram(SE, grid)
+        prior = lattice_prior(SE, 1, 5)
+        emp = np.cov(draws(prior, 10_000).T, bias=True)
+        expected = kernels.gram(SE, prior.grid)
         assert np.max(np.abs(emp - expected)) < 0.05
 
     def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError):
-            sample_prior(SE, np.zeros((0, 1)), 0)
+        with pytest.raises(ValueError, match="grid_per_dim"):
+            sample_prior(ExperimentConfig(grid_per_dim=0, kernel=SE), 0)
 
 
 FAMILIES = [KernelSpec("se", 0.3), KernelSpec("matern", 0.3, 0.5),
@@ -247,10 +249,14 @@ CONFIG_FAMILIES = [KernelSpec("se", 0.2), KernelSpec("matern", 0.2, 0.5),
                    KernelSpec("matern", 0.2, 1.5), KernelSpec("matern", 0.2, 2.5)]
 
 
-def config_grid(d, m):
-    """The grid ``ExperimentConfig(d=d, grid_per_dim=m).grid_points()`` lays out on [0, 1]^d."""
-    axis = np.linspace(0.0, 1.0, m)
-    return np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+def lattice(spec, d, m, r=1.0):
+    """The config of kernel ``spec`` on the lattice of m points per axis over [0, r]^d."""
+    return ExperimentConfig(d=d, r=r, grid_per_dim=m, kernel=spec)
+
+
+def lattice_prior(spec, d, m):
+    """The prior on ``lattice(spec, d, m)``'s grid."""
+    return GridPrior.build(lattice(spec, d, m))
 
 
 # SE with lengthscale r: a config lattice needs a torus too large to pay off
@@ -258,29 +264,24 @@ FALLBACK_SE = KernelSpec("se", 1.0)
 FALLBACK_M = {1: 40, 2: 20}
 
 
-def fallback_grid(d):
-    """A config lattice that ``FALLBACK_SE`` samples through the Cholesky factor."""
-    return config_grid(d, FALLBACK_M[d])
-
-
 def assert_samples_through_factor(spec, d, m):
-    """The prior on ``config_grid(d, m)`` draws f = L z, bit for bit, with L
+    """The prior on ``lattice(spec, d, m)`` draws f = L z, bit for bit, with L
     factored per draw from the kernel at the squared lattice offsets."""
-    grid = config_grid(d, m)
-    prior = GridPrior.build(spec, grid)
+    prior = lattice_prior(spec, d, m)
     assert prior.root_eig is None and prior.torus is None
     for seed in (0, 7, 2**63 + 5):
         L, _ = gp.chol_with_jitter(lattice_gram(spec, d, m))
-        f = L @ np.random.default_rng(seed).standard_normal(grid.shape[0])
+        f = L @ np.random.default_rng(seed).standard_normal(m**d)
         assert np.array_equal(prior.draw([seed])[0], f)
-        assert np.array_equal(sample_prior(spec, grid, seed), f)
+        assert np.array_equal(sample_prior(lattice(spec, d, m), seed), f)
 
 
-def lattice_gram(spec, d, m):
-    """The kernel matrix of ``config_grid(d, m)`` at its squared lattice
-    offsets: per pair of points, (h * |i_k - j_k|)^2 summed in axis order,
-    h = 1/(m - 1) the spacing and i_k, j_k the points' indices on axis k."""
-    h = 1.0 / (m - 1)
+def lattice_gram(spec, d, m, r=1.0):
+    """The kernel matrix of ``lattice(spec, d, m, r)``'s grid at its squared
+    lattice offsets: per pair of points, (h * |i_k - j_k|)^2 summed in axis
+    order, h = r/(m - 1) the spacing and i_k, j_k the points' indices on
+    axis k."""
+    h = r / (m - 1)
     idx = np.stack(np.unravel_index(np.arange(m**d), (m,) * d), axis=1)
     sq = np.zeros((m**d, m**d))
     for k in range(d):
@@ -307,10 +308,10 @@ class TestGridPrior:
         # embedded lattice and on one that falls back; no table at any size
         m, large_m = (200, 600) if d == 1 else (16, 24)
         fallback_m, large_fallback_m = (FALLBACK_M[1], 512) if d == 1 else (FALLBACK_M[2], 24)
-        embedded = GridPrior.build(spec, config_grid(d, m))
-        fallback = GridPrior.build(FALLBACK_SE, fallback_grid(d))
-        large = GridPrior.build(spec, config_grid(d, large_m))
-        large_fallback = GridPrior.build(FALLBACK_SE, config_grid(d, large_fallback_m))
+        embedded = lattice_prior(spec, d, m)
+        fallback = lattice_prior(FALLBACK_SE, d, FALLBACK_M[d])
+        large = lattice_prior(spec, d, large_m)
+        large_fallback = lattice_prior(FALLBACK_SE, d, large_fallback_m)
         assert embedded.root_eig is not None and fallback.L is not None
         assert large.root_eig is not None and large_fallback.L is not None
         for prior, ref in ((embedded, lattice_gram(spec, d, m)), (large, lattice_gram(spec, d, large_m)),
@@ -331,7 +332,7 @@ class TestGridPrior:
         # reads its rows as windows of the kernel at lattice offsets: bitwise
         # the kernel at the squared lattice offsets, within 1e-15 of the Gram
         # matrix (measured at most 3.3e-16)
-        prior = GridPrior.build(spec, config_grid(d, m))
+        prior = lattice_prior(spec, d, m)
         assert prior.root_eig is None and prior.L is not None and prior.points == (m,) * d
         assert_no_kernel_table(prior)
         ref = lattice_gram(spec, d, m)
@@ -346,36 +347,35 @@ class TestGridPrior:
         matern = KernelSpec("matern", 0.2, 2.5)
         assert not hasattr(gp, "TABLE_BYTES") and eiopt.BATCH_BYTES == 2 << 20
         for spec, m in ((FALLBACK_SE, 512), (FALLBACK_SE, 513), (matern, 512), (matern, 17)):
-            assert_no_kernel_table(GridPrior.build(spec, config_grid(1, m)))
+            assert_no_kernel_table(lattice_prior(spec, 1, m))
 
     @pytest.mark.parametrize("spec,d,m", [(FALLBACK_SE, 1, 200), (KernelSpec("se", 0.2), 1, 40),
                                           (FALLBACK_SE, 2, 24)], ids=["se1_200", "se02_40", "se1_24x24"])
     def test_fallback_factor_is_the_factor_of_the_rows(self, spec, d, m):
         # a lattice that falls back factors the matrix whose rows the
         # posterior reads: L L^T is rows(all) plus the jitter, bit for bit
-        prior = GridPrior.build(spec, config_grid(d, m))
+        prior = lattice_prior(spec, d, m)
         L, jitter = gp.chol_with_jitter(prior.rows(np.arange(m**d)))
         assert prior.root_eig is None and prior.jitter == jitter
         assert np.array_equal(prior.L, L)
 
-    @pytest.mark.parametrize("grid", [
-        config_grid(1, 40)[::-1], config_grid(2, 8)[::-1], config_grid(1, 40) ** 2,
-        np.random.default_rng(3).uniform(size=(30, 2)),
-    ], ids=["reversed_1d", "reversed_2d", "squared", "random"])
-    def test_off_lattice_grid_raises(self, grid):
-        # every kernel value comes from the kernel at lattice offsets, so a
-        # grid that is no lattice in grid_points order is refused
-        spec = KernelSpec("matern", 0.2, 2.5)
-        with pytest.raises(ValueError, match="lattice"):
-            GridPrior.build(spec, grid)
-        with pytest.raises(ValueError, match="lattice"):
-            sample_prior(spec, grid, 0)
+    @pytest.mark.parametrize("r", [0.7, 3.3])
+    @pytest.mark.parametrize("spec,d,m", [(KernelSpec("matern", 0.2, 2.5), 2, 17), (KernelSpec("se", 0.5), 1, 64),
+                                          (FALLBACK_SE, 1, FALLBACK_M[1])], ids=["matern_17x17", "se_64", "fallback"])
+    def test_prior_is_the_configs_lattice(self, spec, d, m, r):
+        # build takes the lattice from the config: its grid_points, read-only,
+        # and rows at the spacing r/(m - 1) on each of its d axes
+        cfg = lattice(spec, d, m, r)
+        prior = GridPrior.build(cfg)
+        assert prior.kernel == spec and prior.points == (m,) * d and not prior.grid.flags.writeable
+        assert np.array_equal(prior.grid, cfg.grid_points())
+        assert np.array_equal(prior.rows(np.arange(m**d)), lattice_gram(spec, d, m, r))
 
     def test_pickled_embedded_prior_holds_no_window_view(self):
         # a pool worker receives the prior pickled: the 64x64 grid's prior is
         # its grid, its offsets and its half spectrum, well under 1 MiB, and
         # the windows view is rebuilt where rows are read
-        prior = GridPrior.build(KernelSpec("matern", 0.2, 2.5), config_grid(2, 64))
+        prior = lattice_prior(KernelSpec("matern", 0.2, 2.5), 2, 64)
         rows = prior.rows([0, 4095, 2080])
         data = pickle.dumps(prior)
         assert len(data) < 1 << 20
@@ -393,27 +393,14 @@ class TestGridPrior:
         assert_samples_through_factor(KernelSpec("se", 1.0), 1, 200)
 
     def test_shared_arrays_read_only(self):
-        embedded = GridPrior.build(KernelSpec("matern", 0.2, 2.5), config_grid(1, 200))
-        fallback = GridPrior.build(FALLBACK_SE, fallback_grid(2))
-        lattice = GridPrior.build(FALLBACK_SE, fallback_grid(1))
-        assert embedded.L is None and fallback.root_eig is None and lattice.root_eig is None
+        embedded = lattice_prior(KernelSpec("matern", 0.2, 2.5), 1, 200)
+        fallback = lattice_prior(FALLBACK_SE, 2, FALLBACK_M[2])
+        fallback_1d = lattice_prior(FALLBACK_SE, 1, FALLBACK_M[1])
+        assert embedded.L is None and fallback.root_eig is None and fallback_1d.root_eig is None
         for a in (embedded.grid, embedded.k_offsets, embedded.root_eig, embedded._windows[0], fallback.grid,
-                  fallback.L, lattice.k_offsets, lattice.L, lattice._windows[0]):
+                  fallback.L, fallback_1d.k_offsets, fallback_1d.L, fallback_1d._windows[0]):
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0.0
-
-    @pytest.mark.parametrize("spec,grid", [(KernelSpec("matern", 0.2, 2.5), config_grid(1, 200)),
-                                           (FALLBACK_SE, fallback_grid(1))], ids=["embedded", "fallback"])
-    def test_caller_grid_writes_do_not_reach_the_prior(self, spec, grid):
-        # every kernel value and draw comes from the prior's grid, so the
-        # prior keeps its own copy
-        g = grid.copy()
-        prior = GridPrior.build(spec, g)
-        rows, f = prior.rows([0, 5]), prior.draw([3])
-        g[0, 0] = 5.0
-        assert prior.grid is not g and np.array_equal(prior.grid, grid)
-        assert np.array_equal(prior.rows([0, 5]), rows)
-        assert np.array_equal(prior.draw([3]), f)
 
 
 def embedded_covariance(prior):
@@ -430,7 +417,7 @@ class TestCirculantEmbedding:
     @pytest.mark.parametrize("d,m", [(1, 200), (2, 16)])
     @pytest.mark.parametrize("spec", CONFIG_FAMILIES, ids=lambda s: f"{s.family}{s.nu or ''}")
     def test_covariance_equals_gram_entrywise(self, spec, d, m):
-        prior = GridPrior.build(spec, config_grid(d, m))
+        prior = lattice_prior(spec, d, m)
         assert prior.L is None and prior.jitter is None and prior.points == (m,) * d
         assert prior.root_eig.min() >= 0.0
         assert np.max(np.abs(embedded_covariance(prior) - kernels.gram(spec, prior.grid))) <= gp.JITTER_START
@@ -438,7 +425,7 @@ class TestCirculantEmbedding:
     @pytest.mark.parametrize("d,m", [(1, 60), (2, 10)])
     def test_monte_carlo_covariance(self, d, m):
         spec = KernelSpec("matern", 0.3, 0.5)
-        prior = GridPrior.build(spec, config_grid(d, m))
+        prior = lattice_prior(spec, d, m)
         assert prior.L is None
         f = draws(prior, 10_000)
         assert np.max(np.abs(f.mean(axis=0))) < 0.05
@@ -451,7 +438,7 @@ class TestCirculantEmbedding:
         # applied by a real FFT each way with the eigenvalues' half spectrum,
         # which is the complex FFT's left half (the row is real and even)
         spec = KernelSpec("matern", 0.2, 2.5)
-        prior = GridPrior.build(spec, config_grid(2, 16))
+        prior = lattice_prior(spec, 2, 16)
         M1, M2 = prior.torus
         j1, j2 = np.minimum(np.arange(M1), M1 - np.arange(M1)), np.minimum(np.arange(M2), M2 - np.arange(M2))
         h = 1.0 / 15
@@ -473,40 +460,40 @@ class TestCirculantEmbedding:
         full = np.fft.irfftn(w, s=torus, axes=axes)[(slice(None), *(slice(0, m) for m in points))]
         assert np.array_equal(gp._irfftn_corner(w, torus, points), full)
 
-    @pytest.mark.parametrize("spec,grid", [
-        (KernelSpec("se", 0.2), config_grid(1, 200)),
-        (KernelSpec("matern", 0.2, 2.5), config_grid(2, 16)),
-        (FALLBACK_SE, fallback_grid(1)),
+    @pytest.mark.parametrize("spec,d,m", [
+        (KernelSpec("se", 0.2), 1, 200),
+        (KernelSpec("matern", 0.2, 2.5), 2, 16),
+        (FALLBACK_SE, 1, FALLBACK_M[1]),
     ], ids=["embedded_1d", "embedded_2d", "fallback"])
-    def test_draw_rows_do_not_depend_on_the_batch(self, spec, grid):
-        prior = GridPrior.build(spec, grid)
+    def test_draw_rows_do_not_depend_on_the_batch(self, spec, d, m):
+        prior = lattice_prior(spec, d, m)
         seeds = list(range(100, 143))
         rows = prior.draw(seeds)
-        assert rows.shape == (43, grid.shape[0]) and rows.flags.c_contiguous
+        assert rows.shape == (43, m**d) and rows.flags.c_contiguous
         for size in (1, 2, 7):
             assert np.array_equal(prior.draw(seeds[3 : 3 + size]), rows[3 : 3 + size])
         for b in (0, 20, 42):
             assert np.array_equal(prior.draw([seeds[b]])[0], rows[b])
 
-    @pytest.mark.parametrize("spec,grid", [
-        (KernelSpec("matern", 0.2, 2.5), config_grid(2, 16)),
-        (KernelSpec("se", 1.0), config_grid(1, 200)),
+    @pytest.mark.parametrize("spec,d,m", [
+        (KernelSpec("matern", 0.2, 2.5), 2, 16),
+        (KernelSpec("se", 1.0), 1, 200),
     ], ids=["embedded", "fallback"])
-    def test_draw_of_no_seeds_is_empty(self, spec, grid):
-        f = GridPrior.build(spec, grid).draw([])
-        assert f.shape == (0, grid.shape[0]) and f.dtype == np.float64
+    def test_draw_of_no_seeds_is_empty(self, spec, d, m):
+        f = lattice_prior(spec, d, m).draw([])
+        assert f.shape == (0, m**d) and f.dtype == np.float64
 
     def test_torus_is_smallest_5_smooth_when_it_suffices(self):
         # Matern-1/2 on a 1-d grid embeds at the first length >= 2(m - 1)
-        prior = GridPrior.build(KernelSpec("matern", 0.2, 0.5), config_grid(1, 200))
+        prior = lattice_prior(KernelSpec("matern", 0.2, 0.5), 1, 200)
         assert prior.torus == (400,) and prior.root_eig.shape == (201,)
         assert gp._smooth5(398) == 400 and gp._smooth5(597) == 600 and gp._smooth5(1) == 1
 
     def test_torus_never_costs_more_than_the_matvec(self):
         # 17 points: the 32-point torus's FFT (800 flops) exceeds 2*17^2
         spec = KernelSpec("matern", 0.3, 0.5)
-        assert GridPrior.build(spec, config_grid(1, 17)).root_eig is None
-        assert GridPrior.build(spec, config_grid(1, 60)).root_eig is not None
+        assert lattice_prior(spec, 1, 17).root_eig is None
+        assert lattice_prior(spec, 1, 60).root_eig is not None
 
 
 class TestInfoGain:
@@ -676,18 +663,17 @@ class TestMemoryBudget:
     # lattice offsets, nothing n-by-n; SE with lengthscale 0.5 falls back to
     # gathering K from the windows of its offsets and factoring it into L,
     # and keeps L only.
-    grid = config_grid(2, 32)
-    spec = KernelSpec("matern", 0.2, 2.5)
-    fallback_spec = KernelSpec("se", 0.5)
+    config = lattice(KernelSpec("matern", 0.2, 2.5), 2, 32)
+    fallback = lattice(KernelSpec("se", 0.5), 2, 32)
     unit = 8 * 1024**2
 
     def test_chol_with_jitter(self):
-        K = kernels.gram(self.spec, self.grid)
+        K = kernels.gram(self.config.kernel, self.config.grid_points())
         assert traced_peak(gp.chol_with_jitter, K) <= 1.1 * self.unit
 
     def test_grid_prior_build(self):
-        assert traced_peak(GridPrior.build, self.spec, self.grid) <= 0.1 * self.unit
+        assert traced_peak(GridPrior.build, self.config) <= 0.1 * self.unit
 
     def test_grid_prior_build_fallback(self):
-        assert GridPrior.build(self.fallback_spec, self.grid).L is not None
-        assert traced_peak(GridPrior.build, self.fallback_spec, self.grid) <= 2.1 * self.unit
+        assert GridPrior.build(self.fallback).L is not None
+        assert traced_peak(GridPrior.build, self.fallback) <= 2.1 * self.unit

@@ -656,6 +656,21 @@ class TestVerifyLemmaPlumbing:
             report = harness.verify_lemma(lemma, cfg)
             assert report.passed, lemma
 
+    def test_verify_lemmas_builds_the_prior_once_and_only_when_read(self, monkeypatch):
+        # fmu, fmu_t, iei_add and iei_ratio read the config grid's prior:
+        # verify_lemmas builds it once for all of them, not at all for the
+        # closed-form lemmas alone, and not before every id is known (the
+        # CLI test of verify all checks its bytes against one id at a time)
+        cfg = tiny_config(grid_per_dim=40, T=30)
+        builds, original = [], harness.grid_prior
+        monkeypatch.setattr(harness, "grid_prior", lambda config: (builds.append(config), original(config))[1])
+        with pytest.raises(ValueError, match="unknown lemma"):
+            harness.verify_lemmas(["fmu", "no_such_lemma"], cfg)
+        closed = harness.verify_lemmas(["tail_bound", "tau_vs_phi", "ei_monotone"], cfg)
+        assert builds == [] and all(report.passed for report in closed)
+        reports = harness.verify_lemmas(harness.LEMMA_IDS, cfg, n=500)
+        assert builds == [cfg] and [report.lemma for report in reports] == list(harness.LEMMA_IDS)
+
     def test_fmu_smoke(self):
         report = harness.verify_lemma("fmu", tiny_config(grid_per_dim=30, T=12), n=500)
         assert report.passed

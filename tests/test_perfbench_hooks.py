@@ -73,7 +73,7 @@ def test_tiny_campaign_evaluates_one_kernel_row_per_prior(name, tmp_path, monkey
     wl = workloads.build(name, 7, tiny=True)
     builds = []
     original = gp.GridPrior.build
-    monkeypatch.setattr(gp.GridPrior, "build", lambda kernel, grid: (builds.append(len(grid)), original(kernel, grid))[1])
+    monkeypatch.setattr(gp.GridPrior, "build", lambda config: (builds.append(config.grid_size), original(config))[1])
     tr = tracer.Tracer()
     with tr.active():
         workloads.run_rep(wl, str(tmp_path))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -23,6 +24,27 @@ THEOREMS = ("thm42", "thm46")
 
 MAX_GRID_SIZE = 4096
 _U64_MAX = 2**64 - 1
+
+# Every flat key, in file order: its kind (int, float or str), the config
+# attribute it holds, and whether it may be None (written as an empty value,
+# read from an empty or ``none`` one).  A float is written as repr(float(v)),
+# also when it holds an int, so the hashed text does not depend on typing.
+_FLAT_KEYS = {
+    "d": (int, "d", False),
+    "r": (float, "r", False),
+    "grid_per_dim": (int, "grid_per_dim", False),
+    "kernel_family": (str, "kernel.family", False),
+    "kernel_lengthscale": (float, "kernel.lengthscale", False),
+    "kernel_nu": (float, "kernel.nu", True),
+    "noise_sd": (float, "noise_sd", False),
+    "delta": (float, "delta", False),
+    "T": (int, "T", False),
+    "T0": (int, "T0", False),
+    "trials": (int, "trials", False),
+    "seed": (int, "seed", False),
+    "theorem": (str, "theorem", False),
+    "kappa": (float, "kappa", True),
+}
 
 
 @dataclass(frozen=True)
@@ -89,22 +111,10 @@ class ExperimentConfig:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     def to_flat(self) -> dict[str, str]:
-        flat = {
-            "d": str(self.d),
-            "r": repr(float(self.r)),
-            "grid_per_dim": str(self.grid_per_dim),
-            "kernel_family": self.kernel.family,
-            "kernel_lengthscale": repr(float(self.kernel.lengthscale)),
-            "kernel_nu": "" if self.kernel.nu is None else repr(float(self.kernel.nu)),
-            "noise_sd": repr(float(self.noise_sd)),
-            "delta": repr(float(self.delta)),
-            "T": str(self.T),
-            "T0": str(self.T0),
-            "trials": str(self.trials),
-            "seed": str(self.seed),
-            "theorem": self.theorem,
-            "kappa": "" if self.kappa is None else repr(float(self.kappa)),
-        }
+        flat = {}
+        for key, (kind, path, _) in _FLAT_KEYS.items():
+            value = operator.attrgetter(path)(self)
+            flat[key] = "" if value is None else repr(float(value)) if kind is float else str(value)
         return flat
 
     def flat_text(self) -> str:
@@ -116,19 +126,16 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(config.flat_text().encode("utf-8")).hexdigest()[:12]
 
 
-_INT_FIELDS = {"d", "grid_per_dim", "T", "T0", "trials", "seed"}
-_FLOAT_FIELDS = {"r", "noise_sd", "delta"}
-_KNOWN_KEYS = _INT_FIELDS | _FLOAT_FIELDS | {
-    "kernel_family",
-    "kernel_lengthscale",
-    "kernel_nu",
-    "theorem",
-    "kappa",
-}
-
-
-def _number(key: str, raw: str, kind: type):
-    """``kind(raw)`` for kind int or float; the ValueError names the key."""
+def _parse(key: str, raw: str):
+    """``raw`` read as ``key``'s kind: a str lower-cased, None for an optional
+    key's empty or ``none`` value, else ``kind(raw)``; the ValueError names the key."""
+    kind, _, optional = _FLAT_KEYS[key]
+    if kind is str:
+        return raw.strip().lower()
+    if optional:
+        raw = raw.strip()
+        if raw in ("", "none"):
+            return None
     try:
         return kind(raw)
     except ValueError as e:
@@ -136,45 +143,21 @@ def _number(key: str, raw: str, kind: type):
         raise ValueError(f"config key {key!r} must be {what}, got {raw!r}") from e
 
 
-def _optional_number(key: str, raw: str) -> float | None:
-    """None for an empty or ``none`` value, else the number."""
-    raw = raw.strip()
-    return None if raw in ("", "none") else _number(key, raw, float)
-
-
 def from_flat(flat: dict[str, str], base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Build a config from flat string key-values, overriding ``base`` (defaults
     when omitted).  Unset kernel_lengthscale defaults to 0.2*r so desk-scale
     grids resolve the prior's variation."""
     base = base if base is not None else ExperimentConfig()
-    unknown = set(flat) - _KNOWN_KEYS
+    unknown = set(flat) - _FLAT_KEYS.keys()
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-    updates: dict = {key: _number(key, flat[key], int) for key in _INT_FIELDS & set(flat)}
-    updates.update({key: _number(key, flat[key], float) for key in _FLOAT_FIELDS & set(flat)})
-    if "theorem" in flat:
-        updates["theorem"] = flat["theorem"].strip().lower()
-    if "kappa" in flat:
-        updates["kappa"] = _optional_number("kappa", flat["kappa"])
-
-    family = flat.get("kernel_family", base.kernel.family).strip().lower()
-    r_eff = updates.get("r", base.r)
-    if "kernel_lengthscale" in flat:
-        lengthscale = _number("kernel_lengthscale", flat["kernel_lengthscale"], float)
-    elif "r" in updates or "kernel_family" in flat:
-        lengthscale = 0.2 * r_eff
-    else:
-        lengthscale = base.kernel.lengthscale
-    nu: float | None
-    if "kernel_nu" in flat:
-        nu = _optional_number("kernel_nu", flat["kernel_nu"])
-    else:
-        nu = base.kernel.nu if family == base.kernel.family else None
-    if family == SQUARED_EXPONENTIAL:
-        nu = None
-    updates["kernel"] = KernelSpec(family, lengthscale, nu)
-
+    updates = {key: _parse(key, raw) for key, raw in flat.items()}
+    family = updates.pop("kernel_family", base.kernel.family)
+    rescaled = "r" in flat or "kernel_family" in flat
+    unset_lengthscale = 0.2 * updates.get("r", base.r) if rescaled else base.kernel.lengthscale
+    lengthscale = updates.pop("kernel_lengthscale", unset_lengthscale)
+    nu = updates.pop("kernel_nu", base.kernel.nu if family == base.kernel.family else None)
+    updates["kernel"] = KernelSpec(family, lengthscale, None if family == SQUARED_EXPONENTIAL else nu)
     return dataclasses.replace(base, **updates)
 
 

@@ -27,7 +27,6 @@ import math
 import operator
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,16 +45,6 @@ _FMU_STREAM = 0x464D55
 _IEI_STREAM = 0x494549
 _ICDF_STREAM = 0x494344
 
-# Fixed Monte-Carlo protocol sizes (draws for the pointwise lemmas, full runs
-# for the all-t lemma, function draws for the improvement CDF).
-LEMMA_DEFAULT_N = {
-    "fmu": 2000,
-    "iei_add": 2000,
-    "iei_ratio": 2000,
-    "fmu_t": 500,
-    "icdf": 100_000,
-}
-_MC_LEMMAS = frozenset(LEMMA_DEFAULT_N)
 _FMU_T_STEPS = 30
 _ICDF_TOLERANCE = 0.01
 _DESIGN_SIZE = 5
@@ -202,6 +191,7 @@ def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     # a task returns its batch alone, and the traces are sliced here
     workers = min(workers, len(chunks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: most gpei processes start no pool
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(config, prior)) as pool:
             batches = list(pool.map(_worker_trials, chunks))
     else:
@@ -499,10 +489,16 @@ def _verify_iei_ratio(config: ExperimentConfig, n: int, prior: gp.GridPrior) -> 
     return LemmaReport("iei_ratio", passed, metrics + (("beta", beta), ("ratio", float(ratio))))
 
 
-def _verify_fmu_t(config: ExperimentConfig, n: int, prior: gp.GridPrior) -> LemmaReport:
-    """Fraction of full runs where the all-t prediction-error bound never fails."""
+def _fmu_t_config(config: ExperimentConfig, n: int) -> ExperimentConfig:
+    """The config of fmu_t's n full runs of ``_FMU_T_STEPS`` steps, validated."""
     run_cfg = dataclasses.replace(config, T=_FMU_T_STEPS, trials=n)
     run_cfg.validate()
+    return run_cfg
+
+
+def _verify_fmu_t(config: ExperimentConfig, n: int, prior: gp.GridPrior) -> LemmaReport:
+    """Fraction of full runs where the all-t prediction-error bound never fails."""
+    run_cfg = _fmu_t_config(config, n)
     # one entry per step of the loop, t = T0 ... T - 1
     ts = range(run_cfg.T0, run_cfg.T)
     root_beta = np.array([math.sqrt(bounds.beta_t_seq(t + 1, config.delta)) for t in ts])
@@ -582,42 +578,47 @@ def _verify_ei_monotone(config: ExperimentConfig, n: int, prior: gp.GridPrior | 
     )
 
 
-_LEMMA_FUNCS = {
-    "fmu": _verify_fmu,
-    "fmu_t": _verify_fmu_t,
-    "iei_add": _verify_iei_add,
-    "iei_ratio": _verify_iei_ratio,
-    "icdf": _verify_icdf,
-    "tail_bound": _verify_tail_bound,
-    "tau_vs_phi": _verify_tau_vs_phi,
-    "ei_monotone": _verify_ei_monotone,
+# Every lemma id, in report order: its protocol, its default Monte-Carlo size
+# (draws for the pointwise lemmas, full runs for the all-t lemma, function
+# draws for the improvement CDF; None for a closed-form scan, which ignores n),
+# and whether it reads the config grid's prior.
+_LEMMAS = {
+    "fmu": (_verify_fmu, 2000, True),
+    "fmu_t": (_verify_fmu_t, 500, True),
+    "iei_add": (_verify_iei_add, 2000, True),
+    "iei_ratio": (_verify_iei_ratio, 2000, True),
+    "icdf": (_verify_icdf, 100_000, False),
+    "tail_bound": (_verify_tail_bound, None, False),
+    "tau_vs_phi": (_verify_tau_vs_phi, None, False),
+    "ei_monotone": (_verify_ei_monotone, None, False),
 }
-LEMMA_IDS = tuple(_LEMMA_FUNCS)
-# the protocols that read the config grid's prior
-_PRIOR_LEMMAS = frozenset({"fmu", "fmu_t", "iei_add", "iei_ratio"})
+LEMMA_IDS = tuple(_LEMMAS)
 
 
 def verify_lemmas(lemma_ids, config: ExperimentConfig, n: int | None = None) -> list[LemmaReport]:
     """Run each lemma's verification protocol, in order, and report pass/fail.
 
-    Every id and size is checked before any protocol runs.  The config
-    grid's prior is built at most once, and only when a requested protocol
-    reads it.  ``n`` overrides each protocol's default Monte-Carlo size;
-    Monte-Carlo protocols require n >= 500.  Closed-form lemmas scan fixed
-    grids and ignore n and the prior.
+    Every id, size and fmu_t run config is checked before any protocol runs.
+    The config grid's prior is built at most once, and only when a requested
+    protocol reads it.  ``n`` overrides each protocol's default Monte-Carlo
+    size; Monte-Carlo protocols require n >= 500.  Closed-form lemmas scan
+    fixed grids and ignore n and the prior.
     """
     config.validate()
     runs = []
     for lemma_id in lemma_ids:
         key = lemma_id.strip().lower()
-        if key not in _LEMMA_FUNCS:
+        if key not in _LEMMAS:
             raise ValueError(f"unknown lemma id {lemma_id!r}; known: {LEMMA_IDS}")
-        size = n if n is not None else LEMMA_DEFAULT_N.get(key, 0)
-        if key in _MC_LEMMAS and size < 500:
+        protocol, default_n, reads_prior = _LEMMAS[key]
+        size = n if n is not None else default_n or 0
+        if default_n is not None and size < 500:
             raise ValueError(f"Monte-Carlo lemma {key!r} requires at least 500 draws, got {size}")
-        runs.append((key, size))
-    prior = grid_prior(config) if _PRIOR_LEMMAS.intersection(key for key, _ in runs) else None
-    return [_LEMMA_FUNCS[key](config, size, prior) for key, size in runs]
+        if key == "fmu_t":
+            _fmu_t_config(config, size)  # its runs must fit the grid
+        runs.append((protocol, size, reads_prior))
+    prior = grid_prior(config) if any(reads for _, _, reads in runs) else None
+    return [protocol(config, size, prior) for protocol, size, _ in runs]
 
 
 def verify_lemma(lemma_id: str, config: ExperimentConfig, n: int | None = None) -> LemmaReport:

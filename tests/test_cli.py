@@ -98,8 +98,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("grid_per_dim", [6, 30])
     def test_all_writes_nothing_when_a_protocol_refuses(self, capsys, tmp_path, grid_per_dim):
         # fmu_t runs 30 steps, more than a 6-point grid holds: verify all
-        # refuses it after fmu has run, and exits 2 with nothing written; on
-        # 30 points every report is written
+        # refuses it before any protocol runs, and exits 2 with nothing
+        # written; on 30 points every report is written
         cfg = tmp_path / "small.cfg"
         cfg.write_text(f"grid_per_dim = {grid_per_dim}\nT = 6\n")
         out_dir = tmp_path / "o"
@@ -151,8 +151,8 @@ class TestVerifyCommand:
         assert dir_bytes(out_dir) == before
 
     def test_all_exits_1_when_one_lemma_fails(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setitem(harness._LEMMA_FUNCS, "fmu_t",
-                            lambda config, n, prior: harness.LemmaReport("fmu_t", False, (("n", float(n)),)))
+        failing = lambda config, n, prior: harness.LemmaReport("fmu_t", False, (("n", float(n)),))
+        monkeypatch.setitem(harness._LEMMAS, "fmu_t", (failing, *harness._LEMMAS["fmu_t"][1:]))
         code, out, _ = run_cli(capsys, "verify", "all", "--out", str(tmp_path))
         assert code == 1
         assert "check lemma[fmu_t] FAIL" in out and out.count(" PASS ") == 7
@@ -322,6 +322,23 @@ print("numpy.ma" in sys.modules)
 """
 
 
+# Runs ``verify all``, ``figures all``, ``coeffs`` and a one-worker campaign,
+# then prints whether the process pool's module is loaded: only a campaign
+# with several workers starts a pool.
+_POOL_PROBE = """
+import contextlib, io, sys, tempfile
+import gpei.cli
+from gpei import harness
+from gpei.config import ExperimentConfig
+with contextlib.redirect_stdout(io.StringIO()):
+    assert gpei.cli.main(["verify", "all", "--out", tempfile.mkdtemp()]) == 0
+    assert gpei.cli.main(["figures", "all", "--out", tempfile.mkdtemp()]) == 0
+    assert gpei.cli.main(["coeffs", "--delta", "0.1"]) == 0
+harness.run_experiment(ExperimentConfig(trials=30, T=25), tempfile.mkdtemp(), workers=1)
+print("concurrent.futures.process" in sys.modules)
+"""
+
+
 def run_probe(code):
     """Run ``code`` in a fresh interpreter that imports this gpei; its stdout lines."""
     src = os.path.dirname(os.path.dirname(gpei.__file__))
@@ -337,6 +354,9 @@ class TestImportPath:
 
     def test_priors_and_a_campaign_do_not_load_numpy_ma(self):
         assert run_probe(_NUMPY_MA_PROBE) == ["False"]
+
+    def test_commands_without_a_pool_do_not_load_it(self):
+        assert run_probe(_POOL_PROBE) == ["False"]
 
 
 class TestPackage:

@@ -1,5 +1,6 @@
 """Tests for config handling, campaign persistence, lemma plumbing, and figures."""
 
+import concurrent.futures
 import dataclasses
 import math
 import multiprocessing
@@ -12,7 +13,7 @@ import pytest
 
 from gpei import bounds, eiopt, harness
 from gpei.stdnormal import ei_unchecked
-from gpei.config import ExperimentConfig, config_hash, from_flat, load_config, parse_config_file
+from gpei.config import _FLAT_KEYS, ExperimentConfig, config_hash, from_flat, load_config, parse_config_file
 from gpei.kernels import KernelSpec
 from gpei.rng import NOISE, splitmix64, trial_seed
 
@@ -113,6 +114,44 @@ class TestConfig:
         path.write_text("this is not a key value pair\n")
         with pytest.raises(ValueError):
             parse_config_file(str(path))
+
+
+class TestFlatFormat:
+    """The exact text behind ``config_hash`` and ``config.txt``."""
+
+    def test_int_valued_floats_render_as_floats(self):
+        cfg = ExperimentConfig(r=1, noise_sd=0, kappa=1)
+        assert cfg.flat_text() == (
+            "d = 1\nr = 1.0\ngrid_per_dim = 200\nkernel_family = se\nkernel_lengthscale = 0.2\n"
+            "kernel_nu = \nnoise_sd = 0.0\ndelta = 0.1\nT = 60\nT0 = 1\ntrials = 200\nseed = 42\n"
+            "theorem = thm46\nkappa = 1.0\n"
+        )
+        assert config_hash(cfg) == "316ccb9ffd87"
+
+    def test_matern_with_nu_and_no_kappa(self):
+        cfg = ExperimentConfig(d=2, r=2, grid_per_dim=16, kernel=KernelSpec("matern", 1, 2.5), delta=0.05,
+                               T=30, T0=2, trials=5, seed=7, theorem="thm42", kappa=None)
+        assert cfg.flat_text() == (
+            "d = 2\nr = 2.0\ngrid_per_dim = 16\nkernel_family = matern\nkernel_lengthscale = 1.0\n"
+            "kernel_nu = 2.5\nnoise_sd = 0.05\ndelta = 0.05\nT = 30\nT0 = 2\ntrials = 5\nseed = 7\n"
+            "theorem = thm42\nkappa = \n"
+        )
+        assert config_hash(cfg) == "24e07684af18"
+
+    def test_default_config(self):
+        assert config_hash(ExperimentConfig()) == "5da4ba40e309"
+
+    def test_every_field_has_exactly_one_key(self):
+        # the twelve config fields, the kernel's three in its place, as 14 keys
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert len(fields) == 12
+        paths = [f"kernel.{f.name}" for f in dataclasses.fields(KernelSpec)]
+        paths += [name for name in fields if name != "kernel"]
+        assert sorted(path for _, path, _ in _FLAT_KEYS.values()) == sorted(paths)
+        assert list(ExperimentConfig().to_flat()) == [
+            "d", "r", "grid_per_dim", "kernel_family", "kernel_lengthscale", "kernel_nu", "noise_sd", "delta",
+            "T", "T0", "trials", "seed", "theorem", "kappa",
+        ]
 
 
 class TestCampaign:
@@ -223,14 +262,14 @@ class TestCampaign:
         # view, and rebuilds the view where it reads rows
         spawn = multiprocessing.get_context("spawn")
 
-        class SpawnPool(harness.ProcessPoolExecutor):
+        class SpawnPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers, **kw):
                 super().__init__(max_workers, mp_context=spawn, **kw)
 
         cfg = tiny_config(grid_per_dim=400, T=60, trials=12)
         a, b = tmp_path / "serial", tmp_path / "parallel"
         harness.run_experiment(cfg, str(a), workers=1)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SpawnPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpawnPool)
         harness.run_experiment(cfg, str(b), workers=2)
         assert sorted(os.listdir(a)) == sorted(os.listdir(b))
         for name in sorted(os.listdir(a)):
@@ -259,12 +298,12 @@ class TestCampaign:
         # single chunk runs in-process with no pool
         started = []
 
-        class RecordingPool(harness.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers, **kw):
                 started.append(max_workers)
                 super().__init__(max_workers, **kw)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = tiny_config(**overrides)
         assert len(harness.trial_chunks(cfg)) == chunks
         a, b = tmp_path / "serial", tmp_path / "parallel"
@@ -670,6 +709,22 @@ class TestVerifyLemmaPlumbing:
         assert builds == [] and all(report.passed for report in closed)
         reports = harness.verify_lemmas(harness.LEMMA_IDS, cfg, n=500)
         assert builds == [cfg] and [report.lemma for report in reports] == list(harness.LEMMA_IDS)
+
+    def test_fmu_t_is_refused_before_anything_runs(self, monkeypatch):
+        # fmu_t's 30-step runs do not fit a 6-point grid: verify_lemmas
+        # refuses them with its up-front checks, so neither the prior nor
+        # fmu, which comes first, is computed for nothing
+        calls = []
+        monkeypatch.setattr(harness, "grid_prior", lambda config: calls.append("grid_prior"))
+        for key, (protocol, size, reads_prior) in list(harness._LEMMAS.items()):
+            recorded = lambda config, n, prior, key=key: calls.append(key)
+            monkeypatch.setitem(harness._LEMMAS, key, (recorded, size, reads_prior))
+        cfg = ExperimentConfig(grid_per_dim=6, T=6)
+        with pytest.raises(ValueError, match="T=30 exceeds grid size 6"):
+            harness.verify_lemmas(harness.LEMMA_IDS, cfg)
+        assert calls == []
+        harness.verify_lemmas(["fmu", "tail_bound"], cfg)
+        assert calls == ["grid_prior", "fmu", "tail_bound"]
 
     def test_fmu_smoke(self):
         report = harness.verify_lemma("fmu", tiny_config(grid_per_dim=30, T=12), n=500)

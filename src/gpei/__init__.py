@@ -8,8 +8,6 @@ from .bounds import (
     constants_thm42,
     constants_thm46,
     empirical_bound_check,
-    rate_envelope,
-    rkhs_bounds,
 )
 from .config import ExperimentConfig, load_config
 from .eiopt import Trace
@@ -41,8 +39,6 @@ __all__ = [
     "info_gain",
     "load_config",
     "pdf",
-    "rate_envelope",
-    "rkhs_bounds",
     "sample_prior",
     "tau",
     "theta",

@@ -1,4 +1,4 @@
-"""Error-bound constants, bound formulas, rate envelopes, and bound checking.
+"""Error-bound constants, bound formulas, and bound checking.
 
 Two bound families are implemented for the simple-regret measure
 r_t = y_t^+ - f*:
@@ -12,11 +12,10 @@ r_t = y_t^+ - f*:
   beta = 2*log(3*c_alpha/delta), w = sqrt(beta) (noiseless), and
   c_alpha = (1+2*pi)/(2*pi).
 
-Both flavors, and the RKHS-norm bounds, share one form,
-outer * (lead * D + window * sigma_win), whose coefficients each
-``BoundConstants`` carries; ``bound_value`` is its only evaluator.  Both
-assert existence of an iteration t_k in a trailing window whose
-predictive sd enters the bound; the empirical checker (``check_columns``, on
+Both flavors share one form, outer * (lead * D + window * sigma_win), whose
+coefficients each ``BoundConstants`` carries; ``bound_value`` is its only
+evaluator.  Both assert existence of an iteration t_k in a trailing window
+whose predictive sd enters the bound; the empirical checker (``check_columns``, on
 every trial and t of a campaign at once) evaluates the bound at the window
 *maximum*, which upper-bounds every admissible t_k and therefore soundly
 tests the stated conclusion.
@@ -45,8 +44,9 @@ class BoundConstants:
     improved one; its leading constants are C4 = outer*lead and
     C5 = outer*window.  Fields that a flavor does not define are None (the
     baseline bound has no w/C1/C2/C3; c_tau is populated for every flavor
-    since it only needs beta).  delta is None for the RKHS bounds, which hold
-    for every objective of bounded norm.
+    since it only needs beta).  delta is None only for noiseless constants
+    built at a bare beta, ``_constants(None, False, beta[, w])``, which no
+    campaign uses.
     """
 
     delta: float | None
@@ -205,81 +205,6 @@ def compare_coefficients(delta: float) -> CoefficientComparison:
     if not (out.c4_46 < out.c4_42 and out.c5_46 < out.c5_42):
         raise AssertionError(f"coefficient ordering violated at delta={delta}: {out}")
     return out
-
-
-def matern_noisy_exponent(nu: float, d: int) -> float:
-    """Exponent nu/(2*nu + d) of the noisy Matern rate envelope."""
-    if not (nu > 0 and d >= 1):
-        raise ValueError("need nu > 0 and d >= 1")
-    return nu / (2.0 * nu + d)
-
-
-def rate_envelope(kind: str, t: int, d: int, scale: float, nu: float | None = None, alpha: float | None = None) -> float:
-    """Convergence-rate envelope at iteration t, times a caller-supplied scale.
-
-    kind "se":     scale * t^(-1/2) * log(t)^((d+1)/2)          (noisy)
-    kind "matern": scale * t^(-nu/(2nu+d)) * log(t)^(nu/(2nu+d)) (noisy)
-    kind "bull":   scale * (3/(t-3))^(min(nu,1)/d) * log(t/3)^eta (noiseless),
-                   eta = alpha when nu <= 1 and 0 otherwise.
-
-    The absolute constants of the rate theorems are not numerically pinned,
-    hence the free scale.
-    """
-    if not (isinstance(t, (int, np.integer)) and t >= 4):
-        raise ValueError(f"t must be an integer >= 4, got {t!r}")
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
-        raise ValueError(f"d must be an integer >= 1, got {d!r}")
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError(f"scale must be > 0, got {scale!r}")
-    if kind == "se":
-        return scale * t ** (-0.5) * math.log(t) ** ((d + 1) / 2.0)
-    if kind == "matern":
-        if nu is None or nu <= 0:
-            raise ValueError("matern envelope needs nu > 0")
-        e = matern_noisy_exponent(nu, d)
-        return scale * t ** (-e) * math.log(t) ** e
-    if kind == "bull":
-        if nu is None or nu <= 0:
-            raise ValueError("bull envelope needs nu > 0")
-        if alpha is None or alpha < 0:
-            raise ValueError("bull envelope needs alpha >= 0")
-        eta = alpha if nu <= 1 else 0.0
-        return scale * (3.0 / (t - 3)) ** (min(nu, 1.0) / d) * math.log(t / 3.0) ** eta
-    raise ValueError(f"unknown envelope kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class RkhsBounds:
-    lemma_bound: float
-    improved_bound: float
-    c_r: float
-
-
-def rkhs_bounds(B: float, t: int, f_bound: float, sigma_win: float) -> RkhsBounds:
-    """Noiseless bounds for objectives of RKHS norm at most B (B >= 1).
-
-    B above 37.36, where c_tau(B) overflows, raises ValueError.
-
-    The two bounds are the noiseless baseline and improved forms of
-    ``bound_value`` with sqrt(beta) = B:
-    lemma:    c_tau(B) * [4M/(t-2) + (B + phi(0))*sigma_win],  c_tau(B) = tau(B)/tau(-B)
-    improved: 4*C1*M/(t-2) + (C1*B + C2)*sigma_win,
-              C1 = 1/Phi(-B), C2 = B + phi(0)/Phi(-B)
-    c_r(B) = tau(B)*(B + phi(0)) / (Phi(-B)*B + B + phi(0)); both coefficient
-    ratios lemma/improved exceed c_r(B), so the improved bound wins by at
-    least that factor asymptotically in B.
-    """
-    if not (math.isfinite(B) and B >= 1.0):
-        raise ValueError(f"B must be >= 1, got {B!r}")
-    beta = B * B  # sqrt(B*B) == B exactly in binary floating point
-    try:
-        lemma_c, improved_c = _constants(None, False, beta), _constants(None, False, beta, B)
-    except ValueError as exc:
-        raise ValueError(f"B={B!r} is too large: {exc}") from None
-    lemma = bound_value(lemma_c, t, f_bound, 0.0, sigma_win)
-    improved = bound_value(improved_c, t, f_bound, 0.0, sigma_win)
-    c_r = tau(B) * (B + PHI0) / (cdf(-B) * B + B + PHI0)
-    return RkhsBounds(lemma_bound=lemma, improved_bound=improved, c_r=c_r)
 
 
 def window_range(c: BoundConstants, t: int) -> tuple[int, int]:

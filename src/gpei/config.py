@@ -146,7 +146,9 @@ def _parse(key: str, raw: str):
 def from_flat(flat: dict[str, str], base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Build a config from flat string key-values, overriding ``base`` (defaults
     when omitted).  Unset kernel_lengthscale defaults to 0.2*r so desk-scale
-    grids resolve the prior's variation."""
+    grids resolve the prior's variation.  Unset kernel_nu keeps ``base``'s
+    while the family is unchanged and is None otherwise; a kernel_nu set for
+    the se family is refused by ``KernelSpec``."""
     base = base if base is not None else ExperimentConfig()
     unknown = set(flat) - _FLAT_KEYS.keys()
     if unknown:
@@ -157,7 +159,7 @@ def from_flat(flat: dict[str, str], base: ExperimentConfig | None = None) -> Exp
     unset_lengthscale = 0.2 * updates.get("r", base.r) if rescaled else base.kernel.lengthscale
     lengthscale = updates.pop("kernel_lengthscale", unset_lengthscale)
     nu = updates.pop("kernel_nu", base.kernel.nu if family == base.kernel.family else None)
-    updates["kernel"] = KernelSpec(family, lengthscale, None if family == SQUARED_EXPONENTIAL else nu)
+    updates["kernel"] = KernelSpec(family, lengthscale, nu)
     return dataclasses.replace(base, **updates)
 
 

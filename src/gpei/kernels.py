@@ -34,7 +34,7 @@ class KernelSpec:
             if self.nu not in MATERN_NUS:
                 raise ValueError(f"Matern nu must be one of {MATERN_NUS}, got {self.nu!r}")
         elif self.nu is not None:
-            raise ValueError("nu is only meaningful for the Matern family")
+            raise ValueError(f"nu (config key kernel_nu) is only meaningful for the Matern family, got {self.nu!r}")
 
 
 def _as_points(name: str, X) -> np.ndarray:

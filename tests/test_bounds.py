@@ -1,4 +1,4 @@
-"""Tests for bound constants, bound formulas, rate envelopes, and RKHS bounds.
+"""Tests for bound constants, bound formulas and bound checking.
 
 The "chain" oracle recomputes each formula from scratch with math.erfc-based
 local helpers, independent of the library's own normal primitives.
@@ -19,9 +19,6 @@ from gpei.bounds import (
     constants_thm42,
     constants_thm46,
     empirical_bound_check,
-    matern_noisy_exponent,
-    rate_envelope,
-    rkhs_bounds,
     window_sigma,
 )
 
@@ -225,8 +222,16 @@ def legacy_bound(c, t, m, noise_sd, s):
     return decay + explore
 
 
+def rkhs_forms(B, t, m, s):
+    """(lemma, improved): the noiseless bounds for an objective of RKHS norm B,
+    the baseline and improved forms at sqrt(beta) = w = B."""
+    beta = B * B  # sqrt(B*B) == B exactly in binary floating point
+    return tuple(bound_value(c, t, m, 0.0, s) for c in (bounds._constants(None, False, beta),
+                                                      bounds._constants(None, False, beta, B)))
+
+
 def legacy_rkhs(B, t, m, s):
-    """(lemma, improved) as ``rkhs_bounds`` wrote them before the common form."""
+    """(lemma, improved) RKHS-norm bounds as written before the common form."""
     from gpei.stdnormal import cdf, tau
 
     phi_neg = cdf(-B)
@@ -244,8 +249,9 @@ def random_bound_args(rng, c):
 
 
 class TestOneForm:
-    """``bound_value`` evaluates every flavour, and the RKHS bounds, in one form;
-    each reproduces the per-flavour expressions it replaced bit for bit."""
+    """``bound_value`` evaluates every flavour, and the RKHS-norm bounds (the
+    noiseless forms at sqrt(beta) = B), in one form; each reproduces the
+    per-flavour expressions it replaced bit for bit."""
 
     def test_bound_value_bitwise_equals_per_flavour_expressions(self):
         rng = np.random.default_rng(20)
@@ -271,8 +277,7 @@ class TestOneForm:
         for _ in range(800):
             B = float(rng.choice([1.0, rng.uniform(1, 12)]))
             t, m, _, s = random_bound_args(rng, constants_thm42(0.1, False))
-            out = rkhs_bounds(B, t, m, s)
-            assert (out.lemma_bound, out.improved_bound) == legacy_rkhs(B, t, m, s), (B, t, m, s)
+            assert rkhs_forms(B, t, m, s) == legacy_rkhs(B, t, m, s), (B, t, m, s)
 
     def test_rkhs_bitwise_equals_bound_value_at_root_beta(self):
         # the noiseless constants at delta are the RKHS forms with B = sqrt(beta)
@@ -282,8 +287,8 @@ class TestOneForm:
             c42, c46 = constants_thm42(delta, False), constants_thm46(delta, False)
             args = random_bound_args(rng, c42)
             t, m, _, s = args
-            assert rkhs_bounds(math.sqrt(c42.beta), t, m, s).lemma_bound == bound_value(c42, *args)
-            assert rkhs_bounds(math.sqrt(c46.beta), t, m, s).improved_bound == bound_value(c46, *args)
+            assert rkhs_forms(math.sqrt(c42.beta), t, m, s)[0] == bound_value(c42, *args)
+            assert rkhs_forms(math.sqrt(c46.beta), t, m, s)[1] == bound_value(c46, *args)
 
 
 class TestCompareCoefficients:
@@ -306,90 +311,44 @@ class TestCompareCoefficients:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
-class TestRateEnvelope:
-    def test_se_at_t_with_unit_log(self):
-        # t chosen so log(t) = 1 would need t = e; use the identity against
-        # the closed form instead at integer t
-        for t in (10, 100, 1000):
-            expected = 2.5 * t**-0.5 * math.log(t) ** 1.0
-            assert rate_envelope("se", t, 1, 2.5) == pytest.approx(expected, rel=1e-14)
+class TestRkhsForms:
+    """The noiseless forms at sqrt(beta) = w = B bound an objective of RKHS norm B."""
 
-    def test_matern_exponent_analytic(self):
-        assert matern_noisy_exponent(2.5, 1) == pytest.approx(2.5 / 6.0, rel=1e-15)
-        assert matern_noisy_exponent(1.5, 2) == pytest.approx(0.3, rel=1e-15)
-        for t in (16, 256):
-            e = matern_noisy_exponent(2.5, 1)
-            expected = t**-e * math.log(t) ** e
-            assert rate_envelope("matern", t, 1, 1.0, nu=2.5) == pytest.approx(expected, rel=1e-14)
-
-    def test_matern_exponent_limit(self):
-        assert matern_noisy_exponent(1e9, 1) == pytest.approx(0.5, abs=1e-9)
-
-    def test_bull_envelope_eta_rule(self):
-        # nu <= 1 keeps the log factor; nu > 1 drops it
-        v_smooth = rate_envelope("bull", 30, 2, 1.0, nu=2.5, alpha=0.5)
-        assert v_smooth == pytest.approx((3 / 27) ** (1 / 2), rel=1e-14)
-        v_rough = rate_envelope("bull", 30, 2, 1.0, nu=0.5, alpha=0.5)
-        assert v_rough == pytest.approx((3 / 27) ** (1 / 4) * math.log(10) ** 0.5, rel=1e-14)
-
-    def test_se_loglog_slope_over_wide_range(self):
-        ts = np.unique(np.logspace(3, 6, 60).astype(int))
-        vals = np.array([rate_envelope("se", int(t), 1, 1.0) for t in ts])
-        slope = np.polyfit(np.log(ts.astype(float)), np.log(vals), 1)[0]
-        assert -0.5 < slope < -0.40
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            rate_envelope("se", 3, 1, 1.0)
-        with pytest.raises(ValueError):
-            rate_envelope("matern", 10, 1, 1.0)
-        with pytest.raises(ValueError):
-            rate_envelope("spline", 10, 1, 1.0)
-
-
-class TestRkhsBounds:
     def test_lemma_value_chain_oracle(self):
         # B=1, t=102, M=1, sigma_win=0: tau(1)/tau(-1) * 0.04 = 0.520102911...
-        out = rkhs_bounds(1.0, 102, 1.0, 0.0)
+        lemma, _ = rkhs_forms(1.0, 102, 1.0, 0.0)
         expected = (chain_tau(1.0) / chain_tau(-1.0)) * 0.04
-        assert out.lemma_bound == pytest.approx(expected, rel=1e-12)
-        assert out.lemma_bound == pytest.approx(0.520102911474, rel=1e-9)
+        assert lemma == pytest.approx(expected, rel=1e-12)
+        assert lemma == pytest.approx(0.520102911474, rel=1e-9)
 
-    def test_coefficient_ratio_exceeds_c_r(self):
+    def test_leading_constants_chain_oracle(self):
         for B in (1.0, 2.0, 4.0, 8.0, 16.0):
-            out = rkhs_bounds(B, 50, 1.0, 0.1)
-            c5_lemma = (chain_tau(B) / chain_tau(-B)) * (B + chain_pdf(0))
-            c5_improved = B + (B + chain_pdf(0)) / chain_cdf(-B)
+            lemma_c, improved_c = bounds._constants(None, False, B * B), bounds._constants(None, False, B * B, B)
             c4_lemma = chain_tau(B) / chain_tau(-B)
             c4_improved = 1 / chain_cdf(-B)
-            assert c5_lemma / c5_improved > out.c_r
-            assert c4_lemma / c4_improved > out.c_r
-
-    def test_inverse_c_r_strictly_decreasing(self):
-        inv = [1.0 / rkhs_bounds(float(b), 10, 1.0, 0.0).c_r for b in range(1, 11)]
-        assert all(a > b for a, b in zip(inv, inv[1:]))
+            assert lemma_c.outer * lemma_c.lead == pytest.approx(c4_lemma, rel=1e-12)
+            assert lemma_c.outer * lemma_c.window == pytest.approx(c4_lemma * (B + chain_pdf(0)), rel=1e-12)
+            assert improved_c.outer * improved_c.lead == pytest.approx(c4_improved, rel=1e-12)
+            assert improved_c.outer * improved_c.window == pytest.approx(B + (B + chain_pdf(0)) * c4_improved,
+                                                                         rel=1e-12)
 
     def test_improved_beats_lemma(self):
         for B in np.linspace(1, 16, 16):
             for m, s in [(1.0, 0.0), (0.0, 0.3), (2.0, 0.5)]:
-                out = rkhs_bounds(float(B), 30, m, s)
+                lemma, improved = rkhs_forms(float(B), 30, m, s)
                 if m > 0 or s > 0:
-                    assert out.improved_bound < out.lemma_bound
-
-    def test_rejects_small_B(self):
-        with pytest.raises(ValueError):
-            rkhs_bounds(0.5, 10, 1.0, 0.0)
+                    assert improved < lemma
 
     @pytest.mark.parametrize("B", [37.6, 38.0, 39.0])
     def test_overflowing_constants_raise(self, B):
         # c_tau(B) overflows to inf at 37.6 and tau(-B) or Phi(-B) is 0 beyond
-        with pytest.raises(ValueError, match=rf"B={B!r} is too large: c_tau overflows at beta="):
-            rkhs_bounds(B, 10, 1.0, 0.1)
+        with pytest.raises(ValueError, match="c_tau overflows at beta="):
+            rkhs_forms(B, 10, 1.0, 0.1)
 
     def test_largest_finite_B_unchanged(self):
-        out = rkhs_bounds(37.0, 10, 1.0, 0.1)
-        assert math.isfinite(out.lemma_bound) and math.isfinite(out.improved_bound)
-        assert (out.lemma_bound, out.improved_bound) == legacy_rkhs(37.0, 10, 1.0, 0.1)
+        lemma, improved = rkhs_forms(37.0, 10, 1.0, 0.1)
+        assert math.isfinite(lemma) and math.isfinite(improved)
+        assert (lemma, improved) == legacy_rkhs(37.0, 10, 1.0, 0.1)
 
 
 class TestOverflowingConstants:

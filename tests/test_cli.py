@@ -203,6 +203,19 @@ class TestRunCommand:
         assert f"config key {key!r} must be" in err and "'abc'" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("nu", ["2.5", "", "none"])
+    def test_kernel_nu_on_se_kernel_exits_2_and_writes_nothing(self, capsys, tmp_path, nu):
+        # an SE kernel used to drop a set kernel_nu silently and echo it empty
+        cfg = tmp_path / "se.cfg"
+        cfg.write_text(f"grid_per_dim = 30\nT = 20\ntrials = 2\nkernel_nu = {nu}\n")
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out_dir))
+        if nu == "2.5":
+            assert (code, out) == (2, "") and "kernel_nu" in err and "2.5" in err
+            assert not out_dir.exists()
+        else:
+            assert code == 0 and "kernel_nu = \n" in (out_dir / "config.txt").read_text()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_usage_error(self, capsys, tmp_path, workers):
         cfg = tmp_path / "exp.cfg"

@@ -109,6 +109,13 @@ class TestConfig:
         cfg = from_flat({"r": "5.0", "grid_per_dim": "30", "T": "12"})
         assert cfg.kernel.lengthscale == pytest.approx(1.0)
 
+    def test_kernel_nu_carries_over_within_its_family_only(self):
+        matern = tiny_config(kernel=KernelSpec("matern", 0.3, nu=1.5))
+        assert from_flat({"kernel_lengthscale": "0.5"}, base=matern).kernel == KernelSpec("matern", 0.5, 1.5)
+        assert from_flat({"kernel_family": "se"}, base=matern).kernel == KernelSpec("se", 0.2)
+        with pytest.raises(ValueError, match="kernel_nu"):
+            from_flat({"kernel_family": "se", "kernel_nu": "1.5"}, base=matern)
+
     def test_bad_config_file_line(self, tmp_path):
         path = tmp_path / "broken.cfg"
         path.write_text("this is not a key value pair\n")

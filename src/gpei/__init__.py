@@ -2,7 +2,6 @@
 
 from .bounds import (
     BoundConstants,
-    CoefficientComparison,
     bound_value,
     compare_coefficients,
     constants_thm42,
@@ -20,7 +19,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BarTauParams",
     "BoundConstants",
-    "CoefficientComparison",
     "ExperimentConfig",
     "GpState",
     "GridPrior",

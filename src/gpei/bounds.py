@@ -41,10 +41,10 @@ class BoundConstants:
     Every flavor is the form outer * (lead * D + window * sigma_win) of
     ``bound_value``, with (outer, lead, window) = (c_tau, 1, sqrt(beta) +
     phi(0)) for the baseline bound and (1, C1, C1*sqrt(beta) + C2) for the
-    improved one; its leading constants are C4 = outer*lead and
-    C5 = outer*window.  Fields that a flavor does not define are None (the
-    baseline bound has no w/C1/C2/C3; c_tau is populated for every flavor
-    since it only needs beta).  delta is None only for noiseless constants
+    improved one; its leading constants are C4 = outer*lead (``c4``) and
+    C5 = outer*window (``c5``).  Fields that a flavor does not define are
+    None (the baseline bound has no w/C1/C2/C3; c_tau is populated for every
+    flavor since it only needs beta).  delta is None only for noiseless constants
     built at a bare beta, ``_constants(None, False, beta[, w])``, which no
     campaign uses.
     """
@@ -62,6 +62,14 @@ class BoundConstants:
     c1: float | None = None
     c2: float | None = None
     c3: float | None = None
+
+    @property
+    def c4(self) -> float:
+        return self.outer * self.lead
+
+    @property
+    def c5(self) -> float:
+        return self.outer * self.window
 
 
 def _check_delta(delta: float) -> float:
@@ -178,33 +186,14 @@ def bound_value(c: BoundConstants, t, f_bound, noise_sd: float, sigma_win):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class CoefficientComparison:
-    """The four leading constants of the common form
-    r_t <= 3*C4*(2M + 2*sqrt(c_t_sigma)*sigma)/(t-3) + C5*sigma_win."""
-
-    c4_42: float
-    c5_42: float
-    c4_46: float
-    c5_46: float
-
-
-def compare_coefficients(delta: float) -> CoefficientComparison:
-    """Leading constants of both noisy bounds at the same delta.
-
-    The improved bound's constants are provably smaller on both terms.
-    """
-    c42 = constants_thm42(delta, noisy=True)
-    c46 = constants_thm46(delta, noisy=True)
-    out = CoefficientComparison(
-        c4_42=c42.outer * c42.lead,
-        c5_42=c42.outer * c42.window,
-        c4_46=c46.outer * c46.lead,
-        c5_46=c46.outer * c46.window,
-    )
-    if not (out.c4_46 < out.c4_42 and out.c5_46 < out.c5_42):
-        raise AssertionError(f"coefficient ordering violated at delta={delta}: {out}")
-    return out
+def compare_coefficients(delta: float) -> tuple[BoundConstants, BoundConstants]:
+    """The noisy (baseline, improved) constants at the same delta, after
+    checking that the improved bound's C4 and C5 are the smaller, which they
+    provably are."""
+    c42, c46 = constants_thm42(delta, noisy=True), constants_thm46(delta, noisy=True)
+    if not (c46.c4 < c42.c4 and c46.c5 < c42.c5):
+        raise AssertionError(f"coefficient ordering violated at delta={delta}: {c42} vs {c46}")
+    return c42, c46
 
 
 def window_range(c: BoundConstants, t: int) -> tuple[int, int]:

@@ -88,17 +88,15 @@ def _cmd_figures(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     delta = args.delta
-    c42 = bounds.constants_thm42(delta, noisy=True)
-    c46 = bounds.constants_thm46(delta, noisy=True)
-    cmp_ = bounds.compare_coefficients(delta)
+    c42, c46 = bounds.compare_coefficients(delta)
     print(f"delta = {delta!r}")
     print(f"beta_42 = {c42.beta!r}")
-    print(f"C4_42 = {cmp_.c4_42!r}")
-    print(f"C5_42 = {cmp_.c5_42!r}")
+    print(f"C4_42 = {c42.c4!r}")
+    print(f"C5_42 = {c42.c5!r}")
     print(f"beta_46 = {c46.beta!r}")
     print(f"C1_46 = {c46.c1!r}")
     print(f"C2_46 = {c46.c2!r}")
-    print(f"C5_46 = {cmp_.c5_46!r}")
+    print(f"C5_46 = {c46.c5!r}")
     print(f"w_46 = {c46.w!r}")
     print(f"sqrt_beta_42 = {math.sqrt(c42.beta)!r}")
     return 0

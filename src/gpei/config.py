@@ -159,7 +159,10 @@ def from_flat(flat: dict[str, str], base: ExperimentConfig | None = None) -> Exp
     unset_lengthscale = 0.2 * updates.get("r", base.r) if rescaled else base.kernel.lengthscale
     lengthscale = updates.pop("kernel_lengthscale", unset_lengthscale)
     nu = updates.pop("kernel_nu", base.kernel.nu if family == base.kernel.family else None)
-    updates["kernel"] = KernelSpec(family, lengthscale, nu)
+    try:
+        updates["kernel"] = KernelSpec(family, lengthscale, nu)
+    except ValueError as e:  # KernelSpec names the refused field first; its flat key is kernel_<field>
+        raise ValueError(f"config key 'kernel_{str(e).split()[0]}': {e}") from e
     return dataclasses.replace(base, **updates)
 
 

@@ -111,11 +111,12 @@ class GridPosterior:
     ``_refit``, which replays it at a higher jitter.  Every kernel value comes
     from ``prior.rows``.  A trial's arithmetic does not depend on B or on the
     other trials, and ``keep(mask)`` drops the trials that stop.  Every trial
-    starts from the prior (mu = 0, var = 1, jitter ``gp.JITTER_START``) and
-    takes its initial observations through ``observe`` too.
+    starts from the prior (mu = 0, var = 1, jitter ``jitter``, by default
+    ``gp.JITTER_START`` when called) and takes its initial observations
+    through ``observe`` too.
     """
 
-    def __init__(self, prior: GridPrior, idx, y, noise_var: float, capacity: int):
+    def __init__(self, prior: GridPrior, idx, y, noise_var: float, capacity: int, jitter: float | None = None):
         idx = np.asarray(idx, dtype=np.intp)
         y = np.asarray(y, dtype=float)
         if idx.ndim != 2 or y.shape != idx.shape:
@@ -131,32 +132,29 @@ class GridPosterior:
         self._w = np.empty((B, capacity))
         self.mu = np.zeros((B, n))
         self.var = np.ones((B, n))
-        self.jitter = np.full(B, gp.JITTER_START)
+        self.jitter = np.full(B, gp.JITTER_START if jitter is None else jitter)
         self._trials = np.arange(B)
         self._scratch = np.empty((B, n))
         for s in range(t):
             self.observe(idx[:, s], y[:, s])
 
     def _refit(self, b: int) -> None:
-        """Rebuild trial b at ten times its jitter by replaying its observations
-        through ``observe`` on a one-trial posterior, whose own ``_refit``
-        escalates again where a pivot still fails; ``gp.FactorizationError``
-        past ``gp.JITTER_MAX``."""
+        """Rebuild trial b at ten times its jitter as a one-trial posterior on
+        its observations, whose own ``_refit`` escalates again where a pivot
+        still fails; ``gp.FactorizationError`` past ``gp.JITTER_MAX``."""
         jitter = self.jitter[b] * 10.0
         if jitter > gp.JITTER_MAX:
             raise gp.FactorizationError(f"posterior pivot failed after escalating jitter to {gp.JITTER_MAX:g}")
         t = self._t
-        alone = GridPosterior(self.prior, np.empty((1, 0), dtype=np.intp), np.empty((1, 0)), self.noise_var, t)
-        alone.jitter[0] = jitter
-        for s in range(t):
-            alone.observe(self._idx[b, s : s + 1], self._y[b, s : s + 1])
+        alone = GridPosterior(self.prior, self._idx[b : b + 1, :t], self._y[b : b + 1, :t], self.noise_var, t, jitter)
         self._V[b, :t], self._w[b, :t] = alone._V[0], alone._w[0]
         self.mu[b], self.var[b], self.jitter[b] = alone.mu[0], alone.var[0], alone.jitter[0]
 
     @property
     def sigma(self) -> np.ndarray:
-        """Posterior sd on the grid, clipped into [0, 1] as in ``gp.posterior_batch``."""
-        return np.sqrt(np.clip(self.var, 0.0, 1.0))
+        """Posterior sd on the grid, with a negative variance read as 0; the
+        variance never exceeds 1, since ``observe`` only subtracts from it."""
+        return np.sqrt(np.maximum(self.var, 0.0))
 
     def keep(self, mask) -> None:
         """Drop the trials where ``mask`` is False; the others keep their order and state."""
@@ -222,7 +220,6 @@ class Trace:
     f_star: float
     f_abs_max: float
     init_indices: np.ndarray
-    stopped_early: bool
 
     @property
     def rows(self) -> tuple:
@@ -247,6 +244,8 @@ class Batch:
     ``columns[name]`` holds all trials' values of the ``Trace`` column ``name``
     over the budget, shape (B, T - T0) ((B, T - T0, d) for x_next), of which
     trial b recorded ``steps[b]``; the entries after a kappa stop are filler.
+    A trial stopped on kappa exactly when kappa is set and the last recorded
+    ``ei_next`` is below it.
     ``f_star`` and ``f_abs_max`` are each objective's minimum and sup-norm."""
 
     seeds: tuple[int, ...]
@@ -254,7 +253,6 @@ class Batch:
     f_abs_max: np.ndarray  # (B,)
     init_indices: np.ndarray  # (B, T0)
     steps: np.ndarray  # (B,)
-    stopped: np.ndarray  # (B,)
     columns: dict[str, np.ndarray]
 
     def trace(self, b: int) -> Trace:
@@ -266,7 +264,6 @@ class Batch:
             f_star=float(self.f_star[b]),
             f_abs_max=float(self.f_abs_max[b]),
             init_indices=self.init_indices[b],
-            stopped_early=bool(self.stopped[b]),
         )
 
 
@@ -326,7 +323,6 @@ def run_batch(config: ExperimentConfig, prior: GridPrior, seeds) -> Batch:
     j_col = np.zeros((B, S), dtype=np.intp)
     floats = np.zeros((8, B, S))
     steps = np.full(B, S)
-    stopped = np.zeros(B, dtype=bool)
     rows = np.arange(B)  # the output row of each trial still running
     for s in range(S):
         t = T0 + s
@@ -344,7 +340,6 @@ def run_batch(config: ExperimentConfig, prior: GridPrior, seeds) -> Batch:
             done = ei_next < config.kappa
             if done.any():
                 steps[rows[done]] = s + 1
-                stopped[rows[done]] = True
                 live = ~done
                 rows, j, y_new, y_plus, f_plus, f, eps, x_star = (
                     a[live] for a in (rows, j, y_new, y_plus, f_plus, f, eps, x_star))
@@ -359,7 +354,7 @@ def run_batch(config: ExperimentConfig, prior: GridPrior, seeds) -> Batch:
     t_col = np.broadcast_to(np.arange(T0, T), (B, S))
     regrets = floats[2] - f_star[:, None], best_f - f_star[:, None]
     columns = dict(zip(COLUMNS, (t_col, grid[j_col], j_col, *floats, *regrets)))
-    for arr in (f_star, f_abs_max, init, steps, stopped, *columns.values()):
+    for arr in (f_star, f_abs_max, init, steps, *columns.values()):
         arr.flags.writeable = False
     return Batch(
         seeds=tuple(int(s) for s in seeds),
@@ -367,6 +362,5 @@ def run_batch(config: ExperimentConfig, prior: GridPrior, seeds) -> Batch:
         f_abs_max=f_abs_max,
         init_indices=init,
         steps=steps,
-        stopped=stopped,
         columns=columns,
     )

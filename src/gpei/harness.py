@@ -704,8 +704,8 @@ def _f5_rows() -> tuple[list[str], list[list]]:
     rows = []
     for i in range(89):
         delta = (2 + i) / 100.0
-        cmp_ = bounds.compare_coefficients(delta)
-        rows.append([delta, *map(math.log10, (cmp_.c4_42, cmp_.c5_42, cmp_.c4_46, cmp_.c5_46))])
+        c42, c46 = bounds.compare_coefficients(delta)
+        rows.append([delta, *map(math.log10, (c42.c4, c42.c5, c46.c4, c46.c5))])
     return header, rows
 
 

@@ -26,15 +26,16 @@ class KernelSpec:
     nu: float | None = None
 
     def __post_init__(self):
+        """Raise ValueError, its message starting with the refused field's name."""
         if self.family not in (SQUARED_EXPONENTIAL, MATERN):
-            raise ValueError(f"unknown kernel family {self.family!r}")
+            raise ValueError(f"family must be one of {(SQUARED_EXPONENTIAL, MATERN)}, got {self.family!r}")
         if not (isinstance(self.lengthscale, (int, float)) and math.isfinite(self.lengthscale) and self.lengthscale > 0):
             raise ValueError(f"lengthscale must be a positive finite number, got {self.lengthscale!r}")
         if self.family == MATERN:
             if self.nu not in MATERN_NUS:
-                raise ValueError(f"Matern nu must be one of {MATERN_NUS}, got {self.nu!r}")
+                raise ValueError(f"nu must be one of {MATERN_NUS} for the Matern family, got {self.nu!r}")
         elif self.nu is not None:
-            raise ValueError(f"nu (config key kernel_nu) is only meaningful for the Matern family, got {self.nu!r}")
+            raise ValueError(f"nu is only meaningful for the Matern family, got {self.nu!r}")
 
 
 def _as_points(name: str, X) -> np.ndarray:

@@ -248,12 +248,13 @@ class TestCriterion7RateShape:
         """The window sd that the improved noisy bound reads decays at least as
         fast as the SE envelope.  At desk scale it decays much faster (the
         finite grid saturates), consistent with the envelope's role as an
-        upper bound."""
+        upper bound.  The 60 s limit covers the campaigns it reads as well as
+        the gate."""
+        results, campaigns_elapsed = campaigns
         start = time.time()
-        results, _ = campaigns
         res = results[(0.05, "thm46")]
         ok, slope_measured, slope_env = rate_gate(res.coverage, res.config.d)
-        elapsed = time.time() - start
+        elapsed = campaigns_elapsed + time.time() - start
         report(
             7,
             ok and elapsed < 60.0,
@@ -289,12 +290,11 @@ def improved_at(B: float) -> bounds.BoundConstants:
 def ratios_exceed_c_r(improved=improved_at) -> bool:
     """Criterion 8's gate: at every RKHS norm B, the baseline noiseless
     constants at sqrt(beta) = B over ``improved(B)`` exceed c_r(B) in both C4
-    = outer*lead and C5 = outer*window."""
+    and C5."""
     ok = True
     for B in RKHS_NORMS:
         base, imp = bounds._constants(None, False, B * B), improved(B)
-        c4_ratio = (base.outer * base.lead) / (imp.outer * imp.lead)
-        c5_ratio = (base.outer * base.window) / (imp.outer * imp.window)
+        c4_ratio, c5_ratio = base.c4 / imp.c4, base.c5 / imp.c5
         ok &= c4_ratio > c_r(B) and c5_ratio > c_r(B)
     return ok
 

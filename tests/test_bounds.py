@@ -266,11 +266,9 @@ class TestOneForm:
     def test_leading_constants_are_the_form_coefficients(self):
         for delta in (0.01, 0.1, 0.5, 0.9):
             c42, c46 = constants_thm42(delta, True), constants_thm46(delta, True)
-            cmp_ = compare_coefficients(delta)
-            assert (cmp_.c4_42, cmp_.c5_42) == (c42.c_tau, c42.c_tau * (math.sqrt(c42.beta) + PHI0))
-            assert (cmp_.c4_46, cmp_.c5_46) == (c46.c1, c46.c1 * math.sqrt(c46.beta) + c46.c2)
-            assert (cmp_.c4_42, cmp_.c5_42) == (c42.outer * c42.lead, c42.outer * c42.window)
-            assert (cmp_.c4_46, cmp_.c5_46) == (c46.outer * c46.lead, c46.outer * c46.window)
+            assert compare_coefficients(delta) == (c42, c46)
+            assert (c42.c4, c42.c5) == (c42.c_tau, c42.c_tau * (math.sqrt(c42.beta) + PHI0))
+            assert (c46.c4, c46.c5) == (c46.c1, c46.c1 * math.sqrt(c46.beta) + c46.c2)
 
     def test_rkhs_bitwise_equals_its_former_expressions(self):
         rng = np.random.default_rng(21)
@@ -293,16 +291,22 @@ class TestOneForm:
 
 class TestCompareCoefficients:
     def test_printed_values_at_tenth(self):
-        cmp_ = compare_coefficients(0.1)
-        printed = {"c4_42": 4632, "c5_42": 15103, "c4_46": 345, "c5_46": 1187}
-        for name, value in printed.items():
-            assert abs(getattr(cmp_, name) - value) / value < 0.02, name
+        c42, c46 = compare_coefficients(0.1)
+        printed = {"c4_42": (c42.c4, 4632), "c5_42": (c42.c5, 15103), "c4_46": (c46.c4, 345), "c5_46": (c46.c5, 1187)}
+        for name, (got, value) in printed.items():
+            assert abs(got - value) / value < 0.02, name
 
     def test_ordering_across_delta_grid(self):
         for delta in np.linspace(0.011, 0.899, 50):
-            cmp_ = compare_coefficients(float(delta))
-            assert cmp_.c4_46 < cmp_.c4_42
-            assert cmp_.c5_46 < cmp_.c5_42
+            c42, c46 = compare_coefficients(float(delta))
+            assert c46.c4 < c42.c4
+            assert c46.c5 < c42.c5
+
+    def test_ordering_violation_raises(self, monkeypatch):
+        # a mutant whose improved constants are the baseline's fails the check
+        monkeypatch.setattr(bounds, "constants_thm46", bounds.constants_thm42)
+        with pytest.raises(AssertionError, match="ordering violated"):
+            compare_coefficients(0.1)
 
     def test_c_tau_exceeds_one_and_increases(self):
         betas = np.linspace(0.5, 20, 40)
@@ -326,11 +330,10 @@ class TestRkhsForms:
             lemma_c, improved_c = bounds._constants(None, False, B * B), bounds._constants(None, False, B * B, B)
             c4_lemma = chain_tau(B) / chain_tau(-B)
             c4_improved = 1 / chain_cdf(-B)
-            assert lemma_c.outer * lemma_c.lead == pytest.approx(c4_lemma, rel=1e-12)
-            assert lemma_c.outer * lemma_c.window == pytest.approx(c4_lemma * (B + chain_pdf(0)), rel=1e-12)
-            assert improved_c.outer * improved_c.lead == pytest.approx(c4_improved, rel=1e-12)
-            assert improved_c.outer * improved_c.window == pytest.approx(B + (B + chain_pdf(0)) * c4_improved,
-                                                                         rel=1e-12)
+            assert lemma_c.c4 == pytest.approx(c4_lemma, rel=1e-12)
+            assert lemma_c.c5 == pytest.approx(c4_lemma * (B + chain_pdf(0)), rel=1e-12)
+            assert improved_c.c4 == pytest.approx(c4_improved, rel=1e-12)
+            assert improved_c.c5 == pytest.approx(B + (B + chain_pdf(0)) * c4_improved, rel=1e-12)
 
     def test_improved_beats_lemma(self):
         for B in np.linspace(1, 16, 16):
@@ -391,7 +394,6 @@ def synthetic_trace(ts, sigmas, r_ts, f_abs_max=1.0):
         f_star=0.0,
         f_abs_max=f_abs_max,
         init_indices=np.zeros(ts[0] if ts else 1, dtype=np.intp),  # T0 initial points before t = ts[0]
-        stopped_early=False,
     )
 
 
@@ -462,7 +464,7 @@ class TestEmpiricalBoundCheck:
             empirical_bound_check(late, c, 1.0, 0.05, 18)
         empty = synthetic_trace([], [], [])
         stopped = loop_trace(T0=4, kappa=1e-3)
-        assert stopped.stopped_early and stopped.t[-1] < 30
+        assert stopped.ei_next[-1] < 1e-3 and stopped.t[-1] < 30  # stopped by kappa
         # divisor 2 and no t_min: every recorded t > 2 is checkable and reads its own row
         c0 = constants_thm46(0.1, noisy=False)
         for tr in (late, stopped):

@@ -203,6 +203,21 @@ class TestRunCommand:
         assert f"config key {key!r} must be" in err and "'abc'" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("key,lines", [
+        ("kernel_family", "kernel_family = rbf\n"),
+        ("kernel_lengthscale", "kernel_lengthscale = -1\n"),
+        ("kernel_nu", "kernel_family = matern\nkernel_nu = 2.0\n"),
+    ], ids=["kernel_family", "kernel_lengthscale", "kernel_nu"])
+    def test_refused_kernel_value_names_its_key(self, capsys, tmp_path, key, lines):
+        # KernelSpec refuses the value; the config names the flat key that holds it
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(lines)
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert f"config key {key!r}" in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("nu", ["2.5", "", "none"])
     def test_kernel_nu_on_se_kernel_exits_2_and_writes_nothing(self, capsys, tmp_path, nu):
         # an SE kernel used to drop a set kernel_nu silently and echo it empty

@@ -191,6 +191,13 @@ def run_once(config, seed=5):
     return prior.draw([seed])[0], eiopt.run_batch(config, prior, [seed]).trace(0)
 
 
+def kappa_stopped(batch, kappa):
+    """Per trial of ``batch``, whether kappa stopped it: kappa is set and the
+    last recorded EI is below it."""
+    last = batch.columns["ei_next"][np.arange(batch.steps.size), batch.steps - 1]
+    return np.zeros(last.shape, dtype=bool) if kappa is None else last < kappa
+
+
 def record(trace):
     """Every field of a trace, arrays as Python lists, in a repr that is equal
     between two traces exactly when they are bitwise equal."""
@@ -254,10 +261,10 @@ class TestRun:
         ceiling = free.ei_next.max()
         cfg_stop = dataclasses.replace(cfg_free, kappa=float(ceiling))
         _, stopped = run_once(cfg_stop)
-        assert stopped.stopped_early
-        # the threshold row is still observed and recorded, matching the loop
-        # order: acquire, observe, update the posterior, then test the criterion
-        assert stopped.ei_next[-1] < ceiling or stopped.t.size == 1
+        # kappa stopped the trial, and the threshold row is still observed and
+        # recorded, matching the loop order: acquire, observe, update the
+        # posterior, then test the criterion
+        assert stopped.ei_next[-1] < ceiling
 
     def test_grid_mismatch_rejected(self):
         cfg = tiny_config()
@@ -321,9 +328,10 @@ def replay(config, seed):
 
 
 def exact_posterior(prior, idx, y, noise_var, jitter):
-    """Posterior mean and sd on the prior's grid, clipped as ``GridPosterior.sigma``
-    clips it, from the prior's float64 kernel rows at 50 digits: the moments
-    that a posterior at this jitter rounds, free of any solve's roundoff."""
+    """Posterior mean and sd on the prior's grid, a negative variance read as 0
+    as ``GridPosterior.sigma`` reads it, from the prior's float64 kernel rows
+    at 50 digits: the moments that a posterior at this jitter rounds, free of
+    any solve's roundoff."""
     rows = prior.rows(idx)
     with mp.workdps(50):
         K = mp.matrix(rows[:, idx].tolist()) + (mp.mpf(noise_var) + mp.mpf(jitter)) * mp.eye(len(idx))
@@ -333,7 +341,7 @@ def exact_posterior(prior, idx, y, noise_var, jitter):
             k = mp.matrix(rows[:, j].tolist())
             mu.append(float((k.T * alpha)[0]))
             var = 1 - (k.T * mp.lu_solve(K, k))[0]
-            sigma.append(float(mp.sqrt(min(max(var, 0), 1))))
+            sigma.append(float(mp.sqrt(max(var, 0))))
     return np.array(mu), np.array(sigma)
 
 
@@ -510,6 +518,30 @@ class TestGridPosterior:
         post._refit(0)
         assert post.jitter[0] == 10.0 * before
         assert_fresh_replay(post)
+
+    @pytest.mark.parametrize("case", ["noisy", "noiseless_requery", "forced_refit"])
+    def test_variance_never_exceeds_one(self, monkeypatch, case):
+        # sigma clips the variance at 0 only: it starts at 1, every observe
+        # subtracts v*v from it and a refit rebuilds it the same way, so it
+        # never exceeds 1 and sigma equals the sd clipped into [0, 1] bit for bit
+        refits = []
+        original = eiopt.GridPosterior._refit
+        monkeypatch.setattr(eiopt.GridPosterior, "_refit", lambda self, b: (refits.append(b), original(self, b)))
+        if case == "forced_refit":
+            # re-queried noiseless points at jitter 1e-18 have pivots that are not positive
+            monkeypatch.setattr(gp, "JITTER_START", 1e-18)
+        noise_var = 0.05**2 if case == "noisy" else 0.0
+        rng = np.random.default_rng(7)
+        idx = rng.integers(0, 40, size=(3, 12))
+        if case != "noisy":
+            idx[:, 6:] = idx[:, :6]  # every point is observed twice
+        y = rng.normal(size=idx.shape)
+        post = eiopt.GridPosterior(se_prior(40), idx[:, :1], y[:, :1], noise_var, 12)
+        for s in range(1, 12):
+            post.observe(idx[:, s], y[:, s])
+            assert (post.var <= 1.0).all(), s
+            assert np.array_equal(post.sigma, np.sqrt(np.clip(post.var, 0.0, 1.0))), s
+        assert bool(refits) == (case == "forced_refit")
 
     def test_refit_past_jitter_max_raises(self, monkeypatch):
         # a duplicate noiseless point: the pivot fails at 1e-18 and again at
@@ -761,9 +793,10 @@ class TestScreenedPick:
         full = eiopt.run_batch(cfg, prior, seeds)
         for name in eiopt.COLUMNS:
             assert screened.columns[name].tobytes() == full.columns[name].tobytes(), name
-        assert np.array_equal(screened.steps, full.steps) and np.array_equal(screened.stopped, full.stopped)
+        assert np.array_equal(screened.steps, full.steps)
+        assert np.array_equal(kappa_stopped(screened, cfg.kappa), kappa_stopped(full, cfg.kappa))
         assert bool(refits) == (cfg.noise_sd == 0.0)
-        assert full.stopped.any() == (cfg.kappa is not None)
+        assert kappa_stopped(full, cfg.kappa).any() == (cfg.kappa is not None)
         # the screen evaluated exact EI on a small part of the blocks
         assert screened_size < 0.25 * sum(evaluated)
 
@@ -797,7 +830,7 @@ class TestLockstep:
         if cfg.kappa is not None:
             lengths = {tr.t.size for tr in whole}
             assert len(lengths) > 1 and max(lengths) > min(lengths)  # trials stop at different t
-            assert any(tr.stopped_early for tr in whole)
+            assert any(tr.ei_next[-1] < cfg.kappa for tr in whole)
         for size in (1, 7):
             assert [record(tr) for tr in run_in_batches(cfg, size)] == [record(tr) for tr in whole]
 
@@ -841,9 +874,10 @@ class TestFallbackLattice:
         a, b = (eiopt.run_batch(cfg, prior, seeds) for prior in (reference, windows))
         for name in eiopt.COLUMNS:
             assert a.columns[name].tobytes() == b.columns[name].tobytes(), name
-        assert np.array_equal(a.steps, b.steps) and np.array_equal(a.stopped, b.stopped)
+        assert np.array_equal(a.steps, b.steps)
+        assert np.array_equal(kappa_stopped(a, cfg.kappa), kappa_stopped(b, cfg.kappa))
         assert bool(refits) == (cfg.noise_sd == 0.0)
-        assert a.stopped.any() == (cfg.kappa is not None)
+        assert kappa_stopped(a, cfg.kappa).any() == (cfg.kappa is not None)
 
 
 def assert_picks_are_ei_maxima(cfg, seed):

@@ -6,11 +6,10 @@ from .bounds import (
     compare_coefficients,
     constants_thm42,
     constants_thm46,
-    empirical_bound_check,
 )
 from .config import ExperimentConfig, load_config
 from .eiopt import Trace
-from .gp import GpState, GridPrior, fit, info_gain, sample_prior, update, variance_sum_check
+from .gp import GridPrior, info_gain, variance_sum_check
 from .kernels import KernelSpec
 from .stdnormal import BarTauParams, bar_tau, cdf, ei_ab, find_rho_bar, pdf, tau, theta, tilde_tau
 
@@ -20,7 +19,6 @@ __all__ = [
     "BarTauParams",
     "BoundConstants",
     "ExperimentConfig",
-    "GpState",
     "GridPrior",
     "KernelSpec",
     "Trace",
@@ -31,16 +29,12 @@ __all__ = [
     "constants_thm42",
     "constants_thm46",
     "ei_ab",
-    "empirical_bound_check",
     "find_rho_bar",
-    "fit",
     "info_gain",
     "load_config",
     "pdf",
-    "sample_prior",
     "tau",
     "theta",
     "tilde_tau",
-    "update",
     "variance_sum_check",
 ]

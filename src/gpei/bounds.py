@@ -161,12 +161,13 @@ def constants_for(theorem: str, delta: float, noisy: bool) -> BoundConstants:
 def bound_value(c: BoundConstants, t, f_bound, noise_sd: float, sigma_win):
     """Bound value at iteration t: outer * (lead * D + window * sigma_win).
 
-    noisy:     D = (M + sqrt(c_t_sigma)*noise_sd)*6/(t-3)
-    noiseless: D = M*4/(t-2)  (noise_sd is ignored)
-    with M = f_bound.  t, f_bound and sigma_win broadcast together (a float
-    when all are scalars); c_t_sigma is taken per entry of t with ``math.log``.
-    lead*D is evaluated left to right (lead*M*4/(t-2)): another order moves
-    bounds by roundoff, and with them the trace bytes.
+    D = (M [+ sqrt(c_t_sigma)*noise_sd]) * 2d/(t - d)
+    with M = f_bound, d = ``c.window_divisor`` (3 noisy, 2 noiseless) and the
+    noise term in the noisy flavor only (noiseless ignores noise_sd).  t,
+    f_bound and sigma_win broadcast together (a float when all are scalars);
+    c_t_sigma is taken per entry of t with ``math.log``.  lead*D is evaluated
+    left to right (lead*M*2d/(t - d)): another order moves bounds by
+    roundoff, and with them the trace bytes.
     """
     t, f, s = np.asarray(t), np.asarray(f_bound, dtype=float), np.asarray(sigma_win, dtype=float)
     if not (t.dtype.kind in "iu" and np.all(t > c.window_divisor)):
@@ -178,11 +179,9 @@ def bound_value(c: BoundConstants, t, f_bound, noise_sd: float, sigma_win):
     if not np.all((s >= 0.0) & (s <= 1.0)):
         raise ValueError(f"sigma_win must lie in [0, 1], got {sigma_win!r}")
     if c.flavor.endswith("-noisy"):
-        root = np.sqrt([c_t_sigma(int(k), c.delta) for k in t.flat]).reshape(t.shape)
-        decay = c.lead * (f + root * noise_sd) * 6.0 / (t - 3)
-    else:
-        decay = c.lead * f * 4.0 / (t - 2)
-    out = c.outer * (decay + c.window * s)
+        f = f + np.sqrt([c_t_sigma(int(k), c.delta) for k in t.flat]).reshape(t.shape) * noise_sd
+    d = c.window_divisor
+    out = c.outer * (c.lead * f * (2 * d) / (t - d) + c.window * s)
     return float(out) if out.ndim == 0 else out
 
 

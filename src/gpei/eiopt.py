@@ -133,8 +133,6 @@ class GridPosterior:
         self.mu = np.zeros((B, n))
         self.var = np.ones((B, n))
         self.jitter = np.full(B, gp.JITTER_START if jitter is None else jitter)
-        self._trials = np.arange(B)
-        self._scratch = np.empty((B, n))
         for s in range(t):
             self.observe(idx[:, s], y[:, s])
 
@@ -158,9 +156,8 @@ class GridPosterior:
 
     def keep(self, mask) -> None:
         """Drop the trials where ``mask`` is False; the others keep their order and state."""
-        for name in ("_idx", "_y", "_V", "_w", "mu", "var", "jitter", "_scratch"):
+        for name in ("_idx", "_y", "_V", "_w", "mu", "var", "jitter"):
             setattr(self, name, getattr(self, name)[mask])
-        self._trials = np.arange(self.jitter.size)
 
     def observe(self, j, y) -> None:
         """Condition trial b on observing ``y[b]`` at grid[j[b]], for every trial."""
@@ -170,7 +167,7 @@ class GridPosterior:
             raise ValueError(f"y must be finite, got {y!r}")
         t = self._t
         V = self._V[:, :t]
-        l = V[self._trials, :, j]
+        l = V[np.arange(j.size), :, j]
         d2 = 1.0 + self.noise_var + self.jitter - np.sum(l * l, axis=1)
         ok = np.isfinite(d2) & (d2 > 0.0)
         d = np.sqrt(np.where(ok, d2, 1.0))  # failed pivots are rebuilt below
@@ -182,7 +179,7 @@ class GridPosterior:
         self._idx[:, t] = j
         self._y[:, t] = y
         self._t = t + 1
-        vv = np.multiply(v, w_new[:, None], out=self._scratch)
+        vv = v * w_new[:, None]
         self.mu += vv
         np.multiply(v, v, out=vv)
         self.var -= vv

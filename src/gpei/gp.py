@@ -18,7 +18,7 @@ arbitrary points,
     sigma_t^2(x) = k(x, x) - k_t(x)^T (K_t + s2*I)^{-1} k_t(x),
 
 as the reference the tests check the grid posterior against; no campaign or
-lemma protocol calls them, nor ``sample_prior``.
+lemma protocol calls them, nor ``sample_prior``, and ``gpei`` exports none.
 """
 
 from __future__ import annotations

@@ -4,12 +4,13 @@ The "chain" oracle recomputes each formula from scratch with math.erfc-based
 local helpers, independent of the library's own normal primitives.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from gpei import bounds
+from gpei import bounds, harness
 from gpei.bounds import (
     C_ALPHA,
     beta_t_seq,
@@ -21,6 +22,7 @@ from gpei.bounds import (
     empirical_bound_check,
     window_sigma,
 )
+from gpei.config import ExperimentConfig
 
 PHI0 = 1.0 / math.sqrt(2 * math.pi)
 
@@ -262,6 +264,19 @@ class TestOneForm:
                 for _ in range(4):
                     args = random_bound_args(rng, c)
                     assert bound_value(c, *args) == legacy_bound(c, *args), (c.flavor, delta, args)
+
+    def test_decay_term_follows_window_divisor(self):
+        # a noiseless flavour given the noisy divisor 3 decays as 2*3/(t - 3),
+        # still without a noise term, and its window and valid t move with it
+        cfg = ExperimentConfig(T0=1, T=8)
+        for c2 in (constants_thm42(0.1, False), constants_thm46(0.1, False)):
+            c3 = dataclasses.replace(c2, window_divisor=3)
+            for t, m, s in ((4, 1.5, 0.25), (25, 0.7, 0.0), (1999, 3.0, 1.0)):
+                assert bound_value(c3, t, m, 0.05, s) == c3.outer * (c3.lead * m * 6.0 / (t - 3) + c3.window * s)
+            with pytest.raises(ValueError):
+                bound_value(c3, 3, 1.0, 0.0, 0.1)
+            assert (bounds.window_range(c2, 30), bounds.window_range(c3, 30)) == ((14, 30), (9, 30))
+            assert (harness.valid_bound_ts(cfg, c2), harness.valid_bound_ts(cfg, c3)) == ([3, 4, 5, 6, 7], [4, 5, 6, 7])
 
     def test_leading_constants_are_the_form_coefficients(self):
         for delta in (0.01, 0.1, 0.5, 0.9):

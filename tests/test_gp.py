@@ -5,13 +5,17 @@ conjugate formulas, independent of the Cholesky path under test.
 """
 
 import dataclasses
+import importlib
+import importlib.util
 import math
 import pickle
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gpei
 from gpei import eiopt, gp, kernels
 from gpei.config import ExperimentConfig
 from gpei.gp import FactorizationError, GridPrior, fit, info_gain, sample_prior, update, variance_sum_check
@@ -38,6 +42,21 @@ def posterior(state, x):
     """Posterior (mean, sd) at the single point x, through ``posterior_batch``."""
     mu, sigma = gp.posterior_batch(state, np.asarray(x, dtype=float)[None, :])
     return float(mu[0]), float(sigma[0])
+
+
+def test_package_does_not_export_the_reference_engine():
+    # the reference engine and the tracer-only wrappers resolve in their
+    # modules alone, where the benchmark's tracer wraps them
+    spec = importlib.util.spec_from_file_location("tracer", Path(__file__).parents[1] / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, name in [("gp", "GpState"), ("gp", "fit"), ("gp", "update"), ("gp", "sample_prior"),
+                         ("bounds", "empirical_bound_check")]:
+        assert not hasattr(gpei, name) and name not in gpei.__all__
+        assert callable(getattr(importlib.import_module(f"gpei.{module}"), name))
+    for module, name in tracer.TARGETS:
+        assert callable(getattr(importlib.import_module(f"gpei.{module}"), name))
+    assert all(hasattr(gpei, name) for name in gpei.__all__)
 
 
 class TestFitAndPosterior:

@@ -176,16 +176,6 @@ def _smooth5(n: int) -> int:
         n += 1
 
 
-def _kernel_at_offsets(kernel: KernelSpec, offsets) -> np.ndarray:
-    """The kernel on the product of the per-axis offset arrays ``offsets``:
-    entry (j_1, ..., j_d) is k at offsets[0][j_1]^2 + ... + offsets[d-1][j_d]^2,
-    squared and summed in axis order."""
-    sq = np.zeros([o.size for o in offsets])
-    for k, o in enumerate(offsets):
-        sq += (o * o).reshape([-1 if i == k else 1 for i in range(len(offsets))])
-    return kernels._k_of_sq_dist(kernel, sq)
-
-
 def _irfftn_corner(w: np.ndarray, torus, points) -> np.ndarray:
     """The first ``points`` entries of ``np.fft.irfftn(w, s=torus)`` over w's
     trailing axes, bit for bit: numpy's ifft per leading axis, each sliced
@@ -220,7 +210,7 @@ def _circulant_eigenvalues(kernel: KernelSpec, k0, points, spacing) -> tuple[np.
         if 5 * size * math.log2(size) > 2 * k0.size**2:
             return None
         offsets = [h * np.minimum(np.arange(M), M - np.arange(M)) for M, h in zip(torus, spacing)]
-        eig = np.fft.rfftn(_kernel_at_offsets(kernel, offsets)).real
+        eig = np.fft.rfftn(kernels.kernel_at(kernel, np.ix_(*offsets))).real
         if eig.min() >= -JITTER_START:
             np.maximum(eig, 0.0, out=eig)
             if np.max(np.abs(_irfftn_corner(eig, torus, points).ravel() - k0)) <= JITTER_START:
@@ -234,8 +224,8 @@ class GridPrior:
     and every grid posterior.  Every array, ``grid`` included, is read-only,
     and no n-by-n kernel matrix is held.
 
-    Every kernel value the prior holds comes from one evaluation,
-    ``k_offsets``, the kernel at every signed lattice offset, shape
+    Every kernel value the prior holds comes from one ``kernels.kernel_at``
+    evaluation, ``k_offsets``, the kernel at every signed lattice offset, shape
     (2m_1 - 1, ..., 2m_d - 1) for m_k points on axis k; ``rows`` returns
     windows of it.
 
@@ -267,7 +257,7 @@ class GridPrior:
             raise ValueError(f"grid_per_dim must be >= 1, got {m!r}")
         h = config.r / (m - 1) if m > 1 else 0.0
         grid = config.grid_points()
-        k_offsets = _kernel_at_offsets(config.kernel, [h * np.abs(np.arange(1 - m, m))] * config.d)
+        k_offsets = kernels.kernel_at(config.kernel, np.ix_(*[h * np.arange(1 - m, m)] * config.d))
         grid.flags.writeable = k_offsets.flags.writeable = False
         prior = cls(config.kernel, grid, None, None, k_offsets, None, None)
         # the embedding's check row and the fallback's K are rows the posterior reads

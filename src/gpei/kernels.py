@@ -3,6 +3,7 @@
 Supported families: squared exponential and half-integer Matern
 (nu in {1/2, 3/2, 5/2}).  All kernels satisfy k(x, x) = 1 and
 0 < k(x, x') <= 1, and depend on the inputs only through ||x - x'||.
+``kernel_at`` computes every kernel value.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ class KernelSpec:
 
 def _as_points(name: str, X) -> np.ndarray:
     a = np.asarray(X, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d array of points, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[1] == 0:
+        raise ValueError(f"{name} must be a 2-d array of points of at least one coordinate, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     return a
@@ -49,8 +50,8 @@ def _as_points(name: str, X) -> np.ndarray:
 
 def _as_point(name: str, x) -> np.ndarray:
     a = np.asarray(x, dtype=float)
-    if a.ndim != 1:
-        raise ValueError(f"{name} must be a 1-d point, got shape {a.shape}")
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError(f"{name} must be a 1-d point of at least one coordinate, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     return a
@@ -90,17 +91,16 @@ def _k_of_sq_dist(spec: KernelSpec, buf: np.ndarray) -> np.ndarray:
     return buf
 
 
-def _sq_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared distances between rows of A and rows of B, accumulated one
-    coordinate at a time into one (len(A), len(B)) buffer through one
-    difference buffer of the same shape."""
-    buf = np.zeros((A.shape[0], B.shape[0]))
-    diff = np.empty_like(buf)
-    for k in range(A.shape[1]):
-        np.subtract.outer(A[:, k], B[:, k], out=diff)
-        diff *= diff
-        buf += diff
-    return buf
+def kernel_at(spec: KernelSpec, parts) -> np.ndarray:
+    """The kernel at the per-axis coordinate differences ``parts``, arrays
+    that broadcast together: their squares added in axis order to +0.0, then
+    the kernel of that squared distance, in one buffer of the broadcast
+    shape.  Every kernel value in gpei is computed here, so values that share
+    their per-axis differences agree bit for bit."""
+    sq = np.zeros(np.broadcast_shapes(*(np.shape(p) for p in parts)))
+    for p in parts:
+        sq += p * p
+    return _k_of_sq_dist(spec, sq)
 
 
 def eval(spec: KernelSpec, x, x2) -> float:
@@ -109,11 +109,7 @@ def eval(spec: KernelSpec, x, x2) -> float:
     b = _as_point("x2", x2)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    # coordinates summed in order, as in _sq_dist, so gram/cross_matrix match eval bitwise
-    sq = np.zeros(1)
-    for c in a - b:
-        sq += c * c
-    return float(_k_of_sq_dist(spec, sq)[0])
+    return float(kernel_at(spec, (a - b)[:, None])[0])
 
 
 def gram(spec: KernelSpec, X) -> np.ndarray:
@@ -132,4 +128,4 @@ def cross_matrix(spec: KernelSpec, X, Q) -> np.ndarray:
     qs = _as_points("Q", Q)
     if pts.shape[1] != qs.shape[1]:
         raise ValueError(f"dimension mismatch: {pts.shape[1]} vs {qs.shape[1]}")
-    return _k_of_sq_dist(spec, _sq_dist(pts, qs))
+    return kernel_at(spec, [np.subtract.outer(pts[:, k], qs[:, k]) for k in range(pts.shape[1])])

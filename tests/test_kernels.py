@@ -1,6 +1,7 @@
 """Tests for the covariance functions and Gram assembly."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gpei import kernels
+from gpei.config import ExperimentConfig
+from gpei.gp import GridPrior
 from gpei.kernels import KernelSpec
 
 SE = KernelSpec("se", 1.0)
@@ -118,7 +121,10 @@ class TestGram:
         # exactly symmetric
         X = np.random.default_rng(n * 10 + d).uniform(size=(n, d))
         G = kernels.gram(spec, X)
-        assert np.array_equal(G, kernels._k_of_sq_dist(spec, kernels._sq_dist(X, X)))
+        sq = np.zeros((n, n))
+        for k in range(d):
+            sq += np.square(np.subtract.outer(X[:, k], X[:, k]))
+        assert np.array_equal(G, kernels._k_of_sq_dist(spec, sq))
         assert np.array_equal(G, kernels.cross_matrix(spec, X, X))
         assert np.array_equal(G, G.T)
 
@@ -143,17 +149,25 @@ class TestCross:
         assert np.all(v < 1e-300)
 
     def test_matches_elementwise_eval(self):
-        rng = np.random.default_rng(5)
-        X = rng.uniform(size=(3, 2))
-        q = rng.uniform(size=2)
-        for spec in ALL:
-            v = kernels.cross_matrix(spec, X, q[None, :])[:, 0]
-            brute = np.array([kernels.eval(spec, X[i], q) for i in range(3)])
-            assert np.array_equal(v, brute)
+        # from d = 9 on, a pairwise sum (np.sum) would add the squares in another order
+        for d in (1, 2, 3, 9):
+            rng = np.random.default_rng(5)
+            X = rng.uniform(size=(3, d))
+            q = rng.uniform(size=d)
+            for spec in ALL:
+                v = kernels.cross_matrix(spec, X, q[None, :])[:, 0]
+                brute = np.array([kernels.eval(spec, X[i], q) for i in range(3)])
+                assert np.array_equal(v, brute)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             kernels.cross_matrix(SE, np.zeros((2, 2)), np.zeros((1, 3)))
+
+    def test_rejects_points_without_coordinates(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            kernels.cross_matrix(SE, np.zeros((2, 0)), np.zeros((1, 0)))
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            kernels.eval(SE, np.zeros(0), np.zeros(0))
 
     def test_cross_matrix_consistency(self):
         rng = np.random.default_rng(9)
@@ -162,3 +176,38 @@ class TestCross:
         M = kernels.cross_matrix(SE, X, Q)
         for j in range(7):
             assert np.array_equal(M[:, j], kernels.cross_matrix(SE, X, Q[j][None, :])[:, 0])
+
+
+class TestOneEvaluationPath:
+    """Every kernel value is computed by ``kernels.kernel_at``: the kernel of
+    a squared distance is reached from nowhere else."""
+
+    @pytest.fixture
+    def callers(self, monkeypatch):
+        """The name of the function behind each call of ``_k_of_sq_dist``."""
+        names = []
+        k_of_sq_dist = kernels._k_of_sq_dist
+
+        def recording(spec, buf):
+            names.append(sys._getframe(1).f_code.co_name)
+            return k_of_sq_dist(spec, buf)
+
+        monkeypatch.setattr(kernels, "_k_of_sq_dist", recording)
+        return names
+
+    @pytest.mark.parametrize(
+        "spec, d, m, embedded",
+        [(KernelSpec("matern", 0.2, nu=2.5), 2, 16, True), (SE, 1, 40, False)],
+        ids=["embedded", "fallback"],
+    )
+    def test_grid_prior_build(self, callers, spec, d, m, embedded):
+        prior = GridPrior.build(ExperimentConfig(d=d, r=1.0, grid_per_dim=m, kernel=spec))
+        assert (prior.torus is not None) == embedded
+        assert callers and set(callers) == {"kernel_at"}
+
+    def test_eval_gram_cross_matrix(self, callers):
+        X = np.random.default_rng(13).uniform(size=(4, 2))
+        kernels.eval(M52, X[0], X[1])
+        kernels.gram(M52, X)
+        kernels.cross_matrix(M52, X, X[:2])
+        assert callers == ["kernel_at"] * 3

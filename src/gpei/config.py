@@ -71,12 +71,14 @@ class ExperimentConfig:
         return self.noise_sd * self.noise_sd
 
     def validate(self) -> None:
-        """Raise ValueError on any violated invariant (desk-scale caps included)."""
-        if not (isinstance(self.d, int) and self.d >= 1):
+        """Raise ValueError on any violated invariant (desk-scale caps included).
+        An integer field holds an int, not a bool, which config.txt would
+        write as ``True`` and ``load_config`` would refuse."""
+        if not (type(self.d) is int and self.d >= 1):
             raise ValueError(f"d must be an integer >= 1, got {self.d!r}")
         if not (math.isfinite(self.r) and self.r > 0):
             raise ValueError(f"r must be > 0, got {self.r!r}")
-        if not (isinstance(self.grid_per_dim, int) and self.grid_per_dim >= 1):
+        if not (type(self.grid_per_dim) is int and self.grid_per_dim >= 1):
             raise ValueError(f"grid_per_dim must be an integer >= 1, got {self.grid_per_dim!r}")
         if self.grid_size > MAX_GRID_SIZE:
             raise ValueError(f"grid size {self.grid_size} exceeds the desk-scale cap {MAX_GRID_SIZE}")
@@ -87,15 +89,15 @@ class ExperimentConfig:
                              f"got noise_sd={self.noise_sd!r} with variance {self.noise_var!r}")
         if not (0 < self.delta < 1):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-        if not (isinstance(self.T, int) and isinstance(self.T0, int) and 1 <= self.T0 <= self.T):
+        if not (type(self.T) is int and type(self.T0) is int and 1 <= self.T0 <= self.T):
             raise ValueError(f"need 1 <= T0 <= T, got T0={self.T0!r}, T={self.T!r}")
         # Degenerate 1-point grids are exempt: they are used as smoke tests
         # where every iterate revisits the single candidate.
         if self.grid_size > 1 and self.T > self.grid_size:
             raise ValueError(f"T={self.T} exceeds grid size {self.grid_size}")
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        if not (type(self.trials) is int and self.trials >= 1):
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed <= _U64_MAX):
+        if not (type(self.seed) is int and 0 <= self.seed <= _U64_MAX):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.theorem not in THEOREMS:
             raise ValueError(f"theorem must be one of {THEOREMS}, got {self.theorem!r}")

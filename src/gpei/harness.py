@@ -47,7 +47,6 @@ _ICDF_STREAM = 0x494344
 
 _FMU_T_STEPS = 30
 _ICDF_TOLERANCE = 0.01
-_DESIGN_SIZE = 5
 
 # Significance of the two-sided exact binomial test of the fmu frequency
 # against its exact probability.
@@ -396,41 +395,35 @@ class LemmaReport:
         return [f"check lemma[{self.lemma}] {'PASS' if self.passed else 'FAIL'} {body}"]
 
 
-def _lemma_fixture(config: ExperimentConfig) -> np.ndarray:
-    """Grid indices of a fixed 5-point design, then of a fixed off-design query."""
-    n = config.grid_size
-    if n < _DESIGN_SIZE + 1:
-        raise ValueError(f"lemma fixture needs a grid of at least {_DESIGN_SIZE + 1} points, got {n}")
-    design = sorted({int(round(i)) for i in np.linspace(0, n - 1, _DESIGN_SIZE)})
-    query = int(0.35 * (n - 1))
-    while query in design:
-        query = (query + 1) % n
-    return np.array([*design, query])
+def _one_step_config(config: ExperimentConfig, n: int) -> ExperimentConfig:
+    """The config of a pointwise lemma's n one-step runs (T = T0 + 1), validated."""
+    run_cfg = dataclasses.replace(config, T=config.T0 + 1, trials=n)
+    run_cfg.validate()
+    return run_cfg
 
 
-def _joint_draws(config: ExperimentConfig, prior: gp.GridPrior, n_draws: int, stream: int):
-    """Draw n_draws joint objective vectors on (design, query) and noisy observations.
+@dataclass
+class _LemmaRuns:
+    """What the protocols of one ``verify_lemmas`` call share: the config
+    grid's prior, built once, and step 0 of each batch of one-step runs
+    on it, run once per (n, stream), so iei_add and iei_ratio read one batch."""
 
-    Returns (f_design, f_query, y_design, posterior mean at query, sigma at
-    query).  Everything reads ``prior``, the config grid's prior, as a
-    campaign does: the draws are L z through the lower Cholesky factor L of
-    the fixture's block of ``prior.rows``, and the moments come from one
-    ``eiopt.GridPosterior`` of the n_draws draws that observes the design
-    indices.
-    """
-    idx = _lemma_fixture(config)
-    k = idx.size - 1
-    L, _ = gp.chol_with_jitter(prior.rows(idx)[:, idx])
-    rng = np.random.default_rng(derive_stream_seed(config.seed, stream))
-    z = rng.standard_normal((n_draws, k + 1))
-    f = z @ L.T
-    eps = config.noise_sd * rng.standard_normal((n_draws, k))
-    y = f[:, :k] + eps
+    config: ExperimentConfig
+    prior: gp.GridPrior
+    _first: dict = dataclasses.field(default_factory=dict)
 
-    # the posterior mean is linear in y: trial b observes the unit vector e_b,
-    # so mu[b, query] is the weight of y_b in every draw's mean at the query
-    post = eiopt.GridPosterior(prior, np.broadcast_to(idx[:k], (k, k)), np.eye(k), config.noise_var, k)
-    return f[:, :k], f[:, k], y, y @ post.mu[:, idx[k]], float(post.sigma[0, idx[k]])
+    def first_picks(self, n: int, stream: int) -> dict[str, np.ndarray]:
+        """Every column at step 0 of n one-step runs of the loop on the
+        ``stream`` substream of the config's seed: its value at x_{T0+1}, the
+        first point EI picks.  The pick depends on the T0 initial observations
+        D alone, so f(x_{T0+1}) | D ~ N(mu_next, sigma_next^2) exactly there."""
+        if (n, stream) not in self._first:
+            run_cfg = dataclasses.replace(_one_step_config(self.config, n),
+                                          seed=derive_stream_seed(self.config.seed, stream))
+            batches = [run_trials(run_cfg, self.prior, chunk) for chunk in trial_chunks(run_cfg)]
+            self._first[n, stream] = {name: np.concatenate([b.columns[name][:, 0] for b in batches])
+                                      for name in eiopt.COLUMNS}
+        return self._first[n, stream]
 
 
 def _coverage_metrics(indicator: np.ndarray, delta: float) -> tuple[bool, tuple[tuple[str, float], ...]]:
@@ -446,15 +439,16 @@ def _coverage_metrics(indicator: np.ndarray, delta: float) -> tuple[bool, tuple[
     )
 
 
-def _verify_fmu(config: ExperimentConfig, n: int, prior: gp.GridPrior) -> LemmaReport:
-    """|f - mu| <= sqrt(beta)*sigma at the query: the frequency must reach the
+def _verify_fmu(config: ExperimentConfig, n: int, runs: _LemmaRuns) -> LemmaReport:
+    """|f - mu| <= sqrt(beta)*sigma at the first pick: the frequency must reach the
     one-sided coverage target, and an exact two-sided binomial test of it
     against its exact probability 1 - 2*Phi(-sqrt(beta)) (f - mu is
     N(0, sigma^2) under the prior) must not reject at ``_FMU_ALPHA``, so a
     posterior sd that is off either way fails even above the target."""
-    _, f_q, _, mu_q, sigma_q = _joint_draws(config, prior, n, _FMU_STREAM)
+    first = runs.first_picks(n, _FMU_STREAM)
+    f, mu, sigma = first["f_next"], first["mu_next"], first["sigma_next"]
     beta = 2.0 * math.log(1.0 / config.delta)
-    ok = np.abs(f_q - mu_q) <= math.sqrt(beta) * sigma_q + _ROUNDOFF_GUARD
+    ok = np.abs(f - mu) <= math.sqrt(beta) * sigma + _ROUNDOFF_GUARD
     passed, metrics = _coverage_metrics(ok, config.delta)
     hits = int(np.sum(ok))
     p_exact = 1.0 - 2.0 * float(cdf(-math.sqrt(beta)))
@@ -464,27 +458,26 @@ def _verify_fmu(config: ExperimentConfig, n: int, prior: gp.GridPrior) -> LemmaR
     return LemmaReport("fmu", passed, metrics + (("beta", beta), ("p_exact", p_exact), ("two_sided_p", two_sided)))
 
 
-def _iei_draws(config: ExperimentConfig, n: int, prior: gp.GridPrior) -> tuple[np.ndarray, np.ndarray, float]:
-    """(improvement, EI, sigma) at the query over n joint draws, with y+ the best noisy observation."""
-    _, f_q, y, mu_q, sigma_q = _joint_draws(config, prior, n, _IEI_STREAM)
-    y_plus = y.min(axis=1)
-    improve = np.maximum(y_plus - f_q, 0.0)
-    return improve, ei_ab(y_plus - mu_q, sigma_q), sigma_q
+def _first_improvements(n: int, runs: _LemmaRuns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(improvement max(y+ - f, 0), EI, sigma) at the first pick of n one-step
+    runs, with y+ the best noisy initial observation."""
+    first = runs.first_picks(n, _IEI_STREAM)
+    return np.maximum(first["y_plus"] - first["f_next"], 0.0), first["ei_next"], first["sigma_next"]
 
 
-def _verify_iei_add(config: ExperimentConfig, n: int, prior: gp.GridPrior) -> LemmaReport:
-    improve, ei_vals, sigma_q = _iei_draws(config, n, prior)
+def _verify_iei_add(config: ExperimentConfig, n: int, runs: _LemmaRuns) -> LemmaReport:
+    improve, ei, sigma = _first_improvements(n, runs)
     beta = max(1.44, 2.0 * math.log(bounds.C_ALPHA / config.delta))
-    ok = np.abs(improve - ei_vals) <= math.sqrt(beta) * sigma_q + _ROUNDOFF_GUARD
+    ok = np.abs(improve - ei) <= math.sqrt(beta) * sigma + _ROUNDOFF_GUARD
     passed, metrics = _coverage_metrics(ok, config.delta)
     return LemmaReport("iei_add", passed, metrics + (("beta", beta),))
 
 
-def _verify_iei_ratio(config: ExperimentConfig, n: int, prior: gp.GridPrior) -> LemmaReport:
-    improve, ei_vals, _ = _iei_draws(config, n, prior)
+def _verify_iei_ratio(config: ExperimentConfig, n: int, runs: _LemmaRuns) -> LemmaReport:
+    improve, ei, _ = _first_improvements(n, runs)
     beta = 2.0 * math.log(1.0 / config.delta)
     ratio = 1.0 / bounds.c_tau_of(beta)
-    ok = ratio * improve <= ei_vals + _ROUNDOFF_GUARD
+    ok = ratio * improve <= ei + _ROUNDOFF_GUARD
     passed, metrics = _coverage_metrics(ok, config.delta)
     return LemmaReport("iei_ratio", passed, metrics + (("beta", beta), ("ratio", float(ratio))))
 
@@ -496,7 +489,7 @@ def _fmu_t_config(config: ExperimentConfig, n: int) -> ExperimentConfig:
     return run_cfg
 
 
-def _verify_fmu_t(config: ExperimentConfig, n: int, prior: gp.GridPrior) -> LemmaReport:
+def _verify_fmu_t(config: ExperimentConfig, n: int, runs: _LemmaRuns) -> LemmaReport:
     """Fraction of full runs where the all-t prediction-error bound never fails."""
     run_cfg = _fmu_t_config(config, n)
     # one entry per step of the loop, t = T0 ... T - 1
@@ -504,7 +497,7 @@ def _verify_fmu_t(config: ExperimentConfig, n: int, prior: gp.GridPrior) -> Lemm
     root_beta = np.array([math.sqrt(bounds.beta_t_seq(t + 1, config.delta)) for t in ts])
     successes = np.zeros(n, dtype=bool)
     for chunk in trial_chunks(run_cfg):  # one batch held at a time
-        batch = run_trials(run_cfg, prior, chunk)
+        batch = run_trials(run_cfg, runs.prior, chunk)
         batch_traces(batch)  # one run_trial per run, as in a campaign: perfbench's tracer counts steps there
         f, mu, sigma = (batch.columns[name] for name in ("f_next", "mu_next", "sigma_next"))
         recorded = np.arange(root_beta.size) < batch.steps[:, None]
@@ -514,7 +507,7 @@ def _verify_fmu_t(config: ExperimentConfig, n: int, prior: gp.GridPrior) -> Lemm
     return LemmaReport("fmu_t", passed, metrics + (("steps", float(_FMU_T_STEPS)),))
 
 
-def _verify_icdf(config: ExperimentConfig, n: int, prior: gp.GridPrior | None) -> LemmaReport:
+def _verify_icdf(config: ExperimentConfig, n: int, runs: _LemmaRuns | None) -> LemmaReport:
     """Improvement CDF: MC frequency of I <= a against Phi(a/sigma - z).
 
     The tolerance is max(0.01, 4 binomial standard errors at the worst a), so
@@ -539,21 +532,21 @@ def _verify_icdf(config: ExperimentConfig, n: int, prior: gp.GridPrior | None) -
     )
 
 
-def _verify_tail_bound(config: ExperimentConfig, n: int, prior: gp.GridPrior | None) -> LemmaReport:
+def _verify_tail_bound(config: ExperimentConfig, n: int, runs: _LemmaRuns | None) -> LemmaReport:
     c = np.logspace(-3, math.log10(8.0), 400)
     margin = 0.5 * np.exp(-0.5 * c * c) - np.asarray(cdf(-c))
     worst = float(np.min(margin))
     return LemmaReport("tail_bound", worst >= 0.0, (("points", 400.0), ("min_margin", worst)))
 
 
-def _verify_tau_vs_phi(config: ExperimentConfig, n: int, prior: gp.GridPrior | None) -> LemmaReport:
+def _verify_tau_vs_phi(config: ExperimentConfig, n: int, runs: _LemmaRuns | None) -> LemmaReport:
     z = np.linspace(1e-3, 10.0, 1000)
     margin = np.asarray(cdf(-z)) - np.asarray(tau(-z))
     worst = float(np.min(margin))
     return LemmaReport("tau_vs_phi", worst > 0.0, (("points", 1000.0), ("min_margin", worst)))
 
 
-def _verify_ei_monotone(config: ExperimentConfig, n: int, prior: gp.GridPrior | None) -> LemmaReport:
+def _verify_ei_monotone(config: ExperimentConfig, n: int, runs: _LemmaRuns | None) -> LemmaReport:
     """Finite-difference partials of ei_ab match Phi(a/b) and phi(a/b).
 
     The grid keeps |a/b| <= 6: beyond that the b-partial phi(a/b) drops below
@@ -579,18 +572,19 @@ def _verify_ei_monotone(config: ExperimentConfig, n: int, prior: gp.GridPrior | 
 
 
 # Every lemma id, in report order: its protocol, its default Monte-Carlo size
-# (draws for the pointwise lemmas, full runs for the all-t lemma, function
-# draws for the improvement CDF; None for a closed-form scan, which ignores n),
-# and whether it reads the config grid's prior.
+# (one-step runs for the pointwise lemmas, full runs for the all-t lemma,
+# function draws for the improvement CDF; None for a closed-form scan, which
+# ignores n), and the config of the loop runs it makes on the config grid's
+# prior (None for a protocol that reads no prior).
 _LEMMAS = {
-    "fmu": (_verify_fmu, 2000, True),
-    "fmu_t": (_verify_fmu_t, 500, True),
-    "iei_add": (_verify_iei_add, 2000, True),
-    "iei_ratio": (_verify_iei_ratio, 2000, True),
-    "icdf": (_verify_icdf, 100_000, False),
-    "tail_bound": (_verify_tail_bound, None, False),
-    "tau_vs_phi": (_verify_tau_vs_phi, None, False),
-    "ei_monotone": (_verify_ei_monotone, None, False),
+    "fmu": (_verify_fmu, 2000, _one_step_config),
+    "fmu_t": (_verify_fmu_t, 500, _fmu_t_config),
+    "iei_add": (_verify_iei_add, 2000, _one_step_config),
+    "iei_ratio": (_verify_iei_ratio, 2000, _one_step_config),
+    "icdf": (_verify_icdf, 100_000, None),
+    "tail_bound": (_verify_tail_bound, None, None),
+    "tau_vs_phi": (_verify_tau_vs_phi, None, None),
+    "ei_monotone": (_verify_ei_monotone, None, None),
 }
 LEMMA_IDS = tuple(_LEMMAS)
 
@@ -598,27 +592,28 @@ LEMMA_IDS = tuple(_LEMMAS)
 def verify_lemmas(lemma_ids, config: ExperimentConfig, n: int | None = None) -> list[LemmaReport]:
     """Run each lemma's verification protocol, in order, and report pass/fail.
 
-    Every id, size and fmu_t run config is checked before any protocol runs.
+    Every id, size and run config is checked before any protocol runs.
     The config grid's prior is built at most once, and only when a requested
-    protocol reads it.  ``n`` overrides each protocol's default Monte-Carlo
+    protocol reads it; protocols that read the same runs on it share them
+    (``_LemmaRuns``).  ``n`` overrides each protocol's default Monte-Carlo
     size; Monte-Carlo protocols require n >= 500.  Closed-form lemmas scan
     fixed grids and ignore n and the prior.
     """
     config.validate()
-    runs = []
+    planned = []
     for lemma_id in lemma_ids:
         key = lemma_id.strip().lower()
         if key not in _LEMMAS:
             raise ValueError(f"unknown lemma id {lemma_id!r}; known: {LEMMA_IDS}")
-        protocol, default_n, reads_prior = _LEMMAS[key]
+        protocol, default_n, run_config = _LEMMAS[key]
         size = n if n is not None else default_n or 0
         if default_n is not None and size < 500:
             raise ValueError(f"Monte-Carlo lemma {key!r} requires at least 500 draws, got {size}")
-        if key == "fmu_t":
-            _fmu_t_config(config, size)  # its runs must fit the grid
-        runs.append((protocol, size, reads_prior))
-    prior = grid_prior(config) if any(reads for _, _, reads in runs) else None
-    return [protocol(config, size, prior) for protocol, size, _ in runs]
+        if run_config is not None:
+            run_config(config, size)  # its runs must fit the grid
+        planned.append((protocol, size, run_config is not None))
+    runs = _LemmaRuns(config, grid_prior(config)) if any(reads for _, _, reads in planned) else None
+    return [protocol(config, size, runs) for protocol, size, _ in planned]
 
 
 def verify_lemma(lemma_id: str, config: ExperimentConfig, n: int | None = None) -> LemmaReport:

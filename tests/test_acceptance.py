@@ -153,11 +153,10 @@ class TestCriterion4LemmaCoverage:
         all_ok = True
         for delta in (0.05, 0.1):
             cfg = dataclasses.replace(ExperimentConfig(), delta=delta)
-            for lemma in ("fmu", "fmu_t", "iei_add", "iei_ratio"):
-                rep = harness.verify_lemma(lemma, cfg)
+            for rep in harness.verify_lemmas(("fmu", "fmu_t", "iei_add", "iei_ratio"), cfg):
                 all_ok &= rep.passed
                 lines.append(
-                    f"{lemma}@{delta}: freq={rep.metric('frequency'):.4f} target={rep.metric('target'):.4f}"
+                    f"{rep.lemma}@{delta}: freq={rep.metric('frequency'):.4f} target={rep.metric('target'):.4f}"
                 )
         # pointwise prediction-error lemma also holds at the looser delta
         rep = harness.verify_lemma("fmu", dataclasses.replace(ExperimentConfig(), delta=0.3))

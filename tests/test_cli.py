@@ -307,9 +307,9 @@ class TestModuleEntry:
 
 # Imports the CLI and runs, printing after each whether scipy is loaded: a
 # tiny default campaign; a campaign on the SE lengthscale-r grid, whose prior
-# falls back to a Cholesky factor; ``verify all``, whose fmu/iei_* fixture is
-# factored too; and a forced posterior refit (a duplicate noiseless point at
-# jitter 1e-18).
+# falls back to a Cholesky factor; ``verify all``, whose lemmas run the loop
+# on the default grid's prior; and a forced posterior refit (a duplicate
+# noiseless point at jitter 1e-18).
 _IMPORT_PROBE = """
 import contextlib, io, sys, tempfile
 import gpei.cli

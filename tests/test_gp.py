@@ -4,6 +4,7 @@ Posterior oracles are dense linear solves written out directly against the
 conjugate formulas, independent of the Cholesky path under test.
 """
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -660,6 +661,33 @@ class TestFactorization:
         L, jitter = gp.chol_with_jitter(kernels.gram(KernelSpec("se", 0.2), grid))
         assert L.shape == (200, 200)
         assert jitter <= 1e-6
+
+
+# The field that names what an attribute, a name or an imported alias refers to.
+_REFERENCE_FIELD = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}
+
+
+def references(node, scope: str, name: str):
+    """The dotted scope (module, class, function) of every reference to
+    ``name`` in the syntax tree under ``node``."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = f"{scope}.{node.name}"
+    if getattr(node, _REFERENCE_FIELD.get(type(node), ""), None) == name:
+        yield scope
+    for child in ast.iter_child_nodes(node):
+        yield from references(child, scope, name)
+
+
+class TestOneDrawPath:
+    """``chol_with_jitter`` factors a fallback prior's K and the reference
+    ``fit``'s Gram matrix, and nothing else: beside ``GridPrior.draw`` no
+    second path draws jointly Gaussian values."""
+
+    def test_chol_with_jitter_is_reached_from_build_and_fit_only(self):
+        found = []
+        for path in sorted(Path(gpei.__file__).parent.glob("*.py")):
+            found += references(ast.parse(path.read_text(encoding="utf-8")), path.stem, "chol_with_jitter")
+        assert sorted(found) == ["gp.GridPrior.build", "gp.fit"]
 
 
 def traced_peak(fn, *args):

@@ -25,6 +25,24 @@ def tiny_config(**kw):
     return ExperimentConfig(**base)
 
 
+def scale_sigma(monkeypatch, factor):
+    """Mutant: the grid posterior's sd times ``factor``."""
+    sigma = eiopt.GridPosterior.sigma
+    monkeypatch.setattr(eiopt.GridPosterior, "sigma", property(lambda self: factor * sigma.fget(self)))
+
+
+def freeze_variance(monkeypatch):
+    """Mutant: ``observe`` updates the posterior mean and restores the variance."""
+    observe = eiopt.GridPosterior.observe
+
+    def frozen(self, j, y):
+        var = self.var.copy()
+        observe(self, j, y)
+        self.var = var
+
+    monkeypatch.setattr(eiopt.GridPosterior, "observe", frozen)
+
+
 class TestRngDerivation:
     def test_splitmix_reference_values(self):
         # reference outputs of the splitmix64 sequence from seed 0 and 1
@@ -62,6 +80,13 @@ class TestConfig:
 
     def test_one_point_grid_exempt_from_budget_cap(self):
         tiny_config(grid_per_dim=1, T=8).validate()
+
+    @pytest.mark.parametrize("field", ["d", "grid_per_dim", "T", "T0", "trials", "seed"])
+    def test_bool_is_not_an_integer(self, field):
+        # True == 1 passes every range check, but config.txt would say
+        # "True", which load_config refuses
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: True}).validate()
 
     def test_theorem_and_delta_validation(self):
         with pytest.raises(ValueError):
@@ -628,33 +653,22 @@ class TestPriorFactorization:
         harness.run_campaign(cfg)
         assert shapes.count((cfg.grid_size, cfg.grid_size)) == expected
 
-    def test_lemma_fixture_reads_the_grid_prior_and_is_factored_once(self, monkeypatch):
-        # the fixture is six distinct grid indices, the query last, at every
-        # size the cap allows; a lemma protocol factors the fixture's block
-        # of the config grid prior's rows once, beside the prior's own
-        # factor on a lattice that falls back
+    def test_fmu_factors_only_a_fallback_prior(self, monkeypatch):
+        # fmu runs the loop on the config grid's prior: its one factorization
+        # is that prior's n-by-n K on a lattice that falls back, and there is
+        # none on a lattice that embeds
         from gpei import gp
-        from gpei.config import MAX_GRID_SIZE
 
-        for d in (1, 2, 3):
-            m = 1
-            while m**d <= MAX_GRID_SIZE:
-                if m**d > harness._DESIGN_SIZE:
-                    idx = harness._lemma_fixture(ExperimentConfig(d=d, grid_per_dim=m))
-                    assert np.unique(idx).size == idx.size == harness._DESIGN_SIZE + 1, (d, m)
-                    assert 0 <= idx.min() and idx.max() < m**d, (d, m)
-                m += 1
         factored = []
         original = gp.chol_with_jitter
         monkeypatch.setattr(gp, "chol_with_jitter", lambda K: (factored.append(K.copy()), original(K))[1])
-        for kernel, full in ((KernelSpec("se", 0.2), []), (KernelSpec("se", 1.0), [(200, 200)])):
+        for kernel, fallback in ((KernelSpec("se", 0.2), False), (KernelSpec("se", 1.0), True)):
             cfg = ExperimentConfig(kernel=kernel)
             factored.clear()
-            assert harness.verify_lemma("fmu", cfg).passed
-            fixture = factored[-1]
-            assert [K.shape for K in factored] == full + [(harness._DESIGN_SIZE + 1,) * 2]
-            idx = harness._lemma_fixture(cfg)
-            assert np.array_equal(fixture, harness.grid_prior(cfg).rows(idx)[:, idx])
+            assert harness.verify_lemma("fmu", cfg, n=500).passed
+            assert len(factored) == fallback
+            if fallback:
+                assert np.array_equal(factored[0], harness.grid_prior(cfg).rows(np.arange(cfg.grid_size)))
 
 
 class TestWilson:
@@ -734,6 +748,26 @@ class TestVerifyLemmaPlumbing:
         harness.verify_lemmas(["fmu", "tail_bound"], cfg)
         assert calls == ["grid_prior", "fmu", "tail_bound"]
 
+    def test_one_step_runs_are_refused_before_anything_runs(self, monkeypatch):
+        # the pointwise lemmas' one-step runs have budget T0 + 1 = 3, more
+        # than a 2-point grid holds: verify_lemmas refuses them before the
+        # prior or tail_bound, which comes first, is computed
+        calls = []
+        monkeypatch.setattr(harness, "grid_prior", lambda config: calls.append("grid_prior"))
+        for key, (protocol, size, run_config) in list(harness._LEMMAS.items()):
+            recorded = lambda config, n, prior, key=key: calls.append(key)
+            monkeypatch.setitem(harness._LEMMAS, key, (recorded, size, run_config))
+        cfg = ExperimentConfig(grid_per_dim=2, T=2, T0=2)
+        for lemma in ("fmu", "iei_add", "iei_ratio"):
+            with pytest.raises(ValueError, match="T=3 exceeds grid size 2"):
+                harness.verify_lemmas(["tail_bound", lemma], cfg)
+        assert calls == []
+
+    def test_pointwise_lemmas_run_on_a_two_point_grid(self):
+        # one-step runs fit every grid of at least T0 + 1 = 2 points
+        reports = harness.verify_lemmas(["fmu", "iei_add", "iei_ratio"], ExperimentConfig(grid_per_dim=2, T=2), n=500)
+        assert all(report.passed for report in reports)
+
     def test_fmu_smoke(self):
         report = harness.verify_lemma("fmu", tiny_config(grid_per_dim=30, T=12), n=500)
         assert report.passed
@@ -752,17 +786,28 @@ class TestVerifyLemmaPlumbing:
     def test_fmu_two_sided_catches_a_shrunk_sd(self, monkeypatch):
         # sigma * 0.8 makes the exact probability 0.914: above the one-sided
         # target 0.880, far below the true 0.968
-        joint = harness._joint_draws
-
-        def shrunk(*args):
-            *draws, sigma_q = joint(*args)
-            return (*draws, 0.8 * sigma_q)
-
-        monkeypatch.setattr(harness, "_joint_draws", shrunk)
+        scale_sigma(monkeypatch, 0.8)
         report = harness.verify_lemma("fmu", ExperimentConfig())
         assert not report.passed
         assert report.metric("frequency") >= report.metric("target")
         assert report.metric("two_sided_p") < 1e-3
+
+    # n = 2000 first picks at delta = 0.1 and two seeds, all fixed before any
+    # mutant ran.  A frozen variance keeps sigma = 1 at every pick; the pick
+    # re-queries x_1 about half the time, where the true sd is small, so
+    # fmu's hit rate moves from 0.968 to about 0.984 and n = 2000 resolves
+    # that at seed 2718 (p = 6.2e-6) but not at seed 42 (p = 0.0043).
+    @pytest.mark.parametrize("mutant, seed", [
+        pytest.param(lambda mp: scale_sigma(mp, 0.9), 42, id="sd_x0.9-42"),
+        pytest.param(lambda mp: scale_sigma(mp, 0.9), 2718, id="sd_x0.9-2718"),
+        pytest.param(freeze_variance, 42, id="frozen_variance-42",
+                     marks=pytest.mark.xfail(strict=True, reason="the mutant survives at this seed")),
+        pytest.param(freeze_variance, 2718, id="frozen_variance-2718"),
+    ])
+    def test_fmu_fails_a_wrong_posterior_sd(self, monkeypatch, mutant, seed):
+        mutant(monkeypatch)
+        report = harness.verify_lemma("fmu", ExperimentConfig(seed=seed))
+        assert not report.passed and report.metric("two_sided_p") < 1e-3
 
     def test_icdf_tolerance_scales_with_draws(self):
         cfg = tiny_config()

@@ -238,6 +238,9 @@ def check_columns(c: BoundConstants, ts, t0: int, sigma_next, r_t, steps, f_boun
     ts = np.asarray(ts, dtype=np.intp)
     if ts.size and not (ts.min() >= c.t_min and ts.min() > c.window_divisor):
         raise ValueError(f"t={ts.min()} below validity threshold (t_min={c.t_min}, divisor={c.window_divisor})")
+    rows = np.shape(r_t)[0]
+    if ts.size and not (ts.min() >= t0 and ts.max() < t0 + rows):
+        raise ValueError(f"t must lie in [{t0}, {t0 + rows}), the rows' iterations, got ts={ts.tolist()}")
     smax, smin = window_extrema(c, ts, t0, sigma_next)
     r = r_t[ts - t0]
     bound = bound_value(c, ts[:, None], f_bound, noise_sd, smax)

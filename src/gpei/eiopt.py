@@ -76,20 +76,13 @@ def pick(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the screen, so ``lowest_argmax`` raises as it does on the full block.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        z2 = np.divide(a, b)
-        z2 *= z2
-        bound = np.multiply(z2, -0.5)
-        np.exp(bound, out=bound)
-        z2 += 1.0
-        bound /= z2
-        bound *= b
-        bound *= stdnormal.PHI0
+        z2 = (a / b) ** 2
+        tail = np.exp(-0.5 * z2) / (1.0 + z2) * b * stdnormal.PHI0
         if not b.min() > stdnormal.SIGMA_FLOOR:  # also when b holds a NaN
-            np.copyto(bound, 0.0, where=b <= stdnormal.SIGMA_FLOOR)
-        bound += np.maximum(a, 0.0, out=z2)
+            tail = np.where(b <= stdnormal.SIGMA_FLOOR, 0.0, tail)
+        bound = tail + np.maximum(a, 0.0)
         cut = np.minimum(bound.max(axis=1) / _SCREEN_RATIO - 1e-300, 1e300)
-        keep = bound < cut[:, None]
-    np.logical_not(keep, out=keep)
+        keep = ~(bound < cut[:, None])
     bound[keep] = stdnormal.ei_unchecked(a[keep], b[keep])
     j = lowest_argmax(bound)
     return j, bound[np.arange(j.size), j]
@@ -171,18 +164,12 @@ class GridPosterior:
         d2 = 1.0 + self.noise_var + self.jitter - np.sum(l * l, axis=1)
         ok = np.isfinite(d2) & (d2 > 0.0)
         d = np.sqrt(np.where(ok, d2, 1.0))  # failed pivots are rebuilt below
-        v = self._V[:, t]
-        np.subtract(self.prior.rows(j), np.matmul(l[:, None, :], V)[:, 0], out=v)
-        v /= d[:, None]
+        v = (self.prior.rows(j) - np.matmul(l[:, None, :], V)[:, 0]) / d[:, None]
         w_new = (y - np.sum(l * self._w[:, :t], axis=1)) / d
-        self._w[:, t] = w_new
-        self._idx[:, t] = j
-        self._y[:, t] = y
+        self._V[:, t], self._w[:, t], self._idx[:, t], self._y[:, t] = v, w_new, j, y
         self._t = t + 1
-        vv = v * w_new[:, None]
-        self.mu += vv
-        np.multiply(v, v, out=vv)
-        self.var -= vv
+        self.mu += v * w_new[:, None]
+        self.var -= v * v
         if not ok.all():
             for b in np.flatnonzero(~ok):
                 self._refit(b)

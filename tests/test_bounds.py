@@ -468,6 +468,16 @@ class TestEmpiricalBoundCheck:
         with pytest.raises(ValueError):
             empirical_bound_check(trace, c, 1.0, 0.05, 10)
 
+    def test_check_columns_refuses_a_t_outside_its_rows(self):
+        # one trial's rows for t = 10, ..., 19; t = 30 has no row, and t = 9
+        # would read row -1 (t = 19's)
+        c = constants_thm46(0.1, noisy=False)
+        sigma_next, r_t = np.full((10, 1), 0.5), np.zeros((10, 1))
+        assert bounds.check_columns(c, [18, 19], 10, sigma_next, r_t, [10], [1.0], 0.0).holds.all()
+        for ts in ([18, 30], [20], [9, 18]):
+            with pytest.raises(ValueError, match=r"\[10, 20\)"):
+                bounds.check_columns(c, ts, 10, sigma_next, r_t, [10], [1.0], 0.0)
+
     def test_missing_row_rejected(self):
         ts = list(range(1, 20))
         trace = synthetic_trace(ts, [0.5] * 19, [0.0] * 19)

@@ -5,7 +5,9 @@ independently of the implementation under test (the CDF oracle integrates
 the density by quadrature rather than calling any erf variant).
 """
 
+import ast
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gpei
 from gpei.stdnormal import (
     PHI0,
     SIGMA_FLOOR,
@@ -28,6 +31,7 @@ from gpei.stdnormal import (
     _erfc,
     tilde_tau,
 )
+from test_gp import references
 
 mp.mp.dps = 50
 
@@ -145,9 +149,34 @@ class TestTau:
         fd = (np.asarray(tau(z + h)) - np.asarray(tau(z - h))) / (2 * h)
         assert np.max(np.abs(fd - np.asarray(cdf(z)))) < 1e-6
 
+    @pytest.mark.parametrize("zs", [
+        [-40.0, -1.5, 0.0, 2.8618, 40.0, 1e154, -1.4e154],
+        [np.array(-0.7), np.array(1.5e154)],
+        [np.linspace(-40, 40, 8001), np.array([1e154, -1.2e154, 1.4e154, -1e155])],
+        [np.linspace(-40, 40, 8001).reshape(63, 127), np.array([[1e154, -1e154], [1.4e154, -1.4e154]])],
+    ], ids=["scalar", "0-d", "1-d", "2-d"])
+    def test_is_its_definition_bit_for_bit(self, zs):
+        # z*Phi(z) + phi(z) through the public functions; past |z| ~ 1.34e154
+        # z*z overflows and phi(z) reads 0
+        for z in zs:
+            got, want = tau(z), z * cdf(z) + pdf(z)
+            assert np.shape(got) == np.shape(z)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_cdf_dominates_in_left_tail(self):
         z = np.linspace(1e-3, 10, 500)
         assert np.all(np.asarray(cdf(-z)) > np.asarray(tau(-z)))
+
+
+class TestOnePhi:
+    """Phi has one definition: libm's erfc is reached from ``_cdf`` alone,
+    which ``cdf`` and ``tau`` (so every EI) call."""
+
+    def test_erfc_is_reached_from_cdf_only(self):
+        found = []
+        for path in sorted(Path(gpei.__file__).parent.glob("*.py")):
+            found += references(ast.parse(path.read_text(encoding="utf-8")), path.stem, "_erfc")
+        assert sorted(found) == ["stdnormal._cdf"]
 
 
 class TestEiAb:

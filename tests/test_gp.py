@@ -516,6 +516,125 @@ class TestCirculantEmbedding:
         assert lattice_prior(spec, 1, 60).root_eig is not None
 
 
+GRID4096 = (KernelSpec("matern", 0.2, 2.5), 2, 64)
+
+# d = 1, 2, 3 at m = 1 (torus (1,)*d), m = 2 (no torus pays off at d <= 2;
+# (2, 2, 2) at d = 3) and one larger m, for SE and every Matern nu at
+# lengthscales that embed at the first torus (Matern-1/2 on 200 points),
+# after several rejected tori, or not at all (SE and Matern-5/2 with
+# lengthscale 0.5 on 32x32), and campaign_grid4096's lattice
+SEARCH_LATTICES = [
+    (spec, d, m)
+    for d, sizes in ((1, (1, 2, 200)), (2, (1, 2, 32)), (3, (1, 2, 10)))
+    for m in sizes
+    for spec in [KernelSpec("se", 0.2), KernelSpec("se", 0.5)]
+    + [KernelSpec("matern", ell, nu) for nu in (0.5, 1.5, 2.5) for ell in (0.2, 0.3, 0.5)]
+] + [GRID4096]
+
+
+def search_id(case):
+    spec, d, m = case
+    return f"{spec.family}{spec.nu or ''}_l{spec.lengthscale}_{'x'.join([str(m)] * d)}"
+
+
+def torus_row(spec, torus, h):
+    """The first row of the circulant on ``torus``: the kernel at the offsets
+    h * min(j, M - j) per axis, through ``kernels.kernel_at``."""
+    return kernels.kernel_at(spec, np.ix_(*[h * np.minimum(np.arange(M), M - np.arange(M)) for M in torus]))
+
+
+def reference_search(spec, d, m):
+    """(k_offsets, root_eig, torus) of ``lattice(spec, d, m)`` by the search
+    that evaluates each torus row on its own and takes its full rfftn: the
+    kernel at the signed lattice offsets, then the first torus whose rfftn
+    minimum is >= -JITTER_START and whose spectrum clipped at 0 reproduces
+    the grid's first kernel row to within JITTER_START, every axis growing
+    to the next 5-smooth length >= 9/8 M, and (None, None) for the torus
+    part once its FFT would cost more than the 2 n^2 flops of L z."""
+    h = 1.0 / (m - 1) if m > 1 else 0.0
+    k_offsets = kernels.kernel_at(spec, np.ix_(*[h * np.arange(1 - m, m)] * d))
+    k0 = k_offsets[(slice(m - 1, None),) * d].ravel()
+    torus = (gp._smooth5(max(1, 2 * (m - 1))),) * d
+    while 5 * math.prod(torus) * math.log2(math.prod(torus)) <= 2 * k0.size**2:
+        eig = np.fft.rfftn(torus_row(spec, torus, h)).real
+        if eig.min() >= -gp.JITTER_START:
+            np.maximum(eig, 0.0, out=eig)
+            if np.max(np.abs(gp._irfftn_corner(eig, torus, (m,) * d).ravel() - k0)) <= gp.JITTER_START:
+                return k_offsets, np.sqrt(eig), torus
+        torus = tuple(gp._smooth5(M + -(-M // 8)) for M in torus)
+    return k_offsets, None, None
+
+
+class TestTorusSearch:
+    """``GridPrior.build`` gathers every torus row from a table of the kernel
+    at non-negative lattice offsets and rejects tori on their axis spectrum
+    before any rfftn; it still finds what the per-torus search finds, bit
+    for bit."""
+
+    @pytest.mark.parametrize("spec,d,m", SEARCH_LATTICES, ids=map(search_id, SEARCH_LATTICES))
+    def test_build_equals_the_per_torus_search(self, spec, d, m):
+        prior = lattice_prior(spec, d, m)
+        k_offsets, root_eig, torus = reference_search(spec, d, m)
+        assert prior.torus == torus
+        assert np.array_equal(prior.k_offsets, k_offsets)
+        if torus is None:
+            L, jitter = gp.chol_with_jitter(lattice_gram(spec, d, m))
+            assert prior.root_eig is None and prior.jitter == jitter
+            assert np.array_equal(prior.L, L)
+        else:
+            assert prior.L is None and prior.jitter is None
+            assert np.array_equal(prior.root_eig, root_eig)
+
+    @pytest.mark.parametrize("spec,d,m", SEARCH_LATTICES, ids=map(search_id, SEARCH_LATTICES))
+    def test_axis_check_rejects_only_what_the_full_spectrum_rejects(self, monkeypatch, spec, d, m):
+        # every torus the axis check rejects has a whole d-dimensional
+        # spectrum whose minimum is below -JITTER_START, and the margin is
+        # 10^3 times the gap between an axis eigenvalue from the rfftn and
+        # the same eigenvalue from the axis check
+        checked = []
+        axis_spectrum = gp._axis_spectrum
+
+        def recording(table, fold):
+            axis = axis_spectrum(table, fold)
+            checked.append((tuple(map(len, fold)), axis))
+            return axis
+
+        monkeypatch.setattr(gp, "_axis_spectrum", recording)
+        lattice_prior(spec, d, m)
+        assert d > 1 or not checked
+        h = 1.0 / (m - 1) if m > 1 else 0.0
+        for torus, axis in checked:
+            row = torus_row(spec, torus, h)
+            margin = gp.AXIS_MARGIN * axis[0]
+            gap = np.max(np.abs(np.fft.rfftn(row).real[(slice(len(axis)),) + (0,) * (d - 1)] - axis))
+            assert margin >= 1e3 * gap
+            if axis.min() < -gp.JITTER_START - margin:
+                assert np.fft.fftn(row).real.min() < -gp.JITTER_START
+
+    def test_grid4096_build_work(self, monkeypatch):
+        # campaign_grid4096's lattice tries five tori and accepts 216x216:
+        # fewer than 50 000 kernel entries (per-torus rows: 163 013) and
+        # one rfftn (per torus: 5), the four tori before it rejected on
+        # their axis spectrum
+        entries, transforms = [], []
+        k_of_sq_dist, rfftn = kernels._k_of_sq_dist, np.fft.rfftn
+
+        def counting_kernel(spec, buf):
+            entries.append(buf.size)
+            return k_of_sq_dist(spec, buf)
+
+        def counting_rfftn(*args, **kwargs):
+            transforms.append(args[0].shape)
+            return rfftn(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_k_of_sq_dist", counting_kernel)
+        monkeypatch.setattr(np.fft, "rfftn", counting_rfftn)
+        prior = lattice_prior(*GRID4096)
+        assert prior.torus == (216, 216)
+        assert sum(entries) < 50_000
+        assert transforms == [(216, 216)]
+
+
 class TestInfoGain:
     def test_empty(self):
         assert info_gain(np.zeros(0), 0.1) == 0.0
@@ -706,10 +825,15 @@ class TestMemoryBudget:
     # 64-column block at a time, so beside L it holds about one (n x 64)
     # panel (measured peak 1.08 units);
     # np.linalg.cholesky(K + jitter*I) would hold two n-by-n arrays.  The
-    # embedded prior evaluates an 81x81 torus and keeps the kernel at 63x63
-    # lattice offsets, nothing n-by-n; SE with lengthscale 0.5 falls back to
-    # gathering K from the windows of its offsets and factoring it into L,
-    # and keeps L only.
+    # embedded prior evaluates the kernel at non-negative lattice offsets,
+    # 41x41 at most, gathers each torus row from them (64x64 and 72x72 fail
+    # on their axis spectrum, 81x81 is transformed and accepted) and keeps
+    # the kernel at 63x63 signed lattice offsets, nothing n-by-n; SE with
+    # lengthscale 0.5 falls back to gathering K from the windows of its
+    # offsets and factoring it into L, and keeps L only.  On the 64x64
+    # lattice the build's peak is the accepted 216x216 torus row and its
+    # rfftn (measured 1.27 MiB; 1.65 MiB when each torus row was evaluated
+    # on its own).
     config = lattice(KernelSpec("matern", 0.2, 2.5), 2, 32)
     fallback = lattice(KernelSpec("se", 0.5), 2, 32)
     unit = 8 * 1024**2
@@ -720,6 +844,9 @@ class TestMemoryBudget:
 
     def test_grid_prior_build(self):
         assert traced_peak(GridPrior.build, self.config) <= 0.1 * self.unit
+
+    def test_grid_prior_build_grid4096(self):
+        assert traced_peak(GridPrior.build, lattice(*GRID4096)) <= 1.45 * 1024**2
 
     def test_grid_prior_build_fallback(self):
         assert GridPrior.build(self.fallback).L is not None

@@ -261,8 +261,9 @@ def _circulant_eigenvalues(
 
 
 def _gather(table: np.ndarray, index) -> np.ndarray:
-    """``table[np.ix_(*index)]``, taken one axis at a time: on a 216x216
-    torus row, 80 us against 254 us for the outer fancy index (2-core Xeon,
+    """``table[np.ix_(*index)]``, taken one axis at a time: from the 109x109
+    table, 50 us against 171 us for the outer fancy index on a 216x216 torus
+    row, 22 us against 61 us on the 127x127 ``k_offsets`` (2-core Xeon,
     numpy 2.4)."""
     for k, i in enumerate(index):
         table = np.take(table, i, axis=k)

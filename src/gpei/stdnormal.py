@@ -103,7 +103,8 @@ def ei_unchecked(a, b):
     every a/b is finite, b*tau(a/b) is evaluated with no mask.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # the unmasked path pays: 12 entries take 12 us against 15 us masked (2-core Xeon, numpy 2.4)
+        # the unmasked path pays: the loop's median call holds 12 entries (13 us vs 16 us
+        # masked); a campaign_default repetition spends 4.5 ms here vs 6.7 ms masked (2-core Xeon, numpy 2.4)
         floored = not (b.size and b.min() > SIGMA_FLOOR)  # also when b holds a NaN
         z = a / (np.where(b > SIGMA_FLOOR, b, 1.0) if floored else b)
         degenerate = None

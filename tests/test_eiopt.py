@@ -772,6 +772,28 @@ class TestScreenedPick:
         assert 0 < vals[0, 0] < 1e-20 and vals[0, 1] == 0.0
         assert j.tolist() == [0] and ei.tobytes() == vals[0, :1].tobytes()
 
+    def test_loop_reaches_the_floored_branch(self, monkeypatch):
+        # noiseless re-queries at jitter 1e-20 leave posterior sds at or below
+        # the floor: 9 of this run's 19 steps hand pick such a block (none at
+        # the default jitter), and each pick is still the full evaluation's
+        cfg = ExperimentConfig(grid_per_dim=20, noise_sd=0.0, T=20, trials=4, seed=1)
+        prior = GridPrior.build(cfg)
+        monkeypatch.setattr(gp, "JITTER_START", 1e-20)
+        screened, picks = eiopt.pick, []
+
+        def recording(a, b):
+            j, ei = screened(a, b)
+            picks.append((a.copy(), b.copy(), j, ei))
+            return j, ei
+
+        monkeypatch.setattr(eiopt, "pick", recording)
+        eiopt.run_batch(cfg, prior, [trial_seed(cfg.seed, i) for i in range(cfg.trials)])
+        floored = sum(b.min() <= SIGMA_FLOOR for _, b, _, _ in picks)
+        assert len(picks) == 19 and 0 < floored < 19
+        for a, b, j, ei in picks:
+            j_full, ei_full = full_pick(a, b)
+            assert np.array_equal(j, j_full) and ei.tobytes() == ei_full.tobytes()
+
     @pytest.mark.parametrize("overrides", [dict(noise_sd=0.05), dict(noise_sd=0.0), dict(noise_sd=0.05, kappa=3e-3)],
                              ids=["noisy", "noiseless_refit", "kappa"])
     def test_run_batch_equals_full_evaluation(self, monkeypatch, overrides):

@@ -21,6 +21,7 @@ from gpei import eiopt, gp, kernels
 from gpei.config import ExperimentConfig
 from gpei.gp import FactorizationError, GridPrior, fit, info_gain, sample_prior, update, variance_sum_check
 from gpei.kernels import KernelSpec
+from test_kernels import pair
 
 SE = KernelSpec("se", 0.5)
 
@@ -31,8 +32,8 @@ def brute_posterior(kernel, X, y, noise_var, x, jitter=gp.JITTER_START):
     Includes the same diagonal jitter the fitted state carries, so the
     comparison isolates the solve path (Cholesky vs dense inverse).
     """
-    K = np.array([[kernels.eval(kernel, xi, xj) for xj in X] for xi in X])
-    k = np.array([kernels.eval(kernel, xi, x) for xi in X])
+    K = np.array([[pair(kernel, xi, xj) for xj in X] for xi in X])
+    k = np.array([pair(kernel, xi, x) for xi in X])
     A_inv = np.linalg.inv(K + (noise_var + jitter) * np.eye(len(X)))
     mu = k @ A_inv @ y
     var = 1.0 - k @ A_inv @ k

@@ -23,6 +23,11 @@ ALL = (SE, M12, M32, M52)
 dyadic = st.integers(min_value=-256, max_value=256).map(lambda k: k / 64.0)
 
 
+def pair(spec, x, x2):
+    """The kernel between two points of equal dimension, through ``kernel_at`` on one pair."""
+    return float(kernels.kernel_at(spec, (np.asarray(x, dtype=float) - np.asarray(x2, dtype=float))[:, None])[0])
+
+
 class TestKernelSpec:
     def test_rejects_bad_family(self):
         with pytest.raises(ValueError):
@@ -47,46 +52,100 @@ class TestEval:
     def test_unit_diagonal(self):
         x = np.array([0.3, -1.2, 4.0])
         for spec in ALL:
-            assert kernels.eval(spec, x, x) == 1.0
+            assert pair(spec, x, x) == 1.0
 
     def test_se_at_unit_distance(self):
         # exp(-0.5) = 0.6065306597126334
-        assert kernels.eval(SE, np.array([0.0]), np.array([1.0])) == pytest.approx(math.exp(-0.5), rel=1e-15)
+        assert pair(SE, np.array([0.0]), np.array([1.0])) == pytest.approx(math.exp(-0.5), rel=1e-15)
 
     def test_matern32_at_unit_distance(self):
         # (1 + sqrt(3)) * exp(-sqrt(3)) = 0.4833577245965077
         expected = (1 + math.sqrt(3)) * math.exp(-math.sqrt(3))
-        assert kernels.eval(M32, np.array([0.0]), np.array([1.0])) == pytest.approx(expected, rel=1e-15)
+        assert pair(M32, np.array([0.0]), np.array([1.0])) == pytest.approx(expected, rel=1e-15)
 
     def test_matern12_and_52_at_unit_distance(self):
-        assert kernels.eval(M12, np.array([0.0]), np.array([1.0])) == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert pair(M12, np.array([0.0]), np.array([1.0])) == pytest.approx(math.exp(-1.0), rel=1e-15)
         expected = (1 + math.sqrt(5) + 5.0 / 3.0) * math.exp(-math.sqrt(5))
-        assert kernels.eval(M52, np.array([0.0]), np.array([1.0])) == pytest.approx(expected, rel=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            kernels.eval(SE, np.array([0.0]), np.array([0.0, 1.0]))
+        assert pair(M52, np.array([0.0]), np.array([1.0])) == pytest.approx(expected, rel=1e-15)
 
     def test_range(self):
         rng = np.random.default_rng(0)
         for spec in ALL:
             for _ in range(50):
                 x, x2 = rng.normal(size=3), rng.normal(size=3)
-                v = kernels.eval(spec, x, x2)
+                v = pair(spec, x, x2)
                 assert 0.0 < v <= 1.0
 
     @given(dyadic, dyadic, dyadic)
     def test_shift_invariance_exact(self, x, x2, c):
         for spec in ALL:
-            a = kernels.eval(spec, np.array([x]), np.array([x2]))
-            b = kernels.eval(spec, np.array([x + c]), np.array([x2 + c]))
+            a = pair(spec, np.array([x]), np.array([x2]))
+            b = pair(spec, np.array([x + c]), np.array([x2 + c]))
             assert a == b
 
     def test_monotone_decay_along_ray(self):
         dists = np.linspace(0.0, 5.0, 200)
         for spec in ALL:
-            vals = [kernels.eval(spec, np.zeros(2), np.array([d, 0.0])) for d in dists]
+            vals = [pair(spec, np.zeros(2), np.array([d, 0.0])) for d in dists]
             assert all(v1 >= v2 for v1, v2 in zip(vals, vals[1:]))
+
+
+def in_place_k_of_sq_dist(spec, buf):
+    """The kernel formulas as once evaluated in place in ``buf``: the
+    operation order ``kernels._k_of_sq_dist`` keeps."""
+    np.sqrt(buf, out=buf)
+    buf /= spec.lengthscale  # rho
+    if spec.family == "se":
+        tmp = np.multiply(buf, -0.5)
+        buf *= tmp
+        return np.exp(buf, out=buf)
+    if spec.nu == 0.5:
+        np.negative(buf, out=buf)
+        return np.exp(buf, out=buf)
+    if spec.nu == 1.5:
+        buf *= math.sqrt(3.0)  # s
+        tmp = np.negative(buf)
+        np.exp(tmp, out=tmp)
+        buf += 1.0
+        buf *= tmp
+        return buf
+    tmp = np.multiply(buf, 5.0 / 3.0)
+    tmp *= buf
+    buf *= math.sqrt(5.0)  # s
+    tmp += np.add(buf, 1.0)
+    np.negative(buf, out=buf)
+    np.exp(buf, out=buf)
+    buf *= tmp
+    return buf
+
+
+def offset_table(h, torus):
+    """The squared distances ``kernel_at`` forms for a grid prior's table of
+    non-negative lattice offsets h * i_k, 0 <= i_k <= M_k/2, on ``torus``."""
+    sq = np.zeros([M // 2 + 1 for M in torus])
+    for p in np.ix_(*[h * np.arange(M // 2 + 1) for M in torus]):
+        sq += p * p
+    return sq
+
+
+class TestFormulas:
+    """``_k_of_sq_dist`` keeps the bits of the in-place evaluation it replaced."""
+
+    SPECS = ALL + (KernelSpec("se", 0.2), KernelSpec("se", 0.5), KernelSpec("matern", 0.2, nu=0.5),
+                   KernelSpec("matern", 0.3, nu=1.5), KernelSpec("matern", 0.2, nu=2.5))
+    # the tables of campaign_grid4096's five tori (65^2 to 109^2 entries) and
+    # of the four tori a 200-point d = 1 build tries (201 to 289 entries)
+    TABLES = [offset_table(1.0 / 63, (M, M)) for M in (128, 144, 162, 192, 216)] + [
+        offset_table(1.0 / 199, (M,)) for M in (400, 450, 512, 576)]
+    EDGES = np.array([0.0, 1e-300, 5e-324, 1e-20, 1.0, 1e4, 1e300, np.inf])
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.family}{s.nu or ''}-{s.lengthscale}")
+    def test_equals_in_place_bit_for_bit(self, spec):
+        rng = np.random.default_rng(17)
+        inputs = self.TABLES + [rng.uniform(0.0, 2.0, size=t.shape) for t in self.TABLES] + [self.EDGES]
+        for sq in inputs:
+            with np.errstate(invalid="ignore"):  # Matern at inf: inf * 0
+                assert kernels._k_of_sq_dist(spec, sq.copy()).tobytes() == in_place_k_of_sq_dist(spec, sq.copy()).tobytes()
 
 
 class TestGram:
@@ -103,7 +162,7 @@ class TestGram:
         X = rng.uniform(size=(6, 3))
         for spec in ALL:
             G = kernels.gram(spec, X)
-            brute = np.array([[kernels.eval(spec, X[i], X[j]) for j in range(6)] for i in range(6)])
+            brute = np.array([[pair(spec, X[i], X[j]) for j in range(6)] for i in range(6)])
             assert np.array_equal(G, brute)
 
     def test_exactly_symmetric(self):
@@ -156,7 +215,7 @@ class TestCross:
             q = rng.uniform(size=d)
             for spec in ALL:
                 v = kernels.cross_matrix(spec, X, q[None, :])[:, 0]
-                brute = np.array([kernels.eval(spec, X[i], q) for i in range(3)])
+                brute = np.array([pair(spec, X[i], q) for i in range(3)])
                 assert np.array_equal(v, brute)
 
     def test_dimension_mismatch(self):
@@ -166,8 +225,6 @@ class TestCross:
     def test_rejects_points_without_coordinates(self):
         with pytest.raises(ValueError, match="at least one coordinate"):
             kernels.cross_matrix(SE, np.zeros((2, 0)), np.zeros((1, 0)))
-        with pytest.raises(ValueError, match="at least one coordinate"):
-            kernels.eval(SE, np.zeros(0), np.zeros(0))
 
     def test_cross_matrix_consistency(self):
         rng = np.random.default_rng(9)
@@ -205,9 +262,8 @@ class TestOneEvaluationPath:
         assert (prior.torus is not None) == embedded
         assert callers and set(callers) == {"kernel_at"}
 
-    def test_eval_gram_cross_matrix(self, callers):
+    def test_gram_cross_matrix(self, callers):
         X = np.random.default_rng(13).uniform(size=(4, 2))
-        kernels.eval(M52, X[0], X[1])
         kernels.gram(M52, X)
         kernels.cross_matrix(M52, X, X[:2])
-        assert callers == ["kernel_at"] * 3
+        assert callers == ["kernel_at"] * 2

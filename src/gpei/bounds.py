@@ -134,20 +134,22 @@ def constants_thm46(delta: float, noisy: bool) -> BoundConstants:
     return _constants(delta, False, beta, math.sqrt(beta))
 
 
-def c_t_sigma(t: int, delta: float) -> float:
-    """Noise-envelope factor 2*log(pi^2 t^2 / (2*delta))."""
+def _t_envelope(t: int, delta: float, k: float) -> float:
+    """2*log(pi^2 t^2 / (k*delta)) for an integer t >= 1 and delta in (0, 1)."""
     delta = _check_delta(delta)
     if not (isinstance(t, (int, np.integer)) and t >= 1):
         raise ValueError(f"t must be an integer >= 1, got {t!r}")
-    return 2.0 * math.log(math.pi**2 * t * t / (2.0 * delta))
+    return 2.0 * math.log(math.pi**2 * t * t / (k * delta))
+
+
+def c_t_sigma(t: int, delta: float) -> float:
+    """Noise-envelope factor 2*log(pi^2 t^2 / (2*delta))."""
+    return _t_envelope(t, delta, 2.0)
 
 
 def beta_t_seq(t: int, delta: float) -> float:
     """All-t concentration sequence 2*log(pi^2 t^2 / (6*delta))."""
-    delta = _check_delta(delta)
-    if not (isinstance(t, (int, np.integer)) and t >= 1):
-        raise ValueError(f"t must be an integer >= 1, got {t!r}")
-    return 2.0 * math.log(math.pi**2 * t * t / (6.0 * delta))
+    return _t_envelope(t, delta, 6.0)
 
 
 def constants_for(theorem: str, delta: float, noisy: bool) -> BoundConstants:
@@ -200,6 +202,11 @@ def window_range(c: BoundConstants, t: int) -> tuple[int, int]:
     return math.ceil(t / c.window_divisor) - 1, t
 
 
+def valid_ts(c: BoundConstants, t0: int, T: int) -> list[int]:
+    """Iterations t0 <= t < T at which the bound is defined: t > window divisor and t >= t_min."""
+    return list(range(max(t0, c.window_divisor + 1, math.ceil(c.t_min)), T))
+
+
 def window_extrema(c: BoundConstants, ts, t0: int, sigma_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(max, min) of sigma_t_k(x_{t_k+1}) over the window of each t in ``ts``,
     each (len(ts), trials), from ``sigma_next`` with one row per iteration t0,
@@ -236,11 +243,11 @@ def check_columns(c: BoundConstants, ts, t0: int, sigma_next, r_t, steps, f_boun
     maximum of sigma_next, so ``holds`` = (r_t <= bound) soundly tests the
     theorem's existential claim."""
     ts = np.asarray(ts, dtype=np.intp)
-    if ts.size and not (ts.min() >= c.t_min and ts.min() > c.window_divisor):
-        raise ValueError(f"t={ts.min()} below validity threshold (t_min={c.t_min}, divisor={c.window_divisor})")
-    rows = np.shape(r_t)[0]
-    if ts.size and not (ts.min() >= t0 and ts.max() < t0 + rows):
-        raise ValueError(f"t must lie in [{t0}, {t0 + rows}), the rows' iterations, got ts={ts.tolist()}")
+    end = t0 + np.shape(r_t)[0]
+    valid = valid_ts(c, t0, end)
+    if not set(ts.tolist()) <= set(valid):
+        raise ValueError(f"no row for some t of {ts.tolist()} on [t_first, end) = [{(valid or [end])[0]}, {end}), "
+                         f"the rows' t >= {t0} with t > {c.window_divisor} and t >= t_min={c.t_min!r}")
     smax, smin = window_extrema(c, ts, t0, sigma_next)
     r = r_t[ts - t0]
     bound = bound_value(c, ts[:, None], f_bound, noise_sd, smax)
@@ -257,9 +264,6 @@ def window_sigma(trace: Trace, c: BoundConstants, t: int) -> tuple[float, float]
 
 def empirical_bound_check(trace: Trace, c: BoundConstants, f_bound: float, noise_sd: float, t: int) -> tuple:
     """``check_columns`` of one trace at one t: (bound, r_t, holds)."""
-    t0 = trace.init_indices.size  # T0: the first recorded t
-    if not 0 <= t - t0 < trace.t.size:
-        raise ValueError(f"trace has no row for t={t}")
-    checks = check_columns(c, [t], t0, trace.sigma_next[:, None], trace.r_t[:, None], [trace.t.size],
-                           [f_bound], noise_sd)
+    checks = check_columns(c, [t], trace.init_indices.size, trace.sigma_next[:, None], trace.r_t[:, None],
+                           [trace.t.size], [f_bound], noise_sd)
     return float(checks.bound[0, 0]), float(checks.r_t[0, 0]), bool(checks.holds[0, 0])

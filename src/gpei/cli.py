@@ -87,18 +87,11 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    delta = args.delta
-    c42, c46 = bounds.compare_coefficients(delta)
-    print(f"delta = {delta!r}")
-    print(f"beta_42 = {c42.beta!r}")
-    print(f"C4_42 = {c42.c4!r}")
-    print(f"C5_42 = {c42.c5!r}")
-    print(f"beta_46 = {c46.beta!r}")
-    print(f"C1_46 = {c46.c1!r}")
-    print(f"C2_46 = {c46.c2!r}")
-    print(f"C5_46 = {c46.c5!r}")
-    print(f"w_46 = {c46.w!r}")
-    print(f"sqrt_beta_42 = {math.sqrt(c42.beta)!r}")
+    c42, c46 = bounds.compare_coefficients(args.delta)
+    table = {"delta": args.delta, "beta_42": c42.beta, "C4_42": c42.c4, "C5_42": c42.c5, "beta_46": c46.beta,
+             "C1_46": c46.c1, "C2_46": c46.c2, "C5_46": c46.c5, "w_46": c46.w, "sqrt_beta_42": math.sqrt(c42.beta)}
+    for name, value in table.items():
+        print(f"{name} = {value!r}")
     return 0
 
 

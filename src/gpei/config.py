@@ -169,12 +169,13 @@ def from_flat(flat: dict[str, str], base: ExperimentConfig | None = None) -> Exp
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Read a flat key=value file; blank lines and # comments are skipped."""
+    """Read a flat key=value file; a # starts a comment anywhere on a line, and
+    blank lines are skipped."""
     flat: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            stripped = line.split("#", 1)[0].strip()
+            if not stripped:
                 continue
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")

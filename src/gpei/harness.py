@@ -88,6 +88,13 @@ def coverage_target(delta: float, trials: int) -> float:
     return (1.0 - delta) - 3.0 * math.sqrt(delta * (1.0 - delta) / trials)
 
 
+def _verdict(hits: int, n: int, delta: float) -> tuple[float, float, float, bool]:
+    """(frequency, target, Wilson lower limit, passed) of ``hits`` in ``n`` trials
+    against the coverage target at n: a campaign row's and a lemma's one verdict."""
+    freq, target = hits / n, coverage_target(delta, n)
+    return freq, target, wilson_lower(hits, n), freq >= target
+
+
 # ---------------------------------------------------------------------------
 # Campaigns
 # ---------------------------------------------------------------------------
@@ -167,11 +174,6 @@ def _worker_trials(indices: range) -> eiopt.Batch:
     return run_trials(*_worker_campaign, indices)
 
 
-def valid_bound_ts(config: ExperimentConfig, constants: bounds.BoundConstants) -> list[int]:
-    """Iterations T0 <= t < T at which the configured bound is defined: t > window divisor and t >= t_min."""
-    return list(range(max(config.T0, constants.window_divisor + 1, math.ceil(constants.t_min)), config.T))
-
-
 def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     """Run all trials and aggregate bound coverage; no file output.  A budget
     that ends before the bound's first valid t raises ValueError up front."""
@@ -179,7 +181,7 @@ def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     constants = bounds.constants_for(config.theorem, config.delta, noisy=config.noise_sd > 0)
-    ts = valid_bound_ts(config, constants)
+    ts = bounds.valid_ts(constants, config.T0, config.T)
     if not ts:
         raise ValueError(f"no bound is checkable below T={config.T}: {constants.flavor} needs "
                          f"t > {constants.window_divisor} (the window divisor) and t >= t_min={constants.t_min!r}")
@@ -231,16 +233,14 @@ def _coverage_rows(config: ExperimentConfig, checks: bounds.BoundChecks) -> tupl
     blocks += [([i], [a[i, keep][None] for a in fields]) for i, keep in enumerate(recorded[full:], full) if keep.any()]
     rows = []
     for at, (holds, bound, r_t, smax, smin) in blocks:
-        n = bound.shape[1]
-        target = coverage_target(config.delta, n)  # kappa stopping can leave fewer trials
+        n = bound.shape[1]  # kappa stopping can leave fewer trials
         stats = (
             holds.sum(axis=1), bound.mean(axis=1), bound.min(axis=1), r_t.mean(axis=1), r_t.max(axis=1),
             (bound - r_t).min(axis=1), smax.mean(axis=1), smin.mean(axis=1),
         )
         for i, (h, *values) in zip(at, zip(*(x.tolist() for x in stats))):
-            freq = h / n
-            rows.append(CoverageRow(config.theorem, int(checks.t[i]), n, h, freq, wilson_lower(h, n), *values,
-                                    target, freq >= target))
+            freq, target, wilson, passed = _verdict(h, n, config.delta)
+            rows.append(CoverageRow(config.theorem, int(checks.t[i]), n, h, freq, wilson, *values, target, passed))
     return tuple(rows)
 
 
@@ -385,21 +385,23 @@ class LemmaReport:
     metrics: tuple[tuple[str, float], ...]
 
     def metric(self, name: str) -> float:
-        for key, value in self.metrics:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return dict(self.metrics)[name]
 
     def lines(self) -> list[str]:
         body = " ".join(f"{k}={_fmt(v)}" for k, v in self.metrics)
         return [f"check lemma[{self.lemma}] {'PASS' if self.passed else 'FAIL'} {body}"]
 
 
-def _one_step_config(config: ExperimentConfig, n: int) -> ExperimentConfig:
-    """The config of a pointwise lemma's n one-step runs (T = T0 + 1), validated."""
-    run_cfg = dataclasses.replace(config, T=config.T0 + 1, trials=n)
+def _run_config(config: ExperimentConfig, n: int, T: int) -> ExperimentConfig:
+    """The config of a lemma's n loop runs of budget T on the config grid, validated."""
+    run_cfg = dataclasses.replace(config, T=T, trials=n)
     run_cfg.validate()
     return run_cfg
+
+
+def _one_step_T(config: ExperimentConfig) -> int:
+    """The budget of a pointwise lemma's one-step runs: one pick after the T0 initial observations."""
+    return config.T0 + 1
 
 
 @dataclass
@@ -418,7 +420,7 @@ class _LemmaRuns:
         first point EI picks.  The pick depends on the T0 initial observations
         D alone, so f(x_{T0+1}) | D ~ N(mu_next, sigma_next^2) exactly there."""
         if (n, stream) not in self._first:
-            run_cfg = dataclasses.replace(_one_step_config(self.config, n),
+            run_cfg = dataclasses.replace(_run_config(self.config, n, _one_step_T(self.config)),
                                           seed=derive_stream_seed(self.config.seed, stream))
             batches = [run_trials(run_cfg, self.prior, chunk) for chunk in trial_chunks(run_cfg)]
             self._first[n, stream] = {name: np.concatenate([b.columns[name][:, 0] for b in batches])
@@ -428,15 +430,9 @@ class _LemmaRuns:
 
 def _coverage_metrics(indicator: np.ndarray, delta: float) -> tuple[bool, tuple[tuple[str, float], ...]]:
     n = indicator.size
-    freq = float(np.mean(indicator))
-    target = coverage_target(delta, n)
-    return freq >= target, (
-        ("n", float(n)),
-        ("delta", delta),
-        ("frequency", freq),
-        ("target", target),
-        ("wilson_lower", wilson_lower(int(np.sum(indicator)), n)),
-    )
+    freq, target, wilson, passed = _verdict(int(np.sum(indicator)), n, delta)
+    return passed, (("n", float(n)), ("delta", delta), ("frequency", freq), ("target", target),
+                    ("wilson_lower", wilson))
 
 
 def _verify_fmu(config: ExperimentConfig, n: int, runs: _LemmaRuns) -> LemmaReport:
@@ -482,16 +478,9 @@ def _verify_iei_ratio(config: ExperimentConfig, n: int, runs: _LemmaRuns) -> Lem
     return LemmaReport("iei_ratio", passed, metrics + (("beta", beta), ("ratio", float(ratio))))
 
 
-def _fmu_t_config(config: ExperimentConfig, n: int) -> ExperimentConfig:
-    """The config of fmu_t's n full runs of ``_FMU_T_STEPS`` steps, validated."""
-    run_cfg = dataclasses.replace(config, T=_FMU_T_STEPS, trials=n)
-    run_cfg.validate()
-    return run_cfg
-
-
 def _verify_fmu_t(config: ExperimentConfig, n: int, runs: _LemmaRuns) -> LemmaReport:
     """Fraction of full runs where the all-t prediction-error bound never fails."""
-    run_cfg = _fmu_t_config(config, n)
+    run_cfg = _run_config(config, n, _FMU_T_STEPS)
     # one entry per step of the loop, t = T0 ... T - 1
     ts = range(run_cfg.T0, run_cfg.T)
     root_beta = np.array([math.sqrt(bounds.beta_t_seq(t + 1, config.delta)) for t in ts])
@@ -574,13 +563,13 @@ def _verify_ei_monotone(config: ExperimentConfig, n: int, runs: _LemmaRuns | Non
 # Every lemma id, in report order: its protocol, its default Monte-Carlo size
 # (one-step runs for the pointwise lemmas, full runs for the all-t lemma,
 # function draws for the improvement CDF; None for a closed-form scan, which
-# ignores n), and the config of the loop runs it makes on the config grid's
-# prior (None for a protocol that reads no prior).
+# ignores n), and the budget T of the loop runs it makes on the config grid's
+# prior, as a function of the config (None for a protocol that reads no prior).
 _LEMMAS = {
-    "fmu": (_verify_fmu, 2000, _one_step_config),
-    "fmu_t": (_verify_fmu_t, 500, _fmu_t_config),
-    "iei_add": (_verify_iei_add, 2000, _one_step_config),
-    "iei_ratio": (_verify_iei_ratio, 2000, _one_step_config),
+    "fmu": (_verify_fmu, 2000, _one_step_T),
+    "fmu_t": (_verify_fmu_t, 500, lambda config: _FMU_T_STEPS),
+    "iei_add": (_verify_iei_add, 2000, _one_step_T),
+    "iei_ratio": (_verify_iei_ratio, 2000, _one_step_T),
     "icdf": (_verify_icdf, 100_000, None),
     "tail_bound": (_verify_tail_bound, None, None),
     "tau_vs_phi": (_verify_tau_vs_phi, None, None),
@@ -605,13 +594,13 @@ def verify_lemmas(lemma_ids, config: ExperimentConfig, n: int | None = None) -> 
         key = lemma_id.strip().lower()
         if key not in _LEMMAS:
             raise ValueError(f"unknown lemma id {lemma_id!r}; known: {LEMMA_IDS}")
-        protocol, default_n, run_config = _LEMMAS[key]
+        protocol, default_n, budget = _LEMMAS[key]
         size = n if n is not None else default_n or 0
         if default_n is not None and size < 500:
             raise ValueError(f"Monte-Carlo lemma {key!r} requires at least 500 draws, got {size}")
-        if run_config is not None:
-            run_config(config, size)  # its runs must fit the grid
-        planned.append((protocol, size, run_config is not None))
+        if budget is not None:
+            _run_config(config, size, budget(config))  # its runs must fit the grid
+        planned.append((protocol, size, budget is not None))
     runs = _LemmaRuns(config, grid_prior(config)) if any(reads for _, _, reads in planned) else None
     return [protocol(config, size, runs) for protocol, size, _ in planned]
 

@@ -196,7 +196,7 @@ class TestCriterion5TheoremCoverage:
             c42 = bounds.constants_thm42(DELTA, noisy=noisy)
             c46 = bounds.constants_thm46(DELTA, noisy=noisy)
             res = results[(noise_sd, "thm46")]
-            ts = harness.valid_bound_ts(res.config, c42)
+            ts = bounds.valid_ts(c42, res.config.T0, res.config.T)
             # the campaign's columns: one row per iteration from T0, one column per trace
             sigma_next, r_t = (np.stack([getattr(tr, name) for tr in res.traces], axis=1)
                                for name in ("sigma_next", "r_t"))

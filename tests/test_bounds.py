@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from gpei import bounds, harness
+from gpei import bounds
 from gpei.bounds import (
     C_ALPHA,
     beta_t_seq,
@@ -276,7 +276,8 @@ class TestOneForm:
             with pytest.raises(ValueError):
                 bound_value(c3, 3, 1.0, 0.0, 0.1)
             assert (bounds.window_range(c2, 30), bounds.window_range(c3, 30)) == ((14, 30), (9, 30))
-            assert (harness.valid_bound_ts(cfg, c2), harness.valid_bound_ts(cfg, c3)) == ([3, 4, 5, 6, 7], [4, 5, 6, 7])
+            assert (bounds.valid_ts(c2, cfg.T0, cfg.T), bounds.valid_ts(c3, cfg.T0, cfg.T)) == (
+                [3, 4, 5, 6, 7], [4, 5, 6, 7])
 
     def test_leading_constants_are_the_form_coefficients(self):
         for delta in (0.01, 0.1, 0.5, 0.9):
@@ -477,6 +478,30 @@ class TestEmpiricalBoundCheck:
         for ts in ([18, 30], [20], [9, 18]):
             with pytest.raises(ValueError, match=r"\[10, 20\)"):
                 bounds.check_columns(c, ts, 10, sigma_next, r_t, [10], [1.0], 0.0)
+
+    def test_check_columns_accepts_exactly_the_checkable_ts(self):
+        # the one validity test (ts within valid_ts of the rows) against the
+        # two checks it replaced: the bound's own threshold, then the rows' span
+        def two_checks(c, ts, t0, rows):
+            ts = np.asarray(ts, dtype=np.intp)
+            if ts.size and not (ts.min() >= c.t_min and ts.min() > c.window_divisor):
+                return False
+            return not (ts.size and not (ts.min() >= t0 and ts.max() < t0 + rows))
+
+        rng = np.random.default_rng(37)
+        for c in (constants_thm42(0.1, True), constants_thm42(0.1, False),
+                  constants_thm46(0.1, True), constants_thm46(0.1, False)):
+            for t0 in range(1, 13):
+                for rows in range(31):
+                    cases = [[t] for t in range(t0 - 1, t0 + rows + 1)]
+                    cases += [rng.integers(0, 45, size=rng.integers(0, 5)).tolist() for _ in range(4)]
+                    sigma_next, r_t = np.full((rows, 2), 0.5), np.zeros((rows, 2))
+                    for ts in cases:
+                        if two_checks(c, ts, t0, rows):
+                            bounds.check_columns(c, ts, t0, sigma_next, r_t, [rows, rows], [1.0, 1.0], 0.05)
+                        else:
+                            with pytest.raises(ValueError, match="no row"):
+                                bounds.check_columns(c, ts, t0, sigma_next, r_t, [rows, rows], [1.0, 1.0], 0.05)
 
     def test_missing_row_rejected(self):
         ts = list(range(1, 20))

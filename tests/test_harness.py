@@ -359,7 +359,7 @@ class TestCampaign:
         cfg = ExperimentConfig(trials=2, noise_sd=noise_sd)
         result = harness.run_experiment(cfg, str(tmp_path))
         c = bounds.constants_for(cfg.theorem, cfg.delta, noisy=noise_sd > 0)
-        valid = harness.valid_bound_ts(cfg, c)
+        valid = bounds.valid_ts(c, cfg.T0, cfg.T)
         checks = result.checks
         assert checks.t.tolist() == valid != []
         assert checks.bound.shape == (cfg.trials, len(valid)) and not np.isnan(checks.r_t).any()
@@ -378,6 +378,16 @@ class TestCampaign:
                     k = valid.index(t)
                     assert cells[-2:] == [repr(float(checks.bound[i, k])), str(int(checks.holds[i, k]))]
 
+    @pytest.mark.parametrize("noise_sd", [0.05, 0.0])
+    def test_both_bound_families_run_the_same_trajectories(self, noise_sd):
+        # the theorem picks the bound that is checked, never a step of the loop
+        thm42, thm46 = (harness.run_campaign(ExperimentConfig(trials=8, T=30, noise_sd=noise_sd, theorem=theorem))
+                        for theorem in ("thm42", "thm46"))
+        for a, b in zip(thm42.traces, thm46.traces, strict=True):
+            for field in dataclasses.fields(eiopt.Trace):
+                x, y = np.asarray(getattr(a, field.name)), np.asarray(getattr(b, field.name))
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field.name
+
     def test_valid_bound_ts_are_the_defined_iterations(self):
         for theorem in ("thm42", "thm46"):
             for noise_sd in (0.05, 0.0):
@@ -386,14 +396,14 @@ class TestCampaign:
                     for T0, T in ((1, 2), (1, 30), (7, 60), (25, 26), (3, 4)):
                         cfg = tiny_config(theorem=theorem, noise_sd=noise_sd, delta=delta, T0=T0, T=T)
                         defined = [t for t in range(T0, T) if t > c.window_divisor and t >= c.t_min]
-                        assert harness.valid_bound_ts(cfg, c) == defined, (theorem, noise_sd, delta, T0, T)
+                        assert bounds.valid_ts(c, cfg.T0, cfg.T) == defined, (theorem, noise_sd, delta, T0, T)
 
     @pytest.mark.parametrize("overrides", [dict(T=18), dict(T=2, noise_sd=0.0, theorem="thm42")])
     def test_campaign_that_checks_no_bound_is_rejected(self, monkeypatch, overrides):
         # noisy thm46 needs t >= t_min ~ 17.7 (T=18 ends at t=17); noiseless thm42 needs t > 2
         cfg = tiny_config(**overrides)
         c = bounds.constants_for(cfg.theorem, cfg.delta, noisy=cfg.noise_sd > 0)
-        assert harness.valid_bound_ts(cfg, c) == []
+        assert bounds.valid_ts(c, cfg.T0, cfg.T) == []
         monkeypatch.setattr(harness, "grid_prior", lambda config: pytest.fail("the prior was built"))
         names = rf"t > {c.window_divisor} \(the window divisor\).*t_min={re.escape(repr(c.t_min))}"
         with pytest.raises(ValueError, match=names):
@@ -505,7 +515,7 @@ class TestVectorisedChecks:
         c = bounds.constants_for(cfg.theorem, cfg.delta, noisy=cfg.noise_sd > 0)
         checks = result.checks
         ts = checks.t.tolist()
-        assert ts == harness.valid_bound_ts(cfg, c)
+        assert ts == bounds.valid_ts(c, cfg.T0, cfg.T)
         if cfg.kappa is not None:
             assert 0 < np.isnan(checks.r_t).sum() < checks.r_t.size  # trials stop at different t
         per_t = {t: [] for t in ts}
@@ -574,7 +584,7 @@ class TestBatchColumns:
             assert (clean / name).read_bytes() == (poisoned / name).read_bytes(), name
 
         c = bounds.constants_for(cfg.theorem, cfg.delta, noisy=False)
-        ts = harness.valid_bound_ts(cfg, c)
+        ts = bounds.valid_ts(c, cfg.T0, cfg.T)
         stopped = 0
         for i, tr in enumerate(result.traces):
             k = sum(t - cfg.T0 < tr.t.size for t in ts)  # the checked t this trial recorded

@@ -4,7 +4,7 @@ import os
 import re
 
 from gpei import harness
-from gpei.config import ExperimentConfig
+from gpei.config import ExperimentConfig, load_config, parse_config_file
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -25,11 +25,19 @@ def section(text, start, end):
     return text[head : text.index(end, head)]
 
 
-def test_config_block_lists_every_key_with_its_default():
-    block = section(readme_text(), "Keys and defaults:\n\n```\n", "```")
-    entries = [line.split("#")[0].split("=") for line in block.splitlines()]
-    assert {key.strip(): value.strip() for key, value in entries} == ExperimentConfig().to_flat()
-    assert [key.strip() for key, _ in entries] == list(ExperimentConfig().to_flat())
+def config_block(tmp_path):
+    """The README's "Keys and defaults" block, saved as a config file."""
+    path = tmp_path / "readme.cfg"
+    path.write_text(section(readme_text(), "Keys and defaults:\n\n```\n", "```"), encoding="utf-8")
+    return path
+
+
+def test_config_block_lists_every_key_with_its_default(tmp_path):
+    assert list(parse_config_file(config_block(tmp_path)).items()) == list(ExperimentConfig().to_flat().items())
+
+
+def test_config_block_loads_as_the_defaults(tmp_path):
+    assert load_config(config_block(tmp_path)) == ExperimentConfig()
 
 
 def test_lemma_and_figure_ids_in_order():

@@ -75,7 +75,7 @@ def _cmd_verify(args) -> int:
     reports = harness.verify_lemmas(lemmas, config, n=args.trials)
     for report in reports:
         harness.write_lemma_report(args.out, report, config)
-        print(*report.lines(), sep="\n")
+        print(report.line)
     return 0 if all(report.passed for report in reports) else 1
 
 

@@ -10,7 +10,6 @@ identical configs reproduce identical files.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 import operator
 import sys
@@ -125,6 +124,10 @@ class ExperimentConfig:
 
 def config_hash(config: ExperimentConfig) -> str:
     """Stable 12-hex-digit digest of the canonical flat rendering."""
+    # imported here: hashlib loads OpenSSL's _hashlib (~4-5 ms of start-up),
+    # and a process that builds and validates configs need not hash one
+    import hashlib
+
     return hashlib.sha256(config.flat_text().encode("utf-8")).hexdigest()[:12]
 
 

@@ -11,7 +11,8 @@ against the nominal 1 - delta.  Coverage checks pass when the empirical
 frequency is at least (1 - delta) - 3*sqrt(delta*(1-delta)/trials), with
 trials the number of trials recorded at that t (kappa stopping can leave
 fewer at late t): the theorems state exact probabilities and sampling noise
-must not be flagged as a violation.
+must not be flagged as a violation.  A campaign in which no trial reached a
+checkable t has no coverage row, and fails.
 
 Everything is deterministic given the config: trial substreams are derived
 as seed XOR splitmix64(trial_index), floats are serialized with shortest
@@ -209,7 +210,7 @@ def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     variance_checked = config.noise_sd > 0
     violations = sum(not gp.variance_sum_check(tr.sigma_next, config.noise_var)[2] for tr in traces if variance_checked)
 
-    passed = all(row.passed for row in coverage) and violations == 0
+    passed = bool(coverage) and all(row.passed for row in coverage) and violations == 0
     return CampaignResult(
         config=config,
         config_hash=config_hash(config),
@@ -249,16 +250,18 @@ def _coverage_rows(config: ExperimentConfig, checks: bounds.BoundChecks) -> tupl
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _cell(v: float | int | str) -> str:
     """A CSV cell: a float as its shortest round-trip repr, a str as is, an int
     in decimal (a bool as 0/1)."""
     if isinstance(v, float):
-        return _fmt(v)
+        return repr(float(v))
     return v if isinstance(v, str) else str(int(v))
+
+
+def _check_line(name: str, passed: bool, pairs) -> str:
+    """A summary's ``check`` line: the check's name, PASS or FAIL, then each
+    (key, value) pair as ``key=<cell>``."""
+    return " ".join(["check", name, "PASS" if passed else "FAIL", *(f"{k}={_cell(v)}" for k, v in pairs)])
 
 
 def _write_lines(path: str, lines) -> None:
@@ -315,17 +318,14 @@ def campaign_summary_lines(result: CampaignResult) -> list[str]:
         _meta_line(result.config_hash, cfg.seed),
         "target holds_frequency >= (1-delta) minus 3 SE at the row's trial count",
     ]
-    for row in result.coverage:
-        lines.append(
-            f"check coverage[{row.theorem},t={row.t}] {'PASS' if row.passed else 'FAIL'} "
-            f"holds_frequency={_fmt(row.holds_frequency)} target={_fmt(row.target)} "
-            f"trials={row.trials} wilson_lower={_fmt(row.wilson_lower)}"
-        )
+    lines += [_check_line(f"coverage[{row.theorem},t={row.t}]", row.passed,
+                          [(k, getattr(row, k)) for k in ("holds_frequency", "target", "trials", "wilson_lower")])
+              for row in result.coverage]
+    if not result.coverage:  # no trial reached a checkable t
+        lines.append(_check_line("coverage", False, (("rows", 0), ("t_first", int(result.checks.t[0])))))
     if result.variance_checked:
-        ok = result.variance_violations == 0
-        lines.append(
-            f"check variance_sum {'PASS' if ok else 'FAIL'} violations={result.variance_violations}/{cfg.trials}"
-        )
+        violations = result.variance_violations
+        lines.append(_check_line("variance_sum", violations == 0, (("violations", f"{violations}/{cfg.trials}"),)))
     else:
         lines.append("check variance_sum SKIPPED (noiseless run)")
     lines.append(f"overall {'PASS' if result.passed else 'FAIL'}")
@@ -333,32 +333,13 @@ def campaign_summary_lines(result: CampaignResult) -> list[str]:
 
 
 _TRACE_NAME = re.compile(r"trace_[0-9]+\.csv")
-_LEMMA_REPORT_NAME = re.compile(r"verify_.*\.csv")
-
-
-def _refuse_lemma_dir(out_dir: str) -> None:
-    """Raise ValueError when ``out_dir`` holds lemma reports: a ``verify_*.csv``
-    or a ``summary.txt`` with a ``check lemma[`` line."""
-    if not os.path.isdir(out_dir):
-        return
-    reports = sorted(filter(_LEMMA_REPORT_NAME.fullmatch, os.listdir(out_dir)))
-    if reports:
-        raise ValueError(f"{os.path.join(out_dir, reports[0])} is a lemma report; a campaign needs its own directory")
-    summary_path = os.path.join(out_dir, "summary.txt")
-    if os.path.exists(summary_path):
-        with open(summary_path, "r", encoding="utf-8") as fh:
-            if any(line.startswith("check lemma[") for line in fh):
-                raise ValueError(f"{summary_path} holds lemma checks; a campaign needs its own directory")
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> CampaignResult:
     """Run a campaign and persist per-trial traces, coverage, and a summary.
 
     Any other ``trace_<digits>.csv`` in ``out_dir`` is deleted, so the
-    directory holds this campaign's traces only.  A directory holding lemma
-    reports (``gpei verify`` output) raises ValueError before anything runs
-    or is written."""
-    _refuse_lemma_dir(out_dir)
+    directory holds this campaign's traces only."""
     result = run_campaign(config, workers=workers)
     os.makedirs(out_dir, exist_ok=True)
     width = max(4, len(str(config.trials - 1)))
@@ -387,13 +368,16 @@ class LemmaReport:
     def metric(self, name: str) -> float:
         return dict(self.metrics)[name]
 
-    def lines(self) -> list[str]:
-        body = " ".join(f"{k}={_fmt(v)}" for k, v in self.metrics)
-        return [f"check lemma[{self.lemma}] {'PASS' if self.passed else 'FAIL'} {body}"]
+    @property
+    def line(self) -> str:
+        return _check_line(f"lemma[{self.lemma}]", self.passed, self.metrics)
 
 
 def _run_config(config: ExperimentConfig, n: int, T: int) -> ExperimentConfig:
-    """The config of a lemma's n loop runs of budget T on the config grid, validated."""
+    """The config of a lemma's n loop runs of budget T on the config grid,
+    validated; a T that leaves no step after T0 raises ValueError."""
+    if T <= config.T0:
+        raise ValueError(f"a lemma's runs of budget T={T} make no step after T0={config.T0} initial observations")
     run_cfg = dataclasses.replace(config, T=T, trials=n)
     run_cfg.validate()
     return run_cfg
@@ -479,7 +463,9 @@ def _verify_iei_ratio(config: ExperimentConfig, n: int, runs: _LemmaRuns) -> Lem
 
 
 def _verify_fmu_t(config: ExperimentConfig, n: int, runs: _LemmaRuns) -> LemmaReport:
-    """Fraction of full runs where the all-t prediction-error bound never fails."""
+    """Fraction of full runs where the all-t prediction-error bound never fails.
+    Its ``steps`` metric is the run budget T, so the bound is checked at
+    t = T0 ... T - 1 (29 steps at T0 = 1)."""
     run_cfg = _run_config(config, n, _FMU_T_STEPS)
     # one entry per step of the loop, t = T0 ... T - 1
     ts = range(run_cfg.T0, run_cfg.T)
@@ -612,10 +598,11 @@ def verify_lemma(lemma_id: str, config: ExperimentConfig, n: int | None = None) 
 
 def write_lemma_report(out_dir: str, report: LemmaReport, config: ExperimentConfig) -> str:
     """Write ``verify_<lemma>.csv`` and merge the report's check line into
-    ``summary.txt``, which holds one ``check lemma[...]`` line per lemma,
-    sorted, however many lemmas share the directory.  A summary holding any
-    other line (a campaign's, say) raises ValueError before anything is written."""
-    summary_path = os.path.join(out_dir, "summary.txt")
+    ``verify_summary.txt``, which holds one ``check lemma[...]`` line per lemma,
+    sorted, however many lemmas share the directory (a campaign's ``summary.txt``
+    beside it is left alone).  A lemma summary holding any other line raises
+    ValueError before anything is written."""
+    summary_path = os.path.join(out_dir, "verify_summary.txt")
     existing: dict[str, str] = {}
     if os.path.exists(summary_path):
         with open(summary_path, "r", encoding="utf-8") as fh:
@@ -623,8 +610,7 @@ def write_lemma_report(out_dir: str, report: LemmaReport, config: ExperimentConf
                 if not line.startswith("check lemma["):
                     raise ValueError(f"{summary_path} holds a line that is not a lemma check: {line!r}")
                 existing[line.split(" ", 2)[1]] = line
-    for line in report.lines():
-        existing[line.split(" ", 2)[1]] = line
+    existing[report.line.split(" ", 2)[1]] = report.line
 
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"verify_{report.lemma}.csv")

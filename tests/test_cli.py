@@ -59,7 +59,7 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS" in out
         assert os.path.exists(tmp_path / "verify_tau_vs_phi.csv")
-        assert os.path.exists(tmp_path / "summary.txt")
+        assert os.path.exists(tmp_path / "verify_summary.txt")
 
     def test_unknown_lemma_usage_error(self, capsys, tmp_path):
         code = main(["verify", "nope", "--out", str(tmp_path)])
@@ -90,8 +90,8 @@ class TestVerifyCommand:
             assert run_cli(capsys, "verify", lemma, "--config", str(cfg), "--out", str(tmp_path / "one"))[0] == 0
         assert len(builds) == 1 + 4
         files = dir_bytes(tmp_path / "all")
-        assert sorted(files) == sorted([f"verify_{lemma}.csv" for lemma in harness.LEMMA_IDS] + ["summary.txt"])
-        summary = files["summary.txt"].decode().splitlines()
+        assert sorted(files) == sorted([f"verify_{lemma}.csv" for lemma in harness.LEMMA_IDS] + ["verify_summary.txt"])
+        summary = files["verify_summary.txt"].decode().splitlines()
         assert len(summary) == 8 and summary == sorted(summary)
         assert files == dir_bytes(tmp_path / "one")
 
@@ -110,7 +110,7 @@ class TestVerifyCommand:
         else:
             assert code == 0 and out.count(" PASS ") == len(harness.LEMMA_IDS)
             assert sorted(dir_bytes(out_dir)) == sorted(
-                [f"verify_{lemma}.csv" for lemma in harness.LEMMA_IDS] + ["summary.txt"])
+                [f"verify_{lemma}.csv" for lemma in harness.LEMMA_IDS] + ["verify_summary.txt"])
 
     def test_all_twice_into_one_dir_equals_once(self, capsys, tmp_path):
         cfg = tmp_path / "grid40.cfg"
@@ -121,34 +121,41 @@ class TestVerifyCommand:
             assert run_cli(capsys, *argv, str(tmp_path / "twice"))[0] == 0
         assert dir_bytes(tmp_path / "twice") == dir_bytes(tmp_path / "once")
 
-    def test_refuses_a_campaign_summary(self, capsys, tmp_path):
-        # a campaign's summary.txt holds its meta line, coverage checks and
-        # overall verdict; a lemma merged into it would reorder them
+    def test_run_and_verify_share_a_directory(self, capsys, tmp_path):
+        # a campaign writes summary.txt and a lemma verify_summary.txt, so
+        # neither command touches the other's files in one --out
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("grid_per_dim = 30\nT = 20\ntrials = 2\n")
         out_dir = tmp_path / "o"
-        assert run_cli(capsys, "run", "--config", str(cfg), "--out", str(out_dir))[0] == 0
+        run = ["run", "--config", str(cfg), "--out", str(out_dir)]
+        assert run_cli(capsys, *run)[0] == 0
+        campaign = dir_bytes(out_dir)
+        assert run_cli(capsys, "verify", "tail_bound", "--out", str(out_dir))[0] == 0
+        lemma = {name: data for name, data in dir_bytes(out_dir).items() if name not in campaign}
+        assert sorted(lemma) == ["verify_summary.txt", "verify_tail_bound.csv"]
+        assert dir_bytes(out_dir) == {**campaign, **lemma}
+        assert run_cli(capsys, *run)[0] == 0
+        assert dir_bytes(out_dir) == {**campaign, **lemma}
+        # a lemma summary with any other line is refused before anything is written
+        (out_dir / "verify_summary.txt").write_text("overall PASS\n")
         before = dir_bytes(out_dir)
         code, out, err = run_cli(capsys, "verify", "tail_bound", "--out", str(out_dir))
-        assert code == 2 and out == ""
-        assert str(out_dir / "summary.txt") in err and "not a lemma check" in err
+        assert (code, out) == (2, "") and "not a lemma check" in err
         assert dir_bytes(out_dir) == before
 
-    @pytest.mark.parametrize("keep_csv", [True, False], ids=["report_csv", "summary_only"])
-    def test_run_refuses_a_verify_directory(self, capsys, tmp_path, keep_csv):
-        # the reverse order: a campaign would replace the lemma summary and
-        # leave the verify_<lemma>.csv files behind without their check lines
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("grid_per_dim = 30\nT = 20\ntrials = 2\n")
+    def test_fmu_t_needs_a_step_after_t0(self, capsys, tmp_path):
+        # fmu_t's runs have budget T = 30, which leaves no step after T0 = 30:
+        # it, and verify all, exit 2 before anything is written; T0 = 29 runs
+        cfg = tmp_path / "t0.cfg"
         out_dir = tmp_path / "o"
-        assert run_cli(capsys, "verify", "tail_bound", "--out", str(out_dir))[0] == 0
-        if not keep_csv:
-            (out_dir / "verify_tail_bound.csv").unlink()
-        before = dir_bytes(out_dir)
-        code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out_dir))
-        assert code == 2 and out == ""
-        assert str(out_dir / ("verify_tail_bound.csv" if keep_csv else "summary.txt")) in err
-        assert dir_bytes(out_dir) == before
+        cfg.write_text("T = 30\nT0 = 30\n")
+        for lemma in ("fmu_t", "all"):
+            code, out, err = run_cli(capsys, "verify", lemma, "--config", str(cfg), "--out", str(out_dir))
+            assert (code, out) == (2, "") and "T=30 make no step after T0=30" in err
+            assert not out_dir.exists()
+        cfg.write_text("T = 30\nT0 = 29\n")
+        code, out, _ = run_cli(capsys, "verify", "fmu_t", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 0 and out.startswith("check lemma[fmu_t] PASS n=500.0 ") and " steps=30.0" in out
 
     def test_all_exits_1_when_one_lemma_fails(self, capsys, tmp_path, monkeypatch):
         failing = lambda config, n, prior: harness.LemmaReport("fmu_t", False, (("n", float(n)),))
@@ -264,6 +271,17 @@ class TestRunCommand:
         assert "t_min=17.72" in err and "window divisor" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("noise_sd, t_first", [("0.05", 18), ("0.0", 3)])
+    def test_campaign_with_no_coverage_row_exits_1(self, capsys, tmp_path, noise_sd, t_first):
+        # EI < kappa = 10 at step 0 stops every trial before its first checkable t
+        cfg = tmp_path / "kappa.cfg"
+        cfg.write_text(f"grid_per_dim = 30\nT = 20\ntrials = 3\nkappa = 10\nnoise_sd = {noise_sd}\n")
+        code, out, _ = run_cli(capsys, "run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 1
+        variance = "check variance_sum PASS violations=0/3" if noise_sd != "0.0" else \
+            "check variance_sum SKIPPED (noiseless run)"
+        assert out.splitlines()[2:] == [f"check coverage FAIL rows=0 t_first={t_first}", variance, "overall FAIL"]
+
     @pytest.mark.parametrize("noise_sd", ["1e-170", "1e-155", "1e-150"])
     def test_noise_sd_whose_variance_is_not_normal_exits_2(self, capsys, tmp_path, noise_sd):
         # 1e-170 squares to 0 and 1e-155 to the subnormal 1e-310, on which the
@@ -376,6 +394,20 @@ def run_probe(code):
     return proc.stdout.splitlines()
 
 
+# Imports the harness with numpy already loaded and builds the default
+# config, then prints whether hashlib is loaded: only hashing a config needs
+# it, and it costs a fresh process some milliseconds of start-up.
+_HASHLIB_PROBE = """
+import sys
+import numpy
+assert "hashlib" not in sys.modules
+from gpei import harness
+from gpei.config import ExperimentConfig
+ExperimentConfig().validate()
+print("hashlib" in sys.modules)
+"""
+
+
 class TestImportPath:
     def test_scipy_is_never_loaded(self):
         assert run_probe(_IMPORT_PROBE) == ["[]"] * 4
@@ -385,6 +417,9 @@ class TestImportPath:
 
     def test_commands_without_a_pool_do_not_load_it(self):
         assert run_probe(_POOL_PROBE) == ["False"]
+
+    def test_building_a_config_does_not_load_hashlib(self):
+        assert run_probe(_HASHLIB_PROBE) == ["False"]
 
 
 class TestPackage:

@@ -457,6 +457,60 @@ class TestCampaign:
         assert result.passed and not result.variance_checked
 
 
+def coverage_row(t, hits, n, delta=0.1):
+    freq, target, wilson, passed = harness._verdict(hits, n, delta)
+    return harness.CoverageRow("thm46", t, n, hits, freq, wilson, *[0.0] * 7, target, passed)
+
+
+class TestSummaryLines:
+    """Each kind of summary line, pinned to the bytes the hand-written formats
+    wrote before every ``check`` line came from one renderer."""
+
+    def summary(self, rows, violations, noise_sd, passed):
+        cfg = tiny_config(trials=20, noise_sd=noise_sd)
+        result = harness.CampaignResult(cfg, config_hash(cfg), tuple(rows), (), None, violations, noise_sd > 0, passed)
+        return harness.campaign_summary_lines(result)
+
+    def test_coverage_fail_and_variance_fail(self):
+        lines = self.summary([coverage_row(18, 20, 20), coverage_row(19, 13, 20)], 1, 0.05, False)
+        assert lines == [
+            "# config_hash=c29cee202eab seed=2024",
+            "target holds_frequency >= (1-delta) minus 3 SE at the row's trial count",
+            "check coverage[thm46,t=18] PASS holds_frequency=1.0 target=0.698753882025019 trials=20 "
+            "wilson_lower=0.7508945989012465",
+            "check coverage[thm46,t=19] FAIL holds_frequency=0.65 target=0.698753882025019 trials=20 "
+            "wilson_lower=0.37166182104731277",
+            "check variance_sum FAIL violations=1/20",
+            "overall FAIL",
+        ]
+
+    def test_variance_pass(self):
+        lines = self.summary([coverage_row(18, 19, 20)], 0, 0.05, True)
+        assert lines[2:] == [
+            "check coverage[thm46,t=18] PASS holds_frequency=0.95 target=0.698753882025019 trials=20 "
+            "wilson_lower=0.681702888085763",
+            "check variance_sum PASS violations=0/20",
+            "overall PASS",
+        ]
+
+    def test_noiseless_skipped(self):
+        lines = self.summary([coverage_row(43, 1, 1)], 0, 0.0, True)
+        assert lines == [
+            "# config_hash=67758361f68e seed=2024",
+            "target holds_frequency >= (1-delta) minus 3 SE at the row's trial count",
+            "check coverage[thm46,t=43] PASS holds_frequency=1.0 target=-1.1102230246251565e-16 trials=1 "
+            "wilson_lower=0.13097754328018593",
+            "check variance_sum SKIPPED (noiseless run)",
+            "overall PASS",
+        ]
+
+    def test_lemma_lines(self):
+        assert harness.verify_lemma("tail_bound", tiny_config()).line == (
+            "check lemma[tail_bound] PASS points=400.0 min_margin=5.709986717119945e-15")
+        report = harness.LemmaReport("fmu", False, (("n", 500.0), ("frequency", 0.1 + 0.2)))
+        assert report.line == "check lemma[fmu] FAIL n=500.0 frequency=0.30000000000000004"
+
+
 LOOP_CAMPAIGNS = [
     dict(noise_sd=0.05),
     dict(noise_sd=0.0),

@@ -24,6 +24,13 @@ THEOREMS = ("thm42", "thm46")
 MAX_GRID_SIZE = 4096
 _U64_MAX = 2**64 - 1
 
+# The longest lattice offset, in units of r, at which the prior's torus search
+# (gp._circulant_eigenvalues) can evaluate the kernel on a grid within the cap:
+# its FFT-cost cap stops at a 354294-point torus for 4041 points on one axis,
+# offsets up to 177147 spacings = 43.85 r, and on d axes the squared offsets
+# sum to at most 1922.7 r^2 < 44^2 r^2.
+_MAX_LATTICE_OFFSET = 44.0
+
 # Every flat key, in file order: its kind (int, float or str), the config
 # attribute it holds, and whether it may be None (written as an empty value,
 # read from an empty or ``none`` one).  A float is written as repr(float(v)),
@@ -75,16 +82,22 @@ class ExperimentConfig:
         write as ``True`` and ``load_config`` would refuse."""
         if not (type(self.d) is int and self.d >= 1):
             raise ValueError(f"d must be an integer >= 1, got {self.d!r}")
-        if not (math.isfinite(self.r) and self.r > 0):
-            raise ValueError(f"r must be > 0, got {self.r!r}")
         if not (type(self.grid_per_dim) is int and self.grid_per_dim >= 1):
             raise ValueError(f"grid_per_dim must be an integer >= 1, got {self.grid_per_dim!r}")
         if self.grid_size > MAX_GRID_SIZE:
             raise ValueError(f"grid size {self.grid_size} exceeds the desk-scale cap {MAX_GRID_SIZE}")
+        # every squared lattice offset the prior evaluates must be finite, and
+        # every nonzero one, at least the squared spacing, a normal float
+        r_min = (self.grid_per_dim - 1) * math.sqrt(sys.float_info.min)
+        r_max = math.sqrt(sys.float_info.max) / _MAX_LATTICE_OFFSET
+        if not (self.r > 0 and r_min <= self.r <= r_max):
+            raise ValueError(f"r must be > 0 and lie in [{r_min!r}, {r_max!r}], got r={self.r!r}: the squared spacing "
+                             f"(r / (grid_per_dim - 1))^2 must be a normal float and every squared lattice offset "
+                             f"the prior evaluates, up to ({_MAX_LATTICE_OFFSET:g} r)^2, finite")
         if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
             raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd!r}")
-        if self.noise_sd > 0 and self.noise_var < sys.float_info.min:
-            raise ValueError(f"noise_sd must be 0 or have a normal float variance (>= {sys.float_info.min!r}), "
+        if self.noise_sd > 0 and not sys.float_info.min <= self.noise_var < math.inf:
+            raise ValueError(f"noise_sd must be 0 or have a finite normal float variance (>= {sys.float_info.min!r}), "
                              f"got noise_sd={self.noise_sd!r} with variance {self.noise_var!r}")
         if not (0 < self.delta < 1):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")

@@ -429,5 +429,5 @@ def variance_sum_check(sigma_at_next, noise_var: float) -> tuple[float, float, b
     s = np.asarray(sigma_at_next, dtype=float)
     gain = info_gain(s, noise_var)
     lhs = float(np.sum(s * s))
-    rhs = (2.0 / np.log1p(1.0 / noise_var)) * gain
+    rhs = 2.0 * gain / np.log1p(1.0 / noise_var)  # <= len(s): no overflow at any finite noise_var
     return lhs, rhs, bool(lhs <= rhs + 1e-9)

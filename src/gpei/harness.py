@@ -27,7 +27,6 @@ import itertools
 import math
 import operator
 import os
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,7 +265,7 @@ def _check_line(name: str, passed: bool, pairs) -> str:
 
 def _write_lines(path: str, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _write_table(path: str, meta: str, header, rows) -> None:
@@ -283,23 +282,27 @@ def _meta_line(cfg_hash: str, seed: int) -> str:
 _TRACE_FLOATS = ("y_next", "y_plus", "mu_next", "sigma_next", "ei_next", "sigma_at_star", "r_t", "r0_t")
 
 
-def write_trace_csv(path: str, result: CampaignResult, trial_index: int) -> None:
-    """One trial's trace with its bound and holds at every checked t (empty
-    cells before the first), each column formatted from ``tolist()``."""
-    config, trace = result.config, result.traces[trial_index]
+def write_trace_csv(path: str, result: CampaignResult) -> None:
+    """Every trial's trace, in trial order, with its bound and holds at every
+    checked t (empty cells before the first), each column formatted from
+    ``tolist()``."""
+    config, checks = result.config, result.checks
     header = ["trial", "t", *(f"x_next_{i}" for i in range(config.d)), *_TRACE_FLOATS, "bound", "holds"]
-    meta = f"{_meta_line(result.config_hash, config.seed)} trial={trial_index} trial_seed={trace.seed}"
-    checked = ~np.isnan(result.checks.r_t[trial_index])
-    unchecked = [""] * (trace.t.size - checked.sum())  # the rows before the first checked t
-    cells = (
-        itertools.repeat(str(trial_index)),
-        map(str, trace.t.tolist()),
-        *(map(repr, col) for col in trace.x_next.T.tolist()),
-        *(map(repr, getattr(trace, name).tolist()) for name in _TRACE_FLOATS),
-        itertools.chain(unchecked, map(repr, result.checks.bound[trial_index, checked].tolist())),
-        itertools.chain(unchecked, map(str, result.checks.holds[trial_index, checked].astype(int).tolist())),
-    )
-    _write_table(path, meta, header, zip(*cells))
+
+    def rows(trial_index: int, trace: Trace):
+        checked = ~np.isnan(checks.r_t[trial_index])
+        unchecked = [""] * (trace.t.size - checked.sum())  # the rows before the first checked t
+        return zip(
+            itertools.repeat(str(trial_index)),
+            map(str, trace.t.tolist()),
+            *(map(repr, col) for col in trace.x_next.T.tolist()),
+            *(map(repr, getattr(trace, name).tolist()) for name in _TRACE_FLOATS),
+            itertools.chain(unchecked, map(repr, checks.bound[trial_index, checked].tolist())),
+            itertools.chain(unchecked, map(str, checks.holds[trial_index, checked].astype(int).tolist())),
+        )
+
+    _write_table(path, _meta_line(result.config_hash, config.seed), header,
+                 itertools.chain.from_iterable(itertools.starmap(rows, enumerate(result.traces))))
 
 
 # coverage.csv columns: every CoverageRow field but the target, in field order
@@ -332,22 +335,12 @@ def campaign_summary_lines(result: CampaignResult) -> list[str]:
     return lines
 
 
-_TRACE_NAME = re.compile(r"trace_[0-9]+\.csv")
-
-
 def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> CampaignResult:
-    """Run a campaign and persist per-trial traces, coverage, and a summary.
-
-    Any other ``trace_<digits>.csv`` in ``out_dir`` is deleted, so the
-    directory holds this campaign's traces only."""
+    """Run a campaign and write its four files to ``out_dir``: every trial's
+    trace (``traces.csv``), the coverage, the config and the summary."""
     result = run_campaign(config, workers=workers)
     os.makedirs(out_dir, exist_ok=True)
-    width = max(4, len(str(config.trials - 1)))
-    names = [f"trace_{i:0{width}d}.csv" for i in range(len(result.traces))]
-    for i, name in enumerate(names):
-        write_trace_csv(os.path.join(out_dir, name), result, i)
-    for name in set(filter(_TRACE_NAME.fullmatch, os.listdir(out_dir))) - set(names):
-        os.remove(os.path.join(out_dir, name))
+    write_trace_csv(os.path.join(out_dir, "traces.csv"), result)
     write_coverage_csv(os.path.join(out_dir, "coverage.csv"), result)
     _write_lines(os.path.join(out_dir, "config.txt"), result.config.flat_text().splitlines())
     _write_lines(os.path.join(out_dir, "summary.txt"), campaign_summary_lines(result))

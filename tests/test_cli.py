@@ -282,19 +282,34 @@ class TestRunCommand:
             "check variance_sum SKIPPED (noiseless run)"
         assert out.splitlines()[2:] == [f"check coverage FAIL rows=0 t_first={t_first}", variance, "overall FAIL"]
 
-    @pytest.mark.parametrize("noise_sd", ["1e-170", "1e-155", "1e-150"])
+    @pytest.mark.parametrize("noise_sd", ["1e-170", "1e-155", "1e-150", "1e155", "1e154"])
     def test_noise_sd_whose_variance_is_not_normal_exits_2(self, capsys, tmp_path, noise_sd):
         # 1e-170 squares to 0 and 1e-155 to the subnormal 1e-310, on which the
-        # campaign failed only after every trial had run; 1e-150's variance
-        # 1e-300 is a normal float
+        # campaign failed only after every trial had run; 1e155 squares to inf,
+        # on which the posterior's Cholesky failed; the variances 1e-300 of
+        # 1e-150 and 1e308 of 1e154 are normal floats
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"grid_per_dim = 40\nT = 20\ntrials = 3\nnoise_sd = {noise_sd}\n")
         out_dir = tmp_path / "o"
         code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out_dir))
-        if noise_sd == "1e-150":
+        if noise_sd in ("1e-150", "1e154"):
             assert code == 0 and "overall PASS" in out
         else:
             assert (code, out) == (2, "") and f"noise_sd={float(noise_sd)!r}" in err
+            assert not out_dir.exists()
+
+    @pytest.mark.parametrize("r", ["1e160", "1e-160", "1e152", "1e-150"])
+    def test_r_whose_squared_offsets_leave_the_normal_floats_exits_2(self, capsys, tmp_path, r):
+        # at 1e160 the squared offsets overflowed and the prior turned to white
+        # noise; at 1e-160 they all underflowed to 0 and its Cholesky failed
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"grid_per_dim = 40\nT = 20\ntrials = 3\nr = {r}\n")
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out_dir))
+        if r in ("1e152", "1e-150"):
+            assert code == 0 and "overall PASS" in out
+        else:
+            assert (code, out) == (2, "") and f"r={float(r)!r}" in err and "lie in" in err
             assert not out_dir.exists()
 
     def test_missing_subcommand_usage_error(self, capsys):
@@ -308,7 +323,7 @@ class TestSeedOverride:
         a, b = tmp_path / "a", tmp_path / "b"
         assert run_cli(capsys, "run", "--config", str(cfg), "--seed", "1", "--out", str(a))[0] == 0
         assert run_cli(capsys, "run", "--config", str(cfg), "--seed", "2", "--out", str(b))[0] == 0
-        assert (a / "trace_0000.csv").read_bytes() != (b / "trace_0000.csv").read_bytes()
+        assert (a / "traces.csv").read_bytes() != (b / "traces.csv").read_bytes()
 
 
 class TestModuleEntry:

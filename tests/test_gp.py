@@ -6,6 +6,7 @@ conjugate formulas, independent of the Cholesky path under test.
 
 import ast
 import dataclasses
+import functools
 import importlib
 import importlib.util
 import math
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import gpei
-from gpei import eiopt, gp, kernels
+from gpei import config, eiopt, gp, kernels
 from gpei.config import ExperimentConfig
 from gpei.gp import FactorizationError, GridPrior, fit, info_gain, sample_prior, update, variance_sum_check
 from gpei.kernels import KernelSpec
@@ -612,6 +613,29 @@ class TestTorusSearch:
             if axis.min() < -gp.JITTER_START - margin:
                 assert np.fft.fftn(row).real.min() < -gp.JITTER_START
 
+    def test_config_bounds_every_offset_the_search_evaluates(self, monkeypatch):
+        # the search's tori on every lattice within the grid cap, every torus
+        # rejected: the sum of squared offsets at the last torus within the
+        # FFT-cost cap (the first one even past it), in units of r^2, stays
+        # below config._MAX_LATTICE_OFFSET^2
+        smooth5 = functools.lru_cache(None)(gp._smooth5)
+        worst = (0.0, None)
+        for d in range(1, 13):
+            for m in range(2, 4097):
+                if m**d > config.MAX_GRID_SIZE:
+                    break
+                torus = last = (smooth5(2 * (m - 1)),) * d
+                while 5 * (size := math.prod(torus)) * math.log2(size) <= 2 * m ** (2 * d):
+                    last, torus = torus, tuple(smooth5(M + -(-M // 8)) for M in torus)
+                worst = max(worst, (d * (last[0] // 2) ** 2 / (m - 1) ** 2, (d, m, last)))
+        assert worst[1] == (1, 4041, (354294,)) and 1922 < worst[0] < config._MAX_LATTICE_OFFSET**2
+        # the search itself reaches that torus on that lattice
+        tables, offset_table = [], gp._offset_table
+        monkeypatch.setattr(gp, "_offset_table", lambda *args: tables.append(args[1]) or offset_table(*args))
+        monkeypatch.setattr(gp, "_irfftn_corner", lambda w, torus, points: np.full(points, np.nan))
+        assert gp._circulant_eigenvalues(SE, (4041,), (1 / 4040,))[1] is None
+        assert tables[-1] == (354294,)
+
     def test_grid4096_build_work(self, monkeypatch):
         # campaign_grid4096's lattice tries five tori and accepts 216x216:
         # fewer than 50 000 kernel entries (per-torus rows: 163 013) and
@@ -667,6 +691,11 @@ class TestVarianceSum:
         assert lhs == 1.0
         assert rhs == pytest.approx(1.0, rel=1e-12)  # bound is tight at sigma = 1
         assert holds
+
+    def test_finite_at_the_largest_noise_variance(self):
+        # 2/log1p(1/1e308) alone overflows; the bound itself stays near lhs
+        lhs, rhs, holds = variance_sum_check(np.array([1.0, 0.5]), 1e308)
+        assert rhs == pytest.approx(lhs, rel=1e-12) and holds
 
     def test_holds_on_random_sequences(self):
         rng = np.random.default_rng(8)

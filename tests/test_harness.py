@@ -78,6 +78,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(grid_per_dim=8, T=12).validate()
 
+    @pytest.mark.parametrize("r", [1e152, 1e-150])
+    def test_extreme_r_keeps_the_prior_and_picks_of_r_1(self, r):
+        # with the lengthscale scaled along, r only rescales the lattice; the
+        # spacing and the lengthscale are each rounded once more
+        base = tiny_config()
+        scaled = dataclasses.replace(base, r=r, kernel=KernelSpec("se", 0.2 * r))
+        gap = np.max(np.abs(harness.grid_prior(base).k_offsets - harness.grid_prior(scaled).k_offsets))
+        assert gap <= 4 * np.finfo(float).eps
+        for a, b in zip(harness.run_campaign(base).traces, harness.run_campaign(scaled).traces, strict=True):
+            assert a.x_next_idx.tolist() == b.x_next_idx.tolist()
+
     def test_one_point_grid_exempt_from_budget_cap(self):
         tiny_config(grid_per_dim=1, T=8).validate()
 
@@ -190,23 +201,23 @@ class TestCampaign:
     def test_files_written(self, tmp_path):
         cfg = tiny_config()
         result = harness.run_experiment(cfg, str(tmp_path))
-        names = sorted(os.listdir(tmp_path))
-        assert "coverage.csv" in names
-        assert "summary.txt" in names
-        assert "config.txt" in names
-        assert sum(n.startswith("trace_") for n in names) == cfg.trials
+        assert sorted(os.listdir(tmp_path)) == ["config.txt", "coverage.csv", "summary.txt", "traces.csv"]
+        rows = (tmp_path / "traces.csv").read_text().splitlines()[2:]
+        assert sorted({row.split(",")[0] for row in rows}) == [str(b) for b in range(cfg.trials)]
         assert result.variance_checked and result.variance_violations == 0
 
     def test_trace_csv_schema(self, tmp_path):
         cfg = tiny_config(T=20)
         harness.run_experiment(cfg, str(tmp_path))
-        lines = (tmp_path / "trace_0000.csv").read_text().splitlines()
-        assert lines[0].startswith("# config_hash=")
+        lines = (tmp_path / "traces.csv").read_text().splitlines()
+        assert lines[0] == f"# config_hash={config_hash(cfg)} seed={cfg.seed}"
         assert lines[1] == (
             "trial,t,x_next_0,y_next,y_plus,mu_next,sigma_next,ei_next,"
             "sigma_at_star,r_t,r0_t,bound,holds"
         )
-        assert len(lines) == 2 + (cfg.T - cfg.T0)
+        assert [line.split(",")[0] for line in lines[2:]] == [
+            str(b) for b in range(cfg.trials) for _ in range(cfg.T - cfg.T0)
+        ]
 
     def test_coverage_csv_schema(self, tmp_path):
         cfg = tiny_config(T=12, noise_sd=0.0)
@@ -254,6 +265,33 @@ class TestCampaign:
         assert sorted(set(os.listdir(reused)) - {"notes.txt", "trace_0007.csv.bak"}) == names
         for name in names:
             assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_campaign_adds_four_files_and_deletes_none(self, tmp_path):
+        # the kappa-stopped d=2, 16x16 Matern-5/2 noiseless campaign, in batches
+        # of 25 and 5 trials (two pool tasks with two workers)
+        cfg = ExperimentConfig(d=2, grid_per_dim=16, kernel=KernelSpec("matern", 0.2, 2.5), T=40, trials=30,
+                               seed=42, kappa=1e-3, noise_sd=0.0, theorem="thm42")
+        assert [len(c) for c in harness.trial_chunks(cfg)] == [25, 5]
+        texts = []
+        for workers in (1, 2):
+            out = tmp_path / str(workers)
+            out.mkdir()
+            (out / "trace_0000.csv").write_text("legacy")
+            (out / "notes.txt").write_text("kept")
+            result = harness.run_experiment(cfg, str(out), workers=workers)
+            assert sorted(os.listdir(out)) == [
+                "config.txt", "coverage.csv", "notes.txt", "summary.txt", "trace_0000.csv", "traces.csv",
+            ]
+            assert (out / "trace_0000.csv").read_text() == "legacy" and (out / "notes.txt").read_text() == "kept"
+            text = (out / "traces.csv").read_text()
+            rows = [line.split(",") for line in text.splitlines()[2:]]
+            y_next = 2 + cfg.d  # after trial, t and x_next_*
+            expected = [[str(b), str(t), repr(y)] for b, tr in enumerate(result.traces)
+                        for t, y in zip(tr.t.tolist(), tr.y_next.tolist(), strict=True)]
+            assert [[cells[0], cells[1], cells[y_next]] for cells in rows] == expected
+            assert len({tr.t.size for tr in result.traces}) > 1  # kappa stopped some trials early
+            texts.append(text)
+        assert texts[0] == texts[1]
 
     def test_parallel_matches_serial_across_batches(self, tmp_path):
         # 400 points and T=60 give batches of 10 trials: 12 trials are two
@@ -363,14 +401,16 @@ class TestCampaign:
         checks = result.checks
         assert checks.t.tolist() == valid != []
         assert checks.bound.shape == (cfg.trials, len(valid)) and not np.isnan(checks.r_t).any()
+        rows = [line.split(",") for line in (tmp_path / "traces.csv").read_text().splitlines()[2:]]
         for i, trace in enumerate(result.traces):
             for k, t in enumerate(valid):
                 fresh = bounds.empirical_bound_check(trace, c, trace.f_abs_max, noise_sd, t)
                 assert (checks.bound[i, k], checks.r_t[i, k], checks.holds[i, k]) == fresh
                 window = (checks.sigma_win_max[i, k], checks.sigma_win_min[i, k])
                 assert window == bounds.window_sigma(trace, c, t)
-            for line in (tmp_path / f"trace_{i:04d}.csv").read_text().splitlines()[2:]:
-                cells = line.split(",")
+            trial_rows = [cells for cells in rows if cells[0] == str(i)]
+            assert len(trial_rows) == trace.t.size
+            for cells in trial_rows:
                 t = int(cells[1])
                 if t not in valid:
                     assert cells[-2:] == ["", ""]
@@ -445,7 +485,7 @@ class TestCampaign:
         cfg = tiny_config(d=2, grid_per_dim=12, T=20, trials=2)
         result = harness.run_experiment(cfg, str(tmp_path))
         assert result.passed and len(result.coverage) > 0
-        header = (tmp_path / "trace_0000.csv").read_text().splitlines()[1]
+        header = (tmp_path / "traces.csv").read_text().splitlines()[1]
         assert header.startswith("trial,t,x_next_0,x_next_1,y_next")
 
     def test_matern_noiseless_campaign(self):

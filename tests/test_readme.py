@@ -49,10 +49,10 @@ def test_lemma_and_figure_ids_in_order():
 def test_csv_columns_match_the_written_headers(tmp_path):
     text = readme_text()
     harness.run_experiment(ExperimentConfig(trials=1, T=25), str(tmp_path))
-    with open(tmp_path / "trace_0000.csv", encoding="utf-8") as fh:
+    with open(tmp_path / "traces.csv", encoding="utf-8") as fh:
         trace_header = fh.read().splitlines()[1].split(",")
     with open(tmp_path / "coverage.csv", encoding="utf-8") as fh:
         coverage_header = fh.read().splitlines()[1].split(",")
-    trace_doc = ticked(section(text, "per trial (columns:", ";"))
+    trace_doc = ticked(section(text, "in trial order (columns:", ";"))
     assert [name.replace("x_next_*", "x_next_0") for name in trace_doc] == trace_header
     assert ticked(section(text, "one row per checked t, with columns", ".  `gpei verify`")) == coverage_header

@@ -94,6 +94,13 @@ class ExperimentConfig:
             raise ValueError(f"r must be > 0 and lie in [{r_min!r}, {r_max!r}], got r={self.r!r}: the squared spacing "
                              f"(r / (grid_per_dim - 1))^2 must be a normal float and every squared lattice offset "
                              f"the prior evaluates, up to ({_MAX_LATTICE_OFFSET:g} r)^2, finite")
+        # rho = offset / lengthscale must keep the Matern-5/2 term rho * (5/3) * rho,
+        # the first of any family's terms to overflow, finite up to the longest offset
+        lengthscale_min = _MAX_LATTICE_OFFSET * self.r / math.sqrt(0.6 * sys.float_info.max)
+        if not self.kernel.lengthscale >= lengthscale_min:
+            raise ValueError(f"kernel_lengthscale must be >= {lengthscale_min!r} = {_MAX_LATTICE_OFFSET:g} r / "
+                             f"sqrt(0.6 * float max), got kernel_lengthscale={self.kernel.lengthscale!r}: the kernel "
+                             f"must be finite at every lattice offset the prior evaluates, up to {_MAX_LATTICE_OFFSET:g} r")
         if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
             raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd!r}")
         if self.noise_sd > 0 and not sys.float_info.min <= self.noise_var < math.inf:
@@ -119,8 +126,6 @@ class ExperimentConfig:
     def grid_points(self) -> np.ndarray:
         """Uniform grid over [0, r]^d, grid_per_dim points per axis, shape (n, d)."""
         axis = np.linspace(0.0, self.r, self.grid_per_dim)
-        if self.d == 1:
-            return axis[:, None]
         mesh = np.meshgrid(*([axis] * self.d), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 

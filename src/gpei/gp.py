@@ -298,13 +298,7 @@ class GridPrior:
     ``torus`` its shape, the draws' covariance equals K entrywise to within
     ``JITTER_START``, and nothing n-by-n is assembled or held.  Otherwise it
     draws through ``L``, the lower Cholesky factor of K + ``jitter``*I for
-    the K whose rows ``rows`` returns.  On a lattice of d >= 2 axes the
-    search rejects a torus without its d-dimensional FFT when its axis
-    spectrum, the eigenvalues at frequencies (f, 0, ..., 0), has a minimum
-    below -``JITTER_START`` by more than ``AXIS_MARGIN`` times the torus
-    row's sum, a bound on the roundoff of both ways of computing them; such
-    a torus fails the full check too, so the accepted torus is the one the
-    full check alone accepts.
+    the K whose rows ``rows`` returns.
     """
 
     kernel: KernelSpec
@@ -321,13 +315,9 @@ class GridPrior:
         ``grid_per_dim`` points on each of the d axes, spacing r / (m - 1)
         (0 for m = 1).  Raises ValueError on an empty grid; the config is
         not otherwise validated.  The kernel is evaluated on the lattice's
-        non-negative offsets, again only when a torus needs more of them.
-        With d >= 2 a torus whose axis spectrum (its eigenvalues at
-        (f, 0, ..., 0)) falls below -``JITTER_START`` by more than
-        ``AXIS_MARGIN`` times its row's sum is rejected before its
-        d-dimensional FFT; roundoff cannot move an eigenvalue that far, so
-        the full check would reject it too, and the accepted torus is the
-        one the full check alone accepts (``_circulant_eigenvalues``)."""
+        non-negative offsets, again only when a torus needs more of them;
+        ``_circulant_eigenvalues`` states how a torus is searched for and
+        accepted."""
         m = config.grid_per_dim
         if m < 1:
             raise ValueError(f"grid_per_dim must be >= 1, got {m!r}")

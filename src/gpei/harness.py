@@ -57,11 +57,11 @@ _FMU_ALPHA = 1e-3
 _ROUNDOFF_GUARD = 1e-9
 
 
-def wilson_lower(successes: int, n: int, z: float = _WILSON_Z) -> float:
+def wilson_lower(successes: int, n: int) -> float:
     """Lower Wilson score limit for a binomial proportion (99% confidence)."""
     if n <= 0:
         raise ValueError("n must be positive")
-    p = successes / n
+    p, z = successes / n, _WILSON_Z
     denom = 1.0 + z * z / n
     center = p + z * z / (2 * n)
     half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
@@ -131,21 +131,9 @@ class CampaignResult:
     passed: bool
 
 
-def grid_prior(config: ExperimentConfig) -> gp.GridPrior:
-    """The prior on the config's grid, built once and shared by all of a
-    campaign's trials or of a ``verify_lemmas`` call's protocols."""
-    return gp.GridPrior.build(config)
-
-
 def run_trial(batch: eiopt.Batch, b: int) -> Trace:
     """Trial ``b`` of a finished batch as its ``Trace``; called once per trial."""
     return batch.trace(b)
-
-
-def run_trials(config: ExperimentConfig, prior: gp.GridPrior, indices) -> eiopt.Batch:
-    """One objective per trial index sampled from ``prior`` and run in lockstep:
-    the batch, fully determined by config and index."""
-    return eiopt.run_batch(config, prior, [trial_seed(config.seed, i) for i in indices])
 
 
 def batch_traces(batch: eiopt.Batch) -> list[Trace]:
@@ -153,10 +141,12 @@ def batch_traces(batch: eiopt.Batch) -> list[Trace]:
     return [run_trial(batch, b) for b in range(len(batch.seeds))]
 
 
-def trial_chunks(config: ExperimentConfig) -> list[range]:
-    """The config's trial indices in consecutive chunks of at most ``eiopt.batch_size``."""
+def trial_chunks(config: ExperimentConfig) -> list[list[int]]:
+    """The config's trial seeds, ``trial_seed(config.seed, i)`` for trial i, in
+    consecutive chunks of at most ``eiopt.batch_size`` trials."""
+    seeds = [trial_seed(config.seed, i) for i in range(config.trials)]
     size = eiopt.batch_size(config.T, config.grid_size)
-    return [range(i, min(i + size, config.trials)) for i in range(0, config.trials, size)]
+    return [seeds[i : i + size] for i in range(0, config.trials, size)]
 
 
 # (config, prior) of the campaign a pool worker serves; set once per worker
@@ -170,8 +160,8 @@ def _init_worker(config: ExperimentConfig, prior: gp.GridPrior) -> None:
     _worker_campaign = (config, prior)
 
 
-def _worker_trials(indices: range) -> eiopt.Batch:
-    return run_trials(*_worker_campaign, indices)
+def _worker_trials(seeds: list[int]) -> eiopt.Batch:
+    return eiopt.run_batch(*_worker_campaign, seeds)
 
 
 def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
@@ -186,7 +176,7 @@ def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
         raise ValueError(f"no bound is checkable below T={config.T}: {constants.flavor} needs "
                          f"t > {constants.window_divisor} (the window divisor) and t >= t_min={constants.t_min!r}")
     chunks = trial_chunks(config)
-    prior = grid_prior(config)
+    prior = gp.GridPrior.build(config)
     # pool workers inherit the prior (pickled once per worker under a non-fork
     # start method): start none without a chunk, and run a single chunk here;
     # a task returns its batch alone, and the traces are sliced here
@@ -196,7 +186,7 @@ def run_campaign(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(config, prior)) as pool:
             batches = list(pool.map(_worker_trials, chunks))
     else:
-        batches = [run_trials(config, prior, chunk) for chunk in chunks]
+        batches = [eiopt.run_batch(config, prior, chunk) for chunk in chunks]
     traces = tuple(itertools.chain.from_iterable(map(batch_traces, batches)))
 
     # the checked columns, one row per iteration from T0 and one column per
@@ -399,7 +389,7 @@ class _LemmaRuns:
         if (n, stream) not in self._first:
             run_cfg = dataclasses.replace(_run_config(self.config, n, _one_step_T(self.config)),
                                           seed=derive_stream_seed(self.config.seed, stream))
-            batches = [run_trials(run_cfg, self.prior, chunk) for chunk in trial_chunks(run_cfg)]
+            batches = [eiopt.run_batch(run_cfg, self.prior, chunk) for chunk in trial_chunks(run_cfg)]
             self._first[n, stream] = {name: np.concatenate([b.columns[name][:, 0] for b in batches])
                                       for name in eiopt.COLUMNS}
         return self._first[n, stream]
@@ -463,15 +453,15 @@ def _verify_fmu_t(config: ExperimentConfig, n: int, runs: _LemmaRuns) -> LemmaRe
     # one entry per step of the loop, t = T0 ... T - 1
     ts = range(run_cfg.T0, run_cfg.T)
     root_beta = np.array([math.sqrt(bounds.beta_t_seq(t + 1, config.delta)) for t in ts])
-    successes = np.zeros(n, dtype=bool)
+    successes = []
     for chunk in trial_chunks(run_cfg):  # one batch held at a time
-        batch = run_trials(run_cfg, runs.prior, chunk)
+        batch = eiopt.run_batch(run_cfg, runs.prior, chunk)
         batch_traces(batch)  # one run_trial per run, as in a campaign: perfbench's tracer counts steps there
         f, mu, sigma = (batch.columns[name] for name in ("f_next", "mu_next", "sigma_next"))
         recorded = np.arange(root_beta.size) < batch.steps[:, None]
         miss = recorded & (np.abs(f - mu) > root_beta * sigma + _ROUNDOFF_GUARD)
-        successes[chunk.start : chunk.stop] = ~miss.any(axis=1)
-    passed, metrics = _coverage_metrics(successes, config.delta)
+        successes.append(~miss.any(axis=1))
+    passed, metrics = _coverage_metrics(np.concatenate(successes), config.delta)
     return LemmaReport("fmu_t", passed, metrics + (("steps", float(_FMU_T_STEPS)),))
 
 
@@ -580,7 +570,7 @@ def verify_lemmas(lemma_ids, config: ExperimentConfig, n: int | None = None) -> 
         if budget is not None:
             _run_config(config, size, budget(config))  # its runs must fit the grid
         planned.append((protocol, size, budget is not None))
-    runs = _LemmaRuns(config, grid_prior(config)) if any(reads for _, _, reads in planned) else None
+    runs = _LemmaRuns(config, gp.GridPrior.build(config)) if any(reads for _, _, reads in planned) else None
     return [protocol(config, size, runs) for protocol, size, _ in planned]
 
 

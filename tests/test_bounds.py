@@ -415,11 +415,12 @@ def synthetic_trace(ts, sigmas, r_ts, f_abs_max=1.0):
 
 def loop_trace(**overrides):
     """One trace from the optimization loop itself (seed 1, trial 1)."""
-    from gpei import harness
+    from gpei import eiopt, gp, harness
     from gpei.config import ExperimentConfig
+    from gpei.rng import trial_seed
 
     cfg = ExperimentConfig(seed=1, **overrides)
-    return harness.run_trial(harness.run_trials(cfg, harness.grid_prior(cfg), [1]), 0)
+    return harness.run_trial(eiopt.run_batch(cfg, gp.GridPrior.build(cfg), [trial_seed(cfg.seed, 1)]), 0)
 
 
 class TestEmpiricalBoundCheck:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import gpei
-from gpei import harness
+from gpei import gp, harness
 from gpei.cli import main
 from gpei.config import ExperimentConfig
 
@@ -78,8 +78,8 @@ class TestVerifyCommand:
     def test_all_matches_single_ids(self, capsys, tmp_path, monkeypatch):
         # verify all builds the grid prior once for the four protocols that
         # read it; one id at a time, each of them builds its own
-        builds, original = [], harness.grid_prior
-        monkeypatch.setattr(harness, "grid_prior", lambda config: (builds.append(config), original(config))[1])
+        builds, original = [], gp.GridPrior.build
+        monkeypatch.setattr(gp.GridPrior, "build", lambda config: (builds.append(config), original(config))[1])
         cfg = tmp_path / "grid40.cfg"
         cfg.write_text("grid_per_dim = 40\nT = 30\n")
         code, out, _ = run_cli(capsys, "verify", "all", "--config", str(cfg), "--out", str(tmp_path / "all"))
@@ -312,6 +312,25 @@ class TestRunCommand:
             assert (code, out) == (2, "") and f"r={float(r)!r}" in err and "lie in" in err
             assert not out_dir.exists()
 
+    @pytest.mark.parametrize("family,nu,lengthscale", [
+        ("matern", "1.5", "5e-309"), ("matern", "2.5", "1e-300"), ("se", "", "1e-320"), ("matern", "2.5", "4.25e-153"),
+    ])
+    def test_lengthscale_the_kernel_cannot_evaluate_exits_2(self, capsys, tmp_path, family, nu, lengthscale):
+        # the Matern lengthscales made the prior's kernel values NaN, reported
+        # as "K must be finite", and the SE one overflowed to a white-noise
+        # prior; 4.25e-153 lies just above the bound 4.237e-153 and runs (the
+        # suite turns a RuntimeWarning into an error)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"grid_per_dim = 40\nT = 20\ntrials = 3\nkernel_family = {family}\nkernel_nu = {nu}\n"
+                       f"kernel_lengthscale = {lengthscale}\n")
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out_dir))
+        if lengthscale == "4.25e-153":
+            assert code == 0 and "overall PASS" in out
+        else:
+            assert (code, out) == (2, "") and f"kernel_lengthscale={float(lengthscale)!r}" in err
+            assert not out_dir.exists()
+
     def test_missing_subcommand_usage_error(self, capsys):
         assert main([]) == 2
 
@@ -353,14 +372,14 @@ loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 harness.run_experiment(ExperimentConfig(trials=2, T=25), tempfile.mkdtemp())
 print(loaded())
 fallback = ExperimentConfig(kernel=KernelSpec("se", 1.0), trials=2, T=25)
-assert harness.grid_prior(fallback).L is not None
+assert gp.GridPrior.build(fallback).L is not None
 harness.run_experiment(fallback, tempfile.mkdtemp())
 print(loaded())
 with contextlib.redirect_stdout(io.StringIO()):
     assert gpei.cli.main(["verify", "all", "--out", tempfile.mkdtemp()]) == 0
 print(loaded())
 gp.JITTER_START = 1e-18
-post = eiopt.GridPosterior(harness.grid_prior(ExperimentConfig()), [[4]], [[0.2]], 0.0, 2)
+post = eiopt.GridPosterior(gp.GridPrior.build(ExperimentConfig()), [[4]], [[0.2]], 0.0, 2)
 post.observe([4], [0.2])
 assert post.jitter[0] > 1e-18
 print(loaded())
@@ -373,11 +392,11 @@ print(loaded())
 # config, so nothing here needs it.
 _NUMPY_MA_PROBE = """
 import sys
-from gpei import harness
+from gpei import gp, harness
 from gpei.config import ExperimentConfig
 from gpei.kernels import KernelSpec
-harness.grid_prior(ExperimentConfig())
-harness.grid_prior(ExperimentConfig(d=2, grid_per_dim=64, kernel=KernelSpec("matern", 0.2, 2.5)))
+gp.GridPrior.build(ExperimentConfig())
+gp.GridPrior.build(ExperimentConfig(d=2, grid_per_dim=64, kernel=KernelSpec("matern", 0.2, 2.5)))
 harness.run_campaign(ExperimentConfig(trials=1))
 print("numpy.ma" in sys.modules)
 """

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gpei import eiopt, gp, kernels, stdnormal
+from gpei import eiopt, gp, stdnormal
 from gpei.config import ExperimentConfig
 from gpei.eiopt import ei_batch, lowest_argmax
 from gpei.gp import GridPrior, fit
 from gpei.kernels import KernelSpec
 from gpei.rng import INIT, NOISE, trial_seed
 from gpei.stdnormal import SIGMA_FLOOR, ei_ab, ei_unchecked, tau
+from test_gp import lattice_gram
 
 SE = KernelSpec("se", 0.5)
 
@@ -156,18 +157,6 @@ def segment(seed, k):
     rng = np.random.default_rng(seed)
     rng.bit_generator.advance(k * 2**64)
     return rng
-
-
-def lattice_gram(spec, d, m):
-    """The kernel matrix of the d-dimensional config grid of m points per
-    axis at its squared lattice offsets: (|i_k - j_k| / (m - 1))^2 summed in
-    axis order, for i_k and j_k the two points' indices on axis k."""
-    idx = np.stack(np.unravel_index(np.arange(m**d), (m,) * d), axis=1)
-    sq = np.zeros((m**d, m**d))
-    for k in range(d):
-        offset = 1.0 / (m - 1) * np.abs(idx[:, None, k] - idx[None, :, k])
-        sq += offset * offset
-    return kernels._k_of_sq_dist(spec, sq)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -11,7 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from gpei import bounds, eiopt, harness
+from gpei import bounds, eiopt, gp, harness
 from gpei.stdnormal import ei_unchecked
 from gpei.config import _FLAT_KEYS, ExperimentConfig, config_hash, from_flat, load_config, parse_config_file
 from gpei.kernels import KernelSpec
@@ -64,11 +64,14 @@ class TestConfig:
         assert cfg.grid_size == 200
         assert cfg.kernel.lengthscale == pytest.approx(0.2 * cfg.r)
 
-    def test_grid_shape(self):
-        cfg = tiny_config(d=2, grid_per_dim=7, T=12)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_grid_shape(self, d):
+        cfg = tiny_config(d=d, grid_per_dim=7, T=6)
         pts = cfg.grid_points()
-        assert pts.shape == (49, 2)
+        assert pts.shape == (7**d, d)
         assert pts.min() == 0.0 and pts.max() == cfg.r
+        if d == 1:
+            assert pts[:, 0].tobytes() == np.linspace(0.0, cfg.r, 7).tobytes()
 
     def test_grid_cap(self):
         with pytest.raises(ValueError):
@@ -84,10 +87,17 @@ class TestConfig:
         # spacing and the lengthscale are each rounded once more
         base = tiny_config()
         scaled = dataclasses.replace(base, r=r, kernel=KernelSpec("se", 0.2 * r))
-        gap = np.max(np.abs(harness.grid_prior(base).k_offsets - harness.grid_prior(scaled).k_offsets))
+        gap = np.max(np.abs(gp.GridPrior.build(base).k_offsets - gp.GridPrior.build(scaled).k_offsets))
         assert gap <= 4 * np.finfo(float).eps
         for a, b in zip(harness.run_campaign(base).traces, harness.run_campaign(scaled).traces, strict=True):
             assert a.x_next_idx.tolist() == b.x_next_idx.tolist()
+
+    @pytest.mark.parametrize("r", [1.0, 1e-150, 1e152])
+    def test_lengthscale_bound_scales_with_r(self, r):
+        bound = 44.0 * r / math.sqrt(0.6 * np.finfo(float).max)
+        tiny_config(r=r, kernel=KernelSpec("matern", bound, 2.5)).validate()
+        with pytest.raises(ValueError, match="kernel_lengthscale"):
+            tiny_config(r=r, kernel=KernelSpec("matern", np.nextafter(bound, 0.0), 2.5)).validate()
 
     def test_one_point_grid_exempt_from_budget_cap(self):
         tiny_config(grid_per_dim=1, T=8).validate()
@@ -245,14 +255,6 @@ class TestCampaign:
         for name in sorted(os.listdir(a)):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
-    def test_parallel_matches_serial(self, tmp_path):
-        cfg = tiny_config(trials=4)
-        a, b = tmp_path / "serial", tmp_path / "parallel"
-        harness.run_experiment(cfg, str(a), workers=1)
-        harness.run_experiment(cfg, str(b), workers=2)
-        for name in sorted(os.listdir(a)):
-            assert (a / name).read_bytes() == (b / name).read_bytes(), name
-
     def test_rerun_with_fewer_trials_leaves_no_stale_traces(self, tmp_path):
         reused, fresh = tmp_path / "reused", tmp_path / "fresh"
         harness.run_experiment(tiny_config(trials=12), str(reused))
@@ -293,34 +295,22 @@ class TestCampaign:
             texts.append(text)
         assert texts[0] == texts[1]
 
-    def test_parallel_matches_serial_across_batches(self, tmp_path):
-        # 400 points and T=60 give batches of 10 trials: 12 trials are two
-        # tasks for the pool and two batches for the serial run
-        cfg = tiny_config(grid_per_dim=400, T=60, trials=12)
-        assert [len(c) for c in harness.trial_chunks(cfg)] == [10, 2]
-        a, b = tmp_path / "serial", tmp_path / "parallel"
-        harness.run_experiment(cfg, str(a), workers=1)
-        harness.run_experiment(cfg, str(b), workers=2)
-        assert sorted(os.listdir(a)) == sorted(os.listdir(b))
-        for name in sorted(os.listdir(a)):
-            assert (a / name).read_bytes() == (b / name).read_bytes(), name
-
     def test_pool_workers_take_the_parents_prior(self, tmp_path, monkeypatch):
         # a forked worker inherits the patch and its one recorded call, so a
         # worker that factored the prior again would fail its chunk (a spawned
-        # worker imports the real grid_prior and is checked by the bytes only)
+        # worker imports the real GridPrior.build and is checked by the bytes only)
         cfg = tiny_config(grid_per_dim=400, T=60, trials=12)
         a, b = tmp_path / "serial", tmp_path / "parallel"
         harness.run_experiment(cfg, str(a), workers=1)
-        calls, original = [], harness.grid_prior
+        calls, original = [], gp.GridPrior.build
 
-        def grid_prior_once(config):
+        def build_once(config):
             calls.append(os.getpid())
             if len(calls) > 1:
-                raise AssertionError(f"grid_prior called again in process {os.getpid()}")
+                raise AssertionError(f"GridPrior.build called again in process {os.getpid()}")
             return original(config)
 
-        monkeypatch.setattr(harness, "grid_prior", grid_prior_once)
+        monkeypatch.setattr(gp.GridPrior, "build", build_once)
         harness.run_experiment(cfg, str(b), workers=2)
         assert calls == [os.getpid()]
         assert sorted(os.listdir(a)) == sorted(os.listdir(b))
@@ -349,8 +339,8 @@ class TestCampaign:
         # the parent slices each trial's trace from the batch, so a task
         # pickles no trace
         cfg = tiny_config(grid_per_dim=400, T=60, trials=12)
-        monkeypatch.setattr(harness, "_worker_campaign", (cfg, harness.grid_prior(cfg)))
-        batch = harness._worker_trials(range(10))
+        monkeypatch.setattr(harness, "_worker_campaign", (cfg, gp.GridPrior.build(cfg)))
+        batch = harness._worker_trials(harness.trial_chunks(cfg)[0])
         assert isinstance(batch, eiopt.Batch) and batch.seeds == tuple(trial_seed(cfg.seed, i) for i in range(10))
 
     def test_one_config_hash_per_campaign(self, monkeypatch):
@@ -362,10 +352,12 @@ class TestCampaign:
         result = harness.run_campaign(cfg)
         assert hashed == [cfg] and result.config_hash == config_hash(cfg)
 
-    @pytest.mark.parametrize("overrides,chunks", [(dict(), 1), (dict(grid_per_dim=400, T=60, trials=12), 2)])
-    def test_pool_starts_one_worker_per_chunk_at_most(self, tmp_path, monkeypatch, overrides, chunks):
+    @pytest.mark.parametrize("overrides,sizes", [(dict(), [3]), (dict(grid_per_dim=400, T=60, trials=12), [10, 2])])
+    def test_pool_starts_one_worker_per_chunk_at_most(self, tmp_path, monkeypatch, overrides, sizes):
         # a pool worker given no chunk would only cost a process start; a
-        # single chunk runs in-process with no pool
+        # single chunk runs in-process with no pool; 400 points and T=60 give
+        # batches of 10 trials, so 12 trials are two pool tasks and two serial
+        # batches, and the two runs write the same bytes
         started = []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -375,7 +367,8 @@ class TestCampaign:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = tiny_config(**overrides)
-        assert len(harness.trial_chunks(cfg)) == chunks
+        assert [len(c) for c in harness.trial_chunks(cfg)] == sizes
+        chunks = len(sizes)
         a, b = tmp_path / "serial", tmp_path / "parallel"
         harness.run_experiment(cfg, str(a), workers=1)
         harness.run_experiment(cfg, str(b), workers=4)
@@ -444,7 +437,7 @@ class TestCampaign:
         cfg = tiny_config(**overrides)
         c = bounds.constants_for(cfg.theorem, cfg.delta, noisy=cfg.noise_sd > 0)
         assert bounds.valid_ts(c, cfg.T0, cfg.T) == []
-        monkeypatch.setattr(harness, "grid_prior", lambda config: pytest.fail("the prior was built"))
+        monkeypatch.setattr(gp.GridPrior, "build", lambda config: pytest.fail("the prior was built"))
         names = rf"t > {c.window_divisor} \(the window divisor\).*t_min={re.escape(repr(c.t_min))}"
         with pytest.raises(ValueError, match=names):
             harness.run_campaign(cfg)
@@ -568,7 +561,7 @@ class TestLoopConsistency:
         result = harness.run_campaign(cfg)
         stopped = [] if cfg.kappa is None else [tr.ei_next[-1] < cfg.kappa for tr in result.traces]
         assert any(stopped) == (cfg.kappa is not None)
-        prior = harness.grid_prior(cfg)
+        prior = gp.GridPrior.build(cfg)
         for tr in result.traces:
             assert np.array_equal(tr.ei_next, ei_unchecked(tr.y_plus - tr.mu_next, tr.sigma_next))
             assert np.array_equal(tr.r_t, tr.y_plus - tr.f_star)
@@ -699,7 +692,7 @@ class TestOneKernelSource:
         # values from the prior's rows: the reference fit never runs, also
         # when a failed pivot forces a refit, and a campaign on an embedded
         # 600-point grid assembles no n-by-n Gram matrix
-        from gpei import eiopt, gp, kernels
+        from gpei import kernels
 
         refits, gram_sizes = [], []
         original_refit, original_gram = eiopt.GridPosterior._refit, kernels.gram
@@ -710,12 +703,12 @@ class TestOneKernelSource:
             assert harness.verify_lemma(lemma, tiny_config(), n=500).passed, lemma
         assert not refits
         cfg = tiny_config(grid_per_dim=600, noise_sd=0.0)
-        prior = harness.grid_prior(cfg)
+        prior = gp.GridPrior.build(cfg)
         assert prior.root_eig is not None and prior.L is None
         # noiseless re-queries at jitter 1e-18 have pivots that are not
         # positive; the prior is built first, since the embedding's own
         # tolerance is the jitter
-        monkeypatch.setattr(harness, "grid_prior", lambda config: prior)
+        monkeypatch.setattr(gp.GridPrior, "build", lambda config: prior)
         monkeypatch.setattr(gp, "JITTER_START", 1e-18)
         result = harness.run_campaign(cfg)
         assert refits and result.passed
@@ -729,7 +722,7 @@ class TestOneKernelSource:
         from gpei import cli, kernels
 
         cfg = tiny_config(grid_per_dim=200, kernel=kernel)
-        assert (harness.grid_prior(cfg).L is None) == (kernel.lengthscale == 0.2)
+        assert (gp.GridPrior.build(cfg).L is None) == (kernel.lengthscale == 0.2)
         for name in ("gram", "cross_matrix"):
             monkeypatch.setattr(kernels, name, lambda *a, name=name: pytest.fail(f"kernels.{name} called"))
         assert harness.run_campaign(cfg).passed
@@ -748,8 +741,6 @@ class TestPriorFactorization:
         (dict(kernel=KernelSpec("se", 1.0), T=30, trials=2), 1),
     ], ids=["default_1d", "matern52_16x16", "se_lengthscale_r"])
     def test_full_size_factorizations(self, monkeypatch, overrides, expected):
-        from gpei import gp
-
         cfg = ExperimentConfig(**overrides)
         shapes = []
         original = gp.chol_with_jitter
@@ -761,8 +752,6 @@ class TestPriorFactorization:
         # fmu runs the loop on the config grid's prior: its one factorization
         # is that prior's n-by-n K on a lattice that falls back, and there is
         # none on a lattice that embeds
-        from gpei import gp
-
         factored = []
         original = gp.chol_with_jitter
         monkeypatch.setattr(gp, "chol_with_jitter", lambda K: (factored.append(K.copy()), original(K))[1])
@@ -772,7 +761,7 @@ class TestPriorFactorization:
             assert harness.verify_lemma("fmu", cfg, n=500).passed
             assert len(factored) == fallback
             if fallback:
-                assert np.array_equal(factored[0], harness.grid_prior(cfg).rows(np.arange(cfg.grid_size)))
+                assert np.array_equal(factored[0], gp.GridPrior.build(cfg).rows(np.arange(cfg.grid_size)))
 
 
 class TestWilson:
@@ -827,8 +816,8 @@ class TestVerifyLemmaPlumbing:
         # closed-form lemmas alone, and not before every id is known (the
         # CLI test of verify all checks its bytes against one id at a time)
         cfg = tiny_config(grid_per_dim=40, T=30)
-        builds, original = [], harness.grid_prior
-        monkeypatch.setattr(harness, "grid_prior", lambda config: (builds.append(config), original(config))[1])
+        builds, original = [], gp.GridPrior.build
+        monkeypatch.setattr(gp.GridPrior, "build", lambda config: (builds.append(config), original(config))[1])
         with pytest.raises(ValueError, match="unknown lemma"):
             harness.verify_lemmas(["fmu", "no_such_lemma"], cfg)
         closed = harness.verify_lemmas(["tail_bound", "tau_vs_phi", "ei_monotone"], cfg)
@@ -841,7 +830,7 @@ class TestVerifyLemmaPlumbing:
         # refuses them with its up-front checks, so neither the prior nor
         # fmu, which comes first, is computed for nothing
         calls = []
-        monkeypatch.setattr(harness, "grid_prior", lambda config: calls.append("grid_prior"))
+        monkeypatch.setattr(gp.GridPrior, "build", lambda config: calls.append("build"))
         for key, (protocol, size, reads_prior) in list(harness._LEMMAS.items()):
             recorded = lambda config, n, prior, key=key: calls.append(key)
             monkeypatch.setitem(harness._LEMMAS, key, (recorded, size, reads_prior))
@@ -850,14 +839,14 @@ class TestVerifyLemmaPlumbing:
             harness.verify_lemmas(harness.LEMMA_IDS, cfg)
         assert calls == []
         harness.verify_lemmas(["fmu", "tail_bound"], cfg)
-        assert calls == ["grid_prior", "fmu", "tail_bound"]
+        assert calls == ["build", "fmu", "tail_bound"]
 
     def test_one_step_runs_are_refused_before_anything_runs(self, monkeypatch):
         # the pointwise lemmas' one-step runs have budget T0 + 1 = 3, more
         # than a 2-point grid holds: verify_lemmas refuses them before the
         # prior or tail_bound, which comes first, is computed
         calls = []
-        monkeypatch.setattr(harness, "grid_prior", lambda config: calls.append("grid_prior"))
+        monkeypatch.setattr(gp.GridPrior, "build", lambda config: calls.append("build"))
         for key, (protocol, size, run_config) in list(harness._LEMMAS.items()):
             recorded = lambda config, n, prior, key=key: calls.append(key)
             monkeypatch.setitem(harness._LEMMAS, key, (recorded, size, run_config))

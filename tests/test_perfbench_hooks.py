@@ -88,7 +88,7 @@ def test_grid_cap_campaign_evaluates_one_kernel_row_and_no_gram(tmp_path):
     # kernel row, the embedding check's and the loop's, from the prior's
     # lattice offsets
     wl = workloads.build("campaign_grid4096", 7)
-    assert harness.grid_prior(wl.configs[0][1]).L is None
+    assert gp.GridPrior.build(wl.configs[0][1]).L is None
     tr = tracer.Tracer()
     with tr.active():
         rep = workloads.run_rep(wl, str(tmp_path))
